@@ -199,28 +199,77 @@ func BenchmarkTwoHopBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkTwoHopQuery measures a single exact point-to-point query (one
-// merged scan over two sorted hub lists) against the oracle built above —
-// the per-step cost greedy routing pays on unstructured graphs at large n.
-func BenchmarkTwoHopQuery(b *testing.B) {
+// twoHopQueryMask sizes the pre-drawn query endpoints of the 2-hop query
+// benchmarks.
+const twoHopQueryMask = 1<<12 - 1
+
+// twoHopQuerySetup builds the oracle above (raw or packed, as the auto
+// policy builds it) and pre-draws query endpoints so the timer sees only
+// the queries.
+func twoHopQuerySetup(packed bool) (o *dist.TwoHop, us, vs []graph.NodeID) {
 	g := gen.PowerLawAttachment(16384, 2, xrand.New(4))
-	o := dist.NewTwoHop(g)
+	o = dist.NewTwoHopWith(g, dist.TwoHopOptions{Packed: packed})
 	rng := xrand.New(2)
-	const mask = 1<<12 - 1
-	us := make([]graph.NodeID, mask+1)
-	vs := make([]graph.NodeID, mask+1)
+	us = make([]graph.NodeID, twoHopQueryMask+1)
+	vs = make([]graph.NodeID, twoHopQueryMask+1)
 	for i := range us {
 		us[i] = graph.NodeID(rng.Intn(g.N()))
 		vs[i] = graph.NodeID(rng.Intn(g.N()))
 	}
+	return o, us, vs
+}
+
+func benchmarkTwoHopQuery(b *testing.B, packed bool) {
+	o, us, vs := twoHopQuerySetup(packed)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if o.Dist(us[i&mask], vs[i&mask]) < 0 {
+		if o.Dist(us[i&twoHopQueryMask], vs[i&twoHopQueryMask]) < 0 {
 			b.Fatal("connected graph reported unreachable pair")
 		}
 	}
 }
+
+// twoHopPinEvery is how many pinned queries share one target: about a
+// route's worth of probes (~650 on the serve-route-hub workload).
+const twoHopPinEvery = 512
+
+// benchmarkTwoHopQueryPinned measures a query against a target-pinned view
+// (one pass over L_u), re-pinning every twoHopPinEvery queries as greedy
+// routing does once per route; the re-pins are inside the timer.
+func benchmarkTwoHopQueryPinned(b *testing.B, packed bool) {
+	o, us, vs := twoHopQuerySetup(packed)
+	var p dist.TwoHopPin
+	var t graph.NodeID
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%twoHopPinEvery == 0 {
+			t = vs[(i/twoHopPinEvery)&twoHopQueryMask]
+			p.Pin(o, t)
+		}
+		if p.Dist(us[i&twoHopQueryMask], t) < 0 {
+			b.Fatal("connected graph reported unreachable pair")
+		}
+	}
+}
+
+// BenchmarkTwoHopQuery measures a single exact point-to-point query (one
+// merged scan over two sorted hub lists) against the oracle built above —
+// the per-step cost greedy routing pays on unstructured graphs at large n.
+func BenchmarkTwoHopQuery(b *testing.B) { benchmarkTwoHopQuery(b, false) }
+
+// BenchmarkTwoHopQuery_packed is the same query on varint-packed labels,
+// the layout the auto policy builds: both streams are decoded per query.
+func BenchmarkTwoHopQuery_packed(b *testing.B) { benchmarkTwoHopQuery(b, true) }
+
+// BenchmarkTwoHopQuery_pinned is the query greedy routing actually makes:
+// against a target pinned once per route, on raw labels.
+func BenchmarkTwoHopQuery_pinned(b *testing.B) { benchmarkTwoHopQueryPinned(b, false) }
+
+// BenchmarkTwoHopQuery_pinnedPacked is the pinned query on packed labels:
+// only L_u is decoded.
+func BenchmarkTwoHopQuery_pinnedPacked(b *testing.B) { benchmarkTwoHopQueryPinned(b, true) }
 
 // BenchmarkLandmarkOracleQuery measures a single O(k) bound query against
 // the oracle built above.
@@ -385,6 +434,39 @@ func BenchmarkRoutingTrial_fieldSource(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := route.Greedy(g, inst, s, t, d, rng, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Reached {
+			b.Fatal("trial hit the step cap")
+		}
+	}
+}
+
+// BenchmarkRoutingTrial_twoHopSource routes through the exact 2-hop
+// oracle, packed as the auto policy builds it, on a 16384-node power-law
+// graph with no analytic metric: the serve-route-hub hot path, where each
+// route pins the oracle to its target in the reused scratch.  Pairs cycle
+// through a pre-drawn set since one extremal pair is only a few hops apart.
+func BenchmarkRoutingTrial_twoHopSource(b *testing.B) {
+	g := gen.PowerLawAttachment(16384, 2, xrand.New(4))
+	var o dist.Source = dist.NewTwoHopWith(g, dist.TwoHopOptions{Packed: true})
+	inst, err := augment.NewUniformScheme().Prepare(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := xrand.New(3)
+	const mask = 1<<8 - 1
+	pairs := make([][2]graph.NodeID, mask+1)
+	for i := range pairs {
+		pairs[i] = [2]graph.NodeID{graph.NodeID(rng.Intn(g.N())), graph.NodeID(rng.Intn(g.N()))}
+	}
+	opts := route.Options{Scratch: route.NewScratch(g.N())}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i&mask]
+		res, err := route.Greedy(g, inst, p[0], p[1], o, rng, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

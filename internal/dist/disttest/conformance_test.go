@@ -81,6 +81,16 @@ func TestConformanceTwoHopPacked(t *testing.T) {
 	})
 }
 
+// TestConformanceTwoHopPinned pins the target-pinned view greedy routing
+// probes through, on raw and packed labels, to BFS ground truth.
+func TestConformanceTwoHopPinned(t *testing.T) {
+	forAllConformanceGraphs(t, func(t *testing.T, g *graph.Graph) {
+		o := dist.NewTwoHopWith(g, dist.TwoHopOptions{Workers: 5})
+		ExactPinned(t, g, o)
+		ExactPinned(t, g, o.Pack())
+	})
+}
+
 // TestConformanceAPSP pins the exact all-pairs matrix oracle.
 func TestConformanceAPSP(t *testing.T) {
 	forAllConformanceGraphs(t, func(t *testing.T, g *graph.Graph) {

@@ -98,6 +98,30 @@ func ExactAt(t testing.TB, g *graph.Graph, target graph.NodeID, src dist.Source)
 	}
 }
 
+// ExactPinned checks a 2-hop oracle through its target-pinned view, the
+// way greedy routing queries it: one dist.TwoHopPin is re-pinned to each
+// target in turn — every node up to ExhaustiveMaxNodes, sampled targets
+// beyond — and checked against the target's BFS field with ExactAt.
+func ExactPinned(t testing.TB, g *graph.Graph, o *dist.TwoHop) {
+	t.Helper()
+	var p dist.TwoHopPin
+	check := func(target graph.NodeID) {
+		p.Pin(o, target)
+		ExactAt(t, g, target, &p)
+	}
+	n := g.N()
+	if n <= ExhaustiveMaxNodes {
+		for v := 0; v < n; v++ {
+			check(graph.NodeID(v))
+		}
+		return
+	}
+	rng := xrand.New(0x9199)
+	for i := 0; i < sampledSources; i++ {
+		check(graph.NodeID(rng.Intn(n)))
+	}
+}
+
 // Bounded is the contract of approximate oracles that return triangle
 // bounds (dist.LandmarkOracle).
 type Bounded interface {

@@ -106,10 +106,22 @@ const twoHopUnset int32 = -1
 // two-hop distance (< 2n) is below it.
 const twoHopInf int32 = 1<<31 - 1
 
-// twoHopMaxNodes bounds the node count FromRaw accepts: with distances
-// validated < n, a two-hop sum stays < 2n and cannot overflow int32.
+// twoHopMaxNodes bounds the node count of every TwoHop (FromRaw rejects
+// larger ones, NewTwoHopWith panics).  Distances are < n <= 2^29, so:
+//   - an unpinned two-hop sum stays < 2n <= 2^30 and cannot overflow int32;
+//   - a pinned probe (TwoHopPin) adds a distance to either a real entry,
+//     giving a real sum < 2^30 = twoHopPinAbsent, or to the sentinel,
+//     giving twoHopPinAbsent + d < 2^30 + 2^29 < 2^31: no overflow, and no
+//     real sum reaches the sentinel even on validated-but-hostile labels,
+//     so pinned and unpinned queries agree on every oracle.
+//
 // (Snapshots are capped far lower; this is the API-level backstop.)
-const twoHopMaxNodes = 1 << 30
+const twoHopMaxNodes = 1 << 29
+
+// twoHopPinAbsent marks a hub missing from the pinned target's label in a
+// TwoHopPin buffer; see twoHopMaxNodes for why sums with it cannot
+// overflow.
+const twoHopPinAbsent int32 = 1 << 30
 
 // NewTwoHop builds the exact 2-hop-cover oracle of g using all CPUs.
 func NewTwoHop(g *graph.Graph) *TwoHop {
@@ -155,6 +167,9 @@ func twoHopOrder(g *graph.Graph) []graph.NodeID {
 // when a MaxAvgLabel budget is set and exceeded (see TwoHopOptions).
 func NewTwoHopWith(g *graph.Graph, opts TwoHopOptions) *TwoHop {
 	n := g.N()
+	if n > twoHopMaxNodes {
+		panic(fmt.Sprintf("dist: graph of %d nodes exceeds the 2-hop oracle's cap %d", n, twoHopMaxNodes))
+	}
 	t := &TwoHop{n: int32(n), packed: opts.Packed}
 	t.order = twoHopOrder(g)
 	if n == 0 {

@@ -14,6 +14,11 @@
 // actually visited.  The memo lives in a Scratch — a dense epoch-marked
 // buffer that resets in O(1) — so a worker that reuses one Scratch across
 // trials routes without any per-trial allocation.
+//
+// When the source is an exact 2-hop oracle (*dist.TwoHop), each route pins
+// it to the target in the Scratch (dist.TwoHopPin): one O(|L_t|) scatter
+// per route, after which every probe scans only the neighbour's label.
+// Answers are identical to the unpinned oracle's, so routes are too.
 package route
 
 import (
@@ -40,11 +45,16 @@ type Result struct {
 }
 
 // Scratch is reusable per-trial state for routing: the per-node contact
-// memo, epoch-marked so a reset costs O(1).  A Scratch is not safe for
-// concurrent use; keep one per worker and pass it through Options.  Reuse
-// across trials is what makes a routing trial allocation-free.
+// memo, epoch-marked so a reset costs O(1), and the 2-hop target pin.  A
+// Scratch is not safe for concurrent use; keep one per worker and pass it
+// through Options.  Reuse across trials is what makes a routing trial
+// allocation-free.
 type Scratch struct {
 	memo *sampler.EpochMemo
+	// pin is allocated the first time a route steers by a *dist.TwoHop.
+	pin *dist.TwoHopPin
+	// nd holds the current node's neighbour distances for the lookahead.
+	nd []int32
 }
 
 // NewScratch returns a Scratch for routing on graphs with n nodes.
@@ -63,6 +73,29 @@ func (s *Scratch) contact(inst augment.Instance, u graph.NodeID, rng *xrand.RNG)
 	return c
 }
 
+// steer returns the source a route to t probes: a 2-hop oracle pinned to
+// t in the scratch, or src itself.  Pin clears whatever an earlier route
+// left behind, finished or not.
+func (s *Scratch) steer(src dist.Source, t graph.NodeID) dist.Source {
+	th, ok := src.(*dist.TwoHop)
+	if !ok {
+		return src
+	}
+	if s.pin == nil {
+		s.pin = new(dist.TwoHopPin)
+	}
+	s.pin.Pin(th, t)
+	return s.pin
+}
+
+// neighbourDists returns a scratch slice for k neighbour distances.
+func (s *Scratch) neighbourDists(k int) []int32 {
+	if cap(s.nd) < k {
+		s.nd = make([]int32, k)
+	}
+	return s.nd[:k]
+}
+
 // Options tune a routing trial.
 type Options struct {
 	// MaxSteps caps the number of hops (0 means 4·n, which greedy routing
@@ -79,36 +112,37 @@ type Options struct {
 }
 
 // validate checks the endpoints and distance source shared by both routing
-// variants, and resolves the trial scratch.
-func validate(g *graph.Graph, s, t graph.NodeID, src dist.Source, opts Options) (*Scratch, error) {
+// variants, and resolves the trial scratch and dist(s, t).
+func validate(g *graph.Graph, s, t graph.NodeID, src dist.Source, opts Options) (*Scratch, int32, error) {
 	n := g.N()
 	if int(s) < 0 || int(s) >= n || int(t) < 0 || int(t) >= n {
-		return nil, fmt.Errorf("route: endpoints (%d,%d) out of range [0,%d)", s, t, n)
+		return nil, 0, fmt.Errorf("route: endpoints (%d,%d) out of range [0,%d)", s, t, n)
 	}
 	if src == nil {
-		return nil, fmt.Errorf("route: nil distance source")
+		return nil, 0, fmt.Errorf("route: nil distance source")
 	}
 	// Sources that know their node count (dist.Field, the analytic family
 	// metrics) are checked against the graph up front: a mis-sized source
 	// would otherwise index out of range (fields) or silently report wrong
 	// distances (metrics) mid-route.
 	if s, ok := src.(interface{ N() int }); ok && s.N() != n {
-		return nil, fmt.Errorf("route: distance source covers %d nodes, graph has %d", s.N(), n)
+		return nil, 0, fmt.Errorf("route: distance source covers %d nodes, graph has %d", s.N(), n)
 	}
 	if src.Dist(t, t) != 0 {
-		return nil, fmt.Errorf("route: distance source is not rooted at target %d", t)
+		return nil, 0, fmt.Errorf("route: distance source is not rooted at target %d", t)
 	}
-	if src.Dist(s, t) == graph.Unreachable {
-		return nil, fmt.Errorf("route: target %d unreachable from source %d", t, s)
+	dst := src.Dist(s, t)
+	if dst == graph.Unreachable {
+		return nil, 0, fmt.Errorf("route: target %d unreachable from source %d", t, s)
 	}
 	scratch := opts.Scratch
 	if scratch == nil {
 		scratch = NewScratch(n)
 	} else if scratch.memo.Len() != n {
-		return nil, fmt.Errorf("route: scratch was built for %d nodes, graph has %d", scratch.memo.Len(), n)
+		return nil, 0, fmt.Errorf("route: scratch was built for %d nodes, graph has %d", scratch.memo.Len(), n)
 	}
 	scratch.memo.Reset()
-	return scratch, nil
+	return scratch, dst, nil
 }
 
 // Greedy routes a message from s to t on graph g augmented by the given
@@ -118,10 +152,11 @@ func validate(g *graph.Graph, s, t graph.NodeID, src dist.Source, opts Options) 
 // source not rooted at the target or with an unreachable source node, or a
 // mis-sized scratch.
 func Greedy(g *graph.Graph, inst augment.Instance, s, t graph.NodeID, src dist.Source, rng *xrand.RNG, opts Options) (Result, error) {
-	scratch, err := validate(g, s, t, src, opts)
+	scratch, curDist, err := validate(g, s, t, src, opts)
 	if err != nil {
 		return Result{}, err
 	}
+	src = scratch.steer(src, t)
 	maxSteps := opts.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = 4*g.N() + 16
@@ -136,7 +171,7 @@ func Greedy(g *graph.Graph, inst augment.Instance, s, t graph.NodeID, src dist.S
 		if res.Steps >= maxSteps {
 			return res, nil // Reached stays false
 		}
-		next, viaLong := greedyStep(g, inst, scratch, cur, t, src, rng)
+		next, nextDist, viaLong := greedyStep(g, inst, scratch, cur, curDist, t, src, rng, nil)
 		if next == cur {
 			// No neighbour (nor the contact) improves on cur.  With an
 			// exact distance source this cannot happen on a reachable
@@ -149,7 +184,7 @@ func Greedy(g *graph.Graph, inst augment.Instance, s, t graph.NodeID, src dist.S
 		if viaLong {
 			res.LongLinksUsed++
 		}
-		cur = next
+		cur, curDist = next, nextDist
 		res.Steps++
 		if opts.Trace {
 			res.Path = append(res.Path, cur)
@@ -160,14 +195,19 @@ func Greedy(g *graph.Graph, inst augment.Instance, s, t graph.NodeID, src dist.S
 }
 
 // greedyStep picks the neighbour of cur (including its long-range contact)
-// closest to the target; ties prefer local links and then lower node ids,
-// which keeps the process deterministic given the drawn contacts.
-func greedyStep(g *graph.Graph, inst augment.Instance, scratch *Scratch, cur, t graph.NodeID, src dist.Source, rng *xrand.RNG) (graph.NodeID, bool) {
+// closest to the target, given curDist = src.Dist(cur, t), and returns it
+// with its distance; ties prefer local links and then lower node ids,
+// which keeps the process deterministic given the drawn contacts.  When nd
+// is non-nil it receives each neighbour's distance, in Neighbors order.
+func greedyStep(g *graph.Graph, inst augment.Instance, scratch *Scratch, cur graph.NodeID, curDist int32, t graph.NodeID, src dist.Source, rng *xrand.RNG, nd []int32) (graph.NodeID, int32, bool) {
 	best := cur
-	bestDist := src.Dist(cur, t)
+	bestDist := curDist
 	viaLong := false
-	for _, v := range g.Neighbors(cur) {
+	for i, v := range g.Neighbors(cur) {
 		d := src.Dist(v, t)
+		if nd != nil {
+			nd[i] = d
+		}
 		if d == graph.Unreachable {
 			continue
 		}
@@ -185,7 +225,7 @@ func greedyStep(g *graph.Graph, inst augment.Instance, scratch *Scratch, cur, t 
 			viaLong = true
 		}
 	}
-	return best, viaLong
+	return best, bestDist, viaLong
 }
 
 // GreedyWithLookahead is the "know thy neighbour's neighbour" extension
@@ -196,10 +236,11 @@ func greedyStep(g *graph.Graph, inst augment.Instance, scratch *Scratch, cur, t 
 // traversal still advances one edge per step, so the step count remains
 // comparable with plain greedy routing.
 func GreedyWithLookahead(g *graph.Graph, inst augment.Instance, s, t graph.NodeID, src dist.Source, rng *xrand.RNG, opts Options) (Result, error) {
-	scratch, err := validate(g, s, t, src, opts)
+	scratch, curDist, err := validate(g, s, t, src, opts)
 	if err != nil {
 		return Result{}, err
 	}
+	src = scratch.steer(src, t)
 	maxSteps := opts.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = 4*g.N() + 16
@@ -214,13 +255,13 @@ func GreedyWithLookahead(g *graph.Graph, inst augment.Instance, s, t graph.NodeI
 			return res, nil
 		}
 		// Direct greedy candidate.
-		direct, viaLong := greedyStep(g, inst, scratch, cur, t, src, rng)
-		directDist := src.Dist(direct, t)
+		nbrs := g.Neighbors(cur)
+		nd := scratch.neighbourDists(len(nbrs))
+		direct, directDist, viaLong := greedyStep(g, inst, scratch, cur, curDist, t, src, rng, nd)
 		// Lookahead: neighbour whose own long-range contact is closest.
-		bestVia := graph.NodeID(-1)
-		bestViaDist := int32(-1)
-		for _, v := range g.Neighbors(cur) {
-			if src.Dist(v, t) == graph.Unreachable {
+		bestVia, bestViaDist, bestViaSelf := graph.NodeID(-1), int32(-1), int32(-1)
+		for i, v := range nbrs {
+			if nd[i] == graph.Unreachable {
 				continue
 			}
 			c := scratch.contact(inst, v, rng)
@@ -229,18 +270,15 @@ func GreedyWithLookahead(g *graph.Graph, inst augment.Instance, s, t graph.NodeI
 				continue
 			}
 			if bestVia == -1 || d < bestViaDist {
-				bestVia = v
-				bestViaDist = d
+				bestVia, bestViaDist, bestViaSelf = v, d, nd[i]
 			}
 		}
-		next := direct
-		nextViaLong := viaLong
+		next, nextDist, nextViaLong := direct, directDist, viaLong
 		// Move towards the lookahead neighbour only when its contact is
-		// strictly better than anything reachable directly; the hop itself is
-		// a local link.
-		if bestVia != -1 && bestViaDist < directDist && bestViaDist < src.Dist(cur, t) {
-			next = bestVia
-			nextViaLong = false
+		// strictly better than anything reachable directly (directDist <=
+		// curDist, so also than staying put); the hop itself is a local link.
+		if bestVia != -1 && bestViaDist < directDist {
+			next, nextDist, nextViaLong = bestVia, bestViaSelf, false
 		}
 		if next == cur {
 			return res, nil // stuck under approximate steering; see Greedy
@@ -248,7 +286,7 @@ func GreedyWithLookahead(g *graph.Graph, inst augment.Instance, s, t graph.NodeI
 		if nextViaLong {
 			res.LongLinksUsed++
 		}
-		cur = next
+		cur, curDist = next, nextDist
 		res.Steps++
 		if opts.Trace {
 			res.Path = append(res.Path, cur)
