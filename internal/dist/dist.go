@@ -33,55 +33,10 @@
 // to its bound contract — by the reusable conformance harness in
 // internal/dist/disttest.  SourcePolicy (policy.go) picks the tier a run
 // steers by (analytic metric, 2-hop labels, BFS fields); the choice never
-// affects results, only cost.  NewOracle picks between the matrix and
-// landmark tiers automatically.  The bounded-ball enumeration used by the
+// affects results, only cost.  The bounded-ball enumeration used by the
 // Theorem 4 scheme (Ball, BallBuffer) lives here too so that its
 // scratch-buffer discipline is shared rather than duplicated per scheme.
 package dist
-
-import (
-	"navaug/internal/graph"
-	"navaug/internal/xrand"
-)
-
-// Oracle answers hop-distance queries on a fixed graph.  Implementations
-// must be safe for concurrent readers once constructed.  Exact oracles
-// (APSP) return the true distance; approximate ones (LandmarkOracle) return
-// an upper bound.  Unreachable pairs yield graph.Unreachable (-1).
-type Oracle interface {
-	Dist(u, v graph.NodeID) int32
-}
-
-// apspMaxNodes is the largest node count for which NewOracle builds the
-// exact matrix: beyond it the n² int32 matrix (≥ 1 GiB at 16k nodes)
-// stops being a sensible default and landmark sketches take over.
-const apspMaxNodes = 8192
-
-// defaultLandmarks is the sketch size NewOracle uses for large graphs.
-const defaultLandmarks = 32
-
-// FixedOracleSeed is the pinned RNG seed NewOracle falls back to when a
-// large graph is passed with a nil rng.  It is exported (and pinned by a
-// test) so that landmark selection — and therefore every distance the
-// resulting oracle reports — is reproducibly deterministic across runs and
-// releases: changing this value silently changes large-graph oracle
-// answers.
-const FixedOracleSeed uint64 = 1
-
-// NewOracle returns a distance oracle suitable for g's size: the exact
-// APSP matrix up to apspMaxNodes nodes, a landmark sketch beyond that.
-// The rng only influences landmark selection and may be nil for small
-// graphs; large graphs with a nil rng use the pinned FixedOracleSeed, so
-// two nil-rng calls on the same graph build identical oracles.
-func NewOracle(g *graph.Graph, rng *xrand.RNG) Oracle {
-	if g.N() <= apspMaxNodes {
-		return NewAPSP(g)
-	}
-	if rng == nil {
-		rng = xrand.New(FixedOracleSeed)
-	}
-	return NewLandmarkOracle(g, defaultLandmarks, rng)
-}
 
 // CeilLog2 returns ⌈log₂ n⌉ for n ≥ 1 (and 0 for n ≤ 1).  It is the number
 // of ball scales the Theorem 4 scheme mixes over.

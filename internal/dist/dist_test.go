@@ -330,52 +330,6 @@ func TestFieldCacheConcurrent(t *testing.T) {
 	}
 }
 
-func TestNewOracleSelection(t *testing.T) {
-	small := gen.Grid2D(10, 10)
-	if _, ok := NewOracle(small, nil).(*APSP); !ok {
-		t.Fatal("small graph should get the exact APSP oracle")
-	}
-	big := gen.Path(apspMaxNodes + 10)
-	o := NewOracle(big, xrand.New(1))
-	lm, ok := o.(*LandmarkOracle)
-	if !ok {
-		t.Fatal("large graph should get the landmark oracle")
-	}
-	// Landmark estimates on a path must stay within the triangle bounds.
-	if d := lm.Dist(0, 100); d < 100 {
-		t.Fatalf("upper bound %d below exact distance 100", d)
-	}
-}
-
-// TestNewOracleNilRNGIsPinned: large graphs with a nil rng must select
-// landmarks from the pinned FixedOracleSeed, so repeated constructions
-// report identical distances (large-graph oracle selection is reproducibly
-// deterministic) and match an explicit rng carrying the same seed.
-func TestNewOracleNilRNGIsPinned(t *testing.T) {
-	if FixedOracleSeed != 1 {
-		t.Fatalf("FixedOracleSeed changed to %d; this silently changes every nil-rng landmark oracle", FixedOracleSeed)
-	}
-	g := gen.Cycle(apspMaxNodes + 100) // just past the exact-matrix tier
-	a := NewOracle(g, nil)
-	b := NewOracle(g, nil)
-	c := NewOracle(g, xrand.New(FixedOracleSeed))
-	if _, ok := a.(*LandmarkOracle); !ok {
-		t.Fatalf("expected the landmark tier above %d nodes, got %T", apspMaxNodes, a)
-	}
-	rng := xrand.New(3)
-	for trial := 0; trial < 2000; trial++ {
-		u := graph.NodeID(rng.Intn(g.N()))
-		v := graph.NodeID(rng.Intn(g.N()))
-		da, db, dc := a.Dist(u, v), b.Dist(u, v), c.Dist(u, v)
-		if da != db {
-			t.Fatalf("two nil-rng oracles disagree at (%d,%d): %d vs %d", u, v, da, db)
-		}
-		if da != dc {
-			t.Fatalf("nil-rng oracle disagrees with explicit FixedOracleSeed at (%d,%d): %d vs %d", u, v, da, dc)
-		}
-	}
-}
-
 // TestFieldSource: the BFS-field adapter must report the wrapped field's
 // values and its root.
 func TestFieldSource(t *testing.T) {

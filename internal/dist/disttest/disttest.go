@@ -125,7 +125,7 @@ func ExactPinned(t testing.TB, g *graph.Graph, o *dist.TwoHop) {
 // Bounded is the contract of approximate oracles that return triangle
 // bounds (dist.LandmarkOracle).
 type Bounded interface {
-	dist.Oracle
+	dist.Source
 	Bounds(u, v graph.NodeID) (lower, upper int32)
 }
 

@@ -131,7 +131,7 @@ func (o *LandmarkOracle) Bounds(u, v graph.NodeID) (lower, upper int32) {
 	return lower, upper
 }
 
-// Dist implements Oracle with the landmark upper bound (the customary
+// Dist implements Source with the landmark upper bound (the customary
 // landmark estimate).  Pairs no landmark connects yield graph.Unreachable.
 func (o *LandmarkOracle) Dist(u, v graph.NodeID) int32 {
 	_, upper := o.Bounds(u, v)

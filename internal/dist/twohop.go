@@ -210,9 +210,9 @@ func (t *TwoHop) N() int { return int(t.n) }
 // Packed reports whether the labels are stored varint-compressed.
 func (t *TwoHop) Packed() bool { return t.packed }
 
-// Dist implements Source (and Oracle) with one merged scan over the two
-// sorted hub lists.  Pairs with no common hub are in different components
-// and yield graph.Unreachable.
+// Dist implements Source with one merged scan over the two sorted hub
+// lists.  Pairs with no common hub are in different components and yield
+// graph.Unreachable.
 func (t *TwoHop) Dist(u, v graph.NodeID) int32 {
 	if u == v {
 		return 0

@@ -56,13 +56,19 @@ func comparePinned(t *testing.T, g *graph.Graph, inst augment.Instance, o *dist.
 // a *dist.TwoHop (pinned to each target in the scratch) takes exactly the
 // paths it takes over the same oracle behind a wrapper that hides it, on
 // raw and packed labels, across pairs, seeds and schemes — including a
-// disconnected graph whose unreachable pairs must error the same way.
+// disconnected graph whose unreachable pairs must error the same way.  The
+// wrapper makes Greedy scan every neighbour, so this also checks that
+// stopping at the first neighbour one hop closer picks the same one; the
+// grid (two neighbours one hop closer at most hops) and the star (a hub
+// whose leaves are all one hop from any target) are heavy on such ties.
 func TestPinnedRoutesMatchUnpinned(t *testing.T) {
 	rng := xrand.New(0x91)
 	graphs := []*graph.Graph{
 		gen.PowerLawAttachment(600, 2, rng),
 		gen.WattsStrogatz(400, 2, 0.1, rng),
 		gen.GNP(300, 1.5/300, rng),
+		gen.Grid2D(20, 20),
+		gen.Star(200),
 	}
 	schemes := []augment.Scheme{augment.NewUniformScheme(), augment.NewBallScheme()}
 	for _, g := range graphs {
@@ -178,32 +184,76 @@ func referenceRoute(g *graph.Graph, inst augment.Instance, s, t graph.NodeID, sr
 // TestRoutesMatchReference checks both routing variants against
 // referenceRoute over exact sources (BFS fields, pinned 2-hop labels) and
 // approximate landmark bounds, whose plateaus and missing bounds exercise
-// the stuck and unreachable branches.
+// the stuck and unreachable branches.  The reference scans every
+// neighbour, so the grid and star graphs, heavy on neighbours tied one hop
+// closer, check the pinned scan's early stop too.
 func TestRoutesMatchReference(t *testing.T) {
 	rng := xrand.New(0x93)
-	g := gen.PowerLawAttachment(400, 2, rng)
-	o := dist.NewTwoHopWith(g, dist.TwoHopOptions{Packed: true})
-	lm := dist.NewLandmarkOracle(g, 6, xrand.New(3))
-	scratch := NewScratch(g.N())
-	for _, sc := range []augment.Scheme{augment.NewUniformScheme(), augment.NewBallScheme()} {
-		inst, err := sc.Prepare(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 60; i++ {
-			s, tgt := graph.NodeID(rng.Intn(g.N())), graph.NodeID(rng.Intn(g.N()))
-			for _, src := range []dist.Source{o, lm, distTo(g, tgt)} {
-				for name, run := range routers {
-					seed := uint64(i) + 1
-					got, err := run(g, inst, s, tgt, src, xrand.New(seed), Options{Trace: true, Scratch: scratch})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := referenceRoute(g, inst, s, tgt, src, xrand.New(seed), name == "lookahead"); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s %T %d->%d: %+v, reference %+v", name, src, s, tgt, got, want)
+	for _, g := range []*graph.Graph{gen.PowerLawAttachment(400, 2, rng), gen.Grid2D(20, 20), gen.Star(200)} {
+		o := dist.NewTwoHopWith(g, dist.TwoHopOptions{Packed: true})
+		lm := dist.NewLandmarkOracle(g, 6, xrand.New(3))
+		scratch := NewScratch(g.N())
+		for _, sc := range []augment.Scheme{augment.NewUniformScheme(), augment.NewBallScheme()} {
+			inst, err := sc.Prepare(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 60; i++ {
+				s, tgt := graph.NodeID(rng.Intn(g.N())), graph.NodeID(rng.Intn(g.N()))
+				for _, src := range []dist.Source{o, lm, distTo(g, tgt)} {
+					for name, run := range routers {
+						seed := uint64(i) + 1
+						got, err := run(g, inst, s, tgt, src, xrand.New(seed), Options{Trace: true, Scratch: scratch})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want := referenceRoute(g, inst, s, tgt, src, xrand.New(seed), name == "lookahead"); !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s %T %d->%d: %+v, reference %+v", name, src, s, tgt, got, want)
+						}
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestPinnedScanStopTieRule pins the tie rule at the floor on a hand-built
+// graph.  Routing from cur = 5 to t = 0, cur's sorted neighbours are a = 2
+// at dist 3 (cur's own distance), then b = 3 and c = 4, both at dist 2.
+// The pinned scan stops at b; the contact must still win when strictly
+// closer (node 6, dist 1) and must lose to b when only tied with it
+// (node 7, dist 2).
+//
+//	0 - 1 - 3 - 5     1 - 4 - 5     2 - 3     2 - 5     0 - 6 - 7
+func TestPinnedScanStopTieRule(t *testing.T) {
+	g := graph.FromEdges(8, []graph.Edge{
+		{U: 0, V: 1}, {U: 1, V: 3}, {U: 1, V: 4}, {U: 2, V: 3}, {U: 2, V: 5},
+		{U: 3, V: 5}, {U: 4, V: 5}, {U: 0, V: 6}, {U: 6, V: 7},
+	})
+	o := dist.NewTwoHop(g)
+	for _, tc := range []struct {
+		contact graph.NodeID
+		path    []graph.NodeID
+		long    int
+	}{
+		{contact: 6, path: []graph.NodeID{5, 6, 0}, long: 1},
+		{contact: 7, path: []graph.NodeID{5, 3, 1, 0}, long: 0},
+	} {
+		inst := augment.InstanceFunc(func(u graph.NodeID, _ *xrand.RNG) graph.NodeID {
+			if u == 5 {
+				return tc.contact
+			}
+			return u
+		})
+		got, err := Greedy(g, inst, 5, 0, o, xrand.New(1), Options{Trace: true, Scratch: NewScratch(g.N())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Reached || got.LongLinksUsed != tc.long || !reflect.DeepEqual(got.Path, tc.path) {
+			t.Fatalf("contact %d: route %+v, want path %v with %d long links", tc.contact, got, tc.path, tc.long)
+		}
+		if want := referenceRoute(g, inst, 5, 0, o, xrand.New(1), false); !reflect.DeepEqual(got, want) {
+			t.Fatalf("contact %d: route %+v, reference %+v", tc.contact, got, want)
 		}
 	}
 }

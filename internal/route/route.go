@@ -18,7 +18,9 @@
 // When the source is an exact 2-hop oracle (*dist.TwoHop), each route pins
 // it to the target in the Scratch (dist.TwoHopPin): one O(|L_t|) scatter
 // per route, after which every probe scans only the neighbour's label.
-// Answers are identical to the unpinned oracle's, so routes are too.
+// Answers are identical to the unpinned oracle's, so routes are too.  Over
+// the pinned oracle, Greedy also stops each hop's neighbour scan at the
+// first neighbour one hop closer to the target (see greedyStep).
 package route
 
 import (
@@ -98,9 +100,9 @@ func (s *Scratch) neighbourDists(k int) []int32 {
 
 // Options tune a routing trial.
 type Options struct {
-	// MaxSteps caps the number of hops (0 means 4·n, which greedy routing
-	// can never legitimately exceed because each hop strictly decreases the
-	// distance to the target).
+	// MaxSteps caps the number of hops (0 means 4·n + 16, which greedy
+	// routing can never legitimately exceed because each hop strictly
+	// decreases the distance to the target).
 	MaxSteps int
 	// Trace records the full visited path in the Result.
 	Trace bool
@@ -112,37 +114,40 @@ type Options struct {
 }
 
 // validate checks the endpoints and distance source shared by both routing
-// variants, and resolves the trial scratch and dist(s, t).
-func validate(g *graph.Graph, s, t graph.NodeID, src dist.Source, opts Options) (*Scratch, int32, error) {
+// variants, and resolves dist(s, t) and the options: the returned Options
+// always carry a reset Scratch and a positive MaxSteps.
+func validate(g *graph.Graph, s, t graph.NodeID, src dist.Source, opts Options) (Options, int32, error) {
 	n := g.N()
 	if int(s) < 0 || int(s) >= n || int(t) < 0 || int(t) >= n {
-		return nil, 0, fmt.Errorf("route: endpoints (%d,%d) out of range [0,%d)", s, t, n)
+		return opts, 0, fmt.Errorf("route: endpoints (%d,%d) out of range [0,%d)", s, t, n)
 	}
 	if src == nil {
-		return nil, 0, fmt.Errorf("route: nil distance source")
+		return opts, 0, fmt.Errorf("route: nil distance source")
 	}
 	// Sources that know their node count (dist.Field, the analytic family
 	// metrics) are checked against the graph up front: a mis-sized source
 	// would otherwise index out of range (fields) or silently report wrong
 	// distances (metrics) mid-route.
 	if s, ok := src.(interface{ N() int }); ok && s.N() != n {
-		return nil, 0, fmt.Errorf("route: distance source covers %d nodes, graph has %d", s.N(), n)
+		return opts, 0, fmt.Errorf("route: distance source covers %d nodes, graph has %d", s.N(), n)
 	}
 	if src.Dist(t, t) != 0 {
-		return nil, 0, fmt.Errorf("route: distance source is not rooted at target %d", t)
+		return opts, 0, fmt.Errorf("route: distance source is not rooted at target %d", t)
 	}
 	dst := src.Dist(s, t)
 	if dst == graph.Unreachable {
-		return nil, 0, fmt.Errorf("route: target %d unreachable from source %d", t, s)
+		return opts, 0, fmt.Errorf("route: target %d unreachable from source %d", t, s)
 	}
-	scratch := opts.Scratch
-	if scratch == nil {
-		scratch = NewScratch(n)
-	} else if scratch.memo.Len() != n {
-		return nil, 0, fmt.Errorf("route: scratch was built for %d nodes, graph has %d", scratch.memo.Len(), n)
+	if opts.Scratch == nil {
+		opts.Scratch = NewScratch(n)
+	} else if opts.Scratch.memo.Len() != n {
+		return opts, 0, fmt.Errorf("route: scratch was built for %d nodes, graph has %d", opts.Scratch.memo.Len(), n)
 	}
-	scratch.memo.Reset()
-	return scratch, dst, nil
+	opts.Scratch.memo.Reset()
+	if opts.MaxSteps <= 0 {
+		opts.MaxSteps = 4*n + 16
+	}
+	return opts, dst, nil
 }
 
 // Greedy routes a message from s to t on graph g augmented by the given
@@ -152,15 +157,12 @@ func validate(g *graph.Graph, s, t graph.NodeID, src dist.Source, opts Options) 
 // source not rooted at the target or with an unreachable source node, or a
 // mis-sized scratch.
 func Greedy(g *graph.Graph, inst augment.Instance, s, t graph.NodeID, src dist.Source, rng *xrand.RNG, opts Options) (Result, error) {
-	scratch, curDist, err := validate(g, s, t, src, opts)
+	opts, curDist, err := validate(g, s, t, src, opts)
 	if err != nil {
 		return Result{}, err
 	}
+	scratch := opts.Scratch
 	src = scratch.steer(src, t)
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 4*g.N() + 16
-	}
 
 	res := Result{}
 	if opts.Trace {
@@ -168,7 +170,7 @@ func Greedy(g *graph.Graph, inst augment.Instance, s, t graph.NodeID, src dist.S
 	}
 	cur := s
 	for cur != t {
-		if res.Steps >= maxSteps {
+		if res.Steps >= opts.MaxSteps {
 			return res, nil // Reached stays false
 		}
 		next, nextDist, viaLong := greedyStep(g, inst, scratch, cur, curDist, t, src, rng, nil)
@@ -199,10 +201,24 @@ func Greedy(g *graph.Graph, inst augment.Instance, s, t graph.NodeID, src dist.S
 // with its distance; ties prefer local links and then lower node ids,
 // which keeps the process deterministic given the drawn contacts.  When nd
 // is non-nil it receives each neighbour's distance, in Neighbors order.
+//
+// When src is a pinned 2-hop oracle and nd is nil, the neighbour scan stops
+// at the first neighbour at curDist-1.  The oracle is exact for g (sim,
+// serve and core only ever pair a graph with its own labels), so no
+// neighbour is closer than that floor; neighbour lists are strictly
+// increasing and ties go to the lower id, so the full scan would pick this
+// same neighbour.  The contact is drawn and probed after the scan and wins
+// only when strictly below the floor.  Sources that may not be exact
+// (landmark bounds, fields and metrics, a DynTwoHop with debt) always scan
+// every neighbour.
 func greedyStep(g *graph.Graph, inst augment.Instance, scratch *Scratch, cur graph.NodeID, curDist int32, t graph.NodeID, src dist.Source, rng *xrand.RNG, nd []int32) (graph.NodeID, int32, bool) {
 	best := cur
 	bestDist := curDist
 	viaLong := false
+	floor := graph.Unreachable
+	if _, exact := src.(*dist.TwoHopPin); exact && nd == nil {
+		floor = curDist - 1
+	}
 	for i, v := range g.Neighbors(cur) {
 		d := src.Dist(v, t)
 		if nd != nil {
@@ -215,6 +231,9 @@ func greedyStep(g *graph.Graph, inst augment.Instance, scratch *Scratch, cur gra
 			best = v
 			bestDist = d
 			viaLong = false
+			if d == floor {
+				break
+			}
 		}
 	}
 	if c := scratch.contact(inst, cur, rng); c != cur {
@@ -236,22 +255,19 @@ func greedyStep(g *graph.Graph, inst augment.Instance, scratch *Scratch, cur gra
 // traversal still advances one edge per step, so the step count remains
 // comparable with plain greedy routing.
 func GreedyWithLookahead(g *graph.Graph, inst augment.Instance, s, t graph.NodeID, src dist.Source, rng *xrand.RNG, opts Options) (Result, error) {
-	scratch, curDist, err := validate(g, s, t, src, opts)
+	opts, curDist, err := validate(g, s, t, src, opts)
 	if err != nil {
 		return Result{}, err
 	}
+	scratch := opts.Scratch
 	src = scratch.steer(src, t)
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 4*g.N() + 16
-	}
 	res := Result{}
 	if opts.Trace {
 		res.Path = append(res.Path, s)
 	}
 	cur := s
 	for cur != t {
-		if res.Steps >= maxSteps {
+		if res.Steps >= opts.MaxSteps {
 			return res, nil
 		}
 		// Direct greedy candidate.
