@@ -29,7 +29,6 @@ type chaosRecord struct {
 	Load serve.LoadResult `json:"load"`
 
 	Panics    int64 `json:"panics"`
-	Repairs   int64 `json:"repairs"`
 	Shed      int64 `json:"shed"`
 	Approx    int64 `json:"approx_answers"`
 	Recovered bool  `json:"recovered"`
@@ -118,16 +117,16 @@ func runChaos(c *command, args []string) error {
 	}
 	inj.Deactivate()
 
-	// Recovery: poll until the server reports healthy (repairs restored,
-	// ladder back on its exact rung), then the probe set must be
-	// byte-identical to the baseline.  Quarantined-at-load sections keep
-	// the server degraded forever; recovery then only means stable answers.
+	// Recovery: poll until every breaker has closed and the ladder is
+	// back on its exact rung, then the probe set must be byte-identical
+	// to the baseline.  Quarantined-at-load sections keep the server
+	// degraded forever; recovery then only means stable answers.
 	recovered := false
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		chaosProbe(probes) // feed the pool so half-open breakers get probe tasks
 		st := chaosStats(base)
-		if !st.Degraded || len(snap.Quarantined) > 0 && st.BreakersOpen == 0 {
+		if st.BreakersOpen == 0 && (!st.Degraded || len(snap.Quarantined) > 0) {
 			break
 		}
 		time.Sleep(50 * time.Millisecond)
@@ -150,7 +149,7 @@ func runChaos(c *command, args []string) error {
 		Quarantined: snap.Quarantined,
 		Mode:        *mode, Conns: *conns, DurationS: duration.Seconds(),
 		Load:   *res,
-		Panics: st.Panics, Repairs: st.Repairs, Shed: st.Shed, Approx: st.ApproxAnswers,
+		Panics: st.Panics, Shed: st.Shed, Approx: st.ApproxAnswers,
 		Recovered: recovered,
 	}
 	fmt.Printf("chaos window: %s under %q\n", *duration, *faults)
@@ -158,8 +157,8 @@ func runChaos(c *command, args []string) error {
 		res.GoodputPerS, res.OK, res.Shed429, res.Timeouts, res.Errors5xx)
 	fmt.Printf("latency ms:   p50 %.3f  p99 %.3f  max %.3f (ok responses only)\n",
 		res.Latency.P50, res.Latency.P99, res.Latency.Max)
-	fmt.Printf("server:       %d panics recovered, %d repairs, %d shed, %d approx answers\n",
-		st.Panics, st.Repairs, st.Shed, st.ApproxAnswers)
+	fmt.Printf("server:       %d panics recovered, %d shed, %d approx answers\n",
+		st.Panics, st.Shed, st.ApproxAnswers)
 	if len(snap.Quarantined) > 0 {
 		fmt.Printf("recovered:    n/a (sections %v quarantined at load; server stays degraded)\n", snap.Quarantined)
 	} else {
@@ -225,7 +224,6 @@ func chaosProbe(urls []string) ([][]byte, error) {
 func chaosStats(base string) (st struct {
 	Shed          int64    `json:"shed"`
 	Panics        int64    `json:"panics"`
-	Repairs       int64    `json:"repairs"`
 	ApproxAnswers int64    `json:"approx_answers"`
 	BreakersOpen  int      `json:"breakers_open"`
 	Degraded      bool     `json:"degraded"`

@@ -62,7 +62,7 @@ func ParseSourcePolicy(s string) (SourcePolicy, error) {
 	case PolicyAuto, PolicyAnalytic, PolicyTwoHop, PolicyTwoHopPacked, PolicyField:
 		return SourcePolicy(s), nil
 	}
-	return "", fmt.Errorf("dist: unknown oracle policy %q (known: auto, analytic, twohop, field)", s)
+	return "", fmt.Errorf("dist: unknown oracle policy %q (known: auto, analytic, twohop, twohop-packed, field)", s)
 }
 
 // Resolve picks the distance Source for g under the policy.  metric is the

@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"navaug/internal/graph"
@@ -209,8 +211,29 @@ func TestSourcePolicyResolve(t *testing.T) {
 	if src := PolicyAuto.Resolve(small, nil); src != nil {
 		t.Fatalf("auto policy on a small metric-less graph must use fields, got %T", src)
 	}
-	if _, err := ParseSourcePolicy("nope"); err == nil {
+	_, err := ParseSourcePolicy("nope")
+	if err == nil {
 		t.Fatal("ParseSourcePolicy accepted garbage")
+	}
+	// The error's "known" list and the accepted policies must agree.
+	msg := err.Error()
+	i, j := strings.Index(msg, "(known: "), strings.LastIndex(msg, ")")
+	if i < 0 || j < i {
+		t.Fatalf("ParseSourcePolicy error lists no known policies: %q", msg)
+	}
+	named := strings.Split(msg[i+len("(known: "):j], ", ")
+	for _, name := range named {
+		if p, err := ParseSourcePolicy(name); err != nil || string(p) != name {
+			t.Fatalf("policy %q named in the error does not parse: (%v, %v)", name, p, err)
+		}
+	}
+	for _, p := range []SourcePolicy{PolicyAuto, PolicyAnalytic, PolicyTwoHop, PolicyTwoHopPacked, PolicyField} {
+		if _, err := ParseSourcePolicy(string(p)); err != nil {
+			t.Fatalf("ParseSourcePolicy(%q): %v", p, err)
+		}
+		if !slices.Contains(named, string(p)) {
+			t.Fatalf("accepted policy %q missing from the error's list %q", p, msg)
+		}
 	}
 	if p, err := ParseSourcePolicy(""); err != nil || p != PolicyAuto {
 		t.Fatalf("ParseSourcePolicy(%q) = (%v, %v), want auto", "", p, err)

@@ -49,7 +49,7 @@ const (
 	KindStall Kind = "stall"
 	// KindPanic makes a fraction P of pool tasks on the matching shard
 	// panic before running the request — the worker-crash drill that
-	// exercises recovery, circuit breaking and contact-row re-sampling.
+	// exercises recovery and circuit breaking.
 	KindPanic Kind = "panic"
 	// KindMem simulates memory pressure while its window is open: the
 	// serve layer stops growing the BFS field cache and degrades to the

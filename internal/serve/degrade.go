@@ -1,7 +1,6 @@
 package serve
 
-// Graceful degradation: the answer ladder and the quarantine-repair
-// overlay.
+// Graceful degradation: the answer ladder.
 //
 // The ladder orders the distance tiers by fidelity:
 //
@@ -16,24 +15,9 @@ package serve
 // Every answer produced below the exact tiers carries "approx": true, so a
 // client can always tell a degraded answer from a healthy one.
 //
-// The repair overlay handles a different failure: a shard whose tasks keep
-// panicking.  The pool quarantines the shard (see breaker.go) and the
-// server re-samples the shard's slice of every frozen contact table
-// locally — fresh uniform draws for just the nodes that shard owns, the
-// paper's own augmentation act repeated at repair time — rather than
-// crashing or serving the possibly-poisoned rows.  Answers routed over a
-// repaired table are approximate (the draw is no longer the frozen one)
-// and say so; when the breaker's probe succeeds the original rows are
-// restored and answers are byte-identical to the pre-fault ones again.
-
-import (
-	"sync"
-	"sync/atomic"
-
-	"navaug/internal/augment"
-	"navaug/internal/graph"
-	"navaug/internal/xrand"
-)
+// A shard whose tasks keep panicking is not a ladder event: its breaker
+// quarantines it (breaker.go) and the frozen contact tables never change,
+// so the other shards' answers stay byte-identical throughout.
 
 // selectTier is the pure ladder decision: exactTier is "" when the
 // snapshot's O(1) tier is absent or quarantined, fieldsAffordable is false
@@ -51,137 +35,4 @@ func selectTier(exactTier string, fieldsAffordable, haveLandmark bool) (tier str
 	default:
 		return "landmark", true
 	}
-}
-
-// liveInstance is one frozen contact table plus its copy-on-write repair
-// overlay.  Readers (query workers) only ever touch cur — a single atomic
-// pointer load on the hot path, no lock — while repair and restore swap in
-// freshly built tables under mu.  cur == orig is the healthy state and
-// doubles as the "answers are exact" test.
-type liveInstance struct {
-	scheme string
-	draw   int
-	orig   *augment.Static
-
-	cur   atomic.Pointer[augment.Static]
-	mu    sync.Mutex
-	dirty map[int]bool // shard IDs whose node ranges are currently re-sampled
-}
-
-func newLiveInstance(scheme string, draw int, orig *augment.Static) *liveInstance {
-	li := &liveInstance{scheme: scheme, draw: draw, orig: orig, dirty: make(map[int]bool)}
-	li.cur.Store(orig)
-	return li
-}
-
-// load returns the table to route over and whether it deviates from the
-// frozen draw (some shard's rows are repaired).
-func (li *liveInstance) load() (augment.Instance, bool) {
-	cur := li.cur.Load()
-	return cur, cur != li.orig
-}
-
-// repair re-samples the contact rows in [lo, hi) — the quarantined shard's
-// slice of the node space — with fresh uniform draws, leaving every other
-// row untouched.  The replacement table is a fresh allocation, so in-flight
-// readers keep their consistent old view.  It reports whether the swap
-// happened: a false return means the rebuilt table failed validation and
-// the possibly-poisoned rows are still live, which the caller must surface
-// (Server.repairFailures) rather than swallow.
-func (li *liveInstance) repair(shardID, lo, hi int, rng *xrand.RNG) bool {
-	li.mu.Lock()
-	defer li.mu.Unlock()
-	cur := li.cur.Load()
-	table := append([]graph.NodeID(nil), cur.Contacts()...)
-	n := len(table)
-	for u := lo; u < hi && u < n; u++ {
-		table[u] = graph.NodeID(rng.Intn(n))
-	}
-	st, err := augment.NewStatic(cur.Name(), table)
-	if err != nil {
-		// Impossible by construction: uniform draws over [0,n) always
-		// validate.  Refuse to mark the shard clean.
-		return false
-	}
-	li.dirty[shardID] = true
-	li.cur.Store(st)
-	return true
-}
-
-// restore copies the frozen rows [lo, hi) back.  When the last dirty shard
-// restores, cur snaps back to the orig pointer itself, making recovery
-// exact by construction — not merely value-equal but the same table.  A
-// false return mirrors repair: the rebuild failed validation and the shard
-// stays dirty.
-func (li *liveInstance) restore(shardID, lo, hi int) bool {
-	li.mu.Lock()
-	defer li.mu.Unlock()
-	if !li.dirty[shardID] {
-		return true
-	}
-	delete(li.dirty, shardID)
-	if len(li.dirty) == 0 {
-		li.cur.Store(li.orig)
-		return true
-	}
-	cur := li.cur.Load()
-	table := append([]graph.NodeID(nil), cur.Contacts()...)
-	n := len(table)
-	for u := lo; u < hi && u < n; u++ {
-		table[u] = li.orig.Contacts()[u]
-	}
-	st, err := augment.NewStatic(cur.Name(), table)
-	if err != nil {
-		// Impossible by construction (frozen rows already validated once);
-		// keep the shard marked dirty so a later restore retries.
-		li.dirty[shardID] = true
-		return false
-	}
-	li.cur.Store(st)
-	return true
-}
-
-// shardRange is the node slice shard id owns out of n nodes across w
-// workers: contiguous, balanced, covering [0, n) exactly.
-func shardRange(id, w, n int) (lo, hi int) {
-	return id * n / w, (id + 1) * n / w
-}
-
-// repairShard re-samples shard sh's rows in every live table.  Runs on the
-// worker goroutine (pool onTrip), so sh.RNG is safe to use.
-func (s *Server) repairShard(sh *Shard) {
-	lo, hi := shardRange(sh.ID, s.opts.Workers, s.g.N())
-	for _, insts := range s.live {
-		for _, li := range insts {
-			if !li.repair(sh.ID, lo, hi, sh.RNG) {
-				s.repairFailures.Add(1)
-			}
-		}
-	}
-	s.repairs.Add(1)
-}
-
-// restoreShard undoes repairShard after the shard's breaker closes.
-func (s *Server) restoreShard(sh *Shard) {
-	lo, hi := shardRange(sh.ID, s.opts.Workers, s.g.N())
-	for _, insts := range s.live {
-		for _, li := range insts {
-			if !li.restore(sh.ID, lo, hi) {
-				s.repairFailures.Add(1)
-			}
-		}
-	}
-}
-
-// repairActive reports whether any table currently deviates from its
-// frozen draw.
-func (s *Server) repairActive() bool {
-	for _, insts := range s.live {
-		for _, li := range insts {
-			if _, approx := li.load(); approx {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -1,12 +1,6 @@
 package serve
 
-import (
-	"testing"
-
-	"navaug/internal/augment"
-	"navaug/internal/graph"
-	"navaug/internal/xrand"
-)
+import "testing"
 
 // TestSelectTier pins the full ladder decision table: the exact tier when
 // present, fields while affordable, landmarks only under pressure, and
@@ -32,92 +26,6 @@ func TestSelectTier(t *testing.T) {
 		if tier != c.wantTier || approx != c.wantApprox {
 			t.Errorf("selectTier(%q, fields=%v, landmark=%v) = (%q, %v), want (%q, %v)",
 				c.exact, c.fieldsAffordable, c.haveLandmark, tier, approx, c.wantTier, c.wantApprox)
-		}
-	}
-}
-
-// TestLiveInstanceRepairRestore pins the overlay lifecycle: repair touches
-// only the shard's rows, concurrent shards compose, and full restore
-// returns the *identical* original table pointer (byte-identical recovery
-// by construction).
-func TestLiveInstanceRepairRestore(t *testing.T) {
-	n, workers := 100, 4
-	table := make([]graph.NodeID, n)
-	for u := range table {
-		table[u] = graph.NodeID((u + 1) % n)
-	}
-	orig, err := augment.NewStatic("t", table)
-	if err != nil {
-		t.Fatal(err)
-	}
-	li := newLiveInstance("t", 0, orig)
-	if inst, approx := li.load(); approx || inst != augment.Instance(orig) {
-		t.Fatal("fresh overlay not serving the original table exactly")
-	}
-
-	rng := xrand.New(42)
-	lo1, hi1 := shardRange(1, workers, n)
-	if !li.repair(1, lo1, hi1, rng) {
-		t.Fatal("repair of a healthy table reported failure")
-	}
-	inst, approx := li.load()
-	if !approx {
-		t.Fatal("repaired overlay not marked approximate")
-	}
-	got := inst.(*augment.Static).Contacts()
-	for u := 0; u < n; u++ {
-		inRange := u >= lo1 && u < hi1
-		if !inRange && got[u] != table[u] {
-			t.Fatalf("row %d outside shard 1's range changed", u)
-		}
-	}
-
-	// A second shard repairs too; restoring shard 1 must keep shard 2's
-	// rows repaired.
-	lo2, hi2 := shardRange(2, workers, n)
-	if !li.repair(2, lo2, hi2, rng) {
-		t.Fatal("repair of shard 2 reported failure")
-	}
-	if !li.restore(1, lo1, hi1) {
-		t.Fatal("restore of shard 1 reported failure")
-	}
-	inst, approx = li.load()
-	if !approx {
-		t.Fatal("overlay with shard 2 still dirty claims exact")
-	}
-	got = inst.(*augment.Static).Contacts()
-	for u := lo1; u < hi1; u++ {
-		if got[u] != table[u] {
-			t.Fatalf("shard 1 row %d not restored", u)
-		}
-	}
-
-	li.restore(2, lo2, hi2)
-	inst, approx = li.load()
-	if approx || inst != augment.Instance(orig) {
-		t.Fatal("full restore did not snap back to the original table pointer")
-	}
-	// Restoring a shard that was never dirty is a no-op.
-	li.restore(3, 0, n)
-	if inst, _ := li.load(); inst != augment.Instance(orig) {
-		t.Fatal("restore of a clean shard disturbed the table")
-	}
-}
-
-func TestShardRangeCoversExactly(t *testing.T) {
-	for _, n := range []int{1, 7, 100, 65536} {
-		for _, w := range []int{1, 2, 3, 8} {
-			prev := 0
-			for id := 0; id < w; id++ {
-				lo, hi := shardRange(id, w, n)
-				if lo != prev {
-					t.Fatalf("n=%d w=%d shard %d starts at %d, want %d", n, w, id, lo, prev)
-				}
-				prev = hi
-			}
-			if prev != n {
-				t.Fatalf("n=%d w=%d ranges end at %d", n, w, prev)
-			}
 		}
 	}
 }

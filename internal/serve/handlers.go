@@ -54,7 +54,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 // shed or degrade on) to an HTTP answer.
 func (s *Server) poolError(w http.ResponseWriter, err error) {
 	if errors.Is(err, ErrPanicked) {
-		s.httpError(w, http.StatusInternalServerError, "worker panicked; shard quarantined for repair")
+		s.httpError(w, http.StatusInternalServerError, "worker panicked")
 		return
 	}
 	s.httpError(w, http.StatusServiceUnavailable, "%v", err)
@@ -218,9 +218,8 @@ type routeResult struct {
 	Steps     int          `json:"steps"`
 	LongLinks int          `json:"long_links"`
 	Reached   bool         `json:"reached"`
-	// Approx marks a degraded answer: the distance is a landmark bound,
-	// the steering was approximate, or the contact table had repaired
-	// (re-sampled) rows when the trial ran.
+	// Approx marks a degraded answer: the distance is a landmark bound
+	// or the steering was approximate.
 	Approx bool           `json:"approx,omitempty"`
 	Error  string         `json:"error,omitempty"`
 	Path   []graph.NodeID `json:"path,omitempty"`
@@ -233,16 +232,17 @@ type routeBatchRequest struct {
 	Trace  bool       `json:"trace"`
 }
 
-// routeOne runs one greedy trial on the live draw.  Routing errors
+// routeOne runs one greedy trial on the frozen draw.  Routing errors
 // (disconnected pair, for instance) are reported per-result, not as HTTP
 // failures, so a batch with one unreachable pair still returns the other
 // answers.
 func (s *Server) routeOne(sh *Shard, inst routeInstance, from, to graph.NodeID, trace bool) routeResult {
 	d, dApprox := s.distance(from, to)
 	src, srcApprox := s.targetSource(to)
-	res := routeResult{S: from, T: to, Dist: d, Approx: dApprox || srcApprox || inst.approx}
+	res := routeResult{S: from, T: to, Dist: d, Approx: dApprox || srcApprox}
+	// A frozen table ignores the rng: the draw happened at snapshot time.
 	out, err := route.Greedy(s.g, inst.inst, from, to, src,
-		sh.RNG, route.Options{Trace: trace, Scratch: sh.Scratch})
+		nil, route.Options{Trace: trace, Scratch: sh.Scratch})
 	if err != nil {
 		res.Error = err.Error()
 		return res
@@ -257,30 +257,27 @@ func (s *Server) routeOne(sh *Shard, inst routeInstance, from, to graph.NodeID, 
 	return res
 }
 
-// routeInstance is a resolved (scheme, draw) pair: the contact table to
-// route over, with the names echoed back in responses.  approx is true
-// when the table currently carries quarantine-repaired rows.
+// routeInstance is a resolved (scheme, draw) pair: the frozen contact
+// table to route over, with the names echoed back in responses.
 type routeInstance struct {
 	scheme string
 	draw   int
-	inst   augment.Instance
-	approx bool
+	inst   *augment.Static
 }
 
 // frozenInstance resolves a scheme name ("" = first packed) and draw index
-// against the live tables pre-built in New, so the request path never
+// against the tables validated in New, so the request path never
 // re-validates a contact table.
 func (s *Server) frozenInstance(scheme string, draw int) (routeInstance, error) {
 	st, err := s.snap.Scheme(scheme)
 	if err != nil {
 		return routeInstance{}, err
 	}
-	insts := s.live[st.Name]
+	insts := s.tables[st.Name]
 	if draw < 0 || draw >= len(insts) {
 		return routeInstance{}, fmt.Errorf("scheme %s has %d draws, requested %d", st.Name, len(insts), draw)
 	}
-	inst, approx := insts[draw].load()
-	return routeInstance{scheme: st.Name, draw: draw, inst: inst, approx: approx}, nil
+	return routeInstance{scheme: st.Name, draw: draw, inst: insts[draw]}, nil
 }
 
 // handleRoute runs greedy routing trials over a frozen augmentation: GET
@@ -388,34 +385,32 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		landmarks = s.landmark.K()
 	}
 	writeJSON(w, map[string]any{
-		"family":          s.snap.Meta.Family,
-		"graph":           s.g.Name(),
-		"n":               s.g.N(),
-		"m":               s.g.M(),
-		"seed":            s.snap.Meta.Seed,
-		"oracle":          s.oracle(),
-		"tier":            tier,
-		"degraded":        s.degradedNow(),
-		"quarantined":     s.snap.Quarantined,
-		"draining":        s.draining.Load(),
-		"schemes":         schemes,
-		"workers":         s.opts.Workers,
-		"queue_depth":     s.opts.QueueDepth,
-		"landmarks":       landmarks,
-		"breakers_open":   s.pool.TrippedBreakers(),
-		"uptime_s":        time.Since(s.start).Seconds(),
-		"requests":        s.requests.Load(),
-		"dist_queries":    s.distQueries.Load(),
-		"route_queries":   s.routeQueries.Load(),
-		"errors":          s.errors.Load(),
-		"shed":            s.shed.Load(),
-		"panics":          s.panics.Load(),
-		"repairs":         s.repairs.Load(),
-		"repair_failures": s.repairFailures.Load(),
-		"approx_answers":  s.approxAnswers.Load(),
-		"timeouts":        s.timeouts.Load(),
-		"peak_rss_bytes":  peakRSSBytes(),
-		"goroutines":      runtime.NumGoroutine(),
-		"cached_fields":   s.fields.Len(),
+		"family":         s.snap.Meta.Family,
+		"graph":          s.g.Name(),
+		"n":              s.g.N(),
+		"m":              s.g.M(),
+		"seed":           s.snap.Meta.Seed,
+		"oracle":         s.oracle(),
+		"tier":           tier,
+		"degraded":       s.degradedNow(),
+		"quarantined":    s.snap.Quarantined,
+		"draining":       s.draining.Load(),
+		"schemes":        schemes,
+		"workers":        s.opts.Workers,
+		"queue_depth":    s.opts.QueueDepth,
+		"landmarks":      landmarks,
+		"breakers_open":  s.pool.TrippedBreakers(),
+		"uptime_s":       time.Since(s.start).Seconds(),
+		"requests":       s.requests.Load(),
+		"dist_queries":   s.distQueries.Load(),
+		"route_queries":  s.routeQueries.Load(),
+		"errors":         s.errors.Load(),
+		"shed":           s.shed.Load(),
+		"panics":         s.panics.Load(),
+		"approx_answers": s.approxAnswers.Load(),
+		"timeouts":       s.timeouts.Load(),
+		"peak_rss_bytes": peakRSSBytes(),
+		"goroutines":     runtime.NumGoroutine(),
+		"cached_fields":  s.fields.Len(),
 	})
 }

@@ -8,7 +8,6 @@ import (
 
 	"navaug/internal/fault"
 	"navaug/internal/route"
-	"navaug/internal/xrand"
 )
 
 // defaultWorkers sizes the pool at one worker per CPU: queries are pure
@@ -30,14 +29,13 @@ var (
 )
 
 // Shard is the per-worker state of the query pool: a reusable routing
-// scratch and a private RNG, owned exclusively by one worker goroutine —
-// the same ownership discipline as sim.Engine's Monte Carlo workers, which
-// is what lets query handlers route with zero per-request allocation and
-// no locks on the hot path.
+// scratch owned exclusively by one worker goroutine — the same ownership
+// discipline as sim.Engine's Monte Carlo workers, which is what lets query
+// handlers route with zero per-request allocation and no locks on the hot
+// path.
 type Shard struct {
 	ID      int
 	Scratch *route.Scratch
-	RNG     *xrand.RNG
 }
 
 type task struct {
@@ -47,18 +45,14 @@ type task struct {
 }
 
 // poolConfig wires the pool to its owner: fault injection, per-shard
-// breaker tuning, and the quarantine lifecycle callbacks.  All callbacks
-// run on the worker goroutine that owns the shard, so they may use
-// shard.RNG and shard.Scratch freely.
+// breaker tuning, and the panic callback, which runs on the worker
+// goroutine that owns the shard.
 type poolConfig struct {
 	n, workers, queue int
-	seed              uint64
 	inj               *fault.Injector
 	breakerThreshold  int
 	breakerCooldown   time.Duration
 	onPanic           func(*Shard) // after every recovered panic
-	onTrip            func(*Shard) // breaker tripped open: quarantine-repair
-	onRestore         func(*Shard) // half-open probe succeeded: restore
 }
 
 // pool is a fixed-size worker pool over Shards with a bounded queue.
@@ -80,7 +74,7 @@ type pool struct {
 }
 
 // newPool starts cfg.workers workers, each owning a Shard sized for an
-// n-node graph.  Worker RNGs are split deterministically from cfg.seed.
+// n-node graph.
 func newPool(cfg poolConfig) *pool {
 	p := &pool{
 		cfg:      cfg,
@@ -88,9 +82,8 @@ func newPool(cfg poolConfig) *pool {
 		stop:     make(chan struct{}),
 		breakers: make([]*breaker, cfg.workers),
 	}
-	rngs := xrand.New(cfg.seed).SplitN(cfg.workers)
 	for i := 0; i < cfg.workers; i++ {
-		shard := &Shard{ID: i, Scratch: route.NewScratch(cfg.n), RNG: rngs[i]}
+		shard := &Shard{ID: i, Scratch: route.NewScratch(cfg.n)}
 		br := newBreaker(cfg.breakerThreshold, cfg.breakerCooldown)
 		p.breakers[i] = br
 		p.wg.Add(1)
@@ -153,14 +146,10 @@ func (p *pool) runTask(shard *Shard, br *breaker, t *task) {
 		if p.cfg.onPanic != nil {
 			p.cfg.onPanic(shard)
 		}
-		if br.Fail() && p.cfg.onTrip != nil {
-			p.cfg.onTrip(shard)
-		}
+		br.Fail()
 		return
 	}
-	if br.Success() && p.cfg.onRestore != nil {
-		p.cfg.onRestore(shard)
-	}
+	br.Success()
 }
 
 // TryDo runs fn on some worker's shard and waits for it to finish.  It

@@ -17,8 +17,8 @@
 //	GET  /v1/stats              counters, snapshot meta, peak RSS
 //
 // Queries dispatch onto a fixed pool of workers, each owning a
-// route.Scratch and RNG (the sim.Engine worker discipline), so the hot
-// path is lock-free and allocation-free per routing hop.  Distances come
+// route.Scratch (the sim.Engine worker discipline), so the hot path is
+// lock-free and allocation-free per routing hop.  Distances come
 // from the snapshot's O(1) tier — the analytic metric or the packed 2-hop
 // labels — and fall back down the degradation ladder (BFS field cache,
 // then approximate landmark bounds) when tiers are missing, quarantined or
@@ -30,10 +30,11 @@
 // The serving stack is built to stay up under faults: the task queue is
 // bounded and overflows shed with 429 + Retry-After rather than queueing
 // without bound, worker panics are recovered and counted, and a shard
-// whose tasks keep dying is circuit-broken — quarantined, locally
-// repaired, probed, and restored (pool.go, breaker.go).  The fault layer
-// (internal/fault) injects the corresponding failures deterministically;
-// a nil injector costs nothing.
+// whose tasks keep dying is circuit-broken — quarantined, then probed
+// back in (pool.go, breaker.go).  The frozen tables never change, so a
+// quarantine leaves every other shard's answers byte-identical.  The
+// fault layer (internal/fault) injects the corresponding failures
+// deterministically; a nil injector costs nothing.
 package serve
 
 import (
@@ -81,10 +82,6 @@ type Options struct {
 	// schedule through the stack; nil (the default) injects nothing and
 	// costs nothing on the hot path.
 	Faults *fault.Injector
-	// Seed drives the worker RNG split (default 1).  Frozen draws make all
-	// healthy answers seed-independent; the seed shows only in the fresh
-	// contact rows a quarantine-repair samples.
-	Seed uint64
 }
 
 func (o *Options) fill() {
@@ -115,9 +112,6 @@ func (o *Options) fill() {
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = 250 * time.Millisecond
 	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
 }
 
 // Server answers distance and routing queries for one snapshot.
@@ -128,31 +122,24 @@ type Server struct {
 	fields *dist.FieldCache // BFS field tier, always non-nil
 	// landmark is the approximate bottom tier, nil when disabled.
 	landmark *dist.LandmarkOracle
-	// live holds the frozen augment tables with their repair overlays,
-	// validated once at construction and shared by every worker.
-	live  map[string][]*liveInstance
-	pool  *pool
-	opts  Options
-	start time.Time
-	mux   *http.ServeMux
+	// tables holds the frozen augment tables per scheme and draw,
+	// validated once at construction and shared read-only by every worker.
+	tables map[string][]*augment.Static
+	pool   *pool
+	opts   Options
+	start  time.Time
+	mux    *http.ServeMux
 
 	draining atomic.Bool
 
-	requests     atomic.Int64
-	distQueries  atomic.Int64
-	routeQueries atomic.Int64
-	errors       atomic.Int64
-	shed         atomic.Int64
-	panics       atomic.Int64
-	repairs      atomic.Int64
-	// repairFailures counts repair/restore table rebuilds that failed
-	// validation.  By construction it stays zero — uniform draws over
-	// [0,n) and frozen original rows always validate — so any non-zero
-	// value in /v1/stats is a loud bug report, not a silent no-op (the
-	// shard would otherwise be marked clean with its rows never swapped).
-	repairFailures atomic.Int64
-	approxAnswers  atomic.Int64
-	timeouts       atomic.Int64
+	requests      atomic.Int64
+	distQueries   atomic.Int64
+	routeQueries  atomic.Int64
+	errors        atomic.Int64
+	shed          atomic.Int64
+	panics        atomic.Int64
+	approxAnswers atomic.Int64
+	timeouts      atomic.Int64
 }
 
 // New builds a Server over a loaded snapshot.  The snapshot must contain a
@@ -166,7 +153,7 @@ func New(snap *snapshot.Snapshot, opts Options) (*Server, error) {
 		return nil, fmt.Errorf("serve: snapshot has no graph")
 	}
 	opts.fill()
-	live := make(map[string][]*liveInstance, len(snap.Schemes))
+	tables := make(map[string][]*augment.Static, len(snap.Schemes))
 	for i := range snap.Schemes {
 		st := &snap.Schemes[i]
 		for k := range st.Draws {
@@ -178,7 +165,7 @@ func New(snap *snapshot.Snapshot, opts Options) (*Server, error) {
 			if !ok {
 				return nil, fmt.Errorf("serve: scheme %s draw %d is not a frozen table", st.Name, k)
 			}
-			live[st.Name] = append(live[st.Name], newLiveInstance(st.Name, k, static))
+			tables[st.Name] = append(tables[st.Name], static)
 		}
 	}
 	s := &Server{
@@ -186,26 +173,23 @@ func New(snap *snapshot.Snapshot, opts Options) (*Server, error) {
 		g:      snap.Graph,
 		src:    snap.Source(),
 		fields: dist.NewFieldCache(snap.Graph, opts.FieldCacheSize),
-		live:   live,
+		tables: tables,
 		opts:   opts,
 		start:  time.Now(),
 	}
 	if opts.Landmarks > 0 && snap.Graph.N() > 0 {
-		// A derived seed keeps the landmark choice independent of the
-		// worker RNG streams split from opts.Seed in newPool.
-		s.landmark = dist.NewLandmarkOracle(snap.Graph, opts.Landmarks, xrand.New(opts.Seed).Split())
+		// A fixed seed keeps the landmark choice, and so every landmark
+		// answer, reproducible from the snapshot alone.
+		s.landmark = dist.NewLandmarkOracle(snap.Graph, opts.Landmarks, xrand.New(1).Split())
 	}
 	s.pool = newPool(poolConfig{
 		n:                snap.Graph.N(),
 		workers:          opts.Workers,
 		queue:            opts.QueueDepth,
-		seed:             opts.Seed,
 		inj:              opts.Faults,
 		breakerThreshold: opts.BreakerThreshold,
 		breakerCooldown:  opts.BreakerCooldown,
 		onPanic:          func(*Shard) { s.panics.Add(1) },
-		onTrip:           s.repairShard,
-		onRestore:        s.restoreShard,
 	})
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/livez", s.handleLivez)
@@ -280,10 +264,10 @@ func (s *Server) tier() (string, bool) {
 }
 
 // degradedNow reports whether answers may currently deviate from the
-// healthy, snapshot-frozen ones: a section was quarantined at load, a
-// shard repair is live, or the ladder is on its approximate rung.
+// healthy, snapshot-frozen ones: a section was quarantined at load, or the
+// ladder is on its approximate rung.
 func (s *Server) degradedNow() bool {
-	if len(s.snap.Quarantined) > 0 || s.repairActive() {
+	if len(s.snap.Quarantined) > 0 {
 		return true
 	}
 	_, approx := s.tier()
