@@ -32,10 +32,10 @@ type BallScheme struct {
 	RankUniform bool
 	// MaxPrecomputeNodes bounds the graph size up to which the instance
 	// collapses the scale mixture into one per-node alias table (O(1) draws
-	// after a node's first, O(n²) ints of memory).  Beyond it every draw
-	// re-enumerates a ball with a pooled buffer.  Zero means
-	// DefaultPrecomputeNodes; negative disables the tables.  The
-	// RankUniform ablation always uses the enumeration path.
+	// after a node's first).  Beyond it every draw re-enumerates a ball with
+	// a pooled buffer.  Zero means DefaultPrecomputeNodes; negative disables
+	// the tables.  The RankUniform ablation always uses the enumeration
+	// path.
 	MaxPrecomputeNodes int
 	// EagerPrepare builds every node's alias table already in Prepare with
 	// a parallel all-nodes pass instead of lazily on first draw.

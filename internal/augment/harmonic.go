@@ -22,10 +22,10 @@ type HarmonicScheme struct {
 	// Exponent is the decay exponent r in Pr(u→v) ∝ dist(u,v)^-r.
 	Exponent float64
 	// MaxPrecomputeNodes bounds the graph size up to which the instance
-	// keeps per-node alias tables (O(1) draws after a node's first, O(n²)
-	// ints of memory).  Beyond it every draw falls back to bounded-memory
-	// per-draw sampling.  Zero means DefaultPrecomputeNodes; negative
-	// disables the tables entirely.
+	// keeps per-node alias tables (O(1) draws after a node's first).
+	// Beyond it every draw falls back to bounded-memory per-draw sampling.
+	// Zero means DefaultPrecomputeNodes; negative disables the tables
+	// entirely.
 	MaxPrecomputeNodes int
 	// EagerPrepare builds every node's alias table already in Prepare with
 	// a parallel all-nodes BFS pass, instead of lazily on each node's first
@@ -34,10 +34,12 @@ type HarmonicScheme struct {
 	EagerPrepare bool
 }
 
-// DefaultPrecomputeNodes is the default graph-size ceiling for the O(n²)
-// per-node alias tables of the harmonic and ball schemes.  At this size the
-// flat tables cost n²·12 bytes ≈ 200 MiB, the upper end of what a
-// simulation sweep should pin per prepared scheme.
+// DefaultPrecomputeNodes is the default graph-size ceiling for the per-node
+// alias tables of the harmonic and ball schemes.  A table row costs 12·n
+// bytes and is allocated only for a node drawn from, so at this size an
+// instance holds at most ≈200 MiB, when every row is built.  Moving the
+// ceiling moves graphs between the table and fallback paths, which consume
+// the RNG differently, so it would change every seed-fixed report.
 const DefaultPrecomputeNodes = 4096
 
 // NewHarmonicScheme returns the distance-harmonic scheme with exponent r.

@@ -53,8 +53,8 @@ func (a Alias) Draw(rng *xrand.RNG) int32 {
 }
 
 // Draw samples from a (prob, alias) pair previously filled by BuildInto.
-// Exposed as a free function so flat table groups (many rows sharing two
-// backing arrays) can draw without wrapping each row in an Alias.
+// Exposed as a free function so table groups that keep each row as a bare
+// (prob, alias) pair can draw without wrapping it in an Alias.
 func Draw(prob []float64, alias []int32, rng *xrand.RNG) int32 {
 	i := int32(rng.Uint64n(uint64(len(prob))))
 	if rng.Float64() < prob[i] {

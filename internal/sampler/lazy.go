@@ -21,10 +21,11 @@ type RowFiller interface {
 // LazyRows is a square family of Walker alias tables — one row of k
 // outcomes per key in [0, rows) — whose rows are built on first draw.
 // It is the memory/compute middle ground the augmentation schemes need:
-// the flat backing arrays are reserved up front (the OS faults pages in
-// per row), but the O(k) fill-and-build cost of a row is only ever paid
-// for rows that are actually drawn from, under a striped lock so
-// concurrent first draws stay race-free.
+// each row's table is allocated and filled on its first build, so both the
+// 12·k bytes and the O(k) fill-and-build cost of a row are only ever paid
+// for rows that are actually drawn from (an untouched row costs one
+// pointer).  First builds run under a striped lock so concurrent first
+// draws stay race-free.
 //
 // Draws are deterministic regardless of build interleaving: building never
 // touches the drawing RNG (a draw consumes RNG values only through Draw
@@ -37,9 +38,7 @@ type RowFiller interface {
 type LazyRows struct {
 	k      int
 	filler RowFiller
-	probs  []float64
-	alias  []int32
-	ready  []uint32 // atomic 0/1 per row
+	rows   []atomic.Pointer[Alias] // nil until the row is built
 	locks  []sync.Mutex
 	pool   sync.Pool // *rowScratch
 }
@@ -53,9 +52,10 @@ type rowScratch struct {
 // rarely collide, they only need to not race.
 const lazyStripes = 64
 
-// NewLazyRows reserves tables for rows×k outcomes filled by filler.  Every
-// row index must itself be a valid outcome (rows <= k) so the all-zero-row
-// fallback can park the mass on the row; it panics otherwise.
+// NewLazyRows returns rows unbuilt tables over k outcomes, filled by filler
+// on first draw.  Every row index must itself be a valid outcome (rows <= k)
+// so the all-zero-row fallback can park the mass on the row; it panics
+// otherwise.
 func NewLazyRows(rows, k int, filler RowFiller) *LazyRows {
 	if rows > k {
 		panic(fmt.Sprintf("sampler: LazyRows needs rows <= k for the no-outcome fallback, got %d rows over %d outcomes", rows, k))
@@ -63,9 +63,7 @@ func NewLazyRows(rows, k int, filler RowFiller) *LazyRows {
 	l := &LazyRows{
 		k:      k,
 		filler: filler,
-		probs:  make([]float64, rows*k),
-		alias:  make([]int32, rows*k),
-		ready:  make([]uint32, rows),
+		rows:   make([]atomic.Pointer[Alias], rows),
 		locks:  make([]sync.Mutex, lazyStripes),
 	}
 	l.pool.New = func() any {
@@ -74,26 +72,25 @@ func NewLazyRows(rows, k int, filler RowFiller) *LazyRows {
 	return l
 }
 
-// Rows returns the number of rows the table family covers.
-func (l *LazyRows) Rows() int { return len(l.ready) }
-
 // Draw samples an outcome from the given row, building the row's table on
 // first use.  Amortised O(1); allocation-free once the row exists.
 func (l *LazyRows) Draw(row int32, rng *xrand.RNG) int32 {
-	if atomic.LoadUint32(&l.ready[row]) == 0 {
-		l.build(row)
+	r := l.rows[row].Load()
+	if r == nil {
+		r = l.build(row)
 	}
-	base := int(row) * l.k
-	return Draw(l.probs[base:base+l.k], l.alias[base:base+l.k], rng)
+	return r.Draw(rng)
 }
 
-// build fills and finalises one row under its stripe lock.
-func (l *LazyRows) build(row int32) {
+// build allocates, fills and publishes one row under its stripe lock and
+// returns it.  The row is immutable once published, so the atomic Store
+// orders its build before every reader's Load.
+func (l *LazyRows) build(row int32) *Alias {
 	lock := &l.locks[int(row)%lazyStripes]
 	lock.Lock()
 	defer lock.Unlock()
-	if atomic.LoadUint32(&l.ready[row]) != 0 { // lost the race: already built
-		return
+	if r := l.rows[row].Load(); r != nil { // lost the race: already built
+		return r
 	}
 	sc := l.pool.Get().(*rowScratch)
 	defer l.pool.Put(sc)
@@ -106,22 +103,23 @@ func (l *LazyRows) build(row int32) {
 		// No admissible outcome: all mass stays on the row itself.
 		sc.weights[row] = 1
 	}
-	base := int(row) * l.k
-	if err := BuildInto(l.probs[base:base+l.k], l.alias[base:base+l.k], sc.weights, sc.work); err != nil {
+	r := &Alias{prob: make([]float64, l.k), alias: make([]int32, l.k)}
+	if err := BuildInto(r.prob, r.alias, sc.weights, sc.work); err != nil {
 		// The filler contract (finite, non-negative) plus the zero-total
 		// fallback above make this unreachable; failing loud beats sampling
 		// from a half-built row.
 		panic(fmt.Sprintf("sampler: lazy row %d: %v", row, err))
 	}
-	atomic.StoreUint32(&l.ready[row], 1)
+	l.rows[row].Store(r)
+	return r
 }
 
 // BuildAll eagerly builds every missing row using the given number of
 // workers (<= 0 means one).  Useful when a caller knows it will draw far
-// more than Rows() times and wants the fills to run in parallel up front
-// rather than lazily on the drawing goroutines.
+// more times than there are rows and wants the fills to run in parallel up
+// front rather than lazily on the drawing goroutines.
 func (l *LazyRows) BuildAll(workers int) {
-	rows := len(l.ready)
+	rows := len(l.rows)
 	if workers <= 0 {
 		workers = 1
 	}
@@ -139,7 +137,7 @@ func (l *LazyRows) BuildAll(workers int) {
 				if int(row) >= rows {
 					return
 				}
-				if atomic.LoadUint32(&l.ready[row]) == 0 {
+				if l.rows[row].Load() == nil {
 					l.build(row)
 				}
 			}

@@ -2,6 +2,9 @@ package sampler
 
 import (
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"navaug/internal/xrand"
@@ -211,4 +214,134 @@ func TestLazyRowsRejectsNonSquareFallback(t *testing.T) {
 		}
 	}()
 	NewLazyRows(10, 4, nil)
+}
+
+// countingFiller serves fixed weight rows and counts how often each row is
+// filled.
+type countingFiller struct {
+	weights [][]float64
+	fills   []atomic.Int32
+}
+
+func (f *countingFiller) FillRow(row int32, weights []float64) {
+	f.fills[row].Add(1)
+	copy(weights, f.weights[row])
+}
+
+// TestLazyRowsMatchesAlias checks LazyRows against a standalone alias table
+// over the same weights.  First draws come from 8 goroutines at once; each
+// drawn row must be filled exactly once, and the last row of every case is
+// never drawn, so it must never be filled.
+func TestLazyRowsMatchesAlias(t *testing.T) {
+	cases := map[string][][]float64{
+		"plain": {
+			{1, 2, 3, 4, 5},
+			{5, 1, 1, 1, 1},
+			{0.5, 0.25, 0.125, 2, 9},
+			{1, 1, 1, 1, 1},
+		},
+		"zero-weight-outcomes": {
+			{0, 3, 0, 1, 0},
+			{2, 0, 0, 0, 1},
+			{0, 0, 1, 0, 0},
+			{0, 0, 0, 0, 1},
+		},
+		"all-zero-row": {
+			{1, 1, 1, 1},
+			{0, 0, 0, 0},
+			{0, 2, 0, 3},
+			{1, 0, 0, 0},
+		},
+	}
+	for name, weights := range cases {
+		t.Run(name, func(t *testing.T) {
+			f := &countingFiller{weights: weights, fills: make([]atomic.Int32, len(weights))}
+			l := NewLazyRows(len(weights), len(weights[0]), f)
+			drawn := int32(len(weights) - 1)
+
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rng := xrand.New(uint64(g))
+					<-start
+					for i := int32(0); i < drawn; i++ {
+						l.Draw((i+int32(g))%drawn, rng)
+					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+			for row := range f.fills {
+				want := int32(1)
+				if int32(row) == drawn {
+					want = 0
+				}
+				if got := f.fills[row].Load(); got != want {
+					t.Fatalf("row %d filled %d times, want %d", row, got, want)
+				}
+			}
+
+			for row := int32(0); row < drawn; row++ {
+				total := 0.0
+				for _, w := range weights[row] {
+					total += w
+				}
+				lazyRNG := xrand.New(100 + uint64(row))
+				if total == 0 {
+					for i := 0; i < 1000; i++ {
+						if v := l.Draw(row, lazyRNG); v != row {
+							t.Fatalf("all-zero row %d drew %d, want the row itself", row, v)
+						}
+					}
+					continue
+				}
+				a, err := NewAlias(weights[row])
+				if err != nil {
+					t.Fatal(err)
+				}
+				aliasRNG := xrand.New(100 + uint64(row))
+				for i := 0; i < 1000; i++ {
+					if got, want := l.Draw(row, lazyRNG), a.Draw(aliasRNG); got != want {
+						t.Fatalf("row %d draw %d: LazyRows gave %d, Alias gave %d", row, i, got, want)
+					}
+				}
+			}
+
+			rng := xrand.New(1)
+			if allocs := testing.AllocsPerRun(1000, func() { l.Draw(0, rng) }); allocs != 0 {
+				t.Fatalf("Draw on a built row allocates %v per call", allocs)
+			}
+		})
+	}
+}
+
+type constFiller struct{}
+
+func (constFiller) FillRow(_ int32, weights []float64) {
+	for i := range weights {
+		weights[i] = 1
+	}
+}
+
+// TestLazyRowsOnlyDrawnRowsHoldMemory checks that a wide table family costs
+// memory only for the rows drawn from: three rows of 4096 outcomes are
+// ~150 KB, while tables for every row would take ~200 MB.
+func TestLazyRowsOnlyDrawnRowsHoldMemory(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	l := NewLazyRows(4096, 4096, constFiller{})
+	rng := xrand.New(1)
+	for _, row := range []int32{0, 1000, 4095} {
+		l.Draw(row, rng)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(l)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 2<<20 {
+		t.Fatalf("heap grew by %d bytes after drawing from 3 rows, want < 2 MiB", grew)
+	}
 }
