@@ -2,6 +2,7 @@ package decomp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"navaug/internal/graph"
@@ -129,104 +130,127 @@ func TreeCentroid(g *graph.Graph) (*PathDecomposition, error) {
 	if g.M() != n-1 || !g.IsConnected() {
 		return nil, fmt.Errorf("decomp: graph %v is not a tree", g)
 	}
-	all := make([]graph.NodeID, n)
-	for i := range all {
-		all[i] = graph.NodeID(i)
-	}
-	bags := centroidBags(g, all)
-	if len(bags) == 0 {
-		bags = [][]graph.NodeID{{0}}
-	}
-	return NewPathDecomposition(bags).Reduce(), nil
+	return (&PathDecomposition{Bags: centroidBags(g)}).Reduce(), nil
 }
 
-// centroidBags recursively decomposes the subtree induced by nodes (which
-// must induce a connected subtree of g) and returns its bags.
-func centroidBags(g *graph.Graph, nodes []graph.NodeID) [][]graph.NodeID {
-	if len(nodes) == 0 {
-		return nil
+// centroidScratch is the n-sized workspace of one TreeCentroid call.  Every
+// recursion level stamps its node set with a fresh epoch instead of
+// building per-level hash sets, so the whole decomposition allocates O(n)
+// scratch once.
+type centroidScratch struct {
+	g     *graph.Graph
+	epoch uint32
+	in    []uint32       // in[v] == epoch: v is in the current level's set
+	size  []int32        // subtree sizes of the centroid search
+	par   []graph.NodeID // parents of the centroid search
+	order []graph.NodeID // centroid search preorder, capacity n
+	stack []graph.NodeID // capacity n
+	nodes []graph.NodeID // every level's node set, a disjoint range of it
+	path  []graph.NodeID // centroids of the enclosing levels
+	bags  [][]graph.NodeID
+}
+
+// centroidBags returns the bags of the centroid decomposition of the tree
+// g.  Bag i is the i-th recursion leaf plus the centroids of every level
+// above it, sorted; it holds no duplicates, because a leaf is never one of
+// its own ancestors' centroids.
+func centroidBags(g *graph.Graph) [][]graph.NodeID {
+	n := g.N()
+	ws := &centroidScratch{
+		g:     g,
+		in:    make([]uint32, n),
+		size:  make([]int32, n),
+		par:   make([]graph.NodeID, n),
+		order: make([]graph.NodeID, 0, n),
+		stack: make([]graph.NodeID, 0, n),
+		nodes: make([]graph.NodeID, n),
 	}
+	for i := range ws.nodes {
+		ws.nodes[i] = graph.NodeID(i)
+	}
+	ws.split(ws.nodes)
+	return ws.bags
+}
+
+// split decomposes the subtree induced by nodes, which must be connected.
+// It finds the centroid c, then lays each component of nodes \ {c} out in
+// nodes in BFS order from c's neighbours and recurses into it before
+// searching for the next: a level below only re-stamps its own nodes, and
+// those are already out of the current set.
+func (ws *centroidScratch) split(nodes []graph.NodeID) {
 	if len(nodes) == 1 {
-		return [][]graph.NodeID{{nodes[0]}}
+		bag := append(append(make([]graph.NodeID, 0, len(ws.path)+1), nodes[0]), ws.path...)
+		slices.Sort(bag)
+		ws.bags = append(ws.bags, bag)
+		return
 	}
-	inSet := make(map[graph.NodeID]bool, len(nodes))
+	ws.epoch++
+	e := ws.epoch
 	for _, v := range nodes {
-		inSet[v] = true
+		ws.in[v] = e
 	}
-	c := centroid(g, nodes, inSet)
-	// Split into components of nodes \ {c}.
-	delete(inSet, c)
-	var comps [][]graph.NodeID
-	visited := make(map[graph.NodeID]bool, len(nodes))
-	for _, root := range g.Neighbors(c) {
-		if !inSet[root] || visited[root] {
+	c := ws.centroid(nodes)
+	ws.in[c] = 0
+	ws.path = append(ws.path, c)
+	next := 0
+	for _, root := range ws.g.Neighbors(c) {
+		if ws.in[root] != e {
 			continue
 		}
-		comp := []graph.NodeID{root}
-		visited[root] = true
-		for head := 0; head < len(comp); head++ {
-			u := comp[head]
-			for _, v := range g.Neighbors(u) {
-				if inSet[v] && !visited[v] {
-					visited[v] = true
-					comp = append(comp, v)
+		start := next
+		ws.in[root] = 0
+		nodes[next] = root
+		next++
+		for head := start; head < next; head++ {
+			for _, v := range ws.g.Neighbors(nodes[head]) {
+				if ws.in[v] == e {
+					ws.in[v] = 0
+					nodes[next] = v
+					next++
 				}
 			}
 		}
-		comps = append(comps, comp)
+		ws.split(nodes[start:next])
 	}
-	var bags [][]graph.NodeID
-	for _, comp := range comps {
-		for _, bag := range centroidBags(g, comp) {
-			bags = append(bags, append(bag, c))
-		}
-	}
-	if len(bags) == 0 {
-		bags = [][]graph.NodeID{{c}}
-	}
-	return bags
+	ws.path = ws.path[:len(ws.path)-1]
 }
 
-// centroid returns a node of the induced subtree whose removal leaves
-// components of size at most len(nodes)/2.
-func centroid(g *graph.Graph, nodes []graph.NodeID, inSet map[graph.NodeID]bool) graph.NodeID {
-	total := len(nodes)
+// centroid returns a node of the current set (stamped ws.epoch in ws.in)
+// whose removal leaves components of size at most len(nodes)/2.
+func (ws *centroidScratch) centroid(nodes []graph.NodeID) graph.NodeID {
+	e := ws.epoch
+	total := int32(len(nodes))
 	root := nodes[0]
-	// Iterative post-order subtree size computation over the induced subtree.
-	size := make(map[graph.NodeID]int, total)
-	parent := make(map[graph.NodeID]graph.NodeID, total)
-	order := make([]graph.NodeID, 0, total)
-	stack := []graph.NodeID{root}
-	parent[root] = -1
-	seen := map[graph.NodeID]bool{root: true}
+	// Iterative DFS preorder over the induced subtree, then subtree sizes
+	// in reverse preorder.  The set induces a tree, so the only neighbour
+	// of u in it that the search has already reached is u's parent.
+	order, stack := ws.order[:0], append(ws.stack[:0], root)
+	ws.par[root] = -1
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		order = append(order, u)
-		for _, v := range g.Neighbors(u) {
-			if inSet[v] && !seen[v] {
-				seen[v] = true
-				parent[v] = u
+		ws.size[u] = 1
+		for _, v := range ws.g.Neighbors(u) {
+			if ws.in[v] == e && v != ws.par[u] {
+				ws.par[v] = u
 				stack = append(stack, v)
 			}
 		}
 	}
-	for i := len(order) - 1; i >= 0; i-- {
+	for i := len(order) - 1; i > 0; i-- {
 		u := order[i]
-		size[u]++
-		if p := parent[u]; p != -1 {
-			size[p] += size[u]
-		}
+		ws.size[ws.par[u]] += ws.size[u]
 	}
 	// The centroid is the node where the largest component after removal is
 	// minimal; walking down from the root towards the heaviest child finds it.
 	best := root
 	bestWorst := total
 	for _, u := range order {
-		worst := total - size[u] // the component containing the parent side
-		for _, v := range g.Neighbors(u) {
-			if inSet[v] && parent[v] == u && size[v] > worst {
-				worst = size[v]
+		worst := total - ws.size[u] // the component containing the parent side
+		for _, v := range ws.g.Neighbors(u) {
+			if ws.in[v] == e && ws.par[v] == u && ws.size[v] > worst {
+				worst = ws.size[v]
 			}
 		}
 		if worst < bestWorst {

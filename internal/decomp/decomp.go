@@ -14,7 +14,7 @@ package decomp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"navaug/internal/graph"
 )
@@ -29,16 +29,9 @@ type PathDecomposition struct {
 func NewPathDecomposition(bags [][]graph.NodeID) *PathDecomposition {
 	pd := &PathDecomposition{Bags: make([][]graph.NodeID, len(bags))}
 	for i, bag := range bags {
-		cp := append([]graph.NodeID(nil), bag...)
-		sort.Slice(cp, func(a, b int) bool { return cp[a] < cp[b] })
-		// drop duplicates within a bag
-		out := cp[:0]
-		for j, v := range cp {
-			if j == 0 || v != cp[j-1] {
-				out = append(out, v)
-			}
-		}
-		pd.Bags[i] = out
+		cp := slices.Clone(bag)
+		slices.Sort(cp)
+		pd.Bags[i] = slices.Compact(cp) // drop duplicates within a bag
 	}
 	return pd
 }

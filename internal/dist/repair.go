@@ -2,7 +2,7 @@ package dist
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"navaug/internal/graph"
@@ -205,21 +205,19 @@ func (t *DynTwoHop) ApplyBatch(d *graph.DynGraph, deltas []graph.Delta, budget i
 	}
 
 	// Unique delta endpoints, sorted for a deterministic BFS order.
-	seen := make(map[graph.NodeID]bool, 2*len(deltas))
 	endpoints := make([]graph.NodeID, 0, 2*len(deltas))
 	for _, dl := range deltas {
-		for _, e := range [2]graph.NodeID{dl.U, dl.V} {
-			if !seen[e] {
-				seen[e] = true
-				endpoints = append(endpoints, e)
-			}
-		}
+		endpoints = append(endpoints, dl.U, dl.V)
 	}
-	sort.Slice(endpoints, func(i, j int) bool { return endpoints[i] < endpoints[j] })
+	slices.Sort(endpoints)
+	endpoints = slices.Compact(endpoints)
 
+	// One BFS queue serves every field of the batch.
+	queue := make([]int32, 0, d.N())
 	oldFields := make([][]int32, len(endpoints))
 	for i, e := range endpoints {
-		oldFields[i] = d.BFS(e)
+		oldFields[i] = unreachableField(d.N())
+		d.BFSInto(e, oldFields[i], queue)
 	}
 	if err := d.Apply(deltas); err != nil {
 		return nil, err
@@ -229,7 +227,6 @@ func (t *DynTwoHop) ApplyBatch(d *graph.DynGraph, deltas []graph.Delta, budget i
 	dirty := make([]graph.NodeID, 0)
 	if len(endpoints) > 0 {
 		newField := make([]int32, d.N())
-		queue := make([]int32, 0, d.N())
 		isDirty := make([]bool, d.N())
 		for i, e := range endpoints {
 			for j := range newField {
@@ -262,19 +259,7 @@ func (t *DynTwoHop) ApplyBatch(d *graph.DynGraph, deltas []graph.Delta, budget i
 	st.stats.Gen = st.gen
 	st.stats.DirtyTotal += int64(len(dirty))
 
-	// Merge the dirty nodes into the (sorted) debt set.
-	debtSet := make(map[graph.NodeID]bool, len(old.debt)+len(dirty))
-	for _, w := range old.debt {
-		debtSet[w] = true
-	}
-	for _, w := range dirty {
-		debtSet[w] = true
-	}
-	debt := make([]graph.NodeID, 0, len(debtSet))
-	for w := range debtSet {
-		debt = append(debt, w)
-	}
-	sort.Slice(debt, func(i, j int) bool { return debt[i] < debt[j] })
+	debt := mergeSorted(old.debt, dirty)
 
 	// Budgeted repair in ascending node id: one exact BFS field per node,
 	// stamped with the new generation.
@@ -285,11 +270,8 @@ func (t *DynTwoHop) ApplyBatch(d *graph.DynGraph, deltas []graph.Delta, budget i
 			remaining = append(remaining, w)
 			continue
 		}
-		field := make([]int32, d.N())
-		for j := range field {
-			field[j] = graph.Unreachable
-		}
-		d.BFSInto(w, field, nil)
+		field := unreachableField(d.N())
+		d.BFSInto(w, field, queue)
 		p := dynPatch{node: w, gen: st.gen, field: field}
 		if i := st.patchIdx[w]; i >= 0 {
 			st.patches[i] = p
@@ -305,4 +287,36 @@ func (t *DynTwoHop) ApplyBatch(d *graph.DynGraph, deltas []graph.Delta, budget i
 	st.stats.Patched = len(st.patches)
 	t.state.Store(st)
 	return dirty, nil
+}
+
+// unreachableField returns an n-entry distance field filled with
+// graph.Unreachable, ready for BFSInto.
+func unreachableField(n int) []int32 {
+	field := make([]int32, n)
+	for i := range field {
+		field[i] = graph.Unreachable
+	}
+	return field
+}
+
+// mergeSorted returns the union of two ascending, duplicate-free node
+// lists, ascending, in a fresh slice.
+func mergeSorted(a, b []graph.NodeID) []graph.NodeID {
+	out := make([]graph.NodeID, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case b[j] < a[i]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i, j = i+1, j+1
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }

@@ -9,12 +9,15 @@ import "fmt"
 // edges have been inserted, per node, as small sorted slices.
 //
 // Cost model: the overlay is built for streams that touch a small fraction
-// of the edge set between compactions.  Queries pay O(log overlay(u)) on
-// touched nodes and nothing on untouched ones — when the overlay is empty
-// every read path (Neighbors, BFSInto, Compact) delegates straight to the
-// base CSR, byte-identical and allocation-free.  Periodic Rebase calls fold
-// the overlay into a fresh CSR (identical to what Builder would produce
-// from the same edge set) and clear it.
+// of the edge set between compactions.  It is indexed densely by node — two
+// slice headers per node, 48 B/node on 64-bit — so finding a node's delta
+// is an array read, not a hash lookup.  Read paths merge the base adjacency
+// with the delta only on touched nodes; untouched nodes are read from the
+// base CSR in place, and with an empty overlay every read path (BFSInto,
+// Compact) delegates straight to the base CSR, byte-identical and
+// allocation-free.  Periodic Rebase calls fold the overlay into a fresh CSR
+// (identical to what Builder would produce from the same edge set) and
+// clear it.
 //
 // Mutations go through Apply, which validates the whole delta batch against
 // the current state before touching anything: an invalid delta (out of
@@ -32,10 +35,11 @@ import "fmt"
 // oracle states).
 type DynGraph struct {
 	base *Graph
-	add  map[NodeID][]NodeID // extra neighbours per node, sorted
-	del  map[NodeID][]NodeID // deleted base neighbours per node, sorted
-	m    int64               // current undirected edge count
-	gen  uint64              // number of applied delta batches
+	add  [][]NodeID // extra neighbours per node, sorted
+	del  [][]NodeID // deleted base neighbours per node, sorted
+	used int        // non-empty slices across add and del
+	m    int64      // current undirected edge count
+	gen  uint64     // number of applied delta batches
 }
 
 // DeltaOp says what a Delta does to its edge.
@@ -58,8 +62,8 @@ type Delta struct {
 func NewDynGraph(base *Graph) *DynGraph {
 	return &DynGraph{
 		base: base,
-		add:  make(map[NodeID][]NodeID),
-		del:  make(map[NodeID][]NodeID),
+		add:  make([][]NodeID, base.n),
+		del:  make([][]NodeID, base.n),
 		m:    base.m,
 	}
 }
@@ -80,7 +84,7 @@ func (d *DynGraph) Gen() uint64 { return d.gen }
 
 // OverlayEmpty reports whether the overlay holds no pending deltas, i.e.
 // the graph currently equals its base CSR exactly.
-func (d *DynGraph) OverlayEmpty() bool { return len(d.add) == 0 && len(d.del) == 0 }
+func (d *DynGraph) OverlayEmpty() bool { return d.used == 0 }
 
 // Degree returns the current number of neighbours of u.
 func (d *DynGraph) Degree(u NodeID) int {
@@ -89,6 +93,7 @@ func (d *DynGraph) Degree(u NodeID) int {
 
 // HasEdge reports whether {u, v} is currently an edge.
 func (d *DynGraph) HasEdge(u, v NodeID) bool {
+	d.base.check(u)
 	if containsSorted(d.add[u], v) {
 		return true
 	}
@@ -101,25 +106,22 @@ func (d *DynGraph) HasEdge(u, v NodeID) bool {
 func (d *DynGraph) AppendNeighbors(buf []NodeID, u NodeID) []NodeID {
 	baseNbr := d.base.Neighbors(u)
 	dels, adds := d.del[u], d.add[u]
-	if len(dels) == 0 && len(adds) == 0 {
-		return append(buf, baseNbr...)
-	}
-	// Merge (base \ del) with add; all three inputs are sorted and add is
-	// disjoint from base, so the output stays sorted and duplicate-free.
-	i, j := 0, 0
-	for i < len(baseNbr) || j < len(adds) {
-		switch {
-		case j >= len(adds) || (i < len(baseNbr) && baseNbr[i] < adds[j]):
-			if !containsSorted(dels, baseNbr[i]) {
-				buf = append(buf, baseNbr[i])
-			}
-			i++
-		default:
-			buf = append(buf, adds[j])
+	// One merge pass over (base \ del) and add: all three are sorted, del
+	// is a subset of base and add is disjoint from it, so the output stays
+	// sorted and duplicate-free.
+	j, k := 0, 0
+	for _, v := range baseNbr {
+		if j < len(dels) && dels[j] == v {
 			j++
+			continue
 		}
+		for k < len(adds) && adds[k] < v {
+			buf = append(buf, adds[k])
+			k++
+		}
+		buf = append(buf, v)
 	}
-	return buf
+	return append(buf, adds[k:]...)
 }
 
 // Edges returns a fresh slice of all current undirected edges with U < V.
@@ -201,30 +203,33 @@ func (d *DynGraph) insertHalf(u, v NodeID) {
 	// Re-inserting a deleted base edge un-deletes it; otherwise it goes to
 	// the add overlay.
 	if s, ok := removeSorted(d.del[u], v); ok {
-		d.setOverlay(d.del, u, s)
+		d.setOverlay(&d.del[u], s)
 		return
 	}
-	d.add[u] = insertSorted(d.add[u], v)
+	d.setOverlay(&d.add[u], insertSorted(d.add[u], v))
 }
 
 func (d *DynGraph) deleteHalf(u, v NodeID) {
 	// Deleting an overlay-inserted edge removes it from add; otherwise the
 	// base edge is shadowed via the del overlay.
 	if s, ok := removeSorted(d.add[u], v); ok {
-		d.setOverlay(d.add, u, s)
+		d.setOverlay(&d.add[u], s)
 		return
 	}
-	d.del[u] = insertSorted(d.del[u], v)
+	d.setOverlay(&d.del[u], insertSorted(d.del[u], v))
 }
 
-// setOverlay stores s under u, dropping the key when the slice is empty so
-// OverlayEmpty (and with it the zero-overlay fast paths) stays exact.
-func (d *DynGraph) setOverlay(m map[NodeID][]NodeID, u NodeID, s []NodeID) {
-	if len(s) == 0 {
-		delete(m, u)
-		return
+// setOverlay stores s in the overlay slot, keeping the count of non-empty
+// slots exact so OverlayEmpty (and with it the zero-overlay fast paths)
+// stays O(1).
+func (d *DynGraph) setOverlay(slot *[]NodeID, s []NodeID) {
+	switch {
+	case len(*slot) == 0 && len(s) > 0:
+		d.used++
+	case len(*slot) > 0 && len(s) == 0:
+		d.used--
 	}
-	m[u] = s
+	*slot = s
 }
 
 // BFS computes hop distances from src on the current graph, with
@@ -240,7 +245,9 @@ func (d *DynGraph) BFS(src NodeID) []int32 {
 
 // BFSInto runs BFS from src on the current graph into pre-filled scratch,
 // mirroring Graph.BFSInto.  With an empty overlay it delegates to the base
-// CSR — same code path, zero extra allocations.
+// CSR — same code path, zero extra allocations.  Otherwise it reads each
+// untouched node's neighbours from the base CSR in place and merges only
+// touched ones.
 func (d *DynGraph) BFSInto(src NodeID, dist []int32, queue []int32) int {
 	if d.OverlayEmpty() {
 		return d.base.BFSInto(src, dist, queue)
@@ -256,11 +263,15 @@ func (d *DynGraph) BFSInto(src NodeID, dist []int32, queue []int32) int {
 	dist[src] = 0
 	queue = append(queue, src)
 	reached := 1
-	var nbr []NodeID
+	var merged []NodeID
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		du := dist[u]
-		nbr = d.AppendNeighbors(nbr[:0], u)
+		nbr := d.base.adj[d.base.offsets[u]:d.base.offsets[u+1]]
+		if len(d.add[u]) > 0 || len(d.del[u]) > 0 {
+			merged = d.AppendNeighbors(merged[:0], u)
+			nbr = merged
+		}
 		for _, v := range nbr {
 			if dist[v] == Unreachable {
 				dist[v] = du + 1
@@ -309,6 +320,7 @@ func (d *DynGraph) Rebase() *Graph {
 	d.base = g
 	clear(d.add)
 	clear(d.del)
+	d.used = 0
 	return g
 }
 
