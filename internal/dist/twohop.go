@@ -47,10 +47,11 @@ import (
 // readers.  Unreachable pairs yield graph.Unreachable: a hub's BFS never
 // leaves its component, so cross-component labels share no hubs.
 type TwoHop struct {
-	n       int32
-	packed  bool
-	entries int64
-	order   []graph.NodeID // hub rank -> node, decreasing degree
+	n        int32
+	packed   bool
+	entries  int64
+	maxLabel int            // largest single-node label size
+	order    []graph.NodeID // hub rank -> node, decreasing degree
 	// Raw mode: node v's label is the parallel slices
 	// hubs[index[v]:index[v+1]] (hub ranks, strictly increasing) and
 	// dists[index[v]:index[v+1]].
@@ -77,9 +78,10 @@ type TwoHopOptions struct {
 	// — is a pure function of the graph, never of the worker count.
 	MaxAvgLabel float64
 	// Packed stores the finished labels delta+varint compressed (~2-3
-	// bytes per entry instead of 8) at a modest per-query decode cost.
-	// The label sets — and therefore every distance — are identical to an
-	// unpacked build.
+	// bytes per entry instead of 8).  Probes decode the streams on the fly,
+	// one-byte varints inline, so a packed probe reads fewer bytes than a
+	// raw one but does more work per entry.  The label sets — and
+	// therefore every distance — are identical to an unpacked build.
 	Packed bool
 	// forceScalar and force16 disable build engines (tests only): they pin
 	// the byte-identity contract by diffing the engines against each other.
@@ -184,6 +186,9 @@ func NewTwoHopWith(g *graph.Graph, opts TwoHopOptions) *TwoHop {
 		return nil
 	}
 	t.entries = total
+	for _, l := range lab {
+		t.maxLabel = max(t.maxLabel, len(l))
+	}
 	if opts.Packed {
 		t.poff, t.blob = twoHopEncodeLabels(lab, total)
 		return t
@@ -245,78 +250,87 @@ func (t *TwoHop) Dist(u, v graph.NodeID) int32 {
 }
 
 // distPacked is the merged scan over two packed label streams, decoding
-// (hub delta, dist) varints on the fly.
+// (hub delta, dist) varints on the fly.  Each round advances the
+// stream(s) whose current hub is the smaller (both on a match); the scan
+// ends when a stream it must advance is exhausted.
 func (t *TwoHop) distPacked(u, v graph.NodeID) int32 {
 	i, iEnd := t.poff[u], t.poff[u+1]
 	j, jEnd := t.poff[v], t.poff[v+1]
-	if i == iEnd || j == jEnd {
-		return graph.Unreachable
-	}
 	blob := t.blob
 	best := twoHopInf
-	hu, du, i := twoHopDecodePair(blob, i, -1)
-	hv, dv, j := twoHopDecodePair(blob, j, -1)
+	hu, hv := int32(-1), int32(-1)
+	var du, dv, x int32
+	nextU, nextV := true, true
 	for {
+		if nextU {
+			if i >= iEnd {
+				break
+			}
+			x, i = twoHopVarint(blob, i)
+			hu += x + 1
+			du, i = twoHopVarint(blob, i)
+		}
+		if nextV {
+			if j >= jEnd {
+				break
+			}
+			x, j = twoHopVarint(blob, j)
+			hv += x + 1
+			dv, j = twoHopVarint(blob, j)
+		}
 		switch {
 		case hu == hv:
-			if d := du + dv; d < best {
-				best = d
-			}
-			if i >= iEnd || j >= jEnd {
-				goto done
-			}
-			hu, du, i = twoHopDecodePair(blob, i, hu)
-			hv, dv, j = twoHopDecodePair(blob, j, hv)
+			best = min(best, du+dv)
+			nextU, nextV = true, true
 		case hu < hv:
-			if i >= iEnd {
-				goto done
-			}
-			hu, du, i = twoHopDecodePair(blob, i, hu)
+			nextU, nextV = true, false
 		default:
-			if j >= jEnd {
-				goto done
-			}
-			hv, dv, j = twoHopDecodePair(blob, j, hv)
+			nextU, nextV = false, true
 		}
 	}
-done:
 	if best == twoHopInf {
 		return graph.Unreachable
 	}
 	return best
 }
 
+// twoHopVarint decodes the varint at blob[i:], returning its value and
+// the index after it; FromRaw validation guarantees every stream is well
+// formed and in bounds.  It is what the probe loops call: its inline cost
+// (79 under Go 1.24) fits the compiler's budget (80), so the one-byte
+// case — most rank deltas, nearly every distance — runs in the loop with
+// no call, and only longer varints call twoHopUvarint.  Keep it that
+// small; check with go build -gcflags=-m.
+func twoHopVarint(blob []byte, i int64) (x int32, next int64) {
+	x, next = int32(blob[i]), i+1
+	if x >= 0x80 {
+		x, next = twoHopUvarint(blob, i)
+	}
+	return
+}
+
+// twoHopUvarint is twoHopVarint's out-of-line multi-byte path (any length
+// works).  Kept out of line so the probe loops stay small.
+//
+//go:noinline
+func twoHopUvarint(blob []byte, i int64) (int32, int64) {
+	var x int32
+	for shift := 0; ; shift += 7 {
+		b := blob[i]
+		i++
+		x |= int32(b&0x7f) << shift
+		if b < 0x80 {
+			return x, i
+		}
+	}
+}
+
 // twoHopDecodePair decodes one (hub delta, dist) pair at blob[i:],
 // returning the absolute hub rank (prev is the previous entry's rank, -1
-// before the first).  The hot path is the one-byte varint; FromRaw
-// validation guarantees every stream is well formed and in bounds.
+// before the first).  The cold loops (Label, Unpack) use it.
 func twoHopDecodePair(blob []byte, i int64, prev int32) (h, d int32, next int64) {
-	b := blob[i]
-	i++
-	delta := int32(b & 0x7f)
-	if b >= 0x80 {
-		for shift := 7; ; shift += 7 {
-			b = blob[i]
-			i++
-			delta |= int32(b&0x7f) << shift
-			if b < 0x80 {
-				break
-			}
-		}
-	}
-	b = blob[i]
-	i++
-	d = int32(b & 0x7f)
-	if b >= 0x80 {
-		for shift := 7; ; shift += 7 {
-			b = blob[i]
-			i++
-			d |= int32(b&0x7f) << shift
-			if b < 0x80 {
-				break
-			}
-		}
-	}
+	delta, i := twoHopVarint(blob, i)
+	d, i = twoHopVarint(blob, i)
 	return prev + 1 + delta, d, i
 }
 
@@ -378,7 +392,7 @@ func (t *TwoHop) Pack() *TwoHop {
 	if t.packed {
 		return t
 	}
-	p := &TwoHop{n: t.n, packed: true, entries: t.entries, order: t.order}
+	p := &TwoHop{n: t.n, packed: true, entries: t.entries, maxLabel: t.maxLabel, order: t.order}
 	p.poff = make([]int64, t.n+1)
 	p.blob = make([]byte, 0, 2*t.entries+t.entries/2)
 	for v := int32(0); v < t.n; v++ {
@@ -399,7 +413,7 @@ func (t *TwoHop) Unpack() *TwoHop {
 	if !t.packed {
 		return t
 	}
-	r := &TwoHop{n: t.n, entries: t.entries, order: t.order}
+	r := &TwoHop{n: t.n, entries: t.entries, maxLabel: t.maxLabel, order: t.order}
 	r.index = make([]int64, t.n+1)
 	r.hubs = make([]int32, 0, t.entries)
 	r.dists = make([]int32, 0, t.entries)
@@ -492,11 +506,13 @@ func TwoHopFromRaw(n int, order []graph.NodeID, index []int64, hubs, dists []int
 		return nil, fmt.Errorf("dist: label index promises %d entries, arrays hold %d hubs / %d dists",
 			index[n], len(hubs), len(dists))
 	}
+	if v, ok := twoHopMonotone(index); !ok {
+		return nil, fmt.Errorf("dist: label index decreases at node %d (%d > %d)", v, index[v], index[v+1])
+	}
+	maxLabel := 0
 	for v := 0; v < n; v++ {
 		lo, hi := index[v], index[v+1]
-		if lo > hi {
-			return nil, fmt.Errorf("dist: label index decreases at node %d (%d > %d)", v, lo, hi)
-		}
+		maxLabel = max(maxLabel, int(hi-lo))
 		prev := int32(-1)
 		for i := lo; i < hi; i++ {
 			h := hubs[i]
@@ -512,7 +528,8 @@ func TwoHopFromRaw(n int, order []graph.NodeID, index []int64, hubs, dists []int
 			}
 		}
 	}
-	return &TwoHop{n: int32(n), entries: int64(len(hubs)), order: order, index: index, hubs: hubs, dists: dists}, nil
+	return &TwoHop{n: int32(n), entries: int64(len(hubs)), maxLabel: maxLabel, order: order,
+		index: index, hubs: hubs, dists: dists}, nil
 }
 
 // TwoHopPackedFromRaw reconstructs a packed oracle from arrays previously
@@ -542,20 +559,28 @@ func TwoHopPackedFromRaw(n int, order []graph.NodeID, poff []int64, blob []byte)
 	if poff[n] != int64(len(blob)) {
 		return nil, fmt.Errorf("dist: packed label index promises %d blob bytes, blob holds %d", poff[n], len(blob))
 	}
+	if v, ok := twoHopMonotone(poff); !ok {
+		return nil, fmt.Errorf("dist: packed label index decreases at node %d (%d > %d)", v, poff[v], poff[v+1])
+	}
 	var entries int64
+	maxLabel := 0
 	for v := 0; v < n; v++ {
 		lo, hi := poff[v], poff[v+1]
-		if lo > hi {
-			return nil, fmt.Errorf("dist: packed label index decreases at node %d (%d > %d)", v, lo, hi)
-		}
 		prev := int32(-1)
+		size := 0
 		for i := lo; i < hi; {
-			delta, ni, err := twoHopCheckedUvarint(blob, i, hi)
-			if err != nil {
+			// One-byte varints are in bounds (i < hi) and in range by
+			// construction; longer ones take the fully checked decode.
+			var delta, d uint32
+			var err error
+			if b := blob[i]; b < 0x80 {
+				delta, i = uint32(b), i+1
+			} else if delta, i, err = twoHopCheckedUvarint(blob, i, hi); err != nil {
 				return nil, fmt.Errorf("dist: node %d label stream: %w", v, err)
 			}
-			d, ni, err := twoHopCheckedUvarint(blob, ni, hi)
-			if err != nil {
+			if i < hi && blob[i] < 0x80 {
+				d, i = uint32(blob[i]), i+1
+			} else if d, i, err = twoHopCheckedUvarint(blob, i, hi); err != nil {
 				return nil, fmt.Errorf("dist: node %d label stream: %w", v, err)
 			}
 			h := int64(prev) + 1 + int64(delta)
@@ -566,11 +591,26 @@ func TwoHopPackedFromRaw(n int, order []graph.NodeID, poff []int64, blob []byte)
 				return nil, fmt.Errorf("dist: node %d has label distance %d out of range [0,%d)", v, d, n)
 			}
 			prev = int32(h)
-			i = ni
-			entries++
+			size++
+		}
+		entries += int64(size)
+		maxLabel = max(maxLabel, size)
+	}
+	return &TwoHop{n: int32(n), packed: true, entries: entries, maxLabel: maxLabel, order: order,
+		poff: poff, blob: blob}, nil
+}
+
+// twoHopMonotone reports the first node v whose label offsets decrease
+// (index[v] > index[v+1]).  FromRaw checks the whole index before reading
+// any label, so with index[0] = 0 and index[n] = the array length every
+// node's range lies inside the arrays.
+func twoHopMonotone(index []int64) (v int, ok bool) {
+	for v := 0; v+1 < len(index); v++ {
+		if index[v] > index[v+1] {
+			return v, false
 		}
 	}
-	return &TwoHop{n: int32(n), packed: true, entries: entries, order: order, poff: poff, blob: blob}, nil
+	return 0, true
 }
 
 // twoHopCheckedUvarint decodes one bounds- and range-checked varint from
@@ -608,31 +648,9 @@ func (t *TwoHop) AvgLabel() float64 {
 	return float64(t.entries) / float64(t.n)
 }
 
-// MaxLabel returns the largest single-node label size.
-func (t *TwoHop) MaxLabel() int {
-	best := int64(0)
-	if t.packed {
-		for v := int32(0); v < t.n; v++ {
-			i, end := t.poff[v], t.poff[v+1]
-			var sz int64
-			prev := int32(-1)
-			for i < end {
-				prev, _, i = twoHopDecodePair(t.blob, i, prev)
-				sz++
-			}
-			if sz > best {
-				best = sz
-			}
-		}
-		return int(best)
-	}
-	for v := int32(0); v < t.n; v++ {
-		if sz := t.index[v+1] - t.index[v]; sz > best {
-			best = sz
-		}
-	}
-	return int(best)
-}
+// MaxLabel returns the largest single-node label size, recorded when the
+// labels are built or validated.
+func (t *TwoHop) MaxLabel() int { return t.maxLabel }
 
 // MemoryBytes returns the approximate resident size of the packed oracle.
 func (t *TwoHop) MemoryBytes() int64 {

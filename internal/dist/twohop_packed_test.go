@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"navaug/internal/graph"
+	"navaug/internal/xrand"
 )
 
 // twoHopBoundaryGraphs sizes graphs so their node counts straddle the
@@ -69,21 +70,24 @@ func TestTwoHopEngineByteIdentity(t *testing.T) {
 // 200 nodes exceeds the 8-bit lane depth cap (126) partway through a
 // traversal, and one of 17000 nodes exceeds the 16-bit cap (16382) too,
 // driving the build through every fallback seam.  Labels must match the
-// scalar engine exactly, and distances must match the path metric.
+// scalar engine exactly, and distances must match the path metric.  The
+// deep path is built packed too: its labels carry 1-, 2- and 3-byte rank
+// deltas and distances, which no other packed-vs-raw test reaches.
 func TestTwoHopDepthFallback(t *testing.T) {
 	g := pathGraph(200)
 	twoHopRequireEqual(t, "path-200",
 		NewTwoHopWith(g, TwoHopOptions{Workers: 1, forceScalar: true}),
 		NewTwoHopWith(g, TwoHopOptions{Workers: 3}))
 
-	deep := pathGraph(17000)
+	deep := pathGraph(40000)
 	o := NewTwoHopWith(deep, TwoHopOptions{Workers: 2})
-	for _, pair := range [][2]int32{{0, 16999}, {0, 1}, {123, 16000}, {8500, 8500}} {
+	for _, pair := range [][2]int32{{0, 39999}, {0, 1}, {123, 16000}, {8500, 8500}, {2000, 38000}} {
 		want := pair[1] - pair[0]
 		if got := o.Dist(graph.NodeID(pair[0]), graph.NodeID(pair[1])); got != want {
 			t.Fatalf("deep path: Dist(%d,%d) = %d, want %d", pair[0], pair[1], got, want)
 		}
 	}
+	checkPackedSlowPaths(t, o, NewTwoHopWith(deep, TwoHopOptions{Workers: 2, Packed: true}))
 }
 
 // TestTwoHopPackedMatchesRaw pins the compressed representation to the raw
@@ -245,8 +249,68 @@ func TestTwoHopPackedFromRawHostile(t *testing.T) {
 		[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x0f, 0x00}); err == nil {
 		t.Fatal("accepted a varint exceeding 31 bits")
 	}
+	// An early offset past the blob, with the index decreasing only
+	// afterwards, must be rejected as non-monotone, not read out of range.
+	if _, err := TwoHopPackedFromRaw(2, tiny, []int64{0, 100, 4}, []byte{0, 0, 0, 0}); err == nil {
+		t.Fatal("accepted a packed index that overshoots the blob")
+	}
+	if _, err := TwoHopFromRaw(2, tiny, []int64{0, 100, 2}, []int32{0, 1}, []int32{0, 0}); err == nil {
+		t.Fatal("accepted a label index that overshoots the arrays")
+	}
 	// Empty oracle: zero-length streams are fine.
 	if o, err := TwoHopPackedFromRaw(1, []graph.NodeID{0}, []int64{0, 0}, nil); err != nil || o.Entries() != 0 {
 		t.Fatalf("rejected an empty packed oracle: %v", err)
+	}
+}
+
+// checkPackedSlowPaths pins a packed oracle whose labels need multi-byte
+// varints to its raw twin on sampled nodes and pairs: Label, MaxLabel,
+// unpinned Dist and pinned Dist across re-pins all go through the
+// out-of-line decode for the long varints.  It first checks the blob
+// really holds 1-, 2- and 3-byte rank deltas and distances, so every slow
+// path runs.
+func checkPackedSlowPaths(t *testing.T, raw, packed *TwoHop) {
+	t.Helper()
+	_, _, blob := packed.RawPacked()
+	var widths [2][4]int // [delta, dist][bytes]
+	for i, k := int64(0), 0; i < int64(len(blob)); k++ {
+		_, next := twoHopUvarint(blob, i)
+		widths[k%2][min(next-i, 3)]++
+		i = next
+	}
+	for k, name := range []string{"rank delta", "distance"} {
+		if w := widths[k]; w[1] == 0 || w[2] == 0 || w[3] == 0 {
+			t.Fatalf("%s varints of 1/2/3+ bytes: %d/%d/%d, want all present", name, w[1], w[2], w[3])
+		}
+	}
+	if raw.MaxLabel() != packed.MaxLabel() {
+		t.Fatalf("MaxLabel = %d packed, %d raw", packed.MaxLabel(), raw.MaxLabel())
+	}
+	n := raw.N()
+	rng := xrand.New(0x17)
+	var pin TwoHopPin
+	for k := 0; k < 40; k++ {
+		tgt := graph.NodeID(rng.Intn(n))
+		wh, wd := raw.Label(tgt)
+		gh, gd := packed.Label(tgt)
+		if len(wh) != len(gh) {
+			t.Fatalf("node %d: packed label size %d, raw %d", tgt, len(gh), len(wh))
+		}
+		for i := range wh {
+			if wh[i] != gh[i] || wd[i] != gd[i] {
+				t.Fatalf("node %d entry %d: packed (%d,%d), raw (%d,%d)", tgt, i, gh[i], gd[i], wh[i], wd[i])
+			}
+		}
+		pin.Pin(packed, tgt)
+		for j := 0; j < 25; j++ {
+			u := graph.NodeID(rng.Intn(n))
+			want := raw.Dist(u, tgt)
+			if got := packed.Dist(u, tgt); got != want {
+				t.Fatalf("packed Dist(%d,%d) = %d, raw %d", u, tgt, got, want)
+			}
+			if got := pin.Dist(u, tgt); got != want {
+				t.Fatalf("pinned packed Dist(%d,%d) = %d, raw %d", u, tgt, got, want)
+			}
+		}
 	}
 }

@@ -61,11 +61,14 @@ func (t *TwoHop) scatter(v graph.NodeID, dense []int32, clear bool) {
 		}
 		return
 	}
+	blob := t.blob
 	i, end := t.poff[v], t.poff[v+1]
 	h := int32(-1)
 	for i < end {
-		var d int32
-		h, d, i = twoHopDecodePair(t.blob, i, h)
+		var x, d int32
+		x, i = twoHopVarint(blob, i)
+		h += x + 1
+		d, i = twoHopVarint(blob, i)
 		if clear {
 			d = twoHopPinAbsent
 		}
@@ -86,11 +89,14 @@ func (p *TwoHopPin) Dist(u, t graph.NodeID) int32 {
 	pin := p.dense
 	best := twoHopPinAbsent
 	if o.packed {
+		blob := o.blob
 		i, end := o.poff[u], o.poff[u+1]
 		h := int32(-1)
 		for i < end {
-			var d int32
-			h, d, i = twoHopDecodePair(o.blob, i, h)
+			var x, d int32
+			x, i = twoHopVarint(blob, i)
+			h += x + 1
+			d, i = twoHopVarint(blob, i)
 			best = min(best, d+pin[h])
 		}
 	} else {

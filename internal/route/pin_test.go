@@ -139,7 +139,7 @@ func referenceRoute(g *graph.Graph, inst augment.Instance, s, t graph.NodeID, sr
 		}
 		return c
 	}
-	res := Result{Path: []graph.NodeID{s}}
+	res := Result{Path: []graph.NodeID{s}, Dist: src.Dist(s, t)}
 	for cur := s; cur != t; {
 		best, viaLong := cur, false
 		for _, v := range g.Neighbors(cur) {
@@ -254,6 +254,76 @@ func TestPinnedScanStopTieRule(t *testing.T) {
 		}
 		if want := referenceRoute(g, inst, 5, 0, o, xrand.New(1), false); !reflect.DeepEqual(got, want) {
 			t.Fatalf("contact %d: route %+v, reference %+v", tc.contact, got, want)
+		}
+	}
+}
+
+// TestResultDist checks that both routing variants report dist(s, t) as
+// the steering source answers it, for every kind of source: raw and packed
+// 2-hop labels (answered through the pin), a BFS field and an analytic
+// metric.  s == t reports 0; the scratch is shared, so the pin moves.
+func TestResultDist(t *testing.T) {
+	g := gen.Grid2D(12, 15)
+	inst, err := augment.NewUniformScheme().Prepare(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, packed := dist.NewTwoHop(g), dist.NewTwoHopWith(g, dist.TwoHopOptions{Packed: true})
+	sources := []struct {
+		name string
+		src  func(tgt graph.NodeID) dist.Source
+	}{
+		{"twohop", func(graph.NodeID) dist.Source { return raw }},
+		{"twohop-packed", func(graph.NodeID) dist.Source { return packed }},
+		{"field", func(tgt graph.NodeID) dist.Source { return distTo(g, tgt) }},
+		{"analytic", func(graph.NodeID) dist.Source { return gen.Grid2DMetric(12, 15) }},
+	}
+	scratch := NewScratch(g.N())
+	for _, tc := range sources {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := xrand.New(0x94)
+			for i := 0; i < 30; i++ {
+				s, tgt := graph.NodeID(rng.Intn(g.N())), graph.NodeID(rng.Intn(g.N()))
+				if i == 0 {
+					s = tgt
+				}
+				src := tc.src(tgt)
+				want := src.Dist(s, tgt)
+				for name, run := range routers {
+					res, err := run(g, inst, s, tgt, src, xrand.New(uint64(i)), Options{Scratch: scratch})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Dist != want {
+						t.Fatalf("%s %d->%d: Result.Dist = %d, source says %d", name, s, tgt, res.Dist, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestValidateErrorOrder pins which error wins when two apply, now that a
+// 2-hop source is pinned before dist(s, t) is asked: an unreachable pair
+// still reports unreachability ahead of a mis-sized scratch, and the
+// scratch error still comes when the pair is reachable.
+func TestValidateErrorOrder(t *testing.T) {
+	g := graph.NewBuilder(4).AddEdge(0, 1).AddEdge(2, 3).Build()
+	inst, _ := augment.NewUniformScheme().Prepare(g)
+	o := dist.NewTwoHopWith(g, dist.TwoHopOptions{Packed: true})
+	wrong := NewScratch(7)
+	for _, tc := range []struct {
+		s, t graph.NodeID
+		want string
+	}{
+		{0, 3, "route: target 3 unreachable from source 0"},
+		{0, 1, "route: scratch was built for 7 nodes, graph has 4"},
+	} {
+		for name, run := range routers {
+			_, err := run(g, inst, tc.s, tc.t, o, xrand.New(1), Options{Scratch: wrong})
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("%s %d->%d: error %v, want %q", name, tc.s, tc.t, err, tc.want)
+			}
 		}
 	}
 }

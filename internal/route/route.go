@@ -41,6 +41,9 @@ type Result struct {
 	LongLinksUsed int
 	// Reached reports whether the target was reached within the step cap.
 	Reached bool
+	// Dist is dist(s, t) as the steering source reports it (an upper
+	// bound under approximate steering).
+	Dist int32
 	// Path is the visited node sequence including source and target.  It is
 	// only populated when tracing is requested.
 	Path []graph.NodeID
@@ -114,40 +117,46 @@ type Options struct {
 }
 
 // validate checks the endpoints and distance source shared by both routing
-// variants, and resolves dist(s, t) and the options: the returned Options
-// always carry a reset Scratch and a positive MaxSteps.
-func validate(g *graph.Graph, s, t graph.NodeID, src dist.Source, opts Options) (Options, int32, error) {
+// variants, resolves the options and steers: the returned Options always
+// carry a reset Scratch and a positive MaxSteps, and the returned source
+// is the one the route probes (a *dist.TwoHop pinned to t), through which
+// dist(t, t) and dist(s, t) are answered.
+func validate(g *graph.Graph, s, t graph.NodeID, src dist.Source, opts Options) (Options, dist.Source, int32, error) {
 	n := g.N()
 	if int(s) < 0 || int(s) >= n || int(t) < 0 || int(t) >= n {
-		return opts, 0, fmt.Errorf("route: endpoints (%d,%d) out of range [0,%d)", s, t, n)
+		return opts, nil, 0, fmt.Errorf("route: endpoints (%d,%d) out of range [0,%d)", s, t, n)
 	}
 	if src == nil {
-		return opts, 0, fmt.Errorf("route: nil distance source")
+		return opts, nil, 0, fmt.Errorf("route: nil distance source")
 	}
 	// Sources that know their node count (dist.Field, the analytic family
 	// metrics) are checked against the graph up front: a mis-sized source
 	// would otherwise index out of range (fields) or silently report wrong
 	// distances (metrics) mid-route.
 	if s, ok := src.(interface{ N() int }); ok && s.N() != n {
-		return opts, 0, fmt.Errorf("route: distance source covers %d nodes, graph has %d", s.N(), n)
-	}
-	if src.Dist(t, t) != 0 {
-		return opts, 0, fmt.Errorf("route: distance source is not rooted at target %d", t)
-	}
-	dst := src.Dist(s, t)
-	if dst == graph.Unreachable {
-		return opts, 0, fmt.Errorf("route: target %d unreachable from source %d", t, s)
+		return opts, nil, 0, fmt.Errorf("route: distance source covers %d nodes, graph has %d", s.N(), n)
 	}
 	if opts.Scratch == nil {
 		opts.Scratch = NewScratch(n)
-	} else if opts.Scratch.memo.Len() != n {
-		return opts, 0, fmt.Errorf("route: scratch was built for %d nodes, graph has %d", opts.Scratch.memo.Len(), n)
+	}
+	// The pin is sized by the oracle, not the scratch, so steering before
+	// the scratch's size is checked is safe and keeps the error order.
+	src = opts.Scratch.steer(src, t)
+	if src.Dist(t, t) != 0 {
+		return opts, nil, 0, fmt.Errorf("route: distance source is not rooted at target %d", t)
+	}
+	dst := src.Dist(s, t)
+	if dst == graph.Unreachable {
+		return opts, nil, 0, fmt.Errorf("route: target %d unreachable from source %d", t, s)
+	}
+	if opts.Scratch.memo.Len() != n {
+		return opts, nil, 0, fmt.Errorf("route: scratch was built for %d nodes, graph has %d", opts.Scratch.memo.Len(), n)
 	}
 	opts.Scratch.memo.Reset()
 	if opts.MaxSteps <= 0 {
 		opts.MaxSteps = 4*n + 16
 	}
-	return opts, dst, nil
+	return opts, src, dst, nil
 }
 
 // Greedy routes a message from s to t on graph g augmented by the given
@@ -157,14 +166,12 @@ func validate(g *graph.Graph, s, t graph.NodeID, src dist.Source, opts Options) 
 // source not rooted at the target or with an unreachable source node, or a
 // mis-sized scratch.
 func Greedy(g *graph.Graph, inst augment.Instance, s, t graph.NodeID, src dist.Source, rng *xrand.RNG, opts Options) (Result, error) {
-	opts, curDist, err := validate(g, s, t, src, opts)
+	opts, src, curDist, err := validate(g, s, t, src, opts)
 	if err != nil {
 		return Result{}, err
 	}
 	scratch := opts.Scratch
-	src = scratch.steer(src, t)
-
-	res := Result{}
+	res := Result{Dist: curDist}
 	if opts.Trace {
 		res.Path = append(res.Path, s)
 	}
@@ -255,13 +262,12 @@ func greedyStep(g *graph.Graph, inst augment.Instance, scratch *Scratch, cur gra
 // traversal still advances one edge per step, so the step count remains
 // comparable with plain greedy routing.
 func GreedyWithLookahead(g *graph.Graph, inst augment.Instance, s, t graph.NodeID, src dist.Source, rng *xrand.RNG, opts Options) (Result, error) {
-	opts, curDist, err := validate(g, s, t, src, opts)
+	opts, src, curDist, err := validate(g, s, t, src, opts)
 	if err != nil {
 		return Result{}, err
 	}
 	scratch := opts.Scratch
-	src = scratch.steer(src, t)
-	res := Result{}
+	res := Result{Dist: curDist}
 	if opts.Trace {
 		res.Path = append(res.Path, s)
 	}

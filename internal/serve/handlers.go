@@ -235,18 +235,21 @@ type routeBatchRequest struct {
 // routeOne runs one greedy trial on the frozen draw.  Routing errors
 // (disconnected pair, for instance) are reported per-result, not as HTTP
 // failures, so a batch with one unreachable pair still returns the other
-// answers.
+// answers.  A routed pair's distance is the one the route steered by, so
+// it comes from the same tier read.
 func (s *Server) routeOne(sh *Shard, inst routeInstance, from, to graph.NodeID, trace bool) routeResult {
-	d, dApprox := s.distance(from, to)
-	src, srcApprox := s.targetSource(to)
-	res := routeResult{S: from, T: to, Dist: d, Approx: dApprox || srcApprox}
+	src, approx := s.targetSource(to)
+	res := routeResult{S: from, T: to, Approx: approx}
 	// A frozen table ignores the rng: the draw happened at snapshot time.
 	out, err := route.Greedy(s.g, inst.inst, from, to, src,
 		nil, route.Options{Trace: trace, Scratch: sh.Scratch})
 	if err != nil {
+		d, dApprox := s.distance(from, to)
+		res.Dist, res.Approx = d, approx || dApprox
 		res.Error = err.Error()
 		return res
 	}
+	res.Dist = out.Dist
 	res.Steps = out.Steps
 	res.LongLinks = out.LongLinksUsed
 	res.Reached = out.Reached
