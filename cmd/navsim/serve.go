@@ -81,6 +81,7 @@ func runServe(c *command, args []string) error {
 		ln.Close()
 		return err
 	}
+	read := time.Since(start)
 	if len(snap.Quarantined) > 0 {
 		fmt.Fprintf(os.Stderr, "navsim serve: WARNING: quarantined damaged sections %v; serving degraded\n",
 			snap.Quarantined)
@@ -99,14 +100,15 @@ func runServe(c *command, args []string) error {
 		return err
 	}
 	defer srv.Close()
+	setup := time.Since(start) - read
 	ready := srv.Handler()
 	handler.Store(&ready)
 	if inj != nil {
 		inj.Activate()
 		fmt.Fprintf(os.Stderr, "navsim serve: fault injection ACTIVE: %s\n", *faults)
 	}
-	fmt.Fprintf(os.Stderr, "navsim serve: loaded %s (%v) in %.3fs; ready\n",
-		*snapPath, snap.Graph, time.Since(start).Seconds())
+	fmt.Fprintf(os.Stderr, "navsim serve: loaded %s (%v) in %.3fs (snapshot read %.3fs, server set-up %.3fs); ready\n",
+		*snapPath, snap.Graph, time.Since(start).Seconds(), read.Seconds(), setup.Seconds())
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)

@@ -24,15 +24,27 @@ import (
 // (greedy progress checks); exact tiers (APSP, TwoHop, analytic metrics,
 // BFS fields) exist for that.  The first
 // landmark is drawn uniformly; the rest follow the farthest-point rule
-// (maximise the distance to the landmarks chosen so far), which spreads
-// the sketch over the graph and guarantees every component holding a
-// landmark once k reaches the component count.  Preprocessing is k BFS
-// traversals and k·n int32 of memory; queries cost O(k).  The oracle is
-// immutable after construction and safe for concurrent readers.
+// (maximise the distance to the landmarks chosen so far, ties to the
+// smallest node id), which spreads the sketch over the graph and
+// guarantees every component holding a landmark once k reaches the
+// component count.
+//
+// Preprocessing is one renumbering pass plus k−1 BFS traversals.  The pass
+// is a BFS from the first landmark over the graph itself (unreached
+// components appended after it, in id order); it yields the first
+// landmark's distances and a CSR copy of the graph with the nodes
+// renumbered in visit order, on which the other k−1 BFS runs.  Nodes close
+// in the graph sit close in memory there, so those traversals mostly hit
+// cache.  The copy and the build scratch, O(n + m) in all, are dropped
+// once the build returns; the oracle keeps k·n int32 distances, stored in
+// the renumbered order, plus the n-entry map into it.  Queries cost O(k).
+// The oracle is immutable after construction and safe for concurrent
+// readers.
 type LandmarkOracle struct {
 	n         int32
 	landmarks []graph.NodeID
-	rows      []int32 // row-major k×n, rows[i*n+v] = dist(landmarks[i], v)
+	pos       []int32 // pos[v] = v's index in the renumbered order
+	rows      []int32 // row-major k×n, rows[i*n+pos[v]] = dist(landmarks[i], v)
 }
 
 // infDist stands in for "unreached" during farthest-point selection so
@@ -48,47 +60,116 @@ func NewLandmarkOracle(g *graph.Graph, k int, rng *xrand.RNG) *LandmarkOracle {
 	if n == 0 {
 		return o
 	}
-	if k < 1 {
-		k = 1
+	k = max(1, min(k, n))
+	o.rows = make([]int32, k*n)
+	for i := range o.rows {
+		o.rows[i] = graph.Unreachable
 	}
-	if k > n {
-		k = n
-	}
-	o.landmarks = make([]graph.NodeID, 0, k)
-	o.rows = make([]int32, 0, k*n)
-	queue := make([]int32, 0, n)
-	// minDist[v] = distance from v to the nearest landmark so far.
+	first := graph.NodeID(rng.Intn(n))
+	c, pos := renumberBFS(g, first, o.rows[:n])
+	o.pos = pos
+	o.landmarks = append(make([]graph.NodeID, 0, k), first)
+	queue := make([]int32, n)
+	// minDist[i] = distance from the node at index i to the nearest
+	// landmark so far.
 	minDist := make([]int32, n)
 	for i := range minDist {
 		minDist[i] = infDist
 	}
-	next := graph.NodeID(rng.Intn(n))
-	for len(o.landmarks) < k {
-		o.landmarks = append(o.landmarks, next)
-		row := make([]int32, n)
-		for i := range row {
-			row[i] = graph.Unreachable
-		}
-		g.BFSInto(next, row, queue)
-		o.rows = append(o.rows, row...)
+	for l := 1; l < k; l++ {
 		// Farthest-point rule for the next landmark; unreached nodes count
-		// as infinitely far, so fresh components are claimed first.
-		best := int32(-1)
-		for v := 0; v < n; v++ {
-			d := row[v]
+		// as infinitely far, so fresh components are claimed first.  Ties
+		// go to the smallest original id, not the smallest index.
+		best, next := int32(-1), int32(0)
+		for i, d := range o.rows[(l-1)*n : l*n] {
 			if d == graph.Unreachable {
 				d = infDist
 			}
-			if d < minDist[v] {
-				minDist[v] = d
+			md := min(minDist[i], d)
+			minDist[i] = md
+			if md > best || md == best && c.order[i] < c.order[next] {
+				best, next = md, int32(i)
 			}
-			if minDist[v] > best {
-				best = minDist[v]
-				next = graph.NodeID(v)
+		}
+		o.landmarks = append(o.landmarks, c.order[next])
+		c.bfs(next, o.rows[l*n:(l+1)*n], queue)
+	}
+	return o
+}
+
+// landmarkCSR is the graph renumbered in BFS order, the build-time copy
+// the landmark traversals run on: node i in the copy is order[i] in the
+// graph, and its neighbours are adj[offsets[i]:offsets[i+1]].
+type landmarkCSR struct {
+	order   []graph.NodeID
+	offsets []int64
+	adj     []int32
+}
+
+// renumberBFS copies g with its nodes renumbered in BFS order from src,
+// the nodes src does not reach appended component by component in
+// increasing id order, and writes the distances from src into dist
+// (indexed by the new numbers, pre-filled with graph.Unreachable).  It
+// also returns pos, the map from original ids to the new numbers.  One
+// pass builds all of it: when node i is dequeued every neighbour is
+// numbered, because it was numbered earlier or is numbered on the spot,
+// so i's adjacency row is written in order.
+func renumberBFS(g *graph.Graph, src graph.NodeID, dist []int32) (c landmarkCSR, pos []int32) {
+	n := g.N()
+	pos = make([]int32, n)
+	for i := range pos {
+		pos[i] = -1
+	}
+	c.order = make([]graph.NodeID, 0, n)
+	c.offsets = make([]int64, n+1)
+	c.adj = make([]int32, 0, 2*g.M())
+	visit := func(v graph.NodeID) {
+		pos[v] = int32(len(c.order))
+		c.order = append(c.order, v)
+	}
+	visit(src)
+	dist[0] = 0
+	root := graph.NodeID(0)
+	for i := 0; i < n; i++ {
+		if i == len(c.order) {
+			// The queue ran dry: start the next component at the smallest
+			// id not yet numbered.
+			for pos[root] >= 0 {
+				root++
+			}
+			visit(root)
+		}
+		for _, v := range g.Neighbors(c.order[i]) {
+			if pos[v] < 0 {
+				if dist[i] != graph.Unreachable {
+					dist[len(c.order)] = dist[i] + 1
+				}
+				visit(v)
+			}
+			c.adj = append(c.adj, pos[v])
+		}
+		c.offsets[i+1] = int64(len(c.adj))
+	}
+	return c, pos
+}
+
+// bfs writes hop distances from src over the copy into dist (indexed by
+// the new numbers, pre-filled with graph.Unreachable), using queue (length
+// n) as scratch.
+func (c *landmarkCSR) bfs(src int32, dist, queue []int32) {
+	dist[src] = 0
+	queue[0] = src
+	for head, tail := 0, 1; head < tail; head++ {
+		u := queue[head]
+		du := dist[u] + 1
+		for _, v := range c.adj[c.offsets[u]:c.offsets[u+1]] {
+			if dist[v] == graph.Unreachable {
+				dist[v] = du
+				queue[tail] = v
+				tail++
 			}
 		}
 	}
-	return o
 }
 
 // K returns the number of landmarks.
@@ -112,10 +193,10 @@ func (o *LandmarkOracle) Bounds(u, v graph.NodeID) (lower, upper int32) {
 		return 0, 0
 	}
 	lower, upper = 0, graph.Unreachable
-	n := int64(o.n)
+	n, pu, pv := int64(o.n), int64(o.pos[u]), int64(o.pos[v])
 	for i := range o.landmarks {
-		du := o.rows[int64(i)*n+int64(u)]
-		dv := o.rows[int64(i)*n+int64(v)]
+		du := o.rows[int64(i)*n+pu]
+		dv := o.rows[int64(i)*n+pv]
 		if du == graph.Unreachable || dv == graph.Unreachable {
 			continue
 		}

@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"navaug/internal/graph"
@@ -69,6 +71,82 @@ func TestLandmarkNeverUnderestimates(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// referenceLandmarkOracle is the straightforward construction the
+// renumbered build must reproduce: k BFS runs over the graph itself, rows
+// in original id order, the farthest-point scan in id order with strict
+// improvement (so ties go to the smallest id).
+func referenceLandmarkOracle(g *graph.Graph, k int, rng *xrand.RNG) *LandmarkOracle {
+	n := g.N()
+	o := &LandmarkOracle{n: int32(n)}
+	if n == 0 {
+		return o
+	}
+	k = max(1, min(k, n))
+	o.pos = make([]int32, n)
+	for v := range o.pos {
+		o.pos[v] = int32(v)
+	}
+	minDist := make([]int32, n)
+	for i := range minDist {
+		minDist[i] = infDist
+	}
+	next := graph.NodeID(rng.Intn(n))
+	for len(o.landmarks) < k {
+		o.landmarks = append(o.landmarks, next)
+		row := g.BFS(next)
+		o.rows = append(o.rows, row...)
+		best := int32(-1)
+		for v := 0; v < n; v++ {
+			d := row[v]
+			if d == graph.Unreachable {
+				d = infDist
+			}
+			if d < minDist[v] {
+				minDist[v] = d
+			}
+			if minDist[v] > best {
+				best = minDist[v]
+				next = graph.NodeID(v)
+			}
+		}
+	}
+	return o
+}
+
+// TestLandmarkMatchesReference is the differential check on the
+// renumbered build: the same landmarks in the same order, and the same
+// Bounds on every pair, as the reference construction, for k from one
+// landmark to every node.
+func TestLandmarkMatchesReference(t *testing.T) {
+	graphs := twoHopTestGraphs()
+	star := graph.NewBuilder(40)
+	for v := 1; v < 40; v++ {
+		star.AddEdge(int32((v+17)%40), 17)
+	}
+	graphs["star"] = star.Build()
+	for name, g := range graphs {
+		for _, k := range []int{1, 3, 16, g.N()} {
+			t.Run(fmt.Sprintf("%s/k=%d", name, k), func(t *testing.T) {
+				seed := uint64(len(name)*31 + k)
+				want := referenceLandmarkOracle(g, k, xrand.New(seed))
+				got := NewLandmarkOracle(g, k, xrand.New(seed))
+				if !slices.Equal(got.Landmarks(), want.Landmarks()) {
+					t.Fatalf("landmarks %v, reference %v", got.Landmarks(), want.Landmarks())
+				}
+				for u := int32(0); u < int32(g.N()); u++ {
+					for v := int32(0); v < int32(g.N()); v++ {
+						gl, gu := got.Bounds(u, v)
+						wl, wu := want.Bounds(u, v)
+						if gl != wl || gu != wu {
+							t.Fatalf("Bounds(%d,%d) = (%d,%d), reference (%d,%d)", u, v, gl, gu, wl, wu)
+						}
+					}
+				}
+			})
 		}
 	}
 }

@@ -177,7 +177,7 @@ func (g *Graph) RawCSR() (offsets []int64, adj []int32) {
 // adjacency list strictly increasing (sorted, no duplicates, no
 // self-loops), and edge symmetry (v in adj[u] iff u in adj[v]) — so a
 // corrupted or hostile serialised graph is rejected instead of breaking
-// BFS/routing invariants later.  The total cost is O(n + m·log deg).
+// BFS/routing invariants later.  The total cost is O(n + m).
 func FromCSR(name string, n int, offsets []int64, adj []int32) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative node count %d", n)
@@ -220,17 +220,41 @@ func FromCSR(name string, n int, offsets []int64, adj []int32) (*Graph, error) {
 		adj:     adj,
 		name:    name,
 	}
-	// Symmetry: every stored arc must have its reverse.  Arc counts already
-	// match (len(adj) is even and every arc is checked), so one direction
-	// suffices.
-	for u := int32(0); u < int32(n); u++ {
-		for _, v := range g.Neighbors(u) {
-			if !g.HasEdge(v, u) {
-				return nil, fmt.Errorf("graph: asymmetric edge %d->%d has no reverse", u, v)
-			}
-		}
+	if err := g.checkSymmetric(); err != nil {
+		return nil, err
 	}
 	return g, nil
+}
+
+// checkSymmetric verifies that every arc u->v has its reverse v->u, given
+// sorted duplicate-free adjacency lists, in one O(n + m) pass.  Visiting u
+// in increasing order, the arcs into v arrive in increasing u, which is
+// exactly the order of v's own sorted list when the graph is symmetric;
+// so one cursor per node walks each list once, and every arc u->v must
+// find u under v's cursor.  When all arcs match, every list has been
+// consumed (there are as many arcs as list entries), so nothing else needs
+// checking.
+func (g *Graph) checkSymmetric() error {
+	cur := make([]int64, g.n)
+	copy(cur, g.offsets)
+	for u := int32(0); u < g.n; u++ {
+		for _, v := range g.adj[g.offsets[u]:g.offsets[u+1]] {
+			c := cur[v]
+			if c < g.offsets[v+1] && g.adj[c] == u {
+				cur[v]++
+				continue
+			}
+			// Name an arc that really lacks its reverse.  If u is in v's
+			// list, the cursor stopped short of it at some w < u, and w's
+			// list (already walked) has no v.
+			a, b := u, v
+			if g.HasEdge(v, u) {
+				a, b = v, g.adj[c]
+			}
+			return fmt.Errorf("graph: asymmetric edge %d->%d has no reverse", a, b)
+		}
+	}
+	return nil
 }
 
 // N returns the number of nodes.

@@ -9,10 +9,13 @@ package serve_test
 // byte-identical answers once faults clear.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,6 +26,7 @@ import (
 	"navaug/internal/fault"
 	"navaug/internal/serve"
 	"navaug/internal/snapshot"
+	"navaug/internal/xrand"
 )
 
 // chaosStats is the /v1/stats slice the chaos assertions read.
@@ -349,6 +353,66 @@ func TestQuarantinedSnapshotServesApprox(t *testing.T) {
 	}
 	if st := fetchChaosStats(t, ts.URL); !st.Degraded || st.Tier != "field-cache" {
 		t.Fatalf("post-release stats wrong: %+v", st)
+	}
+}
+
+// landmarkGolden pins the approximate tier's answers: a field-cache
+// snapshot (no O(1) exact tier) under simulated memory pressure serves
+// every distance from the landmark tier, and the raw response bodies of a
+// fixed batch and single query must stay byte-identical.  Landmark choice
+// and rows depend only on the graph and the fixed landmark seed, so any
+// change to the construction or the bound evaluation shows up here.
+var landmarkGolden = []struct {
+	family     string
+	n          int
+	batch, one string
+}{
+	{"powerlaw-tree", 2048,
+		`{"dists":[18,19,16,17,16,12,13,16,16,13,20,12,17,13,13,14,19,21,17,16,9,16,14,13,13,20,17,9,19,12,15,11,15,14,14,16,13,12,15,17,14,19,14,10,14,18,23,12],"approx":true}`,
+		`{"approx":true,"dist":15,"u":1212,"v":2047}`},
+	{"grid", 1024,
+		`{"dists":[27,33,41,19,13,17,27,16,21,15,37,7,33,34,44,22,19,23,13,12,27,36,13,17,25,14,10,31,12,16,35,20,19,30,40,23,46,47,51,11,43,11,10,27,10,15,19,20],"approx":true}`,
+		`{"approx":true,"dist":46,"u":78,"v":1023}`},
+}
+
+func TestLandmarkTierGolden(t *testing.T) {
+	for _, tc := range landmarkGolden {
+		t.Run(fmt.Sprintf("%s-%d", tc.family, tc.n), func(t *testing.T) {
+			inj := fault.MustParse("mem", 1)
+			inj.Activate()
+			_, _, ts := newTestServer(t, tc.family, tc.n, dist.PolicyField, serve.Options{Workers: 2, Faults: inj})
+			if st := fetchChaosStats(t, ts.URL); st.Tier != "landmark" {
+				t.Fatalf("tier = %q under memory pressure, want landmark", st.Tier)
+			}
+			rng := xrand.New(uint64(tc.n))
+			pairs := make([][2]int, 48)
+			for i := range pairs {
+				pairs[i] = [2]int{rng.Intn(tc.n), rng.Intn(tc.n)}
+			}
+			payload, err := json.Marshal(map[string]any{"pairs": pairs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+"/v1/dist", "application/json", bytes.NewReader(payload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("batch: status %d, err %v: %s", resp.StatusCode, err, batch)
+			}
+			code, one := getBody(t, fmt.Sprintf("%s/v1/dist?u=%d&v=%d", ts.URL, pairs[0][0], tc.n-1))
+			if code != http.StatusOK {
+				t.Fatalf("single query: status %d: %s", code, one)
+			}
+			if got := strings.TrimSpace(string(batch)); got != tc.batch {
+				t.Errorf("batch body changed:\n got:  %s\n want: %s", got, tc.batch)
+			}
+			if got := strings.TrimSpace(string(one)); got != tc.one {
+				t.Errorf("single body changed:\n got:  %s\n want: %s", got, tc.one)
+			}
+		})
 	}
 }
 
