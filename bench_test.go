@@ -482,11 +482,12 @@ func BenchmarkRoutingTrial_twoHopSource(b *testing.B) {
 // once, then 128 routed walks.
 func benchmarkEstimateEndToEnd(b *testing.B, scheme augment.Scheme) {
 	g := meshGraph()
+	e := sim.NewEngine(0)
+	defer e.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		est, err := sim.EstimateGreedyDiameter(g, scheme,
-			sim.Config{Seed: 1, IncludeExtremalPair: true})
+		est, err := e.Estimate(g, scheme, sim.Config{Seed: 1, IncludeExtremalPair: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -511,10 +512,12 @@ func BenchmarkEstimate_EndToEnd_NoPrecompute(b *testing.B) {
 // on a 128x128 grid.
 func BenchmarkGreedyDiameterEstimateBallGrid(b *testing.B) {
 	g := gen.Grid2D(128, 128)
+	e := sim.NewEngine(0)
+	defer e.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		est, err := sim.EstimateGreedyDiameter(g, augment.NewBallScheme(),
+		est, err := e.Estimate(g, augment.NewBallScheme(),
 			sim.Config{Pairs: 8, Trials: 4, Seed: uint64(i) + 1, IncludeExtremalPair: true})
 		if err != nil {
 			b.Fatal(err)

@@ -1,14 +1,15 @@
-// Command navsim runs the paper-reproduction experiments (E1..E13,
-// including the E11 large-n mode that sweeps million-node tori and
-// hypercubes through analytic O(1) distance oracles, the E12
-// universality sweep that reaches million-node unstructured graphs through
-// the exact 2-hop-cover oracle, and the E13 churn experiment that routes
-// on dynamic graphs maintained by incremental 2-hop label repair under a
-// per-batch budget), ad-hoc greedy-diameter estimations, and
-// the routing-as-a-service mode: `snapshot` freezes built oracles and
-// augmentation tables into a .navsnap file, `serve` answers distance and
-// routing queries over HTTP from such a file with no rebuild, and
-// `loadgen` benchmarks a running server.
+// Command navsim is the one command-line entry point of the library.  It
+// runs the paper-reproduction experiments (E1..E13, including the E11
+// large-n mode that sweeps million-node tori and hypercubes through
+// analytic O(1) distance oracles, the E12 universality sweep that reaches
+// million-node unstructured graphs through the exact 2-hop-cover oracle,
+// and the E13 churn experiment that routes on dynamic graphs maintained by
+// incremental 2-hop label repair under a per-batch budget), ad-hoc
+// greedy-diameter estimations, graph generation (`graph`) and hop-by-hop
+// route traces (`trace`), and the routing-as-a-service mode: `snapshot`
+// freezes built oracles and augmentation tables into a .navsnap file,
+// `serve` answers distance and routing queries over HTTP from such a file
+// with no rebuild, and `loadgen` benchmarks a running server.
 //
 // Run `navsim <command> -h` for any command's flags; `navsim help` lists
 // the commands.
@@ -49,7 +50,7 @@ var commands = []*command{
 		name: "run",
 		synopsis: "[-exp E1,E7] [-scale 1.0] [-seed N] [-format text|csv|md|json] [-precision 0.1]\n" +
 			"               [-workers N] [-parallel N] [-pairs N] [-trials N] [-max-trials N]\n" +
-			"               [-oracle auto|analytic|twohop|twohop-packed|field] [-no-analytic] [-quiet]",
+			"               [-oracle auto|analytic|twohop|twohop-packed|field] [-quiet]",
 		summary: "Run the selected experiments (default: all) and print the report.",
 		run:     runExperiments,
 	},
@@ -65,6 +66,18 @@ var commands = []*command{
 		synopsis: "-family path -n 400 -scheme uniform [-seed N]",
 		summary:  "Compute the exact greedy diameter (no sampling) for small instances.",
 		run:      runExact,
+	},
+	{
+		name:     "graph",
+		synopsis: "[-family grid] [-n 1024] [-seed 1] [-dot] [-o out.graph] | -families",
+		summary:  "Generate a graph of a built-in family as an edge list or Graphviz DOT; print a summary to stderr.",
+		run:      runGraph,
+	},
+	{
+		name:     "trace",
+		synopsis: "[-family grid] [-n 1024] [-scheme ball] [-s 0 -t 1023] [-seed 7] [-lookahead]",
+		summary:  "Run one greedy routing trial and print its hop-by-hop trace (no -s/-t: an approximately diametral pair).",
+		run:      runTrace,
 	},
 	{
 		name: "snapshot",
@@ -181,7 +194,6 @@ func runExperiments(c *command, args []string) error {
 	precision := fs.Float64("precision", 0, "adaptive mode: target 95% CI half-width relative to the mean (0 = fixed budgets)")
 	maxTrials := fs.Int("max-trials", 0, "adaptive mode: per-pair trial cap (0 = 8x the base budget)")
 	oracle := fs.String("oracle", "auto", "distance-source policy: auto, analytic, twohop, twohop-packed or field (identical results; cost knob)")
-	noAnalytic := fs.Bool("no-analytic", false, "force BFS-field-backed distances (legacy spelling of -oracle field)")
 	quiet := fs.Bool("quiet", false, "suppress the per-cell progress on stderr")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -197,16 +209,15 @@ func runExperiments(c *command, args []string) error {
 		return fmt.Errorf("unknown format %q (known: text, csv, md, json)", *format)
 	}
 	cfg := scenario.Config{
-		Seed:       *seed,
-		Scale:      *scale,
-		Workers:    *workers,
-		Parallel:   *parallel,
-		Pairs:      *pairs,
-		Trials:     *trials,
-		Precision:  *precision,
-		MaxTrials:  *maxTrials,
-		Oracle:     policy,
-		NoAnalytic: *noAnalytic,
+		Seed:      *seed,
+		Scale:     *scale,
+		Workers:   *workers,
+		Parallel:  *parallel,
+		Pairs:     *pairs,
+		Trials:    *trials,
+		Precision: *precision,
+		MaxTrials: *maxTrials,
+		Oracle:    policy,
 	}
 	if !*quiet {
 		cfg.Progress = os.Stderr
@@ -253,15 +264,12 @@ func runEstimate(c *command, args []string) error {
 	if err != nil {
 		return err
 	}
-	ag, err := core.Augment(g, scheme)
-	if err != nil {
-		return err
-	}
-	est, err := ag.EstimateGreedyDiameter(sim.Config{
+	e := sim.NewEngine(*workers)
+	defer e.Close()
+	est, err := e.Estimate(g, scheme, sim.Config{
 		Pairs:               *pairs,
 		Trials:              *trials,
 		Seed:                *seed,
-		Workers:             *workers,
 		TargetCI:            *precision,
 		IncludeExtremalPair: true,
 		Policy:              policy,

@@ -35,6 +35,10 @@ func main() {
 		augment.NewBallScheme(),
 	}
 
+	e := sim.NewEngine(0)
+	defer e.Close()
+	cfg := sim.Config{Pairs: 8, Trials: 4, Seed: 5, IncludeExtremalPair: true}
+
 	table := report.NewTable(fmt.Sprintf("greedy diameter estimates at n ≈ %d", n),
 		append([]string{"family", "diameter"}, schemeNames(schemes)...)...)
 
@@ -45,7 +49,7 @@ func main() {
 		}
 		row := []any{fam, int(g.Diameter())}
 		for _, s := range schemes {
-			est, err := sim.EstimateGreedyDiameter(g, s, sim.Config{Pairs: 8, Trials: 4, Seed: 5, IncludeExtremalPair: true})
+			est, err := e.Estimate(g, s, cfg)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -77,7 +81,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		est, err := sim.EstimateGreedyDiameter(g, c.scheme, sim.Config{Pairs: 8, Trials: 4, Seed: 5, IncludeExtremalPair: true})
+		est, err := e.Estimate(g, c.scheme, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -10,9 +10,12 @@ import (
 	"log"
 
 	"navaug/internal/augment"
-	"navaug/internal/core"
+	"navaug/internal/dist"
+	"navaug/internal/graph"
 	"navaug/internal/graph/gen"
+	"navaug/internal/route"
 	"navaug/internal/sim"
+	"navaug/internal/xrand"
 )
 
 func main() {
@@ -20,17 +23,20 @@ func main() {
 	g := gen.Grid2D(64, 64)
 	fmt.Printf("graph: %v (diameter %d)\n\n", g, g.Diameter())
 
-	// 2. Pick an augmentation scheme.  The ball scheme is the paper's
-	//    Theorem 4 construction: every node links to a uniform node of a
-	//    random-scale ball around it.
-	ag, err := core.Augment(g, augment.NewBallScheme())
+	// 2. Pick an augmentation scheme and prepare it on the graph.  The ball
+	//    scheme is the paper's Theorem 4 construction: every node links to
+	//    a uniform node of a random-scale ball around it.
+	ball := augment.NewBallScheme()
+	inst, err := ball.Prepare(g)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 3. Route a single message greedily between two far-apart corners and
-	//    print what happened.
-	res, err := ag.Route(0, int32(g.N()-1), 42)
+	//    print what happened.  Greedy routing steers by the distance to the
+	//    target, here a BFS field.
+	t := graph.NodeID(g.N() - 1)
+	res, err := route.Greedy(g, inst, 0, t, dist.NewField(g.BFS(t), t), xrand.New(42), route.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,8 +45,12 @@ func main() {
 
 	// 4. Estimate the greedy diameter: the maximum over source/target pairs
 	//    of the expected number of greedy steps.  This is the quantity every
-	//    theorem in the paper bounds.
-	est, err := ag.EstimateGreedyDiameter(sim.Config{Pairs: 12, Trials: 6, Seed: 1, IncludeExtremalPair: true})
+	//    theorem in the paper bounds.  The engine is a worker pool that can
+	//    serve any number of estimations.
+	e := sim.NewEngine(0)
+	defer e.Close()
+	cfg := sim.Config{Pairs: 12, Trials: 6, Seed: 1, IncludeExtremalPair: true}
+	est, err := e.EstimateInstance(g, ball.Name(), inst, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,11 +58,7 @@ func main() {
 		est.Scheme, est.GreedyDiameter, est.MeanSteps, est.CI95, est.Samples)
 
 	// 5. Compare against the uniform scheme (the √n baseline).
-	uni, err := core.Augment(g, augment.NewUniformScheme())
-	if err != nil {
-		log.Fatal(err)
-	}
-	uniEst, err := uni.EstimateGreedyDiameter(sim.Config{Pairs: 12, Trials: 6, Seed: 1, IncludeExtremalPair: true})
+	uniEst, err := e.Estimate(g, augment.NewUniformScheme(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,16 +32,18 @@ func main() {
 
 	fmt.Printf("%8s %12s %14s %14s %12s %12s\n",
 		"n", "tree diam", "theorem2 gd", "uniform gd", "log2^3(n)", "sqrt(n)")
+	e := sim.NewEngine(0)
+	defer e.Close()
 	rng := xrand.New(11)
 	for _, n := range []int{511, 1023, 2047, 4095, 8191, 16383} {
 		g := gen.RandomTree(n, rng)
 		cfg := sim.Config{Pairs: 10, Trials: 5, Seed: uint64(n), IncludeExtremalPair: true}
 
-		t2, err := sim.EstimateGreedyDiameter(g, theorem2, cfg)
+		t2, err := e.Estimate(g, theorem2, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		uni, err := sim.EstimateGreedyDiameter(g, uniform, cfg)
+		uni, err := e.Estimate(g, uniform, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

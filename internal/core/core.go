@@ -1,16 +1,14 @@
-// Package core is the high-level façade of the library: it ties together
-// graphs, augmentation schemes, greedy routing and the Monte Carlo engine
-// behind a small API that the examples and command-line tools use.
+// Package core holds the name registries and one-call entry points the
+// command-line tool, the examples and the bench harness drive the library
+// through:
 //
-// The three central operations are:
+//   - SchemeByName and GraphByName build the paper's schemes and graph
+//     families from strings, so tools can be driven from flags;
+//   - RunSuite runs the paper's experiments on one scenario runner;
+//   - BuildSnapshot freezes a graph, its distance oracle and augmentation
+//     tables for serving (see snapshot.go).
 //
-//   - Augment: bind a Scheme to a Graph, obtaining an AugmentedGraph;
-//   - AugmentedGraph.Route: run one greedy routing trial between two nodes;
-//   - AugmentedGraph.EstimateGreedyDiameter: Monte Carlo estimate of
-//     diam(G, φ), the quantity all of the paper's theorems bound.
-//
-// The package also exposes a registry of the paper's schemes by name and a
-// registry of graph families by name so tools can be driven from strings.
+// Greedy-diameter estimation itself lives in sim.Engine.
 package core
 
 import (
@@ -20,56 +18,13 @@ import (
 
 	"navaug/internal/augment"
 	"navaug/internal/decomp"
-	"navaug/internal/dist"
 	"navaug/internal/experiments"
 	"navaug/internal/graph"
 	"navaug/internal/graph/gen"
 	"navaug/internal/report"
-	"navaug/internal/route"
 	"navaug/internal/scenario"
-	"navaug/internal/sim"
 	"navaug/internal/xrand"
 )
-
-// AugmentedGraph is a graph together with a prepared augmentation scheme —
-// the pair (G, φ) of the paper.
-type AugmentedGraph struct {
-	g      *graph.Graph
-	scheme augment.Scheme
-	inst   augment.Instance
-}
-
-// Augment prepares scheme on g and returns the augmented graph.
-func Augment(g *graph.Graph, scheme augment.Scheme) (*AugmentedGraph, error) {
-	inst, err := scheme.Prepare(g)
-	if err != nil {
-		return nil, fmt.Errorf("core: preparing %s on %v: %w", scheme.Name(), g, err)
-	}
-	return &AugmentedGraph{g: g, scheme: scheme, inst: inst}, nil
-}
-
-// Graph returns the underlying graph.
-func (a *AugmentedGraph) Graph() *graph.Graph { return a.g }
-
-// SchemeName returns the name of the augmentation scheme in use.
-func (a *AugmentedGraph) SchemeName() string { return a.scheme.Name() }
-
-// Instance exposes the prepared augmentation instance (for advanced use such
-// as eagerly sampling a full set of long-range links).
-func (a *AugmentedGraph) Instance() augment.Instance { return a.inst }
-
-// Route runs one greedy routing trial from s to t with a fresh draw of the
-// long-range links along the way, returning the route result (with trace).
-func (a *AugmentedGraph) Route(s, t graph.NodeID, seed uint64) (route.Result, error) {
-	src := dist.NewField(a.g.BFS(t), t)
-	rng := xrand.New(seed)
-	return route.Greedy(a.g, a.inst, s, t, src, rng, route.Options{Trace: true})
-}
-
-// EstimateGreedyDiameter estimates diam(G, φ) by Monte Carlo sampling.
-func (a *AugmentedGraph) EstimateGreedyDiameter(cfg sim.Config) (*sim.Estimate, error) {
-	return sim.EstimateGreedyDiameter(a.g, a.scheme, cfg)
-}
 
 // RunSuite runs the selected experiments (nil or empty ids = all) on one
 // shared scenario runner — graphs, distance fields and prepared schemes are

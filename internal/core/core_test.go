@@ -6,51 +6,52 @@ import (
 
 	"navaug/internal/augment"
 	"navaug/internal/graph"
-	"navaug/internal/graph/gen"
 	"navaug/internal/sim"
 )
 
+// estimateByName builds the named graph and scheme and estimates their
+// greedy diameter on a fresh engine, the way `navsim estimate` does.
+func estimateByName(t *testing.T, family string, n int, seed uint64, scheme string, cfg sim.Config) (*sim.Estimate, error) {
+	t.Helper()
+	g, err := GraphByName(family, n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := SchemeByName(scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := sim.NewEngine(0)
+	defer e.Close()
+	return e.Estimate(g, s, cfg)
+}
+
 func TestAugmentAndRoute(t *testing.T) {
-	g := gen.Grid2D(12, 12)
-	ag, err := Augment(g, augment.NewBallScheme())
+	est, err := estimateByName(t, "grid", 144, 1, "ball",
+		sim.Config{FixedPairs: []sim.Pair{{Source: 0, Target: 143}}, Trials: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ag.Graph() != g {
-		t.Fatal("Graph() does not return the underlying graph")
+	if est.Scheme != "ball" || est.N != 144 {
+		t.Fatalf("estimate names scheme %q on n=%d, want ball on 144", est.Scheme, est.N)
 	}
-	if ag.SchemeName() != "ball" {
-		t.Fatalf("scheme name %q", ag.SchemeName())
-	}
-	if ag.Instance() == nil {
-		t.Fatal("Instance() is nil")
-	}
-	res, err := ag.Route(0, 143, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Reached {
-		t.Fatal("routing failed")
-	}
-	if len(res.Path) != res.Steps+1 {
-		t.Fatalf("trace length %d for %d steps", len(res.Path), res.Steps)
+	ps := est.PairStats[0]
+	if ps.Failed != 0 || ps.Steps.Count != 3 || ps.Dist != 22 {
+		t.Fatalf("routing 0 -> 143 on the 12x12 grid: %+v", ps)
 	}
 }
 
 func TestAugmentPropagatesErrors(t *testing.T) {
-	g := graph.NewBuilder(0).Build()
-	if _, err := Augment(g, augment.NewUniformScheme()); err == nil {
-		t.Fatal("empty graph accepted")
+	e := sim.NewEngine(1)
+	defer e.Close()
+	_, err := e.Estimate(graph.NewBuilder(0).Build(), augment.NewUniformScheme(), sim.Config{})
+	if err == nil || !strings.Contains(err.Error(), "preparing") {
+		t.Fatalf("empty graph: got %v, want a prepare error", err)
 	}
 }
 
-func TestEstimateGreedyDiameterViaFacade(t *testing.T) {
-	g := gen.Path(500)
-	ag, err := Augment(g, augment.NewUniformScheme())
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := ag.EstimateGreedyDiameter(sim.Config{Pairs: 4, Trials: 2, Seed: 1})
+func TestEstimateGreedyDiameterViaNames(t *testing.T) {
+	est, err := estimateByName(t, "path", 500, 1, "uniform", sim.Config{Pairs: 4, Trials: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,19 +161,8 @@ func TestGraphByNameSizesApproximate(t *testing.T) {
 }
 
 func TestEndToEndTheorem2OnTreeViaNames(t *testing.T) {
-	g, err := GraphByName("binary-tree", 1023, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scheme, err := SchemeByName("theorem2-tree")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ag, err := Augment(g, scheme)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := ag.EstimateGreedyDiameter(sim.Config{Pairs: 6, Trials: 4, Seed: 9, IncludeExtremalPair: true})
+	est, err := estimateByName(t, "binary-tree", 1023, 3, "theorem2-tree",
+		sim.Config{Pairs: 6, Trials: 4, Seed: 9, IncludeExtremalPair: true})
 	if err != nil {
 		t.Fatal(err)
 	}

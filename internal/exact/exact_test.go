@@ -144,13 +144,15 @@ func TestMonteCarloMatchesExact(t *testing.T) {
 			return decomp.OfPathGraph(g)
 		}),
 	}
+	e := sim.NewEngine(0)
+	defer e.Close()
 	for _, scheme := range schemes {
 		inst := mustDistributional(t, scheme, g)
 		want, err := PairExpectation(g, inst, 0, 199)
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := sim.EstimateGreedyDiameter(g, scheme, sim.Config{
+		est, err := e.Estimate(g, scheme, sim.Config{
 			FixedPairs: []sim.Pair{{Source: 0, Target: 199}},
 			Trials:     3000,
 			Seed:       11,

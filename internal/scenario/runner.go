@@ -94,13 +94,6 @@ func NewRunner(cfg Config) *Runner {
 // Close shuts the runner's engine down.
 func (r *Runner) Close() { r.engine.Close() }
 
-// Config returns the runner's (defaulted) configuration.
-func (r *Runner) Config() Config { return r.cfg }
-
-// Engine exposes the underlying engine for ad-hoc estimations that want to
-// share the pool.
-func (r *Runner) Engine() *sim.Engine { return r.engine }
-
 // Stats returns the sharing counters accumulated so far.
 func (r *Runner) Stats() RunStats {
 	return RunStats{

@@ -65,10 +65,6 @@ type Config struct {
 	// trades build time, query time and memory — the CI determinism smoke
 	// compares the tiers byte-for-byte.  Empty means PolicyAuto.
 	Oracle dist.SourcePolicy
-	// NoAnalytic forces BFS-field-backed distances regardless of Oracle
-	// (it predates the Oracle knob and is kept as the CLI cross-check
-	// toggle; it is exactly Oracle = PolicyField).
-	NoAnalytic bool
 	// Progress, when non-nil, receives one line per completed cell.
 	Progress io.Writer
 }
@@ -88,9 +84,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.Oracle == "" {
 		c.Oracle = dist.PolicyAuto
-	}
-	if c.NoAnalytic {
-		c.Oracle = dist.PolicyField
 	}
 	return c
 }

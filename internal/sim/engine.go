@@ -84,9 +84,6 @@ func NewEngine(workers int) *Engine {
 	return e
 }
 
-// Workers returns the pool size.
-func (e *Engine) Workers() int { return e.workers }
-
 // Close shuts the worker pool down.  Close is idempotent; an engine must
 // not be used after Close.
 func (e *Engine) Close() {
@@ -151,7 +148,7 @@ func (e *Engine) EstimateInstance(g *graph.Graph, schemeName string, inst augmen
 		// Resolve the distance tier for this one estimation the way the
 		// scenario runner does per graph; nil means BFS fields below.
 		metric, _ := gen.MetricFor(g)
-		cfg.DistSource = cfg.Policy.ResolveWith(g, metric, cfg.Workers)
+		cfg.DistSource = cfg.Policy.ResolveWith(g, metric, e.workers)
 	}
 	var fields *dist.FieldCache
 	if cfg.DistSource == nil {

@@ -3,19 +3,17 @@
 // augmentation several times per pair, routes greedily, and aggregates the
 // step counts into an Estimate.
 //
-// The workhorse is the persistent Engine (see engine.go): a reusable worker
-// pool that serves many estimations — fixed-budget or streaming/adaptive —
-// and can be shared by concurrently-running scenarios.  The free functions
-// in this file are convenience wrappers that spin up a transient engine for
-// one-shot callers; results are identical either way because every (pair,
-// trial) block derives its RNG stream from the seed and the pair index
-// alone, never from worker scheduling.
+// The one entry point is the persistent Engine (see engine.go): a reusable
+// worker pool that serves many estimations — fixed-budget or
+// streaming/adaptive — and can be shared by concurrently-running scenarios.
+// Results never depend on the pool size because every (pair, trial) block
+// derives its RNG stream from the seed and the pair index alone, never from
+// worker scheduling.
 package sim
 
 import (
 	"fmt"
 
-	"navaug/internal/augment"
 	"navaug/internal/dist"
 	"navaug/internal/graph"
 	"navaug/internal/stats"
@@ -38,10 +36,6 @@ type Config struct {
 	Trials int
 	// Seed drives all sampling; runs with equal seeds produce equal results.
 	Seed uint64
-	// Workers is the worker pool size used by the transient-engine wrappers
-	// (default GOMAXPROCS).  Engine methods ignore it — the engine owns its
-	// pool.  The worker count never affects results.
-	Workers int
 	// MaxSteps caps a single routing walk (default: route's own default).
 	MaxSteps int
 	// FixedPairs, when non-empty, replaces random pair sampling entirely.
@@ -63,16 +57,15 @@ type Config struct {
 	// DistFields, when non-nil, supplies the per-target distance fields
 	// greedy routing steers by.  It must be a cache over the same graph.
 	// When nil (and DistSource is nil) a private cache is created per
-	// estimation run; the scenario runner and CompareSchemes share one
-	// cache per graph, so each target's BFS is paid once rather than once
-	// per scheme.  Fields are deterministic, so sharing never affects
-	// results.
+	// estimation run; the scenario runner shares one cache per graph, so
+	// each target's BFS is paid once rather than once per scheme.  Fields
+	// are deterministic, so sharing never affects results.
 	DistFields *dist.FieldCache
 	// Policy resolves the distance source when neither DistSource nor
 	// DistFields is supplied: the engine applies it to the graph (looking
 	// up the family's analytic metric via gen.MetricFor) exactly as the
-	// scenario runner does, so one-shot estimations honour the same
-	// -oracle knob.  Empty keeps the legacy behaviour (per-target BFS
+	// scenario runner does, so single estimations honour the same -oracle
+	// knob (the label build runs on the engine's pool size).  Empty keeps the legacy behaviour (per-target BFS
 	// fields).  The policy never affects results, only cost: every tier
 	// answers exact BFS distances.
 	Policy dist.SourcePolicy
@@ -138,14 +131,6 @@ type Estimate struct {
 	TargetCI float64
 }
 
-// EstimateGreedyDiameter runs the Monte Carlo estimation of the greedy
-// diameter of g under the given scheme on a transient engine.
-func EstimateGreedyDiameter(g *graph.Graph, scheme augment.Scheme, cfg Config) (*Estimate, error) {
-	e := NewEngine(cfg.Workers)
-	defer e.Close()
-	return e.Estimate(g, scheme, cfg)
-}
-
 // selectPairs picks the source/target pairs for an estimation run.
 func selectPairs(g *graph.Graph, cfg Config) ([]Pair, error) {
 	if len(cfg.FixedPairs) > 0 {
@@ -182,68 +167,4 @@ func selectPairs(g *graph.Graph, cfg Config) ([]Pair, error) {
 		pairs = append(pairs, p)
 	}
 	return pairs, nil
-}
-
-// CompareSchemes estimates the greedy diameter of g under each scheme with
-// the same configuration (and therefore the same sampled pairs), returning
-// estimates in the order the schemes were given.  One engine and one
-// distance-field cache are shared across the schemes.
-func CompareSchemes(g *graph.Graph, schemes []augment.Scheme, cfg Config) ([]*Estimate, error) {
-	e := NewEngine(cfg.Workers)
-	defer e.Close()
-	if cfg.DistSource == nil && cfg.DistFields == nil {
-		cfg.DistFields = dist.NewFieldCache(g, 0)
-	}
-	out := make([]*Estimate, 0, len(schemes))
-	for _, s := range schemes {
-		est, err := e.Estimate(g, s, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("sim: scheme %s: %w", s.Name(), err)
-		}
-		out = append(out, est)
-	}
-	return out, nil
-}
-
-// SweepResult is one point of a size sweep.
-type SweepResult struct {
-	N        int
-	Estimate *Estimate
-}
-
-// Sweep estimates the greedy diameter of scheme over a family of graphs
-// produced by build for each size.  The per-size seeds are derived from
-// cfg.Seed so the whole sweep is reproducible.
-func Sweep(sizes []int, build func(n int) (*graph.Graph, error), scheme augment.Scheme, cfg Config) ([]SweepResult, error) {
-	e := NewEngine(cfg.Workers)
-	defer e.Close()
-	out := make([]SweepResult, 0, len(sizes))
-	for i, n := range sizes {
-		g, err := build(n)
-		if err != nil {
-			return nil, fmt.Errorf("sim: building graph for n=%d: %w", n, err)
-		}
-		c := cfg
-		c.Seed = cfg.Seed + uint64(i)*0x9e3779b97f4a7c15
-		// Every size is a different graph, so a caller-supplied field cache
-		// must not leak across sizes; each estimation builds its own.
-		c.DistFields = nil
-		est, err := e.Estimate(g, scheme, c)
-		if err != nil {
-			return nil, fmt.Errorf("sim: n=%d: %w", n, err)
-		}
-		out = append(out, SweepResult{N: g.N(), Estimate: est})
-	}
-	return out, nil
-}
-
-// FitPower fits greedy diameter ≈ C·n^e over the sweep results.
-func FitPower(results []SweepResult) (stats.PowerFit, error) {
-	x := make([]float64, 0, len(results))
-	y := make([]float64, 0, len(results))
-	for _, r := range results {
-		x = append(x, float64(r.N))
-		y = append(y, r.Estimate.GreedyDiameter)
-	}
-	return stats.PowerLaw(x, y)
 }

@@ -10,17 +10,19 @@ import (
 	"navaug/internal/dist"
 	"navaug/internal/graph"
 	"navaug/internal/graph/gen"
+	"navaug/internal/stats"
 	"navaug/internal/xrand"
 )
 
 func TestEstimateNoAugmentationEqualsDistance(t *testing.T) {
+	e := newTestEngine(t, 0)
 	g := gen.Path(200)
 	cfg := Config{
 		FixedPairs: []Pair{{Source: 0, Target: 199}, {Source: 10, Target: 60}},
 		Trials:     3,
 		Seed:       1,
 	}
-	est, err := EstimateGreedyDiameter(g, augment.NewNoAugmentation(), cfg)
+	est, err := e.Estimate(g, augment.NewNoAugmentation(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,16 +47,12 @@ func TestEstimateNoAugmentationEqualsDistance(t *testing.T) {
 
 func TestEstimateDeterministicAcrossWorkerCounts(t *testing.T) {
 	g := gen.Grid2D(20, 20)
-	base := Config{Pairs: 8, Trials: 4, Seed: 99, IncludeExtremalPair: true}
-	cfg1 := base
-	cfg1.Workers = 1
-	cfg8 := base
-	cfg8.Workers = 8
-	e1, err := EstimateGreedyDiameter(g, augment.NewUniformScheme(), cfg1)
+	cfg := Config{Pairs: 8, Trials: 4, Seed: 99, IncludeExtremalPair: true}
+	e1, err := newTestEngine(t, 1).Estimate(g, augment.NewUniformScheme(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e8, err := EstimateGreedyDiameter(g, augment.NewUniformScheme(), cfg8)
+	e8, err := newTestEngine(t, 8).Estimate(g, augment.NewUniformScheme(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +62,14 @@ func TestEstimateDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestEstimateDeterministicAcrossRuns(t *testing.T) {
+	e := newTestEngine(t, 0)
 	g := gen.Cycle(500)
 	cfg := Config{Pairs: 6, Trials: 5, Seed: 1234}
-	a, err := EstimateGreedyDiameter(g, augment.NewBallScheme(), cfg)
+	a, err := e.Estimate(g, augment.NewBallScheme(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EstimateGreedyDiameter(g, augment.NewBallScheme(), cfg)
+	b, err := e.Estimate(g, augment.NewBallScheme(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,24 +79,27 @@ func TestEstimateDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestEstimateDifferentSeedsDiffer(t *testing.T) {
+	e := newTestEngine(t, 0)
 	g := gen.Cycle(500)
-	a, _ := EstimateGreedyDiameter(g, augment.NewUniformScheme(), Config{Pairs: 6, Trials: 5, Seed: 1})
-	b, _ := EstimateGreedyDiameter(g, augment.NewUniformScheme(), Config{Pairs: 6, Trials: 5, Seed: 2})
+	a, _ := e.Estimate(g, augment.NewUniformScheme(), Config{Pairs: 6, Trials: 5, Seed: 1})
+	b, _ := e.Estimate(g, augment.NewUniformScheme(), Config{Pairs: 6, Trials: 5, Seed: 2})
 	if a.MeanSteps == b.MeanSteps {
 		t.Fatal("different seeds produced byte-identical estimates (suspicious)")
 	}
 }
 
 func TestEstimateRejectsTinyGraph(t *testing.T) {
-	if _, err := EstimateGreedyDiameter(gen.Path(1), augment.NewUniformScheme(), Config{}); err == nil {
+	e := newTestEngine(t, 0)
+	if _, err := e.Estimate(gen.Path(1), augment.NewUniformScheme(), Config{}); err == nil {
 		t.Fatal("single-node graph accepted")
 	}
 }
 
 func TestEstimateRejectsBadFixedPairs(t *testing.T) {
+	e := newTestEngine(t, 0)
 	g := gen.Path(10)
 	cfg := Config{FixedPairs: []Pair{{Source: 0, Target: 50}}}
-	if _, err := EstimateGreedyDiameter(g, augment.NewUniformScheme(), cfg); err == nil {
+	if _, err := e.Estimate(g, augment.NewUniformScheme(), cfg); err == nil {
 		t.Fatal("out-of-range fixed pair accepted")
 	}
 }
@@ -107,9 +109,10 @@ func TestEstimateDisconnectedPairCounted(t *testing.T) {
 	// apart), so it must be counted as unreachable — not an error, which is
 	// what an earlier version did and which made any churn run with a split
 	// component abort wholesale.
+	e := newTestEngine(t, 0)
 	g := graph.NewBuilder(4).AddEdge(0, 1).AddEdge(2, 3).Build()
 	cfg := Config{FixedPairs: []Pair{{Source: 0, Target: 3}}}
-	est, err := EstimateGreedyDiameter(g, augment.NewUniformScheme(), cfg)
+	est, err := e.Estimate(g, augment.NewUniformScheme(), cfg)
 	if err != nil {
 		t.Fatalf("disconnected pair errored: %v", err)
 	}
@@ -119,19 +122,21 @@ func TestEstimateDisconnectedPairCounted(t *testing.T) {
 }
 
 func TestEstimatePropagatesPrepareError(t *testing.T) {
+	e := newTestEngine(t, 0)
 	g := gen.Cycle(10)
 	bad := augment.NewTheorem2Scheme(func(g *graph.Graph) (*decomp.PathDecomposition, error) {
 		return decomp.OfPathGraph(g) // cycle is not a path -> error
 	})
-	if _, err := EstimateGreedyDiameter(g, bad, Config{Pairs: 2, Trials: 1}); err == nil {
+	if _, err := e.Estimate(g, bad, Config{Pairs: 2, Trials: 1}); err == nil {
 		t.Fatal("Prepare error not propagated")
 	}
 }
 
 func TestExtremalPairIncluded(t *testing.T) {
+	e := newTestEngine(t, 0)
 	g := gen.Path(300)
 	cfg := Config{Pairs: 4, Trials: 1, Seed: 5, IncludeExtremalPair: true}
-	est, err := EstimateGreedyDiameter(g, augment.NewNoAugmentation(), cfg)
+	est, err := e.Estimate(g, augment.NewNoAugmentation(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,9 +150,10 @@ func TestExtremalPairIncluded(t *testing.T) {
 func TestUniformSchemeSqrtNShape(t *testing.T) {
 	// The core sanity check behind E1: on a long cycle, uniform augmentation
 	// needs far fewer steps than the diameter but far more than polylog.
+	e := newTestEngine(t, 0)
 	g := gen.Cycle(4000)
 	cfg := Config{Pairs: 10, Trials: 4, Seed: 7, IncludeExtremalPair: true}
-	est, err := EstimateGreedyDiameter(g, augment.NewUniformScheme(), cfg)
+	est, err := e.Estimate(g, augment.NewUniformScheme(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +170,8 @@ func TestBallSchemeBeatsUniformOnLargePath(t *testing.T) {
 	// The headline Theorem 4 effect, at small scale: on a long path the ball
 	// scheme should need noticeably fewer steps than the uniform scheme.
 	g := gen.Path(8000)
-	cfg := Config{Pairs: 8, Trials: 3, Seed: 11, IncludeExtremalPair: true}
-	ests, err := CompareSchemes(g, []augment.Scheme{augment.NewUniformScheme(), augment.NewBallScheme()}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Pairs: 8, Trials: 3, Seed: 11, IncludeExtremalPair: true, DistFields: dist.NewFieldCache(g, 0)}
+	ests := estimateEach(t, newTestEngine(t, 0), g, cfg, augment.NewUniformScheme(), augment.NewBallScheme())
 	uniform, ball := ests[0], ests[1]
 	if ball.GreedyDiameter >= uniform.GreedyDiameter {
 		t.Fatalf("ball scheme (%v) did not beat uniform (%v) on n=8000 path",
@@ -177,17 +180,18 @@ func TestBallSchemeBeatsUniformOnLargePath(t *testing.T) {
 }
 
 func TestSharedDistFieldsMatchPrivate(t *testing.T) {
+	e := newTestEngine(t, 0)
 	// A caller-supplied field cache must leave results untouched (fields are
 	// deterministic) while amortising the per-target BFS across schemes.
 	g := gen.Grid2D(15, 15)
 	cfg := Config{Pairs: 6, Trials: 3, Seed: 41, IncludeExtremalPair: true}
-	private, err := EstimateGreedyDiameter(g, augment.NewUniformScheme(), cfg)
+	private, err := e.Estimate(g, augment.NewUniformScheme(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shared := cfg
 	shared.DistFields = dist.NewFieldCache(g, 0)
-	cached, err := EstimateGreedyDiameter(g, augment.NewUniformScheme(), shared)
+	cached, err := e.Estimate(g, augment.NewUniformScheme(), shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +203,7 @@ func TestSharedDistFieldsMatchPrivate(t *testing.T) {
 	}
 	// A second run over the same pairs must not grow the cache.
 	before := shared.DistFields.Len()
-	if _, err := EstimateGreedyDiameter(g, augment.NewBallScheme(), shared); err != nil {
+	if _, err := e.Estimate(g, augment.NewBallScheme(), shared); err != nil {
 		t.Fatal(err)
 	}
 	if shared.DistFields.Len() != before {
@@ -209,11 +213,8 @@ func TestSharedDistFieldsMatchPrivate(t *testing.T) {
 
 func TestCompareSchemesOrderAndNames(t *testing.T) {
 	g := gen.Grid2D(10, 10)
-	schemes := []augment.Scheme{augment.NewNoAugmentation(), augment.NewUniformScheme()}
-	ests, err := CompareSchemes(g, schemes, Config{Pairs: 3, Trials: 2, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Pairs: 3, Trials: 2, Seed: 3, DistFields: dist.NewFieldCache(g, 0)}
+	ests := estimateEach(t, newTestEngine(t, 0), g, cfg, augment.NewNoAugmentation(), augment.NewUniformScheme())
 	if len(ests) != 2 || ests[0].Scheme != "none" || ests[1].Scheme != "uniform" {
 		t.Fatalf("unexpected comparison output: %+v", ests)
 	}
@@ -222,18 +223,22 @@ func TestCompareSchemesOrderAndNames(t *testing.T) {
 	}
 }
 
+// TestSweepAndFit runs a size sweep on one engine with the per-size seed
+// rule of examples/barrier and fits the scaling exponent.
 func TestSweepAndFit(t *testing.T) {
-	sizes := []int{200, 400, 800, 1600}
-	build := func(n int) (*graph.Graph, error) { return gen.Path(n), nil }
-	results, err := Sweep(sizes, build, augment.NewNoAugmentation(),
-		Config{Pairs: 2, Trials: 1, Seed: 17, IncludeExtremalPair: true})
-	if err != nil {
-		t.Fatal(err)
+	e := newTestEngine(t, 0)
+	cfg := Config{Pairs: 2, Trials: 1, IncludeExtremalPair: true}
+	var x, y []float64
+	for i, n := range []int{200, 400, 800, 1600} {
+		cfg.Seed = 17 + uint64(i)*0x9e3779b97f4a7c15
+		est, err := e.Estimate(gen.Path(n), augment.NewNoAugmentation(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x = append(x, float64(est.N))
+		y = append(y, est.GreedyDiameter)
 	}
-	if len(results) != len(sizes) {
-		t.Fatalf("%d results", len(results))
-	}
-	fit, err := FitPower(results)
+	fit, err := stats.PowerLaw(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,25 +249,11 @@ func TestSweepAndFit(t *testing.T) {
 	}
 }
 
-func TestSweepPropagatesBuildErrors(t *testing.T) {
-	build := func(n int) (*graph.Graph, error) {
-		return nil, errBuild
-	}
-	if _, err := Sweep([]int{10}, build, augment.NewUniformScheme(), Config{}); err == nil {
-		t.Fatal("build error not propagated")
-	}
-}
-
-var errBuild = &buildError{}
-
-type buildError struct{}
-
-func (*buildError) Error() string { return "build failed" }
-
 func TestLookaheadConfigRuns(t *testing.T) {
+	e := newTestEngine(t, 0)
 	g := gen.Grid2D(15, 15)
 	cfg := Config{Pairs: 4, Trials: 2, Seed: 23, Lookahead: true}
-	est, err := EstimateGreedyDiameter(g, augment.NewUniformScheme(), cfg)
+	est, err := e.Estimate(g, augment.NewUniformScheme(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +286,7 @@ func TestEngineReuseAcrossEstimations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oneShot, err := EstimateGreedyDiameter(gen.Path(100), augment.NewUniformScheme(), cfg)
+	oneShot, err := newTestEngine(t, 2).Estimate(gen.Path(100), augment.NewUniformScheme(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,6 +335,7 @@ func TestEngineConcurrentEstimations(t *testing.T) {
 }
 
 func TestAdaptiveStopsEarlyOnZeroVariance(t *testing.T) {
+	e := newTestEngine(t, 0)
 	// Without augmentation every trial of a pair takes exactly dist(s,t)
 	// steps, so the CI collapses after the first batch and the adaptive
 	// schedule must stop at the base budget instead of the cap.
@@ -355,7 +347,7 @@ func TestAdaptiveStopsEarlyOnZeroVariance(t *testing.T) {
 		TargetCI:   0.05,
 		Seed:       1,
 	}
-	est, err := EstimateGreedyDiameter(g, augment.NewNoAugmentation(), cfg)
+	est, err := e.Estimate(g, augment.NewNoAugmentation(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,16 +363,17 @@ func TestAdaptiveStopsEarlyOnZeroVariance(t *testing.T) {
 }
 
 func TestAdaptiveSpendsMoreOnNoisyPairs(t *testing.T) {
+	e := newTestEngine(t, 0)
 	g := gen.Cycle(2000)
 	base := Config{Pairs: 6, Trials: 4, Seed: 3, IncludeExtremalPair: true}
-	fixed, err := EstimateGreedyDiameter(g, augment.NewUniformScheme(), base)
+	fixed, err := e.Estimate(g, augment.NewUniformScheme(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tight := base
 	tight.TargetCI = 0.05
 	tight.MaxTrials = 256
-	adaptive, err := EstimateGreedyDiameter(g, augment.NewUniformScheme(), tight)
+	adaptive, err := e.Estimate(g, augment.NewUniformScheme(), tight)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,16 +391,12 @@ func TestAdaptiveSpendsMoreOnNoisyPairs(t *testing.T) {
 
 func TestAdaptiveDeterministicAcrossWorkerCounts(t *testing.T) {
 	g := gen.Grid2D(20, 20)
-	base := Config{Pairs: 6, Trials: 3, Seed: 99, IncludeExtremalPair: true, TargetCI: 0.1, MaxTrials: 48}
-	cfg1 := base
-	cfg1.Workers = 1
-	cfg7 := base
-	cfg7.Workers = 7
-	e1, err := EstimateGreedyDiameter(g, augment.NewBallScheme(), cfg1)
+	cfg := Config{Pairs: 6, Trials: 3, Seed: 99, IncludeExtremalPair: true, TargetCI: 0.1, MaxTrials: 48}
+	e1, err := newTestEngine(t, 1).Estimate(g, augment.NewBallScheme(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e7, err := EstimateGreedyDiameter(g, augment.NewBallScheme(), cfg7)
+	e7, err := newTestEngine(t, 7).Estimate(g, augment.NewBallScheme(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +411,7 @@ func TestAdaptiveDeterministicAcrossWorkerCounts(t *testing.T) {
 // more distinct graph sizes than maxWorkerScratches, interleaved and
 // repeated so evicted sizes are revisited.  Scratch identity (fresh,
 // reused, or rebuilt after eviction) must never affect results — every
-// estimate must equal the one a fresh transient engine computes.
+// estimate must equal the one a fresh engine computes.
 func TestEngineScratchReuseAcrossManySizes(t *testing.T) {
 	e := NewEngine(1) // one worker so every size shares a single scratch map
 	defer e.Close()
@@ -433,7 +422,7 @@ func TestEngineScratchReuseAcrossManySizes(t *testing.T) {
 	}
 	want := make([]*Estimate, len(sizes))
 	for i, n := range sizes {
-		est, err := EstimateGreedyDiameter(gen.Cycle(n), augment.NewUniformScheme(), cfg)
+		est, err := newTestEngine(t, 1).Estimate(gen.Cycle(n), augment.NewUniformScheme(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -458,15 +447,16 @@ func TestEngineScratchReuseAcrossManySizes(t *testing.T) {
 // TestDistSourceMatchesFieldBacked: routing through an analytic dist.Source
 // must reproduce the field-backed estimates exactly, pair stats included.
 func TestDistSourceMatchesFieldBacked(t *testing.T) {
+	e := newTestEngine(t, 0)
 	g := gen.Torus2D(16, 16)
 	base := Config{Pairs: 5, Trials: 3, Seed: 21, IncludeExtremalPair: true}
-	fieldBacked, err := EstimateGreedyDiameter(g, augment.NewUniformScheme(), base)
+	fieldBacked, err := e.Estimate(g, augment.NewUniformScheme(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	withSource := base
 	withSource.DistSource = gen.Torus2DMetric(16, 16)
-	analytic, err := EstimateGreedyDiameter(g, augment.NewUniformScheme(), withSource)
+	analytic, err := e.Estimate(g, augment.NewUniformScheme(), withSource)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,6 +476,7 @@ func TestDistSourceMatchesFieldBacked(t *testing.T) {
 // and (on a family with a closed form) the analytic metric must agree on
 // every number — all tiers are exact, so the policy is a pure cost knob.
 func TestEstimatePolicyEquivalence(t *testing.T) {
+	e := newTestEngine(t, 0)
 	rng := xrand.New(31)
 	graphs := []*graph.Graph{
 		gen.PowerLawAttachment(600, 2, rng), // no analytic metric: twohop vs fields
@@ -495,7 +486,7 @@ func TestEstimatePolicyEquivalence(t *testing.T) {
 		var want *Estimate
 		for _, policy := range []dist.SourcePolicy{dist.PolicyField, dist.PolicyTwoHop, dist.PolicyAuto, dist.PolicyAnalytic} {
 			cfg := Config{Pairs: 6, Trials: 3, Seed: 9, IncludeExtremalPair: true, Policy: policy}
-			est, err := EstimateGreedyDiameter(g, augment.NewUniformScheme(), cfg)
+			est, err := e.Estimate(g, augment.NewUniformScheme(), cfg)
 			if err != nil {
 				t.Fatalf("%v under %q: %v", g, policy, err)
 			}
@@ -523,6 +514,7 @@ func TestEstimatePolicyEquivalence(t *testing.T) {
 // components runs no trials, is reported in the Unreachable counters, and
 // never errors the estimation or skews the means of the reachable pairs.
 func TestDisconnectedPairCountedNotErrored(t *testing.T) {
+	e := newTestEngine(t, 0)
 	// Two components: a path 0..4 and a path 5..9.
 	b := graph.NewBuilder(10)
 	for i := 0; i < 4; i++ {
@@ -539,7 +531,7 @@ func TestDisconnectedPairCountedNotErrored(t *testing.T) {
 		Trials: 2,
 		Seed:   3,
 	}
-	est, err := EstimateGreedyDiameter(g, augment.NewNoAugmentation(), cfg)
+	est, err := e.Estimate(g, augment.NewNoAugmentation(), cfg)
 	if err != nil {
 		t.Fatalf("disconnected pair errored the run: %v", err)
 	}
@@ -562,4 +554,28 @@ func TestDisconnectedPairCountedNotErrored(t *testing.T) {
 			t.Fatalf("reachable pair misreported: %+v", p)
 		}
 	}
+}
+
+// newTestEngine starts an engine with the given pool size and closes it
+// when the test ends.
+func newTestEngine(t *testing.T, workers int) *Engine {
+	t.Helper()
+	e := NewEngine(workers)
+	t.Cleanup(e.Close)
+	return e
+}
+
+// estimateEach estimates every scheme on g with the same configuration on
+// one engine, returning the estimates in scheme order.
+func estimateEach(t *testing.T, e *Engine, g *graph.Graph, cfg Config, schemes ...augment.Scheme) []*Estimate {
+	t.Helper()
+	out := make([]*Estimate, 0, len(schemes))
+	for _, s := range schemes {
+		est, err := e.Estimate(g, s, cfg)
+		if err != nil {
+			t.Fatalf("scheme %s: %v", s.Name(), err)
+		}
+		out = append(out, est)
+	}
+	return out
 }
