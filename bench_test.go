@@ -203,12 +203,11 @@ func BenchmarkTwoHopBuild(b *testing.B) {
 // benchmarks.
 const twoHopQueryMask = 1<<12 - 1
 
-// twoHopQuerySetup builds the oracle above (raw or packed, as the auto
-// policy builds it) and pre-draws query endpoints so the timer sees only
-// the queries.
-func twoHopQuerySetup(packed bool) (o *dist.TwoHop, us, vs []graph.NodeID) {
+// twoHopQuerySetup builds the oracle above and pre-draws query endpoints
+// so the timer sees only the queries.
+func twoHopQuerySetup() (o *dist.TwoHop, us, vs []graph.NodeID) {
 	g := gen.PowerLawAttachment(16384, 2, xrand.New(4))
-	o = dist.NewTwoHopWith(g, dist.TwoHopOptions{Packed: packed})
+	o = dist.NewTwoHop(g)
 	rng := xrand.New(2)
 	us = make([]graph.NodeID, twoHopQueryMask+1)
 	vs = make([]graph.NodeID, twoHopQueryMask+1)
@@ -219,8 +218,12 @@ func twoHopQuerySetup(packed bool) (o *dist.TwoHop, us, vs []graph.NodeID) {
 	return o, us, vs
 }
 
-func benchmarkTwoHopQuery(b *testing.B, packed bool) {
-	o, us, vs := twoHopQuerySetup(packed)
+// BenchmarkTwoHopQuery measures a single exact point-to-point query (one
+// merged scan over two label streams, both decoded on the fly) against the
+// oracle built above — the per-step cost greedy routing pays on
+// unstructured graphs at large n when the target is not pinned.
+func BenchmarkTwoHopQuery(b *testing.B) {
+	o, us, vs := twoHopQuerySetup()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -234,11 +237,12 @@ func benchmarkTwoHopQuery(b *testing.B, packed bool) {
 // route's worth of probes (~650 on the serve-route-hub workload).
 const twoHopPinEvery = 512
 
-// benchmarkTwoHopQueryPinned measures a query against a target-pinned view
-// (one pass over L_u), re-pinning every twoHopPinEvery queries as greedy
-// routing does once per route; the re-pins are inside the timer.
-func benchmarkTwoHopQueryPinned(b *testing.B, packed bool) {
-	o, us, vs := twoHopQuerySetup(packed)
+// BenchmarkTwoHopQuery_pinned is the query greedy routing actually makes:
+// against a target-pinned view (one pass over L_u, the only label
+// decoded), re-pinning every twoHopPinEvery queries as greedy routing does
+// once per route; the re-pins are inside the timer.
+func BenchmarkTwoHopQuery_pinned(b *testing.B) {
+	o, us, vs := twoHopQuerySetup()
 	var p dist.TwoHopPin
 	var t graph.NodeID
 	b.ReportAllocs()
@@ -253,23 +257,6 @@ func benchmarkTwoHopQueryPinned(b *testing.B, packed bool) {
 		}
 	}
 }
-
-// BenchmarkTwoHopQuery measures a single exact point-to-point query (one
-// merged scan over two sorted hub lists) against the oracle built above —
-// the per-step cost greedy routing pays on unstructured graphs at large n.
-func BenchmarkTwoHopQuery(b *testing.B) { benchmarkTwoHopQuery(b, false) }
-
-// BenchmarkTwoHopQuery_packed is the same query on varint-packed labels,
-// the layout the auto policy builds: both streams are decoded per query.
-func BenchmarkTwoHopQuery_packed(b *testing.B) { benchmarkTwoHopQuery(b, true) }
-
-// BenchmarkTwoHopQuery_pinned is the query greedy routing actually makes:
-// against a target pinned once per route, on raw labels.
-func BenchmarkTwoHopQuery_pinned(b *testing.B) { benchmarkTwoHopQueryPinned(b, false) }
-
-// BenchmarkTwoHopQuery_pinnedPacked is the pinned query on packed labels:
-// only L_u is decoded.
-func BenchmarkTwoHopQuery_pinnedPacked(b *testing.B) { benchmarkTwoHopQueryPinned(b, true) }
 
 // BenchmarkLandmarkOracleQuery measures a single O(k) bound query against
 // the oracle built above.
@@ -444,13 +431,13 @@ func BenchmarkRoutingTrial_fieldSource(b *testing.B) {
 }
 
 // BenchmarkRoutingTrial_twoHopSource routes through the exact 2-hop
-// oracle, packed as the auto policy builds it, on a 16384-node power-law
-// graph with no analytic metric: the serve-route-hub hot path, where each
-// route pins the oracle to its target in the reused scratch.  Pairs cycle
-// through a pre-drawn set since one extremal pair is only a few hops apart.
+// oracle on a 16384-node power-law graph with no analytic metric: the
+// serve-route-hub hot path, where each route pins the oracle to its target
+// in the reused scratch.  Pairs cycle through a pre-drawn set since one
+// extremal pair is only a few hops apart.
 func BenchmarkRoutingTrial_twoHopSource(b *testing.B) {
 	g := gen.PowerLawAttachment(16384, 2, xrand.New(4))
-	var o dist.Source = dist.NewTwoHopWith(g, dist.TwoHopOptions{Packed: true})
+	var o dist.Source = dist.NewTwoHop(g)
 	inst, err := augment.NewUniformScheme().Prepare(g)
 	if err != nil {
 		b.Fatal(err)

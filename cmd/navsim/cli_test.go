@@ -1,10 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"navaug/internal/serve"
+	"navaug/internal/snapshot"
 )
 
 // runCommand runs `navsim <args>` in-process and returns what the command
@@ -115,6 +121,54 @@ func TestGraphWritesFile(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Fatalf("graph -o wrote %q, want %q", got, want)
+	}
+}
+
+// TestSnapshotTwoHopAliases: -oracle twohop and its synonym twohop-packed
+// write byte-identical snapshots, and the server navsim serve runs on
+// either reports the oracle as "twohop".
+func TestSnapshotTwoHopAliases(t *testing.T) {
+	dir := t.TempDir()
+	var files [][]byte
+	for _, oracle := range []string{"twohop", "twohop-packed"} {
+		path := filepath.Join(dir, oracle+".navsnap")
+		stdout, _, err := runCommand(t, "snapshot", "-family", "powerlaw", "-n", "512", "-seed", "1",
+			"-scheme", "uniform", "-oracle", oracle, "-o", path, "-quiet")
+		if err != nil {
+			t.Fatalf("snapshot -oracle %s: %v", oracle, err)
+		}
+		if !strings.Contains(stdout, ", oracle twohop\n") {
+			t.Errorf("snapshot -oracle %s: stdout %q does not name oracle twohop", oracle, stdout)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, b)
+
+		snap, err := snapshot.ReadFileTolerant(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := serve.New(snap, serve.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/healthz", nil))
+		srv.Close()
+		var health struct {
+			Oracle string `json:"oracle"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &health); err != nil {
+			t.Fatalf("healthz: %v: %s", err, rec.Body)
+		}
+		if health.Oracle != "twohop" {
+			t.Errorf("serve on a -oracle %s snapshot reports oracle %q, want twohop", oracle, health.Oracle)
+		}
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatal("-oracle twohop and -oracle twohop-packed wrote different snapshots")
 	}
 }
 

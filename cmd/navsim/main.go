@@ -50,14 +50,14 @@ var commands = []*command{
 		name: "run",
 		synopsis: "[-exp E1,E7] [-scale 1.0] [-seed N] [-format text|csv|md|json] [-precision 0.1]\n" +
 			"               [-workers N] [-parallel N] [-pairs N] [-trials N] [-max-trials N]\n" +
-			"               [-oracle auto|analytic|twohop|twohop-packed|field] [-quiet]",
+			"               [-oracle auto|analytic|twohop|field] [-quiet]",
 		summary: "Run the selected experiments (default: all) and print the report.",
 		run:     runExperiments,
 	},
 	{
 		name: "estimate",
 		synopsis: "-family grid -n 4096 -scheme ball [-pairs 12] [-trials 6] [-precision 0.1]\n" +
-			"               [-seed N] [-workers N] [-oracle auto|analytic|twohop|twohop-packed|field]",
+			"               [-seed N] [-workers N] [-oracle auto|analytic|twohop|field]",
 		summary: "Estimate the greedy diameter of one (family, scheme) combination.",
 		run:     runEstimate,
 	},
@@ -82,7 +82,7 @@ var commands = []*command{
 	{
 		name: "snapshot",
 		synopsis: "-family powerlaw-tree -n 1048576 -o graph.navsnap [-seed N] [-scheme ball,uniform]\n" +
-			"               [-draws K] [-oracle auto|analytic|twohop|twohop-packed|field] [-bench-out BENCH_serve.json]",
+			"               [-draws K] [-oracle auto|analytic|twohop|field] [-bench-out BENCH_serve.json]",
 		summary: "Build a graph, its distance oracle and frozen augmentations, and write a .navsnap.",
 		run:     runSnapshot,
 	},
@@ -193,7 +193,7 @@ func runExperiments(c *command, args []string) error {
 	trials := fs.Int("trials", 0, "override augmentation redraws per pair")
 	precision := fs.Float64("precision", 0, "adaptive mode: target 95% CI half-width relative to the mean (0 = fixed budgets)")
 	maxTrials := fs.Int("max-trials", 0, "adaptive mode: per-pair trial cap (0 = 8x the base budget)")
-	oracle := fs.String("oracle", "auto", "distance-source policy: auto, analytic, twohop, twohop-packed or field (identical results; cost knob)")
+	oracle := fs.String("oracle", "auto", "distance-source policy: auto, analytic, twohop (twohop-packed is a synonym) or field (identical results; cost knob)")
 	quiet := fs.Bool("quiet", false, "suppress the per-cell progress on stderr")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -248,7 +248,7 @@ func runEstimate(c *command, args []string) error {
 	precision := fs.Float64("precision", 0, "adaptive mode: target 95% CI half-width relative to the mean (0 = fixed budget)")
 	seed := fs.Uint64("seed", 1, "random seed")
 	workers := fs.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
-	oracle := fs.String("oracle", "auto", "distance-source policy: auto, analytic, twohop, twohop-packed or field (identical results; cost knob)")
+	oracle := fs.String("oracle", "auto", "distance-source policy: auto, analytic, twohop (twohop-packed is a synonym) or field (identical results; cost knob)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

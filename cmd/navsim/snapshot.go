@@ -40,7 +40,7 @@ func runSnapshot(c *command, args []string) error {
 	seed := fs.Uint64("seed", 1, "run seed (the graph matches a `navsim run` at this seed)")
 	schemes := fs.String("scheme", "ball", "comma-separated augmentation schemes to freeze")
 	draws := fs.Int("draws", 1, "frozen full contact tables per scheme")
-	oracle := fs.String("oracle", "auto", "distance tier to pack: auto, analytic, twohop, twohop-packed or field (field packs none)")
+	oracle := fs.String("oracle", "auto", "distance tier to pack: auto, analytic, twohop (twohop-packed is a synonym) or field (field packs none)")
 	out := fs.String("o", "", "output .navsnap path (required)")
 	benchOut := fs.String("bench-out", "", "append a build/load timing record to this JSON bench file")
 	quiet := fs.Bool("quiet", false, "suppress build progress on stderr")

@@ -103,13 +103,11 @@ func BuildSnapshot(opts SnapshotOptions) (*snapshot.Snapshot, *SnapshotBuildStat
 		if !hasMetric {
 			return nil, nil, fmt.Errorf("core: family %s has no analytic metric to pack (oracle %q)", opts.Family, opts.Oracle)
 		}
-	case dist.PolicyTwoHop:
+	case dist.PolicyTwoHop, dist.PolicyTwoHopPacked:
 		th = dist.NewTwoHop(g)
-	case dist.PolicyTwoHopPacked:
-		th = dist.NewTwoHopWith(g, dist.TwoHopOptions{Packed: true})
 	case dist.PolicyAuto:
 		if !hasMetric {
-			th = dist.NewTwoHopWith(g, dist.TwoHopOptions{MaxAvgLabel: dist.TwoHopAutoMaxAvgLabel, Packed: true})
+			th = dist.NewTwoHopWith(g, dist.TwoHopOptions{MaxAvgLabel: dist.TwoHopAutoMaxAvgLabel})
 			if th == nil {
 				progress("2-hop build aborted at the %g avg-label budget; packing no O(1) tier", float64(dist.TwoHopAutoMaxAvgLabel))
 			}
@@ -121,12 +119,8 @@ func BuildSnapshot(opts SnapshotOptions) (*snapshot.Snapshot, *SnapshotBuildStat
 	if th != nil {
 		stats.TwoHopAvgLabel = th.AvgLabel()
 		stats.TwoHopMaxLabel = th.MaxLabel()
-		kind := "raw"
-		if th.Packed() {
-			kind = "packed"
-		}
-		progress("2-hop labels built in %.2fs (avg %.1f, max %d, %.1f MB %s)",
-			stats.OracleBuild.Seconds(), th.AvgLabel(), th.MaxLabel(), float64(th.MemoryBytes())/1e6, kind)
+		progress("2-hop labels built in %.2fs (avg %.1f, max %d, %.1f MB)",
+			stats.OracleBuild.Seconds(), th.AvgLabel(), th.MaxLabel(), float64(th.MemoryBytes())/1e6)
 	} else if hasMetric && opts.Oracle != dist.PolicyField {
 		progress("analytic metric %q packed (no label build needed)", g.Name())
 	}

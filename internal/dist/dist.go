@@ -11,8 +11,9 @@
 //     experiments feasible; every other tier plugs in behind the same
 //     interface (a BFS field wraps into a Source via NewField).
 //   - TwoHop: an exact 2-hop-cover oracle (pruned landmark labeling) for
-//     arbitrary graphs.  Degree-ordered pruned BFS construction, CSR-packed
-//     labels, O(|label_u| + |label_v|) queries in O(1) memory.  Labels stay
+//     arbitrary graphs.  Degree-ordered pruned BFS construction,
+//     delta+varint packed labels, O(|label_u| + |label_v|) queries in O(1)
+//     memory.  Labels stay
 //     polylog on tree-like and hub-dominated families (E12 rides it to
 //     n = 2^20) and grow ~sqrt(n) on expanders — the SourcePolicy budget
 //     decides when it is worth building.

@@ -72,22 +72,29 @@ func TestConformanceTwoHop(t *testing.T) {
 	})
 }
 
-// TestConformanceTwoHopPacked pins the compressed label representation to
-// BFS ground truth through the same harness: the packed decode path must
-// answer every query exactly as the raw CSR path does.
+// TestConformanceTwoHopPacked pins the oracle reloaded from its packed
+// arrays (TwoHopPackedFromRaw, the snapshot load path) and the Unpack
+// reference the benchmarks and fuzzers compare probes against to BFS
+// ground truth.
 func TestConformanceTwoHopPacked(t *testing.T) {
 	forAllConformanceGraphs(t, func(t *testing.T, g *graph.Graph) {
-		Exact(t, g, dist.NewTwoHopWith(g, dist.TwoHopOptions{Workers: 5, Packed: true}))
+		o := dist.NewTwoHopWith(g, dist.TwoHopOptions{Workers: 5})
+		order, poff, blob := o.RawPacked()
+		loaded, err := dist.TwoHopPackedFromRaw(o.N(), order, poff, blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		Exact(t, g, loaded)
+		Exact(t, g, o.Unpack())
 	})
 }
 
 // TestConformanceTwoHopPinned pins the target-pinned view greedy routing
-// probes through, on raw and packed labels, to BFS ground truth.
+// probes through to BFS ground truth.
 func TestConformanceTwoHopPinned(t *testing.T) {
 	forAllConformanceGraphs(t, func(t *testing.T, g *graph.Graph) {
 		o := dist.NewTwoHopWith(g, dist.TwoHopOptions{Workers: 5})
 		ExactPinned(t, g, o)
-		ExactPinned(t, g, o.Pack())
 	})
 }
 

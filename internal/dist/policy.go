@@ -28,10 +28,8 @@ const (
 	// PolicyTwoHop always builds the exact 2-hop-cover oracle, even on
 	// graphs with an analytic metric and with no label budget.
 	PolicyTwoHop SourcePolicy = "twohop"
-	// PolicyTwoHopPacked is PolicyTwoHop with the labels held in the
-	// delta+varint compressed representation: identical distances from
-	// roughly a quarter of the label memory, at a small per-query decode
-	// cost.
+	// PolicyTwoHopPacked is a synonym of PolicyTwoHop, kept so existing
+	// command lines still parse; ParseSourcePolicy maps it to PolicyTwoHop.
 	PolicyTwoHopPacked SourcePolicy = "twohop-packed"
 	// PolicyField always steers by per-target BFS distance fields.
 	PolicyField SourcePolicy = "field"
@@ -46,20 +44,23 @@ const TwoHopAutoMinNodes = 32768
 // TwoHopAutoMaxAvgLabel is the per-node label budget PolicyAuto hands to
 // the 2-hop build.  Graphs that exceed it (expander-like families whose
 // 2-hop covers grow ~sqrt(n)) abort the build at bounded cost and fall
-// back to BFS fields.  The budget is sized in memory, not entries: auto
-// builds labels packed (delta+varint, ~2 bytes per entry instead of 8),
-// so 256 packed entries cost what 64 raw entries did when the budget was
-// introduced — hub-dominated families like powerlaw now clear it while
-// the expander-like families still abort at bounded cost.  -oracle
-// twohop/twohop-packed forces a build with no budget.
+// back to BFS fields.  The budget is sized in memory, not entries: labels
+// are packed (delta+varint, ~2 bytes per entry instead of 8), so 256
+// entries cost what 64 uncompressed entries did when the budget was
+// introduced — hub-dominated families like powerlaw clear it while the
+// expander-like families still abort at bounded cost.  -oracle twohop
+// forces a build with no budget.
 const TwoHopAutoMaxAvgLabel = 256
 
-// ParseSourcePolicy converts a CLI string into a policy ("" means auto).
+// ParseSourcePolicy converts a CLI string into a policy ("" means auto,
+// "twohop-packed" means twohop).
 func ParseSourcePolicy(s string) (SourcePolicy, error) {
 	switch SourcePolicy(s) {
 	case "":
 		return PolicyAuto, nil
-	case PolicyAuto, PolicyAnalytic, PolicyTwoHop, PolicyTwoHopPacked, PolicyField:
+	case PolicyTwoHopPacked:
+		return PolicyTwoHop, nil
+	case PolicyAuto, PolicyAnalytic, PolicyTwoHop, PolicyField:
 		return SourcePolicy(s), nil
 	}
 	return "", fmt.Errorf("dist: unknown oracle policy %q (known: auto, analytic, twohop, twohop-packed, field)", s)
@@ -90,16 +91,14 @@ func (p SourcePolicy) ResolveWith(g *graph.Graph, metric Source, workers int) So
 		return nil
 	case PolicyAnalytic:
 		return metric
-	case PolicyTwoHop:
+	case PolicyTwoHop, PolicyTwoHopPacked:
 		return NewTwoHopWith(g, TwoHopOptions{Workers: workers})
-	case PolicyTwoHopPacked:
-		return NewTwoHopWith(g, TwoHopOptions{Workers: workers, Packed: true})
 	case PolicyAuto, "":
 		if metric != nil {
 			return metric
 		}
 		if g.N() >= TwoHopAutoMinNodes {
-			if t := NewTwoHopWith(g, TwoHopOptions{Workers: workers, MaxAvgLabel: TwoHopAutoMaxAvgLabel, Packed: true}); t != nil {
+			if t := NewTwoHopWith(g, TwoHopOptions{Workers: workers, MaxAvgLabel: TwoHopAutoMaxAvgLabel}); t != nil {
 				return t
 			}
 		}

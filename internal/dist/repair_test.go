@@ -74,33 +74,31 @@ func churnStep(d *graph.DynGraph, rng *xrand.RNG, k int) []graph.Delta {
 // reconnect the graph.
 func TestDynTwoHopRepairMatchesRebuild(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
-		for _, packed := range []bool{false, true} {
-			base := repairTestGraph(120, 40, 11)
-			d := graph.NewDynGraph(base)
-			oracle, err := dist.NewDynTwoHop(d, dist.TwoHopOptions{Workers: workers, Packed: packed})
-			if err != nil {
-				t.Fatal(err)
+		base := repairTestGraph(120, 40, 11)
+		d := graph.NewDynGraph(base)
+		oracle, err := dist.NewDynTwoHop(d, dist.TwoHopOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := xrand.New(99)
+		for batch := 0; batch < 6; batch++ {
+			deltas := churnStep(d, rng, 5)
+			if _, err := oracle.ApplyBatch(d, deltas, -1); err != nil {
+				t.Fatalf("workers=%d batch %d: %v", workers, batch, err)
 			}
-			rng := xrand.New(99)
-			for batch := 0; batch < 6; batch++ {
-				deltas := churnStep(d, rng, 5)
-				if _, err := oracle.ApplyBatch(d, deltas, -1); err != nil {
-					t.Fatalf("workers=%d batch %d: %v", workers, batch, err)
-				}
-				if oracle.Debt() != 0 {
-					t.Fatalf("workers=%d batch %d: debt %d under unlimited budget", workers, batch, oracle.Debt())
-				}
-				compacted := d.Compact()
-				// Exhaustive conformance against BFS ground truth on the
-				// current graph: repaired == rebuilt == exact.
-				disttest.Exact(t, compacted, oracle)
-				rebuilt := dist.NewTwoHopWith(compacted, dist.TwoHopOptions{Workers: workers})
-				for probe := 0; probe < 200; probe++ {
-					u := int32(rng.Intn(d.N()))
-					v := int32(rng.Intn(d.N()))
-					if got, want := oracle.Dist(u, v), rebuilt.Dist(u, v); got != want {
-						t.Fatalf("workers=%d batch %d: Dist(%d,%d) = %d, rebuild says %d", workers, batch, u, v, got, want)
-					}
+			if oracle.Debt() != 0 {
+				t.Fatalf("workers=%d batch %d: debt %d under unlimited budget", workers, batch, oracle.Debt())
+			}
+			compacted := d.Compact()
+			// Exhaustive conformance against BFS ground truth on the
+			// current graph: repaired == rebuilt == exact.
+			disttest.Exact(t, compacted, oracle)
+			rebuilt := dist.NewTwoHopWith(compacted, dist.TwoHopOptions{Workers: workers})
+			for probe := 0; probe < 200; probe++ {
+				u := int32(rng.Intn(d.N()))
+				v := int32(rng.Intn(d.N()))
+				if got, want := oracle.Dist(u, v), rebuilt.Dist(u, v); got != want {
+					t.Fatalf("workers=%d batch %d: Dist(%d,%d) = %d, rebuild says %d", workers, batch, u, v, got, want)
 				}
 			}
 		}

@@ -38,28 +38,22 @@ import (
 // regular, sparse GNP) 2-hop covers are inherently large and labels grow
 // polynomially; see the E12 notes in BENCH_experiments.json.
 //
-// Labels are stored either raw (two int32 CSR slabs, fastest queries) or
-// packed (per-node delta+varint byte streams, ~2-3 bytes per entry instead
-// of 8; see TwoHopOptions.Packed and Pack).  Both modes answer identical
-// distances; the conformance tests pin them to each other entry by entry.
+// Node v's label is stored as one byte stream of (hub-rank delta, dist)
+// varint pairs, ~2-3 bytes per entry instead of 8 for two int32s.  Probes
+// decode the streams on the fly, one-byte varints inline (twoHopVarint).
+// Labels in the legacy uncompressed layout, as old snapshots store them,
+// are packed at load (TwoHopFromRaw).
 //
 // The oracle is immutable after construction and safe for concurrent
 // readers.  Unreachable pairs yield graph.Unreachable: a hub's BFS never
 // leaves its component, so cross-component labels share no hubs.
 type TwoHop struct {
 	n        int32
-	packed   bool
 	entries  int64
 	maxLabel int            // largest single-node label size
 	order    []graph.NodeID // hub rank -> node, decreasing degree
-	// Raw mode: node v's label is the parallel slices
-	// hubs[index[v]:index[v+1]] (hub ranks, strictly increasing) and
-	// dists[index[v]:index[v+1]].
-	index []int64
-	hubs  []int32
-	dists []int32
-	// Packed mode: node v's label is the varint stream
-	// blob[poff[v]:poff[v+1]] of (hub-rank delta, dist) pairs.
+	// Node v's label is the varint stream blob[poff[v]:poff[v+1]] of
+	// (hub-rank delta, dist) pairs, hub ranks strictly increasing.
 	poff []int64
 	blob []byte
 }
@@ -77,11 +71,9 @@ type TwoHopOptions struct {
 	// commits only, so whether a build aborts — like the labels themselves
 	// — is a pure function of the graph, never of the worker count.
 	MaxAvgLabel float64
-	// Packed stores the finished labels delta+varint compressed (~2-3
-	// bytes per entry instead of 8).  Probes decode the streams on the fly,
-	// one-byte varints inline, so a packed probe reads fewer bytes than a
-	// raw one but does more work per entry.  The label sets — and
-	// therefore every distance — are identical to an unpacked build.
+	// Packed is ignored.
+	//
+	// Deprecated: labels are always packed.
 	Packed bool
 	// forceScalar and force16 disable build engines (tests only): they pin
 	// the byte-identity contract by diffing the engines against each other.
@@ -172,13 +164,10 @@ func NewTwoHopWith(g *graph.Graph, opts TwoHopOptions) *TwoHop {
 	if n > twoHopMaxNodes {
 		panic(fmt.Sprintf("dist: graph of %d nodes exceeds the 2-hop oracle's cap %d", n, twoHopMaxNodes))
 	}
-	t := &TwoHop{n: int32(n), packed: opts.Packed}
+	t := &TwoHop{n: int32(n)}
 	t.order = twoHopOrder(g)
 	if n == 0 {
-		t.index = make([]int64, 1)
-		if opts.Packed {
-			t.index, t.poff = nil, make([]int64, 1)
-		}
+		t.poff = make([]int64, 1)
 		return t
 	}
 	lab, total, ok := twoHopBuildLabels(g, t.order, opts)
@@ -189,71 +178,27 @@ func NewTwoHopWith(g *graph.Graph, opts TwoHopOptions) *TwoHop {
 	for _, l := range lab {
 		t.maxLabel = max(t.maxLabel, len(l))
 	}
-	if opts.Packed {
-		t.poff, t.blob = twoHopEncodeLabels(lab, total)
-		return t
-	}
-	t.index = make([]int64, n+1)
-	t.hubs = make([]int32, total)
-	t.dists = make([]int32, total)
-	for v := 0; v < n; v++ {
-		off := t.index[v]
-		for _, e := range lab[v] {
-			t.hubs[off] = int32(e >> 32)
-			t.dists[off] = int32(uint32(e))
-			off++
-		}
-		t.index[v+1] = off
-		lab[v] = nil
-	}
+	t.poff, t.blob = twoHopEncodeLabels(lab, total)
 	return t
 }
 
 // N returns the number of nodes the oracle covers.
 func (t *TwoHop) N() int { return int(t.n) }
 
-// Packed reports whether the labels are stored varint-compressed.
-func (t *TwoHop) Packed() bool { return t.packed }
+// Packed reports true.
+//
+// Deprecated: labels are always packed.
+func (t *TwoHop) Packed() bool { return true }
 
-// Dist implements Source with one merged scan over the two sorted hub
-// lists.  Pairs with no common hub are in different components and yield
-// graph.Unreachable.
+// Dist implements Source with one merged scan over the two label streams,
+// decoding (hub delta, dist) varints on the fly.  Each round advances the
+// stream(s) whose current hub is the smaller (both on a match); the scan
+// ends when a stream it must advance is exhausted.  Pairs with no common
+// hub are in different components and yield graph.Unreachable.
 func (t *TwoHop) Dist(u, v graph.NodeID) int32 {
 	if u == v {
 		return 0
 	}
-	if t.packed {
-		return t.distPacked(u, v)
-	}
-	i, iEnd := t.index[u], t.index[u+1]
-	j, jEnd := t.index[v], t.index[v+1]
-	best := twoHopInf
-	for i < iEnd && j < jEnd {
-		hu, hv := t.hubs[i], t.hubs[j]
-		switch {
-		case hu == hv:
-			if d := t.dists[i] + t.dists[j]; d < best {
-				best = d
-			}
-			i++
-			j++
-		case hu < hv:
-			i++
-		default:
-			j++
-		}
-	}
-	if best == twoHopInf {
-		return graph.Unreachable
-	}
-	return best
-}
-
-// distPacked is the merged scan over two packed label streams, decoding
-// (hub delta, dist) varints on the fly.  Each round advances the
-// stream(s) whose current hub is the smaller (both on a match); the scan
-// ends when a stream it must advance is exhausted.
-func (t *TwoHop) distPacked(u, v graph.NodeID) int32 {
 	i, iEnd := t.poff[u], t.poff[u+1]
 	j, jEnd := t.poff[v], t.poff[v+1]
 	blob := t.blob
@@ -365,16 +310,8 @@ func twoHopEncodeLabels(lab [][]uint64, total int64) (poff []int64, blob []byte)
 
 // Label returns node v's label as parallel slices: the hubs (as node ids,
 // in increasing hub-rank order) and the exact distances to them.  Tests use
-// it to compare builds — raw against packed — entry by entry.
+// it to compare builds entry by entry.
 func (t *TwoHop) Label(v graph.NodeID) (hubs []graph.NodeID, dists []int32) {
-	if !t.packed {
-		lo, hi := t.index[v], t.index[v+1]
-		hubs = make([]graph.NodeID, hi-lo)
-		for i := lo; i < hi; i++ {
-			hubs[i-lo] = t.order[t.hubs[i]]
-		}
-		return hubs, t.dists[lo:hi]
-	}
 	i, end := t.poff[v], t.poff[v+1]
 	prev := int32(-1)
 	for i < end {
@@ -386,35 +323,12 @@ func (t *TwoHop) Label(v graph.NodeID) (hubs []graph.NodeID, dists []int32) {
 	return hubs, dists
 }
 
-// Pack returns a varint-compressed view of the oracle (itself when already
-// packed).  The label sets are identical; only the storage changes.
-func (t *TwoHop) Pack() *TwoHop {
-	if t.packed {
-		return t
-	}
-	p := &TwoHop{n: t.n, packed: true, entries: t.entries, maxLabel: t.maxLabel, order: t.order}
-	p.poff = make([]int64, t.n+1)
-	p.blob = make([]byte, 0, 2*t.entries+t.entries/2)
-	for v := int32(0); v < t.n; v++ {
-		prev := int32(-1)
-		for i := t.index[v]; i < t.index[v+1]; i++ {
-			p.blob = twoHopAppendUvarint(p.blob, uint32(t.hubs[i]-prev-1))
-			p.blob = twoHopAppendUvarint(p.blob, uint32(t.dists[i]))
-			prev = t.hubs[i]
-		}
-		p.poff[v+1] = int64(len(p.blob))
-	}
-	return p
-}
-
-// Unpack returns a raw (uncompressed) view of the oracle (itself when
-// already raw).
-func (t *TwoHop) Unpack() *TwoHop {
-	if !t.packed {
-		return t
-	}
-	r := &TwoHop{n: t.n, entries: t.entries, maxLabel: t.maxLabel, order: t.order}
-	r.index = make([]int64, t.n+1)
+// Unpack decodes the labels into an uncompressed reference Source whose
+// Dist is a plain merge over int32 hub and distance arrays.  It is not a
+// serving path: benchmarks and tests use it to compare packed probes
+// against undecoded ones, in cost and in answers.
+func (t *TwoHop) Unpack() Source {
+	r := &twoHopRaw{index: make([]int64, t.n+1)}
 	r.hubs = make([]int32, 0, t.entries)
 	r.dists = make([]int32, 0, t.entries)
 	for v := int32(0); v < t.n; v++ {
@@ -431,27 +345,47 @@ func (t *TwoHop) Unpack() *TwoHop {
 	return r
 }
 
-// Raw exposes a raw-mode oracle's packed arrays as shared, read-only
-// slices: the hub order (rank -> node), the CSR index (length N+1), and the
-// parallel hub-rank/distance arrays.  Callers must not modify them.  This
-// is the serialisation entry point: the snapshot writer emits the arrays
-// verbatim and TwoHopFromRaw reconstructs an identical oracle without
-// re-running the pruned-labeling build.  It panics on a packed oracle —
-// use RawPacked there (or Unpack first).
-func (t *TwoHop) Raw() (order []graph.NodeID, index []int64, hubs, dists []int32) {
-	if t.packed {
-		panic("dist: Raw called on a packed TwoHop (use RawPacked or Unpack)")
-	}
-	return t.order, t.index, t.hubs, t.dists
+// twoHopRaw is Unpack's reference form: node v's label is the parallel
+// slices hubs[index[v]:index[v+1]] (hub ranks, strictly increasing) and
+// dists[index[v]:index[v+1]].
+type twoHopRaw struct {
+	index       []int64
+	hubs, dists []int32
 }
 
-// RawPacked exposes a packed oracle's arrays as shared, read-only slices:
-// the hub order, the per-node byte offsets (length N+1) and the varint
-// blob.  It panics on a raw oracle — use Raw there (or Pack first).
-func (t *TwoHop) RawPacked() (order []graph.NodeID, poff []int64, blob []byte) {
-	if !t.packed {
-		panic("dist: RawPacked called on a raw TwoHop (use Raw or Pack)")
+// Dist merges the two sorted hub lists.
+func (r *twoHopRaw) Dist(u, v graph.NodeID) int32 {
+	if u == v {
+		return 0
 	}
+	i, iEnd := r.index[u], r.index[u+1]
+	j, jEnd := r.index[v], r.index[v+1]
+	best := twoHopInf
+	for i < iEnd && j < jEnd {
+		switch hu, hv := r.hubs[i], r.hubs[j]; {
+		case hu == hv:
+			best = min(best, r.dists[i]+r.dists[j])
+			i++
+			j++
+		case hu < hv:
+			i++
+		default:
+			j++
+		}
+	}
+	if best == twoHopInf {
+		return graph.Unreachable
+	}
+	return best
+}
+
+// RawPacked exposes the oracle's arrays as shared, read-only slices: the
+// hub order (rank -> node), the per-node byte offsets (length N+1) and the
+// varint blob.  Callers must not modify them.  This is the serialisation
+// entry point: the snapshot writer emits the arrays verbatim and
+// TwoHopPackedFromRaw reconstructs an identical oracle without re-running
+// the pruned-labeling build.
+func (t *TwoHop) RawPacked() (order []graph.NodeID, poff []int64, blob []byte) {
 	return t.order, t.poff, t.blob
 }
 
@@ -473,9 +407,11 @@ func twoHopValidateOrder(n int, order []graph.NodeID) error {
 	return nil
 }
 
-// TwoHopFromRaw reconstructs an oracle from arrays previously obtained via
-// Raw, taking ownership of the slices (they may alias a read-only snapshot
-// buffer).  It verifies every structural invariant the build establishes —
+// TwoHopFromRaw builds an oracle from labels in the legacy uncompressed
+// layout (a CSR index over parallel hub-rank and distance arrays, as old
+// snapshots store them), encoding them into the packed streams.  It keeps
+// order (which may alias a read-only snapshot buffer) and copies nothing
+// else.  It verifies every structural invariant the build establishes —
 // order is a permutation of the nodes, the index is monotone from 0 and
 // consistent with the label arrays, each node's hub ranks are strictly
 // increasing and in range, and distances lie in [0, n) (an unweighted
@@ -510,6 +446,9 @@ func TwoHopFromRaw(n int, order []graph.NodeID, index []int64, hubs, dists []int
 		return nil, fmt.Errorf("dist: label index decreases at node %d (%d > %d)", v, index[v], index[v+1])
 	}
 	maxLabel := 0
+	poff := make([]int64, n+1)
+	// Typical entries fit one byte of delta and one of distance.
+	blob := make([]byte, 0, 2*len(hubs)+len(hubs)/2)
 	for v := 0; v < n; v++ {
 		lo, hi := index[v], index[v+1]
 		maxLabel = max(maxLabel, int(hi-lo))
@@ -522,17 +461,20 @@ func TwoHopFromRaw(n int, order []graph.NodeID, index []int64, hubs, dists []int
 			if h <= prev {
 				return nil, fmt.Errorf("dist: node %d hub ranks not strictly increasing (%d after %d)", v, h, prev)
 			}
-			prev = h
 			if dists[i] < 0 || int64(dists[i]) >= int64(n) {
 				return nil, fmt.Errorf("dist: node %d has label distance %d out of range [0,%d)", v, dists[i], n)
 			}
+			blob = twoHopAppendUvarint(blob, uint32(h-prev-1))
+			blob = twoHopAppendUvarint(blob, uint32(dists[i]))
+			prev = h
 		}
+		poff[v+1] = int64(len(blob))
 	}
 	return &TwoHop{n: int32(n), entries: int64(len(hubs)), maxLabel: maxLabel, order: order,
-		index: index, hubs: hubs, dists: dists}, nil
+		poff: poff, blob: blob}, nil
 }
 
-// TwoHopPackedFromRaw reconstructs a packed oracle from arrays previously
+// TwoHopPackedFromRaw reconstructs an oracle from arrays previously
 // obtained via RawPacked, taking ownership of the slices.  It fully decodes
 // every label stream once, enforcing the same invariants as TwoHopFromRaw —
 // permutation order, monotone offsets, strictly increasing in-range hub
@@ -596,7 +538,7 @@ func TwoHopPackedFromRaw(n int, order []graph.NodeID, poff []int64, blob []byte)
 		entries += int64(size)
 		maxLabel = max(maxLabel, size)
 	}
-	return &TwoHop{n: int32(n), packed: true, entries: entries, maxLabel: maxLabel, order: order,
+	return &TwoHop{n: int32(n), entries: entries, maxLabel: maxLabel, order: order,
 		poff: poff, blob: blob}, nil
 }
 
@@ -652,10 +594,7 @@ func (t *TwoHop) AvgLabel() float64 {
 // labels are built or validated.
 func (t *TwoHop) MaxLabel() int { return t.maxLabel }
 
-// MemoryBytes returns the approximate resident size of the packed oracle.
+// MemoryBytes returns the approximate resident size of the oracle.
 func (t *TwoHop) MemoryBytes() int64 {
-	if t.packed {
-		return int64(len(t.blob)) + int64(len(t.poff))*8 + int64(len(t.order))*4
-	}
-	return int64(len(t.hubs))*8 + int64(len(t.index))*8 + int64(len(t.order))*4
+	return int64(len(t.blob)) + int64(len(t.poff))*8 + int64(len(t.order))*4
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 
 	"navaug/internal/graph"
@@ -69,14 +70,24 @@ func twoHopPackedFromRawReference(n int, order []graph.NodeID, poff []int64, blo
 	return entries, maxLabel, nil
 }
 
-// fuzzOffsets encodes a packed index as little-endian int16s, the form
-// the fuzzer mutates (small, and negative values stay reachable).
-func fuzzOffsets(poff []int64) []byte {
-	b := make([]byte, 0, 2*len(poff))
-	for _, o := range poff {
-		b = binary.LittleEndian.AppendUint16(b, uint16(int16(o)))
+// fuzzInt16s encodes label arrays as little-endian int16s, the form the
+// fuzzers mutate (small, and negative values stay reachable).
+func fuzzInt16s[T int32 | int64](v []T) []byte {
+	b := make([]byte, 0, 2*len(v))
+	for _, x := range v {
+		b = binary.LittleEndian.AppendUint16(b, uint16(int16(x)))
 	}
 	return b
+}
+
+// fuzzDecodeInt16s is fuzzInt16s's inverse (a trailing odd byte is
+// dropped).
+func fuzzDecodeInt16s[T int32 | int64](b []byte) []T {
+	v := make([]T, len(b)/2)
+	for i := range v {
+		v[i] = T(int16(binary.LittleEndian.Uint16(b[2*i:])))
+	}
+	return v
 }
 
 // FuzzTwoHopPackedFromRaw mutates the label index and varint blob of a
@@ -88,28 +99,25 @@ func fuzzOffsets(poff []int64) []byte {
 // without panicking, and report the reference's entry count and largest
 // label.
 func FuzzTwoHopPackedFromRaw(f *testing.F) {
-	order, poff, valid := NewTwoHopWith(pathGraph(200), TwoHopOptions{Workers: 1, Packed: true}).RawPacked()
+	order, poff, valid := NewTwoHopWith(pathGraph(200), TwoHopOptions{Workers: 1}).RawPacked()
 	n := len(order)
-	f.Add(fuzzOffsets(poff), valid)
-	f.Add(fuzzOffsets(poff), valid[:len(valid)-1])
+	f.Add(fuzzInt16s(poff), valid)
+	f.Add(fuzzInt16s(poff), valid[:len(valid)-1])
 	trunc := append([]byte(nil), valid...)
 	trunc[len(trunc)-1] |= 0x80
-	f.Add(fuzzOffsets(poff), trunc)
+	f.Add(fuzzInt16s(poff), trunc)
 	long := append([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}, valid...)
 	shifted := append([]int64(nil), poff...)
 	for i := 1; i < len(shifted); i++ {
 		shifted[i] += 5
 	}
-	f.Add(fuzzOffsets(shifted), long)
+	f.Add(fuzzInt16s(shifted), long)
 	swapped := append([]int64(nil), poff...)
 	swapped[1], swapped[2] = 1<<14, swapped[1]
-	f.Add(fuzzOffsets(swapped), valid)
+	f.Add(fuzzInt16s(swapped), valid)
 
 	f.Fuzz(func(t *testing.T, offs, blob []byte) {
-		poff := make([]int64, len(offs)/2)
-		for i := range poff {
-			poff[i] = int64(int16(binary.LittleEndian.Uint16(offs[2*i:])))
-		}
+		poff := fuzzDecodeInt16s[int64](offs)
 		entries, maxLabel, refErr := twoHopPackedFromRawReference(n, order, poff, blob)
 		o, err := TwoHopPackedFromRaw(n, order, poff, blob)
 		if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
@@ -134,6 +142,84 @@ func FuzzTwoHopPackedFromRaw(f *testing.F) {
 				}
 				if got := pin.Dist(u, tgt); got != want {
 					t.Fatalf("pinned Dist(%d,%d) = %d, unpacked %d", u, tgt, got, want)
+				}
+			}
+		}
+	})
+}
+
+// rawMergeDist is the reference FuzzTwoHopFromRaw holds converted oracles
+// to: the smallest dist(u, h) + dist(h, v) over every hub h that appears
+// in both legacy raw labels, by plain nested loops.
+func rawMergeDist(index []int64, hubs, dists []int32, u, v graph.NodeID) int32 {
+	if u == v {
+		return 0
+	}
+	best, found := int32(0), false
+	for i := index[u]; i < index[u+1]; i++ {
+		for j := index[v]; j < index[v+1]; j++ {
+			if hubs[i] == hubs[j] && (!found || dists[i]+dists[j] < best) {
+				best, found = dists[i]+dists[j], true
+			}
+		}
+	}
+	if !found {
+		return graph.Unreachable
+	}
+	return best
+}
+
+// FuzzTwoHopFromRaw mutates the legacy raw label arrays (hub order, label
+// index, hub ranks, distances) of a 200-node path, the layout old
+// snapshots store, and feeds them to the load-time converter.  Each input
+// must be rejected without a panic, or yield an oracle whose packed
+// arrays TwoHopPackedFromRaw accepts and whose unpinned and pinned Dist
+// answers on sampled pairs equal rawMergeDist over the input arrays.
+func FuzzTwoHopFromRaw(f *testing.F) {
+	order, index, hubs, dists := twoHopLegacyArrays(NewTwoHopWith(pathGraph(200), TwoHopOptions{Workers: 1}))
+	n := len(order)
+	f.Add(fuzzInt16s(order), fuzzInt16s(index), fuzzInt16s(hubs), fuzzInt16s(dists))
+	f.Add(fuzzInt16s(order), fuzzInt16s(index), fuzzInt16s(hubs), fuzzInt16s(dists[1:]))
+	swapped := slices.Clone(order)
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	f.Add(fuzzInt16s(swapped), fuzzInt16s(index), fuzzInt16s(hubs), fuzzInt16s(dists))
+	far := slices.Clone(dists)
+	far[len(far)-1] = int32(n)
+	f.Add(fuzzInt16s(order), fuzzInt16s(index), fuzzInt16s(hubs), fuzzInt16s(far))
+	repeat := slices.Clone(hubs)
+	repeat[1] = repeat[0]
+	f.Add(fuzzInt16s(order), fuzzInt16s(index), fuzzInt16s(repeat), fuzzInt16s(dists))
+
+	f.Fuzz(func(t *testing.T, orderB, indexB, hubsB, distsB []byte) {
+		order := fuzzDecodeInt16s[int32](orderB)
+		index := fuzzDecodeInt16s[int64](indexB)
+		hubs := fuzzDecodeInt16s[int32](hubsB)
+		dists := fuzzDecodeInt16s[int32](distsB)
+		o, err := TwoHopFromRaw(n, order, index, hubs, dists)
+		if err != nil {
+			return
+		}
+		po, pp, pb := o.RawPacked()
+		reloaded, err := TwoHopPackedFromRaw(n, po, pp, pb)
+		if err != nil {
+			t.Fatalf("converted oracle's packed arrays rejected: %v", err)
+		}
+		if reloaded.Entries() != o.Entries() || reloaded.MaxLabel() != o.MaxLabel() {
+			t.Fatalf("entries/max label %d/%d after reload, %d/%d converted",
+				reloaded.Entries(), reloaded.MaxLabel(), o.Entries(), o.MaxLabel())
+		}
+		var pin TwoHopPin
+		for k := 0; k < 12; k++ {
+			tgt := graph.NodeID(k * 53 % n)
+			pin.Pin(o, tgt)
+			for j := 0; j < 8; j++ {
+				u := graph.NodeID((k*31 + j*17) % n)
+				want := rawMergeDist(index, hubs, dists, u, tgt)
+				if got := o.Dist(u, tgt); got != want {
+					t.Fatalf("Dist(%d,%d) = %d, raw merge %d", u, tgt, got, want)
+				}
+				if got := pin.Dist(u, tgt); got != want {
+					t.Fatalf("pinned Dist(%d,%d) = %d, raw merge %d", u, tgt, got, want)
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"navaug/internal/graph"
@@ -24,6 +25,26 @@ func twoHopBoundaryGraphs() map[string]*graph.Graph {
 		"grid-8x16": gridGraph(8, 16),
 		"rtree-191": randomTreeLike(191, 5),
 	}
+}
+
+// twoHopLegacyArrays decodes o's labels into the legacy uncompressed
+// layout TwoHopFromRaw reads: the hub order and a CSR index over parallel
+// hub-rank and distance arrays.
+func twoHopLegacyArrays(o *TwoHop) (order []graph.NodeID, index []int64, hubs, dists []int32) {
+	r := o.Unpack().(*twoHopRaw)
+	return o.order, r.index, r.hubs, r.dists
+}
+
+// twoHopFromLegacy reloads o through the legacy-layout converter, as a
+// snapshot with a raw 2-hop section is loaded.
+func twoHopFromLegacy(t testing.TB, o *TwoHop) *TwoHop {
+	t.Helper()
+	order, index, hubs, dists := twoHopLegacyArrays(o)
+	l, err := TwoHopFromRaw(o.N(), order, index, hubs, dists)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 // twoHopRequireEqual fails unless the two oracles hold byte-identical
@@ -71,8 +92,8 @@ func TestTwoHopEngineByteIdentity(t *testing.T) {
 // traversal, and one of 17000 nodes exceeds the 16-bit cap (16382) too,
 // driving the build through every fallback seam.  Labels must match the
 // scalar engine exactly, and distances must match the path metric.  The
-// deep path is built packed too: its labels carry 1-, 2- and 3-byte rank
-// deltas and distances, which no other packed-vs-raw test reaches.
+// deep path's labels carry 1-, 2- and 3-byte rank deltas and distances,
+// which no other test reaches.
 func TestTwoHopDepthFallback(t *testing.T) {
 	g := pathGraph(200)
 	twoHopRequireEqual(t, "path-200",
@@ -87,70 +108,57 @@ func TestTwoHopDepthFallback(t *testing.T) {
 			t.Fatalf("deep path: Dist(%d,%d) = %d, want %d", pair[0], pair[1], got, want)
 		}
 	}
-	checkPackedSlowPaths(t, o, NewTwoHopWith(deep, TwoHopOptions{Workers: 2, Packed: true}))
+	checkPackedSlowPaths(t, o)
 }
 
-// TestTwoHopPackedMatchesRaw pins the compressed representation to the raw
-// one: same label sets, same distances, same statistics, and the
-// Pack/Unpack round trips are exact in both directions.
+// TestTwoHopPackedMatchesRaw pins the label streams to the uncompressed
+// layout both ways.  Converting the labels to the legacy raw arrays and
+// back (TwoHopFromRaw, the old-snapshot load path) reproduces the build
+// byte for byte, with the same statistics.  Every distance equals the
+// Unpack reference's plain merge.  And the streams are smaller than the
+// raw section those entries would need.
 func TestTwoHopPackedMatchesRaw(t *testing.T) {
 	graphs := twoHopTestGraphs()
 	for name, g := range twoHopBoundaryGraphs() {
 		graphs[name] = g
 	}
 	for name, g := range graphs {
-		raw := NewTwoHopWith(g, TwoHopOptions{Workers: 1})
-		packed := NewTwoHopWith(g, TwoHopOptions{Workers: 3, Packed: true})
-		if !packed.Packed() || raw.Packed() {
-			t.Fatalf("%s: Packed() flags wrong: packed=%v raw=%v", name, packed.Packed(), raw.Packed())
+		o := NewTwoHopWith(g, TwoHopOptions{Workers: 3})
+		l := twoHopFromLegacy(t, o)
+		twoHopRequireEqual(t, name+"/legacy", o, l)
+		if o.Entries() != l.Entries() || o.MaxLabel() != l.MaxLabel() ||
+			math.Abs(o.AvgLabel()-l.AvgLabel()) > 1e-12 {
+			t.Fatalf("%s: label statistics differ after the legacy round trip", name)
 		}
-		twoHopRequireEqual(t, name+"/packed", raw, packed)
-		if raw.Entries() != packed.Entries() || raw.MaxLabel() != packed.MaxLabel() ||
-			math.Abs(raw.AvgLabel()-packed.AvgLabel()) > 1e-12 {
-			t.Fatalf("%s: label statistics differ between representations", name)
+		oo, op, ob := o.RawPacked()
+		lo, lp, lb := l.RawPacked()
+		if !bytes.Equal(ob, lb) || !slices.Equal(op, lp) || !slices.Equal(oo, lo) {
+			t.Fatalf("%s: legacy round trip changed the packed arrays", name)
 		}
+		ref := o.Unpack()
 		n := g.N()
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
-				if a, b := raw.Dist(graph.NodeID(u), graph.NodeID(v)), packed.Dist(graph.NodeID(u), graph.NodeID(v)); a != b {
-					t.Fatalf("%s: Dist(%d,%d) = %d raw, %d packed", name, u, v, a, b)
+				if a, b := o.Dist(graph.NodeID(u), graph.NodeID(v)), ref.Dist(graph.NodeID(u), graph.NodeID(v)); a != b {
+					t.Fatalf("%s: Dist(%d,%d) = %d, reference %d", name, u, v, a, b)
 				}
 			}
 		}
-		// Round trips: packing the raw build must reproduce the packed
-		// build byte for byte, and unpacking must restore the raw arrays.
-		po, pp, pb := packed.RawPacked()
-		ro, rp, rb := raw.Pack().RawPacked()
-		if !bytes.Equal(pb, rb) {
-			t.Fatalf("%s: Pack() blob differs from a Packed build", name)
-		}
-		for i := range pp {
-			if pp[i] != rp[i] {
-				t.Fatalf("%s: Pack() poff[%d] = %d, want %d", name, i, rp[i], pp[i])
-			}
-		}
-		for i := range po {
-			if po[i] != ro[i] {
-				t.Fatalf("%s: Pack() order[%d] differs", name, i)
-			}
-		}
-		twoHopRequireEqual(t, name+"/unpack", raw, packed.Unpack())
-		if n > 8 && packed.MemoryBytes() >= raw.MemoryBytes() {
-			t.Fatalf("%s: packed oracle (%d B) not smaller than raw (%d B)",
-				name, packed.MemoryBytes(), raw.MemoryBytes())
+		if raw := 4*int64(n) + 8*int64(n+1) + 8*o.Entries(); n > 8 && o.MemoryBytes() >= raw {
+			t.Fatalf("%s: packed oracle (%d B) not smaller than raw labels (%d B)", name, o.MemoryBytes(), raw)
 		}
 	}
 }
 
 // TestTwoHopPackedDeterministicAcrossWorkers extends the worker-identity
-// contract to the compressed representation and the batch-boundary sizes:
+// contract to the batch-boundary sizes:
 // the varint blob itself — not just the decoded labels — must be the same
 // bytes at every worker count.
 func TestTwoHopPackedDeterministicAcrossWorkers(t *testing.T) {
 	for name, g := range twoHopBoundaryGraphs() {
-		_, bp, bb := NewTwoHopWith(g, TwoHopOptions{Workers: 1, Packed: true}).RawPacked()
+		_, bp, bb := NewTwoHopWith(g, TwoHopOptions{Workers: 1}).RawPacked()
 		for _, workers := range []int{2, 3, 8, 64} {
-			_, op, ob := NewTwoHopWith(g, TwoHopOptions{Workers: workers, Packed: true}).RawPacked()
+			_, op, ob := NewTwoHopWith(g, TwoHopOptions{Workers: workers}).RawPacked()
 			if !bytes.Equal(bb, ob) {
 				t.Fatalf("%s: packed blob differs at %d workers", name, workers)
 			}
@@ -170,7 +178,7 @@ func TestTwoHopPackedDeterministicAcrossWorkers(t *testing.T) {
 // bound every distance to [0, n).
 func TestTwoHopFromRawHostileDistance(t *testing.T) {
 	g := pathGraph(8)
-	order, index, hubs, dists := NewTwoHopWith(g, TwoHopOptions{Workers: 1}).Raw()
+	order, index, hubs, dists := twoHopLegacyArrays(NewTwoHopWith(g, TwoHopOptions{Workers: 1}))
 	n := g.N()
 
 	clone := func() []int32 { return append([]int32(nil), dists...) }
@@ -207,7 +215,7 @@ func TestTwoHopFromRawHostileDistance(t *testing.T) {
 // the blob out of bounds or overflow.
 func TestTwoHopPackedFromRawHostile(t *testing.T) {
 	g := gridGraph(5, 5)
-	order, poff, blob := NewTwoHopWith(g, TwoHopOptions{Workers: 1, Packed: true}).RawPacked()
+	order, poff, blob := NewTwoHopWith(g, TwoHopOptions{Workers: 1}).RawPacked()
 	n := g.N()
 	cloneOff := func() []int64 { return append([]int64(nil), poff...) }
 	cloneBlob := func() []byte { return append([]byte(nil), blob...) }
@@ -263,15 +271,15 @@ func TestTwoHopPackedFromRawHostile(t *testing.T) {
 	}
 }
 
-// checkPackedSlowPaths pins a packed oracle whose labels need multi-byte
-// varints to its raw twin on sampled nodes and pairs: Label, MaxLabel,
-// unpinned Dist and pinned Dist across re-pins all go through the
-// out-of-line decode for the long varints.  It first checks the blob
-// really holds 1-, 2- and 3-byte rank deltas and distances, so every slow
-// path runs.
-func checkPackedSlowPaths(t *testing.T, raw, packed *TwoHop) {
+// checkPackedSlowPaths checks a path oracle whose labels need multi-byte
+// varints on sampled nodes and pairs: Label, unpinned Dist and pinned Dist
+// across re-pins all go through the out-of-line decode for the long
+// varints, and must give the path metric.  It first checks the blob really
+// holds 1-, 2- and 3-byte rank deltas and distances, so every slow path
+// runs.
+func checkPackedSlowPaths(t *testing.T, o *TwoHop) {
 	t.Helper()
-	_, _, blob := packed.RawPacked()
+	_, _, blob := o.RawPacked()
 	var widths [2][4]int // [delta, dist][bytes]
 	for i, k := int64(0), 0; i < int64(len(blob)); k++ {
 		_, next := twoHopUvarint(blob, i)
@@ -283,33 +291,27 @@ func checkPackedSlowPaths(t *testing.T, raw, packed *TwoHop) {
 			t.Fatalf("%s varints of 1/2/3+ bytes: %d/%d/%d, want all present", name, w[1], w[2], w[3])
 		}
 	}
-	if raw.MaxLabel() != packed.MaxLabel() {
-		t.Fatalf("MaxLabel = %d packed, %d raw", packed.MaxLabel(), raw.MaxLabel())
-	}
-	n := raw.N()
+	pathDist := func(u, v graph.NodeID) int32 { return max(u-v, v-u) }
+	n := o.N()
 	rng := xrand.New(0x17)
 	var pin TwoHopPin
 	for k := 0; k < 40; k++ {
 		tgt := graph.NodeID(rng.Intn(n))
-		wh, wd := raw.Label(tgt)
-		gh, gd := packed.Label(tgt)
-		if len(wh) != len(gh) {
-			t.Fatalf("node %d: packed label size %d, raw %d", tgt, len(gh), len(wh))
-		}
-		for i := range wh {
-			if wh[i] != gh[i] || wd[i] != gd[i] {
-				t.Fatalf("node %d entry %d: packed (%d,%d), raw (%d,%d)", tgt, i, gh[i], gd[i], wh[i], wd[i])
+		hubs, dists := o.Label(tgt)
+		for i, h := range hubs {
+			if want := pathDist(h, tgt); dists[i] != want {
+				t.Fatalf("node %d entry %d: hub %d at distance %d, want %d", tgt, i, h, dists[i], want)
 			}
 		}
-		pin.Pin(packed, tgt)
+		pin.Pin(o, tgt)
 		for j := 0; j < 25; j++ {
 			u := graph.NodeID(rng.Intn(n))
-			want := raw.Dist(u, tgt)
-			if got := packed.Dist(u, tgt); got != want {
-				t.Fatalf("packed Dist(%d,%d) = %d, raw %d", u, tgt, got, want)
+			want := pathDist(u, tgt)
+			if got := o.Dist(u, tgt); got != want {
+				t.Fatalf("Dist(%d,%d) = %d, want %d", u, tgt, got, want)
 			}
 			if got := pin.Dist(u, tgt); got != want {
-				t.Fatalf("pinned packed Dist(%d,%d) = %d, raw %d", u, tgt, got, want)
+				t.Fatalf("pinned Dist(%d,%d) = %d, want %d", u, tgt, got, want)
 			}
 		}
 	}

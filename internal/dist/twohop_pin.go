@@ -49,18 +49,6 @@ func (p *TwoHopPin) Pin(o *TwoHop, t graph.NodeID) {
 // scatter writes v's label into dense (dense[h] = dist(v, h)), or resets
 // those entries to twoHopPinAbsent when clear is set.
 func (t *TwoHop) scatter(v graph.NodeID, dense []int32, clear bool) {
-	if !t.packed {
-		lo, hi := t.index[v], t.index[v+1]
-		dists := t.dists[lo:hi]
-		for k, h := range t.hubs[lo:hi] {
-			if clear {
-				dense[h] = twoHopPinAbsent
-			} else {
-				dense[h] = dists[k]
-			}
-		}
-		return
-	}
 	blob := t.blob
 	i, end := t.poff[v], t.poff[v+1]
 	h := int32(-1)
@@ -88,23 +76,15 @@ func (p *TwoHopPin) Dist(u, t graph.NodeID) int32 {
 	}
 	pin := p.dense
 	best := twoHopPinAbsent
-	if o.packed {
-		blob := o.blob
-		i, end := o.poff[u], o.poff[u+1]
-		h := int32(-1)
-		for i < end {
-			var x, d int32
-			x, i = twoHopVarint(blob, i)
-			h += x + 1
-			d, i = twoHopVarint(blob, i)
-			best = min(best, d+pin[h])
-		}
-	} else {
-		lo, hi := o.index[u], o.index[u+1]
-		hubs, dists := o.hubs[lo:hi], o.dists[lo:hi]
-		for k, h := range hubs {
-			best = min(best, dists[k]+pin[h])
-		}
+	blob := o.blob
+	i, end := o.poff[u], o.poff[u+1]
+	h := int32(-1)
+	for i < end {
+		var x, d int32
+		x, i = twoHopVarint(blob, i)
+		h += x + 1
+		d, i = twoHopVarint(blob, i)
+		best = min(best, d+pin[h])
 	}
 	if best >= twoHopPinAbsent {
 		return graph.Unreachable

@@ -64,14 +64,14 @@ func checkPinnedAgainstUnpinned(t *testing.T, o *TwoHop) {
 	}
 }
 
+// TestTwoHopPinMatchesUnpinned runs the pinned view on every graph's
+// labels as built ("packed") and as loaded from the legacy raw layout
+// ("raw"): an old snapshot's labels must pin like fresh ones.
 func TestTwoHopPinMatchesUnpinned(t *testing.T) {
 	for name, g := range pinTestGraphs() {
-		for _, packed := range []bool{false, true} {
-			o := NewTwoHopWith(g, TwoHopOptions{Workers: 2, Packed: packed})
-			t.Run(name+map[bool]string{false: "/raw", true: "/packed"}[packed], func(t *testing.T) {
-				checkPinnedAgainstUnpinned(t, o)
-			})
-		}
+		o := NewTwoHopWith(g, TwoHopOptions{Workers: 2})
+		t.Run(name+"/packed", func(t *testing.T) { checkPinnedAgainstUnpinned(t, o) })
+		t.Run(name+"/raw", func(t *testing.T) { checkPinnedAgainstUnpinned(t, twoHopFromLegacy(t, o)) })
 	}
 }
 
@@ -95,48 +95,45 @@ func checkPinBuffer(t *testing.T, p *TwoHopPin, o *TwoHop, tgt graph.NodeID) {
 // half-way and after a scatter cut short: the next pin must clear every
 // entry either one left.
 func TestTwoHopPinRepinAfterAbandonedPin(t *testing.T) {
-	g := pinTestGraphs()["powerlaw"]
-	for _, packed := range []bool{false, true} {
-		o := NewTwoHopWith(g, TwoHopOptions{Packed: packed})
-		var p TwoHopPin
-		// A route pinned to 0 and abandoned after one probe.
-		p.Pin(o, 0)
-		p.Dist(7, 0)
-		p.Pin(o, 123)
-		checkPinBuffer(t, &p, o, 123)
+	o := NewTwoHop(pinTestGraphs()["powerlaw"])
+	var p TwoHopPin
+	// A route pinned to 0 and abandoned after one probe.
+	p.Pin(o, 0)
+	p.Dist(7, 0)
+	p.Pin(o, 123)
+	checkPinBuffer(t, &p, o, 123)
 
-		// A pin of 200 recorded, then cut short after half its label.
-		hubs, _ := o.Label(200)
-		rank := make(map[graph.NodeID]int32, o.N())
-		for r, v := range o.order {
-			rank[v] = int32(r)
-		}
-		p.o.scatter(p.target, p.dense, true)
-		p.o, p.target = o, 200
-		_, ds := o.Label(200)
-		for i := 0; i < len(hubs)/2; i++ {
-			p.dense[rank[hubs[i]]] = ds[i]
-		}
-		p.Pin(o, 42)
-		checkPinBuffer(t, &p, o, 42)
-		for u := graph.NodeID(0); u < graph.NodeID(o.N()); u++ {
-			if got, want := p.Dist(u, 42), o.Dist(u, 42); got != want {
-				t.Fatalf("packed=%v: after abandoned pin Dist(%d,42) = %d, want %d", packed, u, got, want)
-			}
+	// A pin of 200 recorded, then cut short after half its label.
+	hubs, ds := o.Label(200)
+	rank := make(map[graph.NodeID]int32, o.N())
+	for r, v := range o.order {
+		rank[v] = int32(r)
+	}
+	p.o.scatter(p.target, p.dense, true)
+	p.o, p.target = o, 200
+	for i := 0; i < len(hubs)/2; i++ {
+		p.dense[rank[hubs[i]]] = ds[i]
+	}
+	p.Pin(o, 42)
+	checkPinBuffer(t, &p, o, 42)
+	for u := graph.NodeID(0); u < graph.NodeID(o.N()); u++ {
+		if got, want := p.Dist(u, 42), o.Dist(u, 42); got != want {
+			t.Fatalf("after abandoned pin Dist(%d,42) = %d, want %d", u, got, want)
 		}
 	}
 }
 
 // TestTwoHopPinAcrossOracles reuses one view across oracles of the same
-// size (different graphs, and raw vs packed of one graph) and of another
-// size: the buffer never answers with the previous oracle's entries.
+// size (different graphs, and a second oracle with the same labels) and
+// of another size: the buffer never answers with the previous oracle's
+// entries.
 func TestTwoHopPinAcrossOracles(t *testing.T) {
 	rng := xrand.New(77)
 	a := NewTwoHop(powerLawGraph(300, 2, rng))
-	b := NewTwoHopWith(powerLawGraph(300, 3, rng), TwoHopOptions{Packed: true})
+	b := NewTwoHop(powerLawGraph(300, 3, rng))
 	c := NewTwoHop(gridGraph(10, 10))
 	var p TwoHopPin
-	for i, o := range []*TwoHop{a, b, a.Pack(), c, a} {
+	for i, o := range []*TwoHop{a, b, twoHopFromLegacy(t, a), c, a} {
 		tgt := graph.NodeID(i * 17 % o.N())
 		p.Pin(o, tgt)
 		checkPinBuffer(t, &p, o, tgt)

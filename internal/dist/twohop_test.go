@@ -202,8 +202,8 @@ func TestSourcePolicyResolve(t *testing.T) {
 	if _, ok := PolicyTwoHop.Resolve(small, metric).(*TwoHop); !ok {
 		t.Fatal("twohop policy must build the oracle even when a metric exists")
 	}
-	if th, ok := PolicyTwoHopPacked.Resolve(small, metric).(*TwoHop); !ok || !th.Packed() {
-		t.Fatal("twohop-packed policy must build a packed oracle even when a metric exists")
+	if _, ok := PolicyTwoHopPacked.Resolve(small, metric).(*TwoHop); !ok {
+		t.Fatal("twohop-packed policy must build the oracle even when a metric exists")
 	}
 	if src := PolicyAuto.Resolve(small, metric); !isMetric(src) {
 		t.Fatal("auto policy must prefer the metric")
@@ -223,7 +223,11 @@ func TestSourcePolicyResolve(t *testing.T) {
 	}
 	named := strings.Split(msg[i+len("(known: "):j], ", ")
 	for _, name := range named {
-		if p, err := ParseSourcePolicy(name); err != nil || string(p) != name {
+		want := SourcePolicy(name)
+		if want == PolicyTwoHopPacked {
+			want = PolicyTwoHop // a synonym
+		}
+		if p, err := ParseSourcePolicy(name); err != nil || p != want {
 			t.Fatalf("policy %q named in the error does not parse: (%v, %v)", name, p, err)
 		}
 	}

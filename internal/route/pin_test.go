@@ -77,12 +77,10 @@ func TestPinnedRoutesMatchUnpinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, packed := range []bool{false, true} {
-				o := dist.NewTwoHopWith(g, dist.TwoHopOptions{Packed: packed})
-				pinned := NewScratch(g.N())
-				for seed := uint64(1); seed <= 3; seed++ {
-					comparePinned(t, g, inst, o, pinned, seed*1000, 40)
-				}
+			o := dist.NewTwoHop(g)
+			pinned := NewScratch(g.N())
+			for seed := uint64(1); seed <= 3; seed++ {
+				comparePinned(t, g, inst, o, pinned, seed*1000, 40)
 			}
 		}
 	}
@@ -95,7 +93,7 @@ func TestPinnedScratchAcrossOracles(t *testing.T) {
 	rng := xrand.New(0x92)
 	g1, g2 := gen.PowerLawAttachment(500, 2, rng), gen.WattsStrogatz(500, 3, 0.2, rng)
 	o1 := dist.NewTwoHop(g1)
-	o2 := dist.NewTwoHopWith(g2, dist.TwoHopOptions{Packed: true})
+	o2 := dist.NewTwoHop(g2)
 	i1, _ := augment.NewUniformScheme().Prepare(g1)
 	i2, _ := augment.NewUniformScheme().Prepare(g2)
 	shared := NewScratch(500)
@@ -190,7 +188,7 @@ func referenceRoute(g *graph.Graph, inst augment.Instance, s, t graph.NodeID, sr
 func TestRoutesMatchReference(t *testing.T) {
 	rng := xrand.New(0x93)
 	for _, g := range []*graph.Graph{gen.PowerLawAttachment(400, 2, rng), gen.Grid2D(20, 20), gen.Star(200)} {
-		o := dist.NewTwoHopWith(g, dist.TwoHopOptions{Packed: true})
+		o := dist.NewTwoHop(g)
 		lm := dist.NewLandmarkOracle(g, 6, xrand.New(3))
 		scratch := NewScratch(g.N())
 		for _, sc := range []augment.Scheme{augment.NewUniformScheme(), augment.NewBallScheme()} {
@@ -259,21 +257,22 @@ func TestPinnedScanStopTieRule(t *testing.T) {
 }
 
 // TestResultDist checks that both routing variants report dist(s, t) as
-// the steering source answers it, for every kind of source: raw and packed
-// 2-hop labels (answered through the pin), a BFS field and an analytic
-// metric.  s == t reports 0; the scratch is shared, so the pin moves.
+// the steering source answers it, for every kind of source: 2-hop labels
+// (answered through the pin) as both policy names build them, a BFS field
+// and an analytic metric.  s == t reports 0; the scratch is shared, so the
+// pin moves.
 func TestResultDist(t *testing.T) {
 	g := gen.Grid2D(12, 15)
 	inst, err := augment.NewUniformScheme().Prepare(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, packed := dist.NewTwoHop(g), dist.NewTwoHopWith(g, dist.TwoHopOptions{Packed: true})
+	twohop, packed := dist.PolicyTwoHop.Resolve(g, nil), dist.PolicyTwoHopPacked.Resolve(g, nil)
 	sources := []struct {
 		name string
 		src  func(tgt graph.NodeID) dist.Source
 	}{
-		{"twohop", func(graph.NodeID) dist.Source { return raw }},
+		{"twohop", func(graph.NodeID) dist.Source { return twohop }},
 		{"twohop-packed", func(graph.NodeID) dist.Source { return packed }},
 		{"field", func(tgt graph.NodeID) dist.Source { return distTo(g, tgt) }},
 		{"analytic", func(graph.NodeID) dist.Source { return gen.Grid2DMetric(12, 15) }},
@@ -310,7 +309,7 @@ func TestResultDist(t *testing.T) {
 func TestValidateErrorOrder(t *testing.T) {
 	g := graph.NewBuilder(4).AddEdge(0, 1).AddEdge(2, 3).Build()
 	inst, _ := augment.NewUniformScheme().Prepare(g)
-	o := dist.NewTwoHopWith(g, dist.TwoHopOptions{Packed: true})
+	o := dist.NewTwoHop(g)
 	wrong := NewScratch(7)
 	for _, tc := range []struct {
 		s, t graph.NodeID

@@ -242,9 +242,6 @@ func (s *Server) oracle() string {
 	case s.snap.Metric != nil:
 		return "analytic"
 	case s.snap.TwoHop != nil:
-		if s.snap.TwoHop.Packed() {
-			return "twohop-packed"
-		}
 		return "twohop"
 	default:
 		return "field-cache"

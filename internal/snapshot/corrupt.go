@@ -6,15 +6,15 @@ import (
 )
 
 // CorruptSection flips a byte in the payload of the first section of the
-// named kind ("meta", "graph", "metric", "twohop", "twohop-packed" or
-// "scheme"), in place.
+// named kind ("meta", "graph", "metric", "twohop" or "scheme"), in place;
+// "twohop" names the 2-hop section in either of its layouts.
 // The section table entry keeps the original checksum, so a strict
 // ReadBytes rejects the buffer and a tolerant ReadBytesTolerant
 // quarantines exactly that section.  It exists for fault injection — the
 // chaos harness and the degradation tests use it to manufacture the
 // damaged snapshots the tolerant reader is specified against.
 func CorruptSection(b []byte, kind string) error {
-	var want uint32
+	var want, legacy uint32
 	switch kind {
 	case "meta":
 		want = kindMeta
@@ -23,9 +23,7 @@ func CorruptSection(b []byte, kind string) error {
 	case "metric":
 		want = kindMetric
 	case "twohop":
-		want = kindTwoHop
-	case "twohop-packed":
-		want = kindTwoHopPacked
+		want, legacy = kindTwoHopPacked, kindTwoHop
 	case "scheme":
 		want = kindScheme
 	default:
@@ -40,7 +38,7 @@ func CorruptSection(b []byte, kind string) error {
 	}
 	for i := 0; i < int(count); i++ {
 		e := b[headerSize+sectionEntrySize*i:]
-		if binary.LittleEndian.Uint32(e[0:4]) != want {
+		if k := binary.LittleEndian.Uint32(e[0:4]); k != want && (legacy == 0 || k != legacy) {
 			continue
 		}
 		offset := binary.LittleEndian.Uint64(e[8:16])

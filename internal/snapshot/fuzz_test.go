@@ -6,7 +6,8 @@ package snapshot_test
 // accepted snapshot yields canonical bytes that read back to the same
 // artefacts (a fixpoint).  The committed corpus under
 // testdata/fuzz/FuzzSnapshotRead seeds the interesting regions: a fully
-// valid file, truncations, and header-level corruptions.
+// valid file, truncations, and header-level corruptions; the legacy
+// raw-section fixture keeps the raw 2-hop decoder under the fuzzer.
 
 import (
 	"bytes"
@@ -32,6 +33,7 @@ func FuzzSnapshotRead(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
+	f.Add(legacyRawBytes(f))
 	f.Add(valid[:16])
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte(snapshot.MagicV1))

@@ -141,21 +141,31 @@ func TestReadRejectsTrailingBytes(t *testing.T) {
 	mustFail(t, append(clone(b), 0xde, 0xad), "trailing", "appended garbage")
 }
 
+// sweepBases are the well-formed files the bit-flip and structural sweeps
+// mutate: smallSnapshot as written today (a packed 2-hop section) and the
+// legacy fixture with the same contents in a raw 2-hop section.
+func sweepBases(t *testing.T) map[string][]byte {
+	t.Helper()
+	_, b := smallSnapshot(t)
+	return map[string][]byte{"packed": b, "legacy raw": legacyRawBytes(t)}
+}
+
 // TestReadRejectsEveryBitFlip is the sweep: every single-bit corruption of
 // a valid file must be rejected.
 func TestReadRejectsEveryBitFlip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bit-flip sweep skipped in -short mode")
 	}
-	_, b := smallSnapshot(t)
-	bad := clone(b)
-	for i := range bad {
-		for bit := 0; bit < 8; bit++ {
-			bad[i] ^= 1 << bit
-			if _, err := snapshot.ReadBytes(bad); err == nil {
-				t.Fatalf("flipping bit %d of byte %d/%d went undetected", bit, i, len(bad))
+	for name, b := range sweepBases(t) {
+		bad := clone(b)
+		for i := range bad {
+			for bit := 0; bit < 8; bit++ {
+				bad[i] ^= 1 << bit
+				if _, err := snapshot.ReadBytes(bad); err == nil {
+					t.Fatalf("%s: flipping bit %d of byte %d/%d went undetected", name, bit, i, len(bad))
+				}
+				bad[i] ^= 1 << bit
 			}
-			bad[i] ^= 1 << bit
 		}
 	}
 }
@@ -210,40 +220,52 @@ func assemble(secs []rawSec) []byte {
 }
 
 func TestReadRejectsStructuralAbuse(t *testing.T) {
-	_, b := smallSnapshot(t)
+	for name, b := range sweepBases(t) {
+		checkStructuralAbuse(t, name, b)
+	}
+}
+
+func checkStructuralAbuse(t *testing.T, name string, b []byte) {
+	t.Helper()
 	secs := parseSecs(t, b)
 	// The writer emits meta, graph, metric?, twohop?, schemes in order;
 	// this base has meta=0, graph=1, twohop=2, scheme=3.
 	if len(secs) != 4 {
-		t.Fatalf("base snapshot has %d sections, expected 4", len(secs))
+		t.Fatalf("%s: base snapshot has %d sections, expected 4", name, len(secs))
 	}
 	meta, g, th, sch := secs[0], secs[1], secs[2], secs[3]
 
-	mustFail(t, assemble([]rawSec{meta, th, sch}), "no graph section", "missing graph")
-	mustFail(t, assemble([]rawSec{g, th, sch}), "no meta section", "missing meta")
-	mustFail(t, assemble([]rawSec{meta, g, g, th}), "duplicate graph", "duplicate graph")
-	mustFail(t, assemble([]rawSec{meta, meta, g}), "duplicate meta", "duplicate meta")
-	mustFail(t, assemble([]rawSec{meta, g, th, th}), "duplicate 2-hop", "duplicate twohop")
+	mustFail(t, assemble([]rawSec{meta, th, sch}), "no graph section", name+": missing graph")
+	mustFail(t, assemble([]rawSec{g, th, sch}), "no meta section", name+": missing meta")
+	mustFail(t, assemble([]rawSec{meta, g, g, th}), "duplicate graph", name+": duplicate graph")
+	mustFail(t, assemble([]rawSec{meta, meta, g}), "duplicate meta", name+": duplicate meta")
+	mustFail(t, assemble([]rawSec{meta, g, th, th}), "duplicate 2-hop", name+": duplicate twohop")
 
 	// Structurally valid sections whose declared counts lie.
 	hugeN := clone(g.payload)
 	binary.LittleEndian.PutUint64(hugeN, snapshot.MaxNodes+1)
-	mustFail(t, assemble([]rawSec{meta, rawSec{2, hugeN}}), "exceeds cap", "node count over cap")
+	mustFail(t, assemble([]rawSec{meta, rawSec{2, hugeN}}), "exceeds cap", name+": node count over cap")
 
 	shrunkN := clone(g.payload)
 	binary.LittleEndian.PutUint64(shrunkN, 47) // n lies; offsets slab now misparses
-	mustFail(t, assemble([]rawSec{meta, rawSec{2, shrunkN}}), "", "understated node count")
+	mustFail(t, assemble([]rawSec{meta, rawSec{2, shrunkN}}), "", name+": understated node count")
+
+	// The second field is the entry count of a raw 2-hop section and the
+	// blob length of a packed one.
+	bigLabels := clone(th.payload)
+	binary.LittleEndian.PutUint64(bigLabels[8:], 1<<40)
+	mustFail(t, assemble([]rawSec{meta, g, rawSec{th.kind, bigLabels}}), "exceeds cap", name+": 2-hop size over cap")
 
 	zeroDraws := clone(sch.payload)
 	binary.LittleEndian.PutUint64(zeroDraws, 0)
-	mustFail(t, assemble([]rawSec{meta, g, rawSec{5, zeroDraws}}), "", "zero draws")
+	mustFail(t, assemble([]rawSec{meta, g, rawSec{5, zeroDraws}}), "", name+": zero draws")
 
 	// A metric descriptor for a family with no registered metric.
 	badMetric := []byte("bogus-metric-name")
 	padded := make([]byte, 8+((len(badMetric)+7)&^7))
 	binary.LittleEndian.PutUint64(padded, uint64(len(badMetric)))
 	copy(padded[8:], badMetric)
-	mustFail(t, assemble([]rawSec{meta, g, rawSec{3, padded}}), "does not match graph name", "alien metric name")
+	mustFail(t, assemble([]rawSec{meta, g, rawSec{3, padded}}), "does not match graph name", name+": alien metric name")
 }
 
 func TestReadRejectsSemanticLies(t *testing.T) {

@@ -1,13 +1,13 @@
 package snapshot_test
 
-// Packed-oracle snapshot section (kind 6): round-trip fidelity, write
-// determinism, tolerant-read quarantine and backward compatibility with
-// raw-section (kind 4) files.  The compressed representation must be
-// invisible at the query layer — only the bytes on disk shrink.
+// Packed 2-hop snapshot section (kind 6): round-trip fidelity, write
+// determinism, size and tolerant-read quarantine.  Loading legacy
+// raw-section (kind 4) files is covered in legacy_test.go.
 
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"navaug/internal/dist"
@@ -15,20 +15,19 @@ import (
 )
 
 func TestRoundTripPackedTwoHop(t *testing.T) {
-	fresh, b := buildCase(t, "gnp", 300, dist.PolicyTwoHopPacked, "ball", "uniform")
-	if fresh.TwoHop == nil || !fresh.TwoHop.Packed() {
-		t.Fatalf("twohop-packed policy did not produce a packed oracle")
+	fresh, b := buildCase(t, "gnp", 300, dist.PolicyTwoHop, "ball", "uniform")
+	if fresh.TwoHop == nil {
+		t.Fatal("twohop policy did not produce an oracle")
 	}
 	loaded, err := snapshot.ReadBytes(b)
 	if err != nil {
 		t.Fatalf("ReadBytes: %v", err)
 	}
-	if loaded.TwoHop == nil || !loaded.TwoHop.Packed() {
-		t.Fatal("packed oracle did not survive the round trip packed")
+	if loaded.TwoHop == nil {
+		t.Fatal("oracle did not survive the round trip")
 	}
 
-	// Write determinism and the write → read → write fixpoint, same as the
-	// raw section.
+	// Write determinism and the write → read → write fixpoint.
 	b2, err := fresh.Bytes()
 	if err != nil {
 		t.Fatal(err)
@@ -48,28 +47,34 @@ func TestRoundTripPackedTwoHop(t *testing.T) {
 	comparePairs(t, loaded.Graph, fresh.TwoHop, loaded.TwoHop)
 	compareRoutes(t, fresh, loaded)
 
-	// The same build stored raw must give the same answers and a larger
-	// file: the compression is real and purely representational.
-	rawSnap, rawBytes := buildCase(t, "gnp", 300, dist.PolicyTwoHop, "ball", "uniform")
-	comparePairs(t, loaded.Graph, rawSnap.TwoHop, loaded.TwoHop)
-	if len(b) >= len(rawBytes) {
-		t.Fatalf("packed snapshot (%d B) not smaller than raw (%d B)", len(b), len(rawBytes))
+	// The packed section is smaller than the legacy raw section the same
+	// labels would need: hub order, CSR index, and a hub rank and a
+	// distance per entry.
+	n, entries := int64(loaded.Graph.N()), loaded.TwoHop.Entries()
+	raw := 4*n + 8*(n+1) + 8*entries
+	secs := parseSecs(t, b)
+	i := slices.IndexFunc(secs, func(s rawSec) bool { return s.kind == 6 })
+	if i < 0 {
+		t.Fatal("no packed 2-hop section written")
+	}
+	if size := int64(len(secs[i].payload)); size >= raw {
+		t.Fatalf("packed 2-hop section (%d B) not smaller than the raw one (%d B)", size, raw)
 	}
 }
 
 func TestTolerantReadQuarantinesPackedTwoHop(t *testing.T) {
-	fresh, b := buildCase(t, "gnp", 300, dist.PolicyTwoHopPacked, "ball")
-	bad := corrupted(t, b, "twohop-packed")
+	fresh, b := buildCase(t, "gnp", 300, dist.PolicyTwoHop, "ball")
+	bad := corrupted(t, b, "twohop")
 
 	if _, err := snapshot.ReadBytes(bad); err == nil {
-		t.Fatal("strict reader accepted a corrupt twohop-packed section")
+		t.Fatal("strict reader accepted a corrupt packed 2-hop section")
 	}
 	s, err := snapshot.ReadBytesTolerant(bad)
 	if err != nil {
 		t.Fatalf("tolerant read: %v", err)
 	}
-	if !reflect.DeepEqual(s.Quarantined, []string{"twohop-packed"}) {
-		t.Fatalf("Quarantined = %v, want [twohop-packed]", s.Quarantined)
+	if !reflect.DeepEqual(s.Quarantined, []string{"twohop"}) {
+		t.Fatalf("Quarantined = %v, want [twohop]", s.Quarantined)
 	}
 	if s.TwoHop != nil {
 		t.Fatal("quarantined packed section still decoded")

@@ -63,8 +63,8 @@ func Read(r io.Reader) (*Snapshot, error) {
 // and payload checksums, then per-section structural parsing where every
 // declared count is checked against the (already length-verified) section
 // payload before any slice is materialised, and finally the semantic
-// invariants of each artefact (graph.FromCSR, dist.TwoHopFromRaw, contact
-// ranges, cross-section consistency).
+// invariants of each artefact (graph.FromCSR, dist.TwoHopPackedFromRaw,
+// contact ranges, cross-section consistency).
 func ReadBytes(b []byte) (*Snapshot, error) { return readBytes(b, false) }
 
 // ReadBytesTolerant is ReadBytes with load-time quarantine: structural
@@ -101,7 +101,7 @@ func readBytes(b []byte, tolerant bool) (*Snapshot, error) {
 	s := &Snapshot{}
 	var sawMeta, sawGraph, sawMetric, sawTwoHop bool
 	var pendingTwoHop *cursor
-	var pendingTwoHopPacked bool
+	decodeTwoHop := decodeTwoHopPacked // decodeTwoHopRaw for a legacy section
 	type schemePending struct {
 		idx int // per-kind index, for the quarantine name
 		c   *cursor
@@ -113,10 +113,8 @@ func readBytes(b []byte, tolerant bool) (*Snapshot, error) {
 		switch kind {
 		case kindMetric:
 			s.Quarantined = append(s.Quarantined, "metric")
-		case kindTwoHop:
+		case kindTwoHop, kindTwoHopPacked:
 			s.Quarantined = append(s.Quarantined, "twohop")
-		case kindTwoHopPacked:
-			s.Quarantined = append(s.Quarantined, "twohop-packed")
 		case kindScheme:
 			s.Quarantined = append(s.Quarantined, fmt.Sprintf("scheme[%d]", schemeIdx))
 		}
@@ -213,19 +211,15 @@ func readBytes(b []byte, tolerant bool) (*Snapshot, error) {
 				return nil, err
 			}
 			s.MetricName = name
-		case kindTwoHop:
+		case kindTwoHop, kindTwoHopPacked:
 			if sawTwoHop {
 				return nil, fmt.Errorf("snapshot: duplicate 2-hop section")
 			}
 			sawTwoHop = true
 			pendingTwoHop = &cursor{b: payload}
-		case kindTwoHopPacked:
-			if sawTwoHop {
-				return nil, fmt.Errorf("snapshot: duplicate 2-hop section")
+			if kind == kindTwoHop {
+				decodeTwoHop = decodeTwoHopRaw
 			}
-			sawTwoHop = true
-			pendingTwoHop = &cursor{b: payload}
-			pendingTwoHopPacked = true
 		case kindScheme:
 			pendingSchemes = append(pendingSchemes, schemePending{idx: schemeIdx, c: &cursor{b: payload}})
 			schemeIdx++
@@ -264,16 +258,12 @@ func readBytes(b []byte, tolerant bool) (*Snapshot, error) {
 		}
 	}
 	if pendingTwoHop != nil {
-		decode, kind := decodeTwoHop, kindTwoHop
-		if pendingTwoHopPacked {
-			decode, kind = decodeTwoHopPacked, kindTwoHopPacked
-		}
-		t, err := decode(pendingTwoHop, s.Graph.N())
+		t, err := decodeTwoHop(pendingTwoHop, s.Graph.N())
 		if err != nil {
 			if !tolerant {
 				return nil, err
 			}
-			quarantine(kind)
+			quarantine(kindTwoHopPacked)
 		} else {
 			s.TwoHop = t
 		}
@@ -337,7 +327,10 @@ func decodeGraph(c *cursor) (*graph.Graph, error) {
 	return g, nil
 }
 
-func decodeTwoHop(c *cursor, graphN int) (*dist.TwoHop, error) {
+// decodeTwoHopRaw parses the legacy uncompressed 2-hop section that
+// snapshots written before the single packed layout carry;
+// dist.TwoHopFromRaw validates the labels and packs them at load.
+func decodeTwoHopRaw(c *cursor, graphN int) (*dist.TwoHop, error) {
 	n, err := c.count("2-hop node count", MaxNodes)
 	if err != nil {
 		return nil, err

@@ -7,8 +7,9 @@
 //
 //   - the graph CSR (offsets + adjacency, reconstructed zero-rebuild via
 //     graph.FromCSR),
-//   - the exact 2-hop-cover labels of dist.TwoHop (hub order, CSR index,
-//     hub/distance slabs, reconstructed via dist.TwoHopFromRaw),
+//   - the exact 2-hop-cover labels of dist.TwoHop (hub order, per-node
+//     byte offsets and the varint label blob, reconstructed via
+//     dist.TwoHopPackedFromRaw),
 //   - the analytic-metric descriptor — the gen registry name under which
 //     the loader re-resolves the closed-form metric via gen.MetricFor,
 //   - one or more frozen augmentation tables: full contact draws sampled
@@ -61,11 +62,10 @@ const (
 	sectionEntrySize = 40
 )
 
-// Section kinds.  A snapshot carries at most one 2-hop section, in either
-// representation: kindTwoHop is the raw CSR label layout, kindTwoHopPacked
-// the delta+varint compressed one (written when the oracle was built
-// packed; readers predating it reject only snapshots that actually use
-// it, raw snapshots are unchanged byte for byte).
+// Section kinds.  A snapshot carries at most one 2-hop section.  Writers
+// emit kindTwoHopPacked, the delta+varint label streams.  kindTwoHop is
+// the legacy uncompressed CSR layout: readers still accept it and pack it
+// at load (dist.TwoHopFromRaw), so old snapshots keep serving.
 const (
 	kindMeta         uint32 = 1
 	kindGraph        uint32 = 2

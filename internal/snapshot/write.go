@@ -43,11 +43,7 @@ func (s *Snapshot) Bytes() ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		kind := kindTwoHop
-		if s.TwoHop.Packed() {
-			kind = kindTwoHopPacked
-		}
-		secs = append(secs, section{kind, tp})
+		secs = append(secs, section{kindTwoHopPacked, tp})
 	}
 	for i := range s.Schemes {
 		sp, err := encodeScheme(s, &s.Schemes[i])
@@ -206,23 +202,13 @@ func encodeTwoHop(s *Snapshot) ([]byte, error) {
 	if t.N() != s.Graph.N() {
 		return nil, fmt.Errorf("snapshot: 2-hop oracle covers %d nodes, graph has %d", t.N(), s.Graph.N())
 	}
+	order, poff, blob := t.RawPacked()
 	var e enc
-	if t.Packed() {
-		order, poff, blob := t.RawPacked()
-		e.u64(uint64(t.N()))
-		e.u64(uint64(len(blob)))
-		e.i32s(order)
-		e.i64s(poff)
-		e.raw(blob)
-		return e.buf, nil
-	}
-	order, index, hubs, dists := t.Raw()
 	e.u64(uint64(t.N()))
-	e.u64(uint64(len(hubs)))
+	e.u64(uint64(len(blob)))
 	e.i32s(order)
-	e.i64s(index)
-	e.i32s(hubs)
-	e.i32s(dists)
+	e.i64s(poff)
+	e.raw(blob)
 	return e.buf, nil
 }
 
