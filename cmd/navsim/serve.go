@@ -26,7 +26,7 @@ func runServe(c *command, args []string) error {
 	timeout := fs.Duration("timeout", 2*time.Second, "per-request timeout")
 	maxBatch := fs.Int("max-batch", 8192, "max pairs per batched request")
 	fieldCache := fs.Int("field-cache", 64, "BFS field cache capacity (only used when the snapshot packs no O(1) tier)")
-	landmarks := fs.Int("landmarks", 0, "landmark count for the approximate degraded tier (0 = default 16, negative disables)")
+	landmarks := fs.Int("landmarks", 0, "landmark count for the approximate tier beneath the field cache, built only when the snapshot has no exact O(1) tier (0 = default 16, negative disables)")
 	faults := fs.String("faults", "", "fault-injection spec, e.g. 'stall:shard=0,delay=50ms;storm:p=0.1,delay=3s' (testing only)")
 	faultSeed := fs.Uint64("fault-seed", 1, "seed for the fault-injection draw stream")
 	drain := fs.Duration("drain", time.Second, "grace between flipping readiness and closing the listener on SIGTERM")

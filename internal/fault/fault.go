@@ -1,11 +1,11 @@
 // Package fault is a deterministic, seeded fault-injection layer for the
 // serving stack.  An Injector holds a schedule of fault windows — latency
 // spikes, request-timeout storms, per-shard stalls, worker panics,
-// simulated memory pressure, snapshot-section corruption — and the serve
-// layer consults it at a handful of fixed points (request entry, pool task
-// start, tier selection).  Chaos tests and `navsim chaos` build injectors
-// from a compact schedule string (see Parse); production servers hold a
-// nil *Injector, and every probe method no-ops on a nil receiver, so the
+// simulated memory pressure — and the serve layer consults it at a
+// handful of fixed points (request entry, pool task start, tier
+// selection).  Chaos tests and `navsim chaos` build injectors from a
+// compact schedule string (see Parse); production servers hold a nil
+// *Injector, and every probe method no-ops on a nil receiver, so the
 // disabled cost is one predictable nil check per probe point.
 //
 // Determinism: every probability draw comes from one SplitMix64 stream
@@ -55,11 +55,6 @@ const (
 	// serve layer stops growing the BFS field cache and degrades to the
 	// landmark-bound approximate tier instead.
 	KindMem Kind = "mem"
-	// KindCorrupt names a snapshot section ("twohop", "scheme", "metric",
-	// ...) to corrupt before load, driving the load-time quarantine path.
-	// It is consulted once by the harness (CorruptSections), not per
-	// request, and ignores the window fields.
-	KindCorrupt Kind = "corrupt"
 )
 
 // Fault is one scheduled fault window.
@@ -77,8 +72,6 @@ type Fault struct {
 	// Duration 0 means the window never closes.
 	Start    time.Duration
 	Duration time.Duration
-	// Section is the snapshot section kind for KindCorrupt.
-	Section string
 }
 
 func (f Fault) String() string {
@@ -89,10 +82,6 @@ func (f Fault) String() string {
 		b.WriteString(sep)
 		fmt.Fprintf(&b, format, args...)
 		sep = ","
-	}
-	if f.Kind == KindCorrupt {
-		put("section=%s", f.Section)
-		return b.String()
 	}
 	if f.Shard >= 0 {
 		put("shard=%d", f.Shard)
@@ -147,7 +136,7 @@ func (i *Injector) Deactivate() {
 }
 
 // Active reports whether the schedule clock is running and at least one
-// non-corrupt fault window is currently open.
+// fault window is currently open.
 func (i *Injector) Active() bool {
 	if i == nil {
 		return false
@@ -158,7 +147,7 @@ func (i *Injector) Active() bool {
 	}
 	for idx := range i.faults {
 		f := &i.faults[idx]
-		if f.Kind != KindCorrupt && i.open(f, elapsed) {
+		if i.open(f, elapsed) {
 			return true
 		}
 	}
@@ -293,22 +282,6 @@ func (i *Injector) MemoryPressure() bool {
 	return false
 }
 
-// CorruptSections lists the snapshot section kinds the schedule asks the
-// harness to corrupt before load.  Unlike the per-request probes this is
-// window-independent: corruption happens once, at load time.
-func (i *Injector) CorruptSections() []string {
-	if i == nil {
-		return nil
-	}
-	var out []string
-	for idx := range i.faults {
-		if i.faults[idx].Kind == KindCorrupt {
-			out = append(out, i.faults[idx].Section)
-		}
-	}
-	return out
-}
-
 // validate rejects malformed faults at construction time, so schedule
 // errors surface when the harness starts rather than mid-drill.
 func (f *Fault) validate() error {
@@ -323,10 +296,6 @@ func (f *Fault) validate() error {
 		}
 	case KindPanic:
 	case KindMem:
-	case KindCorrupt:
-		if f.Section == "" {
-			return fmt.Errorf("fault: corrupt needs section=<kind>")
-		}
 	default:
 		return fmt.Errorf("fault: unknown kind %q", f.Kind)
 	}

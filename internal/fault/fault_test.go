@@ -11,7 +11,7 @@ func TestNilInjectorIsDisabled(t *testing.T) {
 	if i.RequestDelay() != 0 || i.StallDelay(0) != 0 || i.InjectPanic(0) || i.MemoryPressure() {
 		t.Fatal("nil injector injected a fault")
 	}
-	if i.Active() || i.String() != "" || i.CorruptSections() != nil {
+	if i.Active() || i.String() != "" {
 		t.Fatal("nil injector reports state")
 	}
 	i.Activate() // must not panic
@@ -112,14 +112,29 @@ func TestRequestDelaySumsOpenWindows(t *testing.T) {
 	}
 }
 
-func TestCorruptSections(t *testing.T) {
-	i := MustParse("corrupt:section=twohop;corrupt:section=scheme;stall:delay=1ms", 1)
-	got := i.CorruptSections()
-	if len(got) != 2 || got[0] != "twohop" || got[1] != "scheme" {
-		t.Fatalf("CorruptSections = %v", got)
-	}
-	if i.Active() {
-		t.Fatal("corrupt-only probes should not count as active request faults before Activate")
+// TestParseRejectsUnknownKinds pins that a schedule entry either injects
+// something or fails the parse: an unknown kind and the snapshot-damage
+// kind "corrupt", which no probe consults, are errors that name what to
+// use instead, never entries that silently do nothing.
+func TestParseRejectsUnknownKinds(t *testing.T) {
+	for _, tc := range []struct {
+		spec, want string
+	}{
+		{"bogus", `unknown kind "bogus"`},
+		{"stall:delay=1ms;bogus:p=0.5", `unknown kind "bogus"`},
+		{"corrupt", "navsim chaos -corrupt"},
+		{"corrupt:section=twohop", "navsim chaos -corrupt"},
+		{"stall:delay=1ms;corrupt:section=scheme", "navsim chaos -corrupt"},
+	} {
+		t.Run(tc.spec, func(t *testing.T) {
+			inj, err := Parse(tc.spec, 1)
+			if err == nil {
+				t.Fatalf("Parse(%q) = %q, want an error", tc.spec, inj)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Parse(%q) error %q does not mention %q", tc.spec, err, tc.want)
+			}
+		})
 	}
 }
 
@@ -132,7 +147,6 @@ func TestParseErrors(t *testing.T) {
 		"panic:p=nope",           // unparseable
 		"stall:delay=5ms,foo=1",  // unknown key
 		"stall:delay=5ms,shard",  // not key=value
-		"corrupt",                // no section
 		"mem:start=-1s",          // negative window
 		"storm:delay=1s,dur=-1s", // negative duration
 	} {
@@ -146,7 +160,7 @@ func TestParseEmptyAndRoundTrip(t *testing.T) {
 	if inj, err := Parse("  ", 1); err != nil || inj != nil {
 		t.Fatalf("empty spec: inj=%v err=%v, want nil,nil", inj, err)
 	}
-	spec := "stall:delay=150ms;storm:p=0.1,delay=3s,start=1s,dur=5s;mem;corrupt:section=twohop"
+	spec := "stall:delay=150ms;storm:p=0.1,delay=3s,start=1s,dur=5s;mem"
 	i := MustParse(spec, 1)
 	// String() must re-parse to an equivalent schedule.
 	j := MustParse(i.String(), 1)

@@ -12,12 +12,16 @@ import (
 //
 //	schedule := fault (";" fault)*
 //	fault    := kind [":" key "=" val ("," key "=" val)*]
-//	kind     := latency | storm | stall | panic | mem | corrupt
-//	key      := shard | p | delay | start | dur | section
+//	kind     := latency | storm | stall | panic | mem
+//	key      := shard | p | delay | start | dur
 //
 // Durations use Go syntax ("150ms", "3s").  Defaults: shard -1 for panic
 // (every shard) and 0 for stall (stalling "every shard" is a dead server,
 // not a drill), p=1, start=0, dur=0 (never closes).
+//
+// Snapshot damage is not a schedule kind: it happens once, before the
+// load, so "corrupt" fails with a pointer to `navsim chaos -corrupt`,
+// which damages a section and then loads the file tolerantly.
 //
 // Example:
 //
@@ -63,6 +67,9 @@ func MustParse(spec string, seed uint64) *Injector {
 func parseFault(part string) (Fault, error) {
 	kindStr, rest, _ := strings.Cut(part, ":")
 	f := Fault{Kind: Kind(strings.TrimSpace(kindStr)), Shard: -1, P: 1}
+	if f.Kind == "corrupt" {
+		return Fault{}, fmt.Errorf("fault: %q: corrupt is not a schedule kind; damage a snapshot section with navsim chaos -corrupt <section>", part)
+	}
 	if f.Kind == KindStall {
 		// A stall drill targets one wedged worker by default; stalling
 		// every shard is expressible with an explicit shard=-1.
@@ -87,8 +94,6 @@ func parseFault(part string) (Fault, error) {
 				f.Start, err = time.ParseDuration(val)
 			case "dur":
 				f.Duration, err = time.ParseDuration(val)
-			case "section":
-				f.Section = val
 			default:
 				return Fault{}, fmt.Errorf("fault: %q: unknown option %q", part, key)
 			}

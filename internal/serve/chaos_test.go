@@ -40,6 +40,7 @@ type chaosStats struct {
 	ApproxAnswers int64    `json:"approx_answers"`
 	Timeouts      int64    `json:"timeouts"`
 	BreakersOpen  int      `json:"breakers_open"`
+	Landmarks     int      `json:"landmarks"`
 	Degraded      bool     `json:"degraded"`
 	Draining      bool     `json:"draining"`
 	Tier          string   `json:"tier"`
@@ -353,6 +354,113 @@ func TestQuarantinedSnapshotServesApprox(t *testing.T) {
 	}
 	if st := fetchChaosStats(t, ts.URL); !st.Degraded || st.Tier != "field-cache" {
 		t.Fatalf("post-release stats wrong: %+v", st)
+	}
+}
+
+// TestLandmarksOnlyBeneathFieldCache pins where the approximate tier
+// exists.  A snapshot with an exact O(1) tier builds no landmarks: with
+// its pool saturated, a single GET /v1/dist is answered inline from that
+// tier, exactly and without an "approx" key, even under memory pressure.
+// A snapshot whose exact tier was quarantined at load, or that packs none,
+// still builds them, and the same overloaded GET gets a landmark bound
+// marked approx.
+func TestLandmarksOnlyBeneathFieldCache(t *testing.T) {
+	const stall = time.Second
+	cases := []struct {
+		name          string
+		family        string
+		oracle        dist.SourcePolicy
+		corrupt       string // section damaged before the tolerant load
+		wantTier      string
+		wantLandmarks int
+	}{
+		{"twohop", "ratree", dist.PolicyTwoHop, "", "twohop", 0},
+		{"analytic", "grid", dist.PolicyAuto, "", "analytic", 0},
+		{"twohop quarantined", "ratree", dist.PolicyTwoHop, "twohop", "landmark", 16},
+		{"field", "ratree", dist.PolicyField, "", "landmark", 16},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			built, _, err := core.BuildSnapshot(core.SnapshotOptions{
+				Family: tc.family, N: 256, Seed: 7,
+				Schemes: []string{"ball"}, Draws: 1, Oracle: tc.oracle,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := built.Bytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.corrupt != "" {
+				if err := snapshot.CorruptSection(b, tc.corrupt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap, err := snapshot.ReadBytesTolerant(b)
+			if err != nil {
+				t.Fatalf("tolerant load: %v", err)
+			}
+			inj := fault.MustParse(fmt.Sprintf("mem;stall:shard=0,delay=%s", stall), 9)
+			srv, err := serve.New(snap, serve.Options{
+				Workers: 1, QueueDepth: 1, RequestTimeout: 10 * time.Second, Faults: inj,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv.Handler())
+			defer func() { ts.Close(); srv.Close() }()
+
+			inj.Activate()
+			if st := fetchChaosStats(t, ts.URL); st.Tier != tc.wantTier || st.Landmarks != tc.wantLandmarks {
+				t.Fatalf("tier %q with %d landmarks, want %q with %d", st.Tier, st.Landmarks, tc.wantTier, tc.wantLandmarks)
+			}
+
+			// Saturate the pool: one route stalls on the only worker, one
+			// waits in the queue, and the next is shed.
+			var fillers sync.WaitGroup
+			defer fillers.Wait()
+			for i := 0; i < 3; i++ {
+				fillers.Add(1)
+				go func() {
+					defer fillers.Done()
+					if resp, err := http.Get(fmt.Sprintf("%s/v1/route?s=%d&t=200", ts.URL, i)); err == nil {
+						io.Copy(io.Discard, resp.Body)
+						resp.Body.Close()
+					}
+				}()
+			}
+			for deadline := time.Now().Add(5 * time.Second); fetchChaosStats(t, ts.URL).Shed == 0; {
+				if time.Now().After(deadline) {
+					t.Fatal("the pool never filled")
+				}
+				time.Sleep(time.Millisecond)
+			}
+
+			start := time.Now()
+			var got map[string]any
+			getJSON(t, ts.URL+"/v1/dist?u=5&v=100", &got)
+			if elapsed := time.Since(start); elapsed >= stall/2 {
+				t.Fatalf("overloaded GET took %v: it waited for the stalled worker", elapsed)
+			}
+			inj.Deactivate()
+			want := float64(snap.Graph.BFS(5)[100])
+			approx, hasApprox := got["approx"]
+			if tc.wantLandmarks == 0 {
+				if hasApprox || got["dist"] != want {
+					t.Fatalf("overloaded GET = %v, want the exact dist %v with no approx key", got, want)
+				}
+			} else if approx != true || got["dist"].(float64) < want {
+				t.Fatalf("overloaded GET = %v, want an approx bound >= %v", got, want)
+			}
+			wantApprox := int64(0)
+			if tc.wantLandmarks > 0 {
+				wantApprox = 1
+			}
+			if st := fetchChaosStats(t, ts.URL); st.ApproxAnswers != wantApprox {
+				t.Fatalf("approx_answers = %d, want %d", st.ApproxAnswers, wantApprox)
+			}
+		})
 	}
 }
 

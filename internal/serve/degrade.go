@@ -12,8 +12,12 @@ package serve
 // server walks down — never by operator action, always automatically —
 // when a tier is missing (section quarantined at load) or unaffordable
 // (simulated memory pressure makes per-target BFS fields the wrong trade).
-// Every answer produced below the exact tiers carries "approx": true, so a
-// client can always tell a degraded answer from a healthy one.
+// The landmark rung exists only beneath the field cache: the server builds
+// it only when the snapshot has no exact O(1) tier, because an exact tier
+// answers every query, an overloaded single GET included, and never falls
+// further.  Every answer produced below the exact tiers carries
+// "approx": true, so a client can always tell a degraded answer from a
+// healthy one.
 //
 // A shard whose tasks keep panicking is not a ladder event: its breaker
 // quarantines it (breaker.go) and the frozen contact tables never change,

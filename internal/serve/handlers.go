@@ -125,8 +125,10 @@ type distBatchResponse struct {
 // handleDist answers distance queries: GET for one (u, v) pair, POST for a
 // batch.  A batch runs as a single pool task, which is what lets a one-CPU
 // deployment amortise HTTP overhead across thousands of oracle lookups per
-// request.  Under overload a single GET degrades inline to the landmark
-// tier (no worker needed, answer marked approx); batches are shed.
+// request.  Under overload a single GET is answered inline on the handler
+// goroutine, no worker needed: exactly from the O(1) tier when the
+// snapshot has one, else from the landmark tier beneath the field cache
+// (marked approx), else it is shed.  Batches are shed.
 func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
@@ -142,14 +144,18 @@ func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 				var approx bool
 				poolErr := s.pool.TryDo(func(*Shard) { d, approx = s.distance(u, v) })
 				if errors.Is(poolErr, ErrOverloaded) {
-					if s.landmark == nil {
+					// Answer here instead of shedding when it is cheap: an
+					// O(1)-tier probe is exact and costs less than k
+					// landmark reads; a landmark bound costs O(k).
+					switch {
+					case s.src != nil:
+						d = s.src.Dist(u, v)
+					case s.landmark != nil:
+						d, approx = s.landmark.Dist(u, v), true
+					default:
 						s.shedRequest(w)
 						return
 					}
-					// Degrade instead of shedding: a landmark bound costs
-					// O(k) right here on the handler goroutine, no worker
-					// slot needed.
-					d, approx = s.landmark.Dist(u, v), true
 				} else if poolErr != nil {
 					s.poolError(w, poolErr)
 					return

@@ -21,8 +21,12 @@
 // lock-free and allocation-free per routing hop.  Distances come
 // from the snapshot's O(1) tier — the analytic metric or the packed 2-hop
 // labels — and fall back down the degradation ladder (BFS field cache,
-// then approximate landmark bounds) when tiers are missing, quarantined or
-// unaffordable; see degrade.go.  Routing uses the frozen contact tables,
+// then approximate landmark bounds) when that tier is missing or
+// quarantined and fields are unaffordable; see degrade.go.  Landmarks
+// exist only beneath the field cache: a snapshot with an exact tier never
+// builds them, so set-up is the snapshot read (snapshot.ReadBytes, which
+// validates sections concurrently) and little else.  Routing uses the
+// frozen contact tables,
 // so every healthy /v1/route answer is fully deterministic and
 // reproducible from the snapshot file alone; degraded answers carry
 // "approx": true.
@@ -68,9 +72,12 @@ type Options struct {
 	// FieldCacheSize is the per-target BFS field cache capacity used only
 	// when the snapshot packs no O(1) distance tier (default 64 fields).
 	FieldCacheSize int
-	// Landmarks is the landmark count of the approximate degraded tier,
-	// built once at startup (default 16; negative disables the tier, and
-	// with it the approximate rung of the ladder).
+	// Landmarks is the landmark count of the approximate degraded tier
+	// beneath the BFS field cache (default 16; negative disables the tier,
+	// and with it the approximate rung of the ladder).  The tier is built
+	// at startup only when the snapshot has no exact O(1) tier — none was
+	// packed, or it was quarantined at load — since otherwise no query
+	// ever reaches it.
 	Landmarks int
 	// BreakerThreshold is the consecutive-panic count that trips a shard's
 	// circuit breaker (default 3).
@@ -120,7 +127,8 @@ type Server struct {
 	g      *graph.Graph
 	src    dist.Source      // O(1) tier; nil → ladder below it
 	fields *dist.FieldCache // BFS field tier, always non-nil
-	// landmark is the approximate bottom tier, nil when disabled.
+	// landmark is the approximate bottom tier, nil when disabled or when
+	// src is set.
 	landmark *dist.LandmarkOracle
 	// tables holds the frozen augment tables per scheme and draw,
 	// validated once at construction and shared read-only by every worker.
@@ -177,9 +185,11 @@ func New(snap *snapshot.Snapshot, opts Options) (*Server, error) {
 		opts:   opts,
 		start:  time.Now(),
 	}
-	if opts.Landmarks > 0 && snap.Graph.N() > 0 {
-		// A fixed seed keeps the landmark choice, and so every landmark
-		// answer, reproducible from the snapshot alone.
+	if opts.Landmarks > 0 && snap.Graph.N() > 0 && s.src == nil {
+		// Only the field tier can fall to landmarks; an exact O(1) tier
+		// answers every query itself.  A fixed seed keeps the landmark
+		// choice, and so every landmark answer, reproducible from the
+		// snapshot alone.
 		s.landmark = dist.NewLandmarkOracle(snap.Graph, opts.Landmarks, xrand.New(1).Split())
 	}
 	s.pool = newPool(poolConfig{

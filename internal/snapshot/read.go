@@ -7,6 +7,7 @@ import (
 	"hash/crc64"
 	"io"
 	"os"
+	"sync"
 
 	"navaug/internal/dist"
 	"navaug/internal/graph"
@@ -59,21 +60,26 @@ func Read(r io.Reader) (*Snapshot, error) {
 // and contact arrays are zero-copy views into it.
 //
 // Validation is layered so hostile input fails at bounded cost: header
-// magic/version/table checksum first, then per-section bounds, alignment
-// and payload checksums, then per-section structural parsing where every
-// declared count is checked against the (already length-verified) section
-// payload before any slice is materialised, and finally the semantic
-// invariants of each artefact (graph.FromCSR, dist.TwoHopPackedFromRaw,
-// contact ranges, cross-section consistency).
+// magic/version/table checksum first, then one serial pass over the
+// section table for bounds, alignment, padding and the file's tail.  Each
+// section that pass accepts is then checked on its own goroutine: its
+// payload checksum, then its structural parse, where every declared count
+// is checked against the (already length-verified) payload before any
+// slice is materialised, and the semantic invariants of its artefact
+// (graph.FromCSR, dist.TwoHopPackedFromRaw, contact ranges).  The results
+// are weighed in table order, cross-section consistency last, so a file
+// with several faults fails with the error a front-to-back read meets
+// first, whatever order the goroutines finish in.
 func ReadBytes(b []byte) (*Snapshot, error) { return readBytes(b, false) }
 
 // ReadBytesTolerant is ReadBytes with load-time quarantine: structural
 // damage (header, section table, layout) and damage to the mandatory meta
 // and graph sections still fail the load, but a checksum mismatch or parse
 // error in an *optional* section (metric, twohop, scheme) drops just that
-// section, recording it in Snapshot.Quarantined.  The returned snapshot is
-// fully usable minus the quarantined artefacts — exactly the degraded
-// state the serve layer's answer ladder is built for.
+// section, recording it in Snapshot.Quarantined in the order a
+// front-to-back read meets the damage.  The returned snapshot is fully
+// usable minus the quarantined artefacts — exactly the degraded state the
+// serve layer's answer ladder is built for.
 func ReadBytesTolerant(b []byte) (*Snapshot, error) { return readBytes(b, true) }
 
 func readBytes(b []byte, tolerant bool) (*Snapshot, error) {
@@ -98,13 +104,27 @@ func readBytes(b []byte, tolerant bool) (*Snapshot, error) {
 		return nil, fmt.Errorf("snapshot: section table checksum mismatch (file %016x, computed %016x)", want, got)
 	}
 
+	secs, layoutErr := readLayout(b, int(count), tableEnd)
+	// One goroutine per section the layout pass accepted: at most
+	// MaxSections, and each reads only its own payload.
+	var wg sync.WaitGroup
+	for i := range secs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			secs[i].check()
+		}()
+	}
+	wg.Wait()
+
+	// Weigh the findings in table order, exactly as a front-to-back read
+	// would have made them.
 	s := &Snapshot{}
 	var sawMeta, sawGraph, sawMetric, sawTwoHop bool
-	var pendingTwoHop *cursor
-	decodeTwoHop := decodeTwoHopPacked // decodeTwoHopRaw for a legacy section
+	var twoHop *section
 	type schemePending struct {
 		idx int // per-kind index, for the quarantine name
-		c   *cursor
+		sec *section
 	}
 	var pendingSchemes []schemePending
 	schemeIdx := 0
@@ -119,39 +139,13 @@ func readBytes(b []byte, tolerant bool) (*Snapshot, error) {
 			s.Quarantined = append(s.Quarantined, fmt.Sprintf("scheme[%d]", schemeIdx))
 		}
 	}
-	prevEnd := uint64(tableEnd)
-	for i := 0; i < int(count); i++ {
-		e := b[headerSize+sectionEntrySize*i:]
-		kind := binary.LittleEndian.Uint32(e[0:4])
-		flags := binary.LittleEndian.Uint32(e[4:8])
-		offset := binary.LittleEndian.Uint64(e[8:16])
-		length := binary.LittleEndian.Uint64(e[16:24])
-		sum := binary.LittleEndian.Uint64(e[24:32])
-		reserved := binary.LittleEndian.Uint64(e[32:40])
-		if flags != 0 || reserved != 0 {
-			return nil, fmt.Errorf("snapshot: section %d has non-zero reserved fields", i)
-		}
-		// Canonical layout only: payloads in table order, 8-aligned, with
-		// zero padding between them.  Rejecting overlapping or out-of-order
-		// sections keeps a hostile file from aliasing one slab under two
-		// interpretations.
-		if offset != uint64(align8(int(prevEnd))) {
-			return nil, fmt.Errorf("snapshot: section %d payload at offset %d, canonical layout wants %d", i, offset, align8(int(prevEnd)))
-		}
-		if offset > uint64(len(b)) || length > uint64(len(b))-offset {
-			return nil, fmt.Errorf("snapshot: section %d [%d,+%d) overruns the %d-byte file", i, offset, length, len(b))
-		}
-		for _, pad := range b[prevEnd:offset] {
-			if pad != 0 {
-				return nil, fmt.Errorf("snapshot: non-zero padding before section %d", i)
-			}
-		}
-		prevEnd = offset + length
-		payload := b[offset : offset+length]
-		if got := crc64.Checksum(payload, crcTable); got != sum {
+	for i := range secs {
+		sec := &secs[i]
+		kind := sec.kind
+		if sec.crc != sec.sum {
 			if tolerant && (kind == kindMetric || kind == kindTwoHop || kind == kindTwoHopPacked || kind == kindScheme) {
-				// The layout bookkeeping above already validated this slab's
-				// place in the file; only its contents are damaged.  Keep the
+				// The layout pass already validated this slab's place in
+				// the file; only its contents are damaged.  Keep the
 				// saw-flags honest (a duplicate of a quarantined section is
 				// still a duplicate) and drop just this artefact.
 				switch kind {
@@ -172,7 +166,7 @@ func readBytes(b []byte, tolerant bool) (*Snapshot, error) {
 				}
 				continue
 			}
-			return nil, fmt.Errorf("snapshot: section %d (kind %d) checksum mismatch (file %016x, computed %016x)", i, kind, sum, got)
+			return nil, fmt.Errorf("snapshot: section %d (kind %d) checksum mismatch (file %016x, computed %016x)", i, kind, sec.sum, sec.crc)
 		}
 		switch kind {
 		case kindMeta:
@@ -180,7 +174,7 @@ func readBytes(b []byte, tolerant bool) (*Snapshot, error) {
 				return nil, fmt.Errorf("snapshot: duplicate meta section")
 			}
 			sawMeta = true
-			if err := json.Unmarshal(payload, &s.Meta); err != nil {
+			if err := json.Unmarshal(sec.payload, &s.Meta); err != nil {
 				return nil, fmt.Errorf("snapshot: bad meta section: %w", err)
 			}
 		case kindGraph:
@@ -188,17 +182,16 @@ func readBytes(b []byte, tolerant bool) (*Snapshot, error) {
 				return nil, fmt.Errorf("snapshot: duplicate graph section")
 			}
 			sawGraph = true
-			g, err := decodeGraph(&cursor{b: payload})
-			if err != nil {
-				return nil, err
+			if sec.err != nil {
+				return nil, sec.err
 			}
-			s.Graph = g
+			s.Graph = sec.graph
 		case kindMetric:
 			if sawMetric {
 				return nil, fmt.Errorf("snapshot: duplicate metric section")
 			}
 			sawMetric = true
-			c := &cursor{b: payload}
+			c := &cursor{b: sec.payload}
 			name, err := c.str("metric name")
 			if err == nil {
 				err = c.done()
@@ -216,24 +209,16 @@ func readBytes(b []byte, tolerant bool) (*Snapshot, error) {
 				return nil, fmt.Errorf("snapshot: duplicate 2-hop section")
 			}
 			sawTwoHop = true
-			pendingTwoHop = &cursor{b: payload}
-			if kind == kindTwoHop {
-				decodeTwoHop = decodeTwoHopRaw
-			}
+			twoHop = sec
 		case kindScheme:
-			pendingSchemes = append(pendingSchemes, schemePending{idx: schemeIdx, c: &cursor{b: payload}})
+			pendingSchemes = append(pendingSchemes, schemePending{idx: schemeIdx, sec: sec})
 			schemeIdx++
 		default:
 			return nil, fmt.Errorf("snapshot: unknown section kind %d", kind)
 		}
 	}
-	if uint64(len(b)) != uint64(align8(int(prevEnd))) {
-		return nil, fmt.Errorf("snapshot: %d trailing bytes after the last section", uint64(len(b))-prevEnd)
-	}
-	for _, pad := range b[prevEnd:] {
-		if pad != 0 {
-			return nil, fmt.Errorf("snapshot: non-zero padding after the last section")
-		}
+	if layoutErr != nil {
+		return nil, layoutErr
 	}
 	if !sawGraph {
 		return nil, fmt.Errorf("snapshot: no graph section")
@@ -246,7 +231,7 @@ func readBytes(b []byte, tolerant bool) (*Snapshot, error) {
 			s.Meta.N, s.Meta.M, s.Graph.N(), s.Graph.M())
 	}
 
-	// The cross-referencing sections parse after the graph regardless of
+	// The cross-referencing sections count after the graph regardless of
 	// their order in the table, so their node counts can be checked.
 	if s.MetricName != "" {
 		if err := resolveMetric(s); err != nil {
@@ -257,29 +242,121 @@ func readBytes(b []byte, tolerant bool) (*Snapshot, error) {
 			quarantine(kindMetric)
 		}
 	}
-	if pendingTwoHop != nil {
-		t, err := decodeTwoHop(pendingTwoHop, s.Graph.N())
-		if err != nil {
+	if twoHop != nil {
+		if err := twoHop.fitGraph("2-hop", s.Graph.N()); err != nil {
 			if !tolerant {
 				return nil, err
 			}
 			quarantine(kindTwoHopPacked)
 		} else {
-			s.TwoHop = t
+			s.TwoHop = twoHop.twoHop
 		}
 	}
 	for _, p := range pendingSchemes {
-		st, err := decodeScheme(p.c, s.Graph.N())
-		if err != nil {
+		if err := p.sec.fitGraph("scheme", s.Graph.N()); err != nil {
 			if !tolerant {
 				return nil, err
 			}
 			s.Quarantined = append(s.Quarantined, fmt.Sprintf("scheme[%d]", p.idx))
 			continue
 		}
-		s.Schemes = append(s.Schemes, *st)
+		s.Schemes = append(s.Schemes, *p.sec.scheme)
 	}
 	return s, nil
+}
+
+// section is one section-table entry whose place in the file the layout
+// pass accepted, with what check found in its payload.
+type section struct {
+	kind    uint32
+	payload []byte
+	sum     uint64 // the checksum the table records
+	crc     uint64 // the checksum of the payload as read
+
+	// The artefact a graph, 2-hop or scheme section parses to.
+	graph  *graph.Graph
+	twoHop *dist.TwoHop
+	scheme *SchemeTable
+	n      int   // node count a 2-hop or scheme section declares; -1 if unread
+	err    error // the parse's first error, a node-count mismatch aside
+}
+
+// readLayout walks the section table: reserved fields, canonical offsets,
+// bounds and zero padding, then the file's tail.  It returns the sections
+// before the first layout fault, and that fault, which a front-to-back
+// read meets only after those sections' own checks.
+func readLayout(b []byte, count, tableEnd int) ([]section, error) {
+	secs := make([]section, 0, count)
+	prevEnd := uint64(tableEnd)
+	for i := 0; i < count; i++ {
+		e := b[headerSize+sectionEntrySize*i:]
+		kind := binary.LittleEndian.Uint32(e[0:4])
+		flags := binary.LittleEndian.Uint32(e[4:8])
+		offset := binary.LittleEndian.Uint64(e[8:16])
+		length := binary.LittleEndian.Uint64(e[16:24])
+		sum := binary.LittleEndian.Uint64(e[24:32])
+		reserved := binary.LittleEndian.Uint64(e[32:40])
+		if flags != 0 || reserved != 0 {
+			return secs, fmt.Errorf("snapshot: section %d has non-zero reserved fields", i)
+		}
+		// Canonical layout only: payloads in table order, 8-aligned, with
+		// zero padding between them.  Rejecting overlapping or out-of-order
+		// sections keeps a hostile file from aliasing one slab under two
+		// interpretations.
+		if offset != uint64(align8(int(prevEnd))) {
+			return secs, fmt.Errorf("snapshot: section %d payload at offset %d, canonical layout wants %d", i, offset, align8(int(prevEnd)))
+		}
+		if offset > uint64(len(b)) || length > uint64(len(b))-offset {
+			return secs, fmt.Errorf("snapshot: section %d [%d,+%d) overruns the %d-byte file", i, offset, length, len(b))
+		}
+		for _, pad := range b[prevEnd:offset] {
+			if pad != 0 {
+				return secs, fmt.Errorf("snapshot: non-zero padding before section %d", i)
+			}
+		}
+		prevEnd = offset + length
+		secs = append(secs, section{kind: kind, payload: b[offset : offset+length], sum: sum, n: -1})
+	}
+	if uint64(len(b)) != uint64(align8(int(prevEnd))) {
+		return secs, fmt.Errorf("snapshot: %d trailing bytes after the last section", uint64(len(b))-prevEnd)
+	}
+	for _, pad := range b[prevEnd:] {
+		if pad != 0 {
+			return secs, fmt.Errorf("snapshot: non-zero padding after the last section")
+		}
+	}
+	return secs, nil
+}
+
+// check checksums the payload and, when it is intact, parses and
+// validates a graph, 2-hop or scheme artefact.  It reads only the section
+// itself, so the sections of one file check concurrently.
+func (sec *section) check() {
+	sec.crc = crc64.Checksum(sec.payload, crcTable)
+	if sec.crc != sec.sum {
+		return
+	}
+	c := &cursor{b: sec.payload}
+	switch sec.kind {
+	case kindGraph:
+		sec.graph, sec.err = decodeGraph(c)
+	case kindTwoHop:
+		sec.n, sec.twoHop, sec.err = decodeTwoHopRaw(c)
+	case kindTwoHopPacked:
+		sec.n, sec.twoHop, sec.err = decodeTwoHopPacked(c)
+	case kindScheme:
+		sec.n, sec.scheme, sec.err = decodeScheme(c)
+	}
+}
+
+// fitGraph returns the section's parse error as a front-to-back read
+// reports it: that read checks the declared node count against the graph
+// right after reading it, so a mismatch outranks any later parse error.
+func (sec *section) fitGraph(what string, graphN int) error {
+	if sec.n >= 0 && sec.n != graphN {
+		return fmt.Errorf("snapshot: %s section covers %d nodes, graph has %d", what, sec.n, graphN)
+	}
+	return sec.err
 }
 
 // resolveMetric turns the metric descriptor into the live analytic metric,
@@ -329,123 +406,116 @@ func decodeGraph(c *cursor) (*graph.Graph, error) {
 
 // decodeTwoHopRaw parses the legacy uncompressed 2-hop section that
 // snapshots written before the single packed layout carry;
-// dist.TwoHopFromRaw validates the labels and packs them at load.
-func decodeTwoHopRaw(c *cursor, graphN int) (*dist.TwoHop, error) {
+// dist.TwoHopFromRaw validates the labels and packs them at load.  Like
+// every decoder of a section that covers the graph's nodes, it returns the
+// node count it read (-1 if it could not) for section.fitGraph to check.
+func decodeTwoHopRaw(c *cursor) (int, *dist.TwoHop, error) {
 	n, err := c.count("2-hop node count", MaxNodes)
 	if err != nil {
-		return nil, err
-	}
-	if n != graphN {
-		return nil, fmt.Errorf("snapshot: 2-hop section covers %d nodes, graph has %d", n, graphN)
+		return -1, nil, err
 	}
 	total, err := c.count("2-hop entry count", MaxNodes*64)
 	if err != nil {
-		return nil, err
+		return n, nil, err
 	}
 	order, err := c.i32s("hub order", n)
 	if err != nil {
-		return nil, err
+		return n, nil, err
 	}
 	index, err := c.i64s("label index", n+1)
 	if err != nil {
-		return nil, err
+		return n, nil, err
 	}
 	hubs, err := c.i32s("label hubs", total)
 	if err != nil {
-		return nil, err
+		return n, nil, err
 	}
 	dists, err := c.i32s("label dists", total)
 	if err != nil {
-		return nil, err
+		return n, nil, err
 	}
 	if err := c.done(); err != nil {
-		return nil, err
+		return n, nil, err
 	}
 	t, err := dist.TwoHopFromRaw(n, order, index, hubs, dists)
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
+		return n, nil, fmt.Errorf("snapshot: %w", err)
 	}
-	return t, nil
+	return n, t, nil
 }
 
 // decodeTwoHopPacked parses the compressed 2-hop section; the heavy
 // lifting — varint well-formedness, monotone offsets, rank and distance
 // ranges — happens in dist.TwoHopPackedFromRaw, which walks every label
 // stream once before accepting the oracle.
-func decodeTwoHopPacked(c *cursor, graphN int) (*dist.TwoHop, error) {
+func decodeTwoHopPacked(c *cursor) (int, *dist.TwoHop, error) {
 	n, err := c.count("2-hop node count", MaxNodes)
 	if err != nil {
-		return nil, err
-	}
-	if n != graphN {
-		return nil, fmt.Errorf("snapshot: 2-hop section covers %d nodes, graph has %d", n, graphN)
+		return -1, nil, err
 	}
 	blobLen, err := c.count("2-hop blob length", len(c.b))
 	if err != nil {
-		return nil, err
+		return n, nil, err
 	}
 	order, err := c.i32s("hub order", n)
 	if err != nil {
-		return nil, err
+		return n, nil, err
 	}
 	poff, err := c.i64s("label offsets", n+1)
 	if err != nil {
-		return nil, err
+		return n, nil, err
 	}
 	blob, err := c.bytes("label blob", blobLen)
 	if err != nil {
-		return nil, err
+		return n, nil, err
 	}
 	if err := c.done(); err != nil {
-		return nil, err
+		return n, nil, err
 	}
 	t, err := dist.TwoHopPackedFromRaw(n, order, poff, blob)
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
+		return n, nil, fmt.Errorf("snapshot: %w", err)
 	}
-	return t, nil
+	return n, t, nil
 }
 
-func decodeScheme(c *cursor, graphN int) (*SchemeTable, error) {
+func decodeScheme(c *cursor) (int, *SchemeTable, error) {
 	draws, err := c.count("draw count", MaxDraws)
 	if err != nil {
-		return nil, err
+		return -1, nil, err
 	}
 	if draws == 0 {
-		return nil, fmt.Errorf("snapshot: scheme section with zero draws")
+		return -1, nil, fmt.Errorf("snapshot: scheme section with zero draws")
 	}
 	n, err := c.count("scheme node count", MaxNodes)
 	if err != nil {
-		return nil, err
-	}
-	if n != graphN {
-		return nil, fmt.Errorf("snapshot: scheme section covers %d nodes, graph has %d", n, graphN)
+		return -1, nil, err
 	}
 	seed, err := c.u64("scheme seed")
 	if err != nil {
-		return nil, err
+		return n, nil, err
 	}
 	name, err := c.str("scheme name")
 	if err != nil {
-		return nil, err
+		return n, nil, err
 	}
 	st := &SchemeTable{Name: name, Seed: seed}
 	for k := 0; k < draws; k++ {
 		table, err := c.i32s("contact table", n)
 		if err != nil {
-			return nil, err
+			return n, nil, err
 		}
 		for u, v := range table {
 			if v < 0 || int(v) >= n {
-				return nil, fmt.Errorf("snapshot: scheme %s draw %d contact[%d] = %d out of range [0,%d)", name, k, u, v, n)
+				return n, nil, fmt.Errorf("snapshot: scheme %s draw %d contact[%d] = %d out of range [0,%d)", name, k, u, v, n)
 			}
 		}
 		st.Draws = append(st.Draws, table)
 	}
 	if err := c.done(); err != nil {
-		return nil, err
+		return n, nil, err
 	}
-	return st, nil
+	return n, st, nil
 }
 
 // cursor walks one section payload, mirroring the writer's enc: every slab

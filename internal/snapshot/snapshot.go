@@ -36,11 +36,12 @@
 //	payloads: 8-byte aligned, in table order
 //
 // Readers verify the magic, version, table checksum, section bounds and
-// alignment, and every payload checksum before parsing a byte of payload;
+// alignment, and each payload's checksum before parsing a byte of it;
 // each section parser then bounds-checks every declared count against the
 // section length before allocating, so truncated, corrupted or hostile
 // inputs fail with an error — never a panic or an unbounded allocation
-// (FuzzSnapshotRead pins this).
+// (FuzzSnapshotRead pins this).  Sections are checked concurrently, and
+// errors are reported in the order a front-to-back read meets them.
 package snapshot
 
 import (
