@@ -25,22 +25,33 @@ import (
 //     propagation mask — exactly the per-root prune, applied per bit.
 //   - The coverage test runs once per (node, level) over the node's
 //     committed label and answers all arrived roots at once: a rank-indexed
-//     root-distance matrix holds dist(root_k, hub) in 16-bit lanes, and a
-//     SWAR compare turns each label entry into a 4-roots-per-word coverage
-//     nibble.  The label scan — the dominant cost on expander-like graphs,
-//     where labels reach ~10^3 entries — is thus shared across the whole
-//     batch instead of repeated per root.
+//     root-distance matrix holds dist(root_k, hub) in 8- or 16-bit lanes,
+//     and a SWAR compare turns each label entry into a per-root coverage
+//     mask — in 8-bit lanes over the hub's whole 64-byte row, with no
+//     per-word branch.  The label scan — the dominant cost on
+//     expander-like graphs, where labels reach ~10^3 entries — is thus
+//     shared across the whole batch instead of repeated per root.
 //
 // During construction each node's committed label is kept sorted by
-// distance (a sorted run plus a small unsorted tail of recent additions,
-// merged geometrically), not by hub rank: an entry (h, dhv) can only help
-// cover an arrival at BFS distance d when dhv < d, so the distance-sorted
-// scan stops at the first entry with dhv >= d — typically cutting the scan
-// in half — and meets the near hubs most likely to certify coverage first.
-// Hub-rank order is only needed by the final CSR pack, which sorts once.
+// distance (a sorted run plus a small tail of recent additions), not by hub
+// rank: an entry (h, dhv) can only help cover an arrival at BFS distance d
+// when dhv < d, so the distance-sorted scan stops at the first entry with
+// dhv >= d — typically cutting the scan in half — and meets the near hubs
+// most likely to certify coverage first.  Commits arrive in hub-rank order,
+// so the tail is always rank-sorted and every tail rank exceeds every run
+// rank: folding it in takes one stable counting pass by distance and a
+// block merge, and the final rank-ascending layout is a linear merge of the
+// run's per-distance blocks with the tail appended — no comparison sort
+// anywhere on the build path.
+//
+// Large commits are node-owned: every worker applies, in root order, the
+// additions of the nodes it owns, so each label sees the same append
+// sequence at every worker count.  The final pack of a large build runs
+// node-parallel.  Each fan-out (level drains, commits, the pack) is gated
+// on its amount of work, so small builds stay on one goroutine.
 //
 // The result is byte-identical to running the per-root pruned BFS for each
-// hub of the batch (twoHopScalarBFS below, also the fallback engine):
+// hub of the batch (scalarBFS below, also the fallback engine):
 // level-synchronous per-bit propagation reaches node v at exactly the
 // per-root pruned-BFS distance, the coverage test reads the same committed
 // labels and the same root distances (coverage is an OR over label entries,
@@ -87,16 +98,29 @@ const (
 	// carries — the top nibble/byte is exactly the per-lane hit mask.
 	twoHopMoveMask16 uint64 = 0x0000200040008001
 	twoHopMoveMask8  uint64 = 0x0002040810204081
-	// twoHopBPParallelMin is the level size below which processing a
-	// bit-parallel level stays on one goroutine (fan-out costs more than
-	// the work).
-	twoHopBPParallelMin = 2048
+	// twoHopLevelParallelMin is the estimated coverage work of a
+	// bit-parallel level — staged nodes times the average committed label
+	// size, in label entries — below which the level drains on one
+	// goroutine (fan-out costs more than the work).
+	twoHopLevelParallelMin = 1 << 14
 	// twoHopBPChunk is the claim unit workers grab from a level's node
-	// list.
+	// list, and from the node range of the final pack.
 	twoHopBPChunk = 256
-	// twoHopTailMin / twoHopTailShare control when a node's unsorted tail
-	// of fresh additions is folded into its sorted run: at twoHopTailMin
-	// entries and at least 1/twoHopTailShare of the label.
+	// twoHopCommitParallelMin is the number of label additions below which
+	// a batch commits on one goroutine, and twoHopPackParallelMin the label
+	// entry total below which the final pack does.  Small builds (churn
+	// rebuilds, paper-suite cells) often run beside other work, so every
+	// fan-out waits until the work dwarfs the goroutine hand-off.
+	twoHopCommitParallelMin = 8192
+	twoHopPackParallelMin   = 1 << 16
+	// twoHopOwnerShift sets the node blocks of the parallel commit: node v
+	// belongs to worker (v >> twoHopOwnerShift) mod workers, so workers own
+	// interleaved blocks of 64 consecutive nodes (balanced, and no two
+	// workers write neighbouring label headers).
+	twoHopOwnerShift = 6
+	// twoHopTailMin / twoHopTailShare control when a node's rank-sorted
+	// tail of fresh additions is folded into its distance-sorted run: at
+	// twoHopTailMin entries and at least 1/twoHopTailShare of the label.
 	twoHopTailMin   = 48
 	twoHopTailShare = 8
 )
@@ -106,6 +130,18 @@ const (
 type twoHopAdditions struct {
 	nodes []graph.NodeID
 	dists []int32
+}
+
+// twoHopBatchAdds holds one producer's additions for a batch, indexed by
+// the root's offset in the batch.
+type twoHopBatchAdds [twoHopMaxBatch]twoHopAdditions
+
+// twoHopMergeScratch is one worker's scratch for folding tails and packing
+// labels.
+type twoHopMergeScratch struct {
+	buf   []uint64
+	count [256]int32
+	bnd   []int
 }
 
 // twoHopScratch is one scalar-engine worker's reusable state.
@@ -119,11 +155,10 @@ type twoHopScratch struct {
 // per worker so a level can be drained without locks, then merged
 // deterministically.
 type twoHopBPWorker struct {
-	// addNodes[k]/addDists[k] collect root k's label additions.  Within
-	// one buffer distances are non-decreasing (levels are processed in
-	// order), which commitBP exploits for max tracking.
-	addNodes [twoHopMaxBatch][]graph.NodeID
-	addDists [twoHopMaxBatch][]int32
+	// add[k] collects root k's label additions.  Within one buffer
+	// distances are non-decreasing (levels are processed in order), which
+	// commit exploits for max tracking.
+	add twoHopBatchAdds
 	// curList collects the nodes that survived pruning this level (the
 	// next level's frontier contribution).
 	curList []graph.NodeID
@@ -143,9 +178,9 @@ type twoHopBPScratch struct {
 	words    int
 	sentinel uint64 // all-unset row value for the current lane width
 	touched  []int32
-	// rdWordMask[h] flags which words of row h hold any real lane (bit w
-	// set when some lane of word w is not the sentinel).  The coverage
-	// scan intersects it with the words that still have uncovered
+	// rdWordMask[h] flags which words of a 16-bit-lane row h hold any real
+	// lane (bit w set when some lane of word w is not the sentinel).
+	// coverage16 intersects it with the words that still have uncovered
 	// arrivals; for sparse batches most label entries hit an empty
 	// intersection and skip the row entirely after one small-table load.
 	rdWordMask []uint16
@@ -159,6 +194,7 @@ type twoHopBPScratch struct {
 	nextList []graph.NodeID // deduped nodes receiving nextMask bits
 	arrived  []graph.NodeID // nodes with seen bits, for batch reset
 	workers  []*twoHopBPWorker
+	adds     []*twoHopBatchAdds // the workers' add buffers, for commit
 }
 
 // twoHopBuilder drives a full build: the batch loop, the engine choice per
@@ -172,12 +208,14 @@ type twoHopBuilder struct {
 	// lab[v] is node v's committed label, one uint64 per entry packing
 	// dist<<32 | hub-rank so the hot scan loads an entry in one read and
 	// uint64 order is (dist, rank) order.  lab[v][:sortedLen[v]] is sorted
-	// ascending, the rest is the unsorted tail of recent batch additions,
-	// folded in by mergeTail once it outgrows its share.  Coverage scans
-	// the sorted run with an early distance cutoff, then the (small) tail.
+	// ascending, the rest is the tail of recent batch additions in rank
+	// order, folded in by mergeTail once it outgrows its share.  Coverage
+	// scans the sorted run with an early distance cutoff, then the (small)
+	// tail.
 	lab       [][]uint64
 	sortedLen []int32
-	mergeBuf  []uint64 // scratch for the tail sort + merge (commit is serial)
+	merge     []*twoHopMergeScratch // per commit/pack worker
+	owner     []uint8               // node -> commit worker, built on first fan-out
 
 	total   int64
 	maxDist int32 // max committed label distance, gates the BP engine
@@ -187,7 +225,7 @@ type twoHopBuilder struct {
 	bpDead  bool // a batch exceeded twoHopMaxDepth; stay scalar
 	bp      *twoHopBPScratch
 	scalar  []*twoHopScratch
-	results []twoHopAdditions
+	results twoHopBatchAdds // the scalar engine's additions
 }
 
 // twoHopBuildLabels runs the full pruned-labeling build and returns the
@@ -211,6 +249,10 @@ func twoHopBuildLabels(g *graph.Graph, order []graph.NodeID, opts TwoHopOptions)
 		workers:   workers,
 		lab:       make([][]uint64, n),
 		sortedLen: make([]int32, n),
+		merge:     make([]*twoHopMergeScratch, workers),
+	}
+	for w := range b.merge {
+		b.merge[w] = &twoHopMergeScratch{}
 	}
 	budget := int64(-1)
 	if opts.MaxAvgLabel > 0 {
@@ -251,7 +293,7 @@ func twoHopBuildLabels(g *graph.Graph, order []graph.NodeID, opts TwoHopOptions)
 			}
 		}
 		if ran {
-			b.commitBP(start, end)
+			b.commit(start, end, b.bp.adds)
 		} else {
 			b.bpDead = true
 			b.runBatchScalar(start, end)
@@ -264,55 +306,252 @@ func twoHopBuildLabels(g *graph.Graph, order []graph.NodeID, opts TwoHopOptions)
 			batch *= 2
 		}
 	}
-	// Re-sort every label from construction (dist<<32|rank) order into the
-	// rank-ascending (rank<<32|dist) order the query and serialisation
-	// layers use: rotate each entry's halves, then sort.  Ranks are
-	// distinct per node, so the result is unique.
-	for v := 0; v < n; v++ {
-		ents := b.lab[v]
-		for i, e := range ents {
-			ents[i] = e<<32 | e>>32
-		}
-		slices.Sort(ents)
-	}
+	b.pack()
 	return b.lab, b.total, true
 }
 
-// commitEntry appends one (rank, dist) label addition for node v, folding
-// the unsorted tail into the sorted run whenever it exceeds its share.
-// Called from the (serial) commit loops only.
-func (b *twoHopBuilder) commitEntry(v graph.NodeID, rank, d int32) {
-	b.lab[v] = append(b.lab[v], uint64(uint32(d))<<32|uint64(uint32(rank)))
-	if tail := len(b.lab[v]) - int(b.sortedLen[v]); tail >= twoHopTailMin && tail*twoHopTailShare >= len(b.lab[v]) {
-		b.mergeTail(v)
+// twoHopFanOut runs fn(0), ..., fn(workers-1) on their own goroutines and
+// waits for all of them.
+func twoHopFanOut(workers int, fn func(w int)) {
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(w)
+		}()
+	}
+	wg.Wait()
+}
+
+// twoHopFanOutChunks runs fn(w, lo, hi) over [0, n) in chunks of the
+// given size that the workers goroutines claim in turn.
+func twoHopFanOutChunks(workers, n, chunk int, fn func(w, lo, hi int)) {
+	var next atomic.Int64
+	twoHopFanOut(workers, func(w int) {
+		for {
+			lo := int(next.Add(int64(chunk)) - int64(chunk))
+			if lo >= n {
+				return
+			}
+			fn(w, lo, min(lo+chunk, n))
+		}
+	})
+}
+
+// commit appends the label additions of hubs [start, end): sets holds one
+// twoHopBatchAdds per producer, and each node gains at most one entry per
+// root across all of them.  Every node receives its entries in root order
+// — on one goroutine, or, for batches of at least twoHopCommitParallelMin
+// additions, on the worker owning the node — so each label sees the same
+// append (and fold) sequence at every worker count.  total and maxDist are
+// reduced up front; the buffers are emptied for the next batch.
+func (b *twoHopBuilder) commit(start, end int, sets []*twoHopBatchAdds) {
+	B := end - start
+	var adds int64
+	for _, set := range sets {
+		for k := 0; k < B; k++ {
+			dists := set[k].dists
+			adds += int64(len(dists))
+			// Per-buffer distances are non-decreasing (levels are
+			// processed in order), so the last one is the buffer max.
+			if len(dists) > 0 && dists[len(dists)-1] > b.maxDist {
+				b.maxDist = dists[len(dists)-1]
+			}
+		}
+	}
+	b.total += adds
+	if adds < twoHopCommitParallelMin || b.workers == 1 {
+		b.commitOwned(start, end, sets, -1)
+	} else {
+		if b.owner == nil {
+			b.owner = make([]uint8, b.n)
+			for v := range b.owner {
+				b.owner[v] = uint8((v >> twoHopOwnerShift) % b.workers)
+			}
+		}
+		twoHopFanOut(b.workers, func(w int) { b.commitOwned(start, end, sets, w) })
+	}
+	for _, set := range sets {
+		for k := 0; k < B; k++ {
+			set[k].nodes = set[k].nodes[:0]
+			set[k].dists = set[k].dists[:0]
+		}
 	}
 }
 
-// mergeTail sorts node v's tail additions by (dist, rank) and merges them
-// into the sorted run.  Amortised cost is O(twoHopTailShare) moves per
-// entry; the resulting order is a pure function of the entry set, so
-// worker scheduling cannot perturb it.
-func (b *twoHopBuilder) mergeTail(v graph.NodeID) {
-	ents := b.lab[v]
-	s := int(b.sortedLen[v])
-	buf := append(b.mergeBuf[:0], ents[s:]...)
-	b.mergeBuf = buf
-	slices.Sort(buf)
-	// Merge backward: sorted run ents[0:s] and the sorted tail in buf fill
-	// ents back to front.  Keys (dist, rank) are unique.
-	w := len(ents)
-	i := s - 1
-	for j := len(buf) - 1; j >= 0; j-- {
-		t := buf[j]
-		for i >= 0 && ents[i] > t {
-			w--
-			ents[w] = ents[i]
-			i--
+// commitOwned applies the additions of hubs [start, end) to the nodes
+// worker w owns, root by root; w < 0 applies them all.
+func (b *twoHopBuilder) commitOwned(start, end int, sets []*twoHopBatchAdds, w int) {
+	ms := b.merge[max(w, 0)]
+	for k := 0; k < end-start; k++ {
+		rank := uint64(start + k)
+		for _, set := range sets {
+			a := &set[k]
+			for i, v := range a.nodes {
+				if w >= 0 && int(b.owner[v]) != w {
+					continue
+				}
+				b.commitEntry(ms, v, uint64(uint32(a.dists[i]))<<32|rank)
+			}
 		}
-		w--
-		ents[w] = t
 	}
-	b.sortedLen[v] = int32(len(ents))
+}
+
+// commitEntry appends entry e (dist<<32 | rank) to node v's tail, folding
+// the tail into the sorted run whenever it exceeds its share.  Entries
+// arrive in rank order, so the tail stays rank-sorted.
+func (b *twoHopBuilder) commitEntry(ms *twoHopMergeScratch, v graph.NodeID, e uint64) {
+	ents := append(b.lab[v], e)
+	b.lab[v] = ents
+	if tail := len(ents) - int(b.sortedLen[v]); tail >= twoHopTailMin && tail*twoHopTailShare >= len(ents) {
+		ms.mergeTail(ents, int(b.sortedLen[v]))
+		b.sortedLen[v] = int32(len(ents))
+	}
+}
+
+// mergeTail folds the tail ents[s:] into the sorted run ents[:s], leaving
+// all of ents sorted by (dist, rank).  The tail is rank-sorted and every
+// tail rank exceeds every run rank, so a stable sort of the tail by
+// distance alone — counting passes of 8 distance bits, one pass unless the
+// tail spans 256 distances or more — puts it in (dist, rank) order, and in
+// the merge each run block of one distance precedes the tail's block of
+// that distance.  The merge moves whole blocks, from the largest distance
+// down.  Amortised cost is O(twoHopTailShare) moves per entry.
+func (ms *twoHopMergeScratch) mergeTail(ents []uint64, s int) {
+	tail := ents[s:]
+	lo, hi := uint32(tail[0]>>32), uint32(tail[0]>>32)
+	for _, e := range tail {
+		lo, hi = min(lo, uint32(e>>32)), max(hi, uint32(e>>32))
+	}
+	if cap(ms.buf) < len(tail) {
+		ms.buf = make([]uint64, 2*len(tail))
+	}
+	buf := ms.buf[:len(tail)]
+	src, dst := tail, buf
+	for shift := uint(0); ; shift += 8 {
+		// One stable counting pass on bits shift..shift+7 of dist-lo.
+		top := min((hi-lo)>>shift, 255)
+		cnt := ms.count[:top+1]
+		clear(cnt)
+		for _, e := range src {
+			cnt[(uint32(e>>32)-lo)>>shift&0xFF]++
+		}
+		at := int32(0)
+		for i, c := range cnt {
+			cnt[i] = at
+			at += c
+		}
+		for _, e := range src {
+			dg := (uint32(e>>32) - lo) >> shift & 0xFF
+			dst[cnt[dg]] = e
+			cnt[dg]++
+		}
+		src, dst = dst, src
+		if (hi-lo)>>shift < 256 {
+			break
+		}
+	}
+	if &src[0] == &tail[0] {
+		// An even number of passes left the result in the tail itself.
+		copy(buf, src)
+		src = buf
+	}
+	// Merge backward, one distance block at a time: the run entries with a
+	// larger distance than the tail block move up, then the block lands
+	// below them.
+	w, i := len(ents), s
+	for j := len(src); j > 0; {
+		d := src[j-1] >> 32
+		g := j - 1
+		for g > 0 && src[g-1]>>32 == d {
+			g--
+		}
+		p, _ := slices.BinarySearch(ents[:i], (d+1)<<32)
+		w -= i - p
+		copy(ents[w:], ents[p:i])
+		w -= j - g
+		copy(ents[w:], src[g:j])
+		i, j = p, g
+	}
+}
+
+// pack rewrites every label from construction order into the
+// rank-ascending rank<<32|dist entries the query and serialisation layers
+// use, on all workers once the labels hold at least twoHopPackParallelMin
+// entries.
+func (b *twoHopBuilder) pack() {
+	if b.total < twoHopPackParallelMin || b.workers == 1 {
+		for v := range b.lab {
+			b.merge[0].packLabel(b.lab[v], int(b.sortedLen[v]))
+		}
+		return
+	}
+	twoHopFanOutChunks(b.workers, b.n, twoHopBPChunk, func(w, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			b.merge[w].packLabel(b.lab[v], int(b.sortedLen[v]))
+		}
+	})
+}
+
+// packLabel puts one label in rank order: it rotates each entry to
+// rank<<32|dist, merges the sorted run's per-distance blocks (each already
+// rank-ascending) pairwise, bottom up, and leaves the tail — whose ranks
+// all exceed the run's — where it is.
+func (ms *twoHopMergeScratch) packLabel(ents []uint64, s int) {
+	bnd := append(ms.bnd[:0], 0)
+	for i, e := range ents {
+		ents[i] = e<<32 | e>>32
+		if i > 0 && i < s && uint32(e>>32) != uint32(ents[i-1]) {
+			bnd = append(bnd, i)
+		}
+	}
+	bnd = append(bnd, s)
+	ms.bnd = bnd
+	if len(bnd) <= 2 {
+		return // at most one block
+	}
+	if cap(ms.buf) < s {
+		ms.buf = make([]uint64, 2*s)
+	}
+	src, dst := ents[:s], ms.buf[:s]
+	for len(bnd) > 2 {
+		// Merge blocks 2j and 2j+1 of src into dst, compacting bnd to the
+		// merged boundaries (written at or behind the index being read).
+		m := 1
+		for j := 0; j+1 < len(bnd); j += 2 {
+			a, mid, c := bnd[j], bnd[j+1], bnd[j+1]
+			if j+2 < len(bnd) {
+				c = bnd[j+2]
+			}
+			twoHopMergeRuns(dst[a:c], src[a:mid], src[mid:c])
+			bnd[m] = c
+			m++
+		}
+		bnd = bnd[:m]
+		src, dst = dst, src
+	}
+	if &src[0] != &ents[0] {
+		copy(ents, src)
+	}
+}
+
+// twoHopMergeRuns merges the ascending runs x and y into dst, which has
+// room for both.
+func twoHopMergeRuns(dst, x, y []uint64) {
+	i, j, k := 0, 0, 0
+	for i < len(x) && j < len(y) {
+		if x[i] < y[j] {
+			dst[k] = x[i]
+			i++
+		} else {
+			dst[k] = y[j]
+			j++
+		}
+		k++
+	}
+	k += copy(dst[k:], x[i:])
+	copy(dst[k:], y[j:])
 }
 
 // ---------------------------------------------------------------------------
@@ -334,6 +573,7 @@ func (b *twoHopBuilder) ensureBP(words int, sentinel uint64) *twoHopBPScratch {
 		}
 		for w := range bp.workers {
 			bp.workers[w] = &twoHopBPWorker{}
+			bp.adds = append(bp.adds, &bp.workers[w].add)
 		}
 		b.bp = bp
 	}
@@ -363,7 +603,9 @@ func (b *twoHopBuilder) runBatchBP(start, end int) bool {
 	maxDepth := int32(twoHopMaxDepth)
 	sentinel := twoHopSentinelRow
 	if b.lanes8 {
-		words = (B + 7) / 8
+		// 8-bit rows always span a full batch — one 64-byte cache line —
+		// so coverage8 compares whole rows; lanes past B stay sentinel.
+		words = twoHopMaxBatch / 8
 		maxDepth = twoHopMaxDepth8
 		sentinel = twoHopSentinelRow8
 	}
@@ -379,7 +621,6 @@ func (b *twoHopBuilder) runBatchBP(start, end int) bool {
 				h := int32(uint32(e))
 				idx := int(h)*words + k>>3
 				bp.rd[idx] = bp.rd[idx]&^(0xFF<<shift) | (e>>32)<<shift
-				bp.rdWordMask[h] |= 1 << uint(k>>3)
 				bp.touched = append(bp.touched, h)
 			}
 		} else {
@@ -405,8 +646,8 @@ func (b *twoHopBuilder) runBatchBP(start, end int) bool {
 		bp.propMask[root] |= bit
 		bp.curList = append(bp.curList, root)
 		bp.arrived = append(bp.arrived, root)
-		wk0.addNodes[k] = append(wk0.addNodes[k], root)
-		wk0.addDists[k] = append(wk0.addDists[k], 0)
+		wk0.add[k].nodes = append(wk0.add[k].nodes, root)
+		wk0.add[k].dists = append(wk0.add[k].dists, 0)
 	}
 
 	ok := true
@@ -458,8 +699,8 @@ func (b *twoHopBuilder) runBatchBP(start, end int) bool {
 	if !ok {
 		for _, wk := range bp.workers {
 			for k := 0; k < B; k++ {
-				wk.addNodes[k] = wk.addNodes[k][:0]
-				wk.addDists[k] = wk.addDists[k][:0]
+				wk.add[k].nodes = wk.add[k].nodes[:0]
+				wk.add[k].dists = wk.add[k].dists[:0]
 			}
 		}
 	}
@@ -467,36 +708,20 @@ func (b *twoHopBuilder) runBatchBP(start, end int) bool {
 }
 
 // processLevel drains the staged arrivals of level d: coverage-tests every
-// node on nextList and records survivors.  Parallel when the level is
-// large; each staged node appears exactly once on nextList, so workers own
-// disjoint nodes and all writes are race-free.
+// node on nextList and records survivors.  Parallel when the level's
+// estimated work reaches twoHopLevelParallelMin; each staged node appears
+// exactly once on nextList, so workers own disjoint nodes and all writes
+// are race-free.
 func (b *twoHopBuilder) processLevel(d int32) {
 	bp := b.bp
 	list := bp.nextList
-	if len(list) < twoHopBPParallelMin || b.workers == 1 {
+	if int64(len(list))*(b.total/int64(b.n)+1) < twoHopLevelParallelMin || b.workers == 1 {
 		b.processRange(bp.workers[0], list, d)
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < b.workers; w++ {
-		wg.Add(1)
-		go func(wk *twoHopBPWorker) {
-			defer wg.Done()
-			for {
-				lo := int(next.Add(twoHopBPChunk) - twoHopBPChunk)
-				if lo >= len(list) {
-					return
-				}
-				hi := lo + twoHopBPChunk
-				if hi > len(list) {
-					hi = len(list)
-				}
-				b.processRange(wk, list[lo:hi], d)
-			}
-		}(bp.workers[w])
-	}
-	wg.Wait()
+	twoHopFanOutChunks(b.workers, len(list), twoHopBPChunk, func(w, lo, hi int) {
+		b.processRange(bp.workers[w], list[lo:hi], d)
+	})
 }
 
 // processRange handles a slice of level-d staged nodes: consume the staging
@@ -528,16 +753,17 @@ func (b *twoHopBuilder) processRange(wk *twoHopBPWorker, list []graph.NodeID, d 
 		bp.propMask[v] = surv
 		wk.curList = append(wk.curList, v)
 		for s := surv; s != 0; s &= s - 1 {
-			k := bits.TrailingZeros64(s)
-			wk.addNodes[k] = append(wk.addNodes[k], v)
-			wk.addDists[k] = append(wk.addDists[k], d)
+			a := &wk.add[bits.TrailingZeros64(s)]
+			a.nodes = append(a.nodes, v)
+			a.dists = append(a.dists, d)
 		}
 	}
 }
 
-// coverage16 returns the subset of the arrival bits arr whose roots are
-// covered at (v, d): root k is covered when some committed entry (h, dhv)
-// of v's label satisfies dist(root_k, h) + dhv <= d.  One scan of v's
+// coverage16 returns a mask whose bits within the arrival bits arr are the
+// roots covered at (v, d) (bits outside arr are don't-cares): root k is
+// covered when some committed entry (h, dhv) of v's label satisfies
+// dist(root_k, h) + dhv <= d.  One scan of v's
 // label answers every arrived root: each entry becomes a per-root
 // threshold test dist(root_k, h) <= d - dhv, evaluated four roots per word
 // by an exact SWAR lane compare.  The scan runs over the distance-sorted
@@ -578,20 +804,14 @@ func (b *twoHopBuilder) coverage16(v graph.NodeID, arr uint64, d int32) uint64 {
 			if mw == 0 {
 				continue
 			}
-			// Exact 4-lane "lane <= T" compare: with every lane below
-			// 2^15 (lanes cap at twoHopInf16, T+1 at twoHopMaxDepth+1),
-			// setting the lane top bits before subtracting T+1 keeps each
-			// lane's borrow inside the lane, so the surviving top bit is
-			// exactly "lane < T+1".  (The classic hasless() trick is NOT
-			// exact per lane — a lower lane's borrow can corrupt upper
-			// lanes.)
+			// Lanes cap at twoHopInf16 and T+1 at twoHopMaxDepth+1, so
+			// the 4-lane compare is exact.
 			D := uint64(uint32(T+1)) * twoHopOnes16
 			base := int(h) * words
 			hitAny := false
 			for ; mw != 0; mw &= mw - 1 {
 				w := bits.TrailingZeros64(mw)
-				z := (rd[base+w] | twoHopHighs16) - D
-				hit := ^z & twoHopHighs16
+				hit := twoHopLanesLE16(rd[base+w], D)
 				if hit == 0 {
 					continue
 				}
@@ -616,18 +836,21 @@ func (b *twoHopBuilder) coverage16(v graph.NodeID, arr uint64, d int32) uint64 {
 	return cov
 }
 
-// coverage8 is coverage16 for 8-bit root-distance lanes: 8 roots per word,
-// same exact SWAR compare one bit-width down (every lane stays below 2^7,
-// so per-lane borrows cannot escape their byte).
+// coverage8 is coverage16 for 8-bit root-distance lanes, whose rows are
+// always 8 words — one 64-byte cache line.  Each entry compares its whole
+// row with no per-word branch: the twoHopLanesLE8 compare of every word
+// (exact, as every lane stays below 2^7), masked by hi — the top bits of
+// the lanes whose roots are still uncovered, so covered and absent roots
+// never count — and ORed across the words.  Only an entry that covers a
+// new root pays for turning the hits into root bits (twoHopRowBits8).
 func (b *twoHopBuilder) coverage8(v graph.NodeID, arr uint64, d int32) uint64 {
-	bp := b.bp
-	rd := bp.rd
-	wm := bp.rdWordMask
-	words := bp.words
+	rd := b.bp.rd
 	ents := b.lab[v]
-	var cov uint64
 	rem := arr
-	remWW := twoHopByteMask(rem)
+	var hi [8]uint64
+	for w := range hi {
+		hi[w] = twoHopSpreadHighs8(rem >> (8 * w))
+	}
 	s := int(b.sortedLen[v])
 	i, end := 0, s
 	for pass := 0; pass < 2; pass++ {
@@ -636,55 +859,65 @@ func (b *twoHopBuilder) coverage8(v graph.NodeID, arr uint64, d int32) uint64 {
 			T := d - int32(e>>32)
 			if T <= 0 {
 				if pass == 0 {
-					break
+					break // sorted by distance, as in coverage16
 				}
-				continue
-			}
-			h := uint32(e)
-			mw := uint64(wm[h]) & remWW
-			if mw == 0 {
 				continue
 			}
 			D := uint64(uint32(T+1)) * twoHopOnes8
-			base := int(h) * words
-			hitAny := false
-			for ; mw != 0; mw &= mw - 1 {
-				w := bits.TrailingZeros64(mw)
-				z := (rd[base+w] | twoHopHighs8) - D
-				hit := ^z & twoHopHighs8
-				if hit == 0 {
-					continue
-				}
-				cov |= (hit * twoHopMoveMask8 >> 56) << uint(w*8)
-				hitAny = true
+			row := (*[8]uint64)(rd[int(uint32(e))*8:])
+			// hi holds lane top bits only, so hi &^ z is hi & LE8(row, D).
+			if hi[0]&^((row[0]|twoHopHighs8)-D)|
+				hi[1]&^((row[1]|twoHopHighs8)-D)|
+				hi[2]&^((row[2]|twoHopHighs8)-D)|
+				hi[3]&^((row[3]|twoHopHighs8)-D)|
+				hi[4]&^((row[4]|twoHopHighs8)-D)|
+				hi[5]&^((row[5]|twoHopHighs8)-D)|
+				hi[6]&^((row[6]|twoHopHighs8)-D)|
+				hi[7]&^((row[7]|twoHopHighs8)-D) == 0 {
+				continue
 			}
-			if hitAny {
-				// As in coverage16: refresh the word mask only when a
-				// root was newly covered.
-				if nr := arr &^ cov; nr != rem {
-					if nr == 0 {
-						return cov
-					}
-					rem = nr
-					remWW = twoHopByteMask(nr)
-				}
+			if rem &^= twoHopRowBits8(row, &hi, D); rem == 0 {
+				return arr
 			}
 		}
 		i, end = s, len(ents)
 	}
-	return cov
+	return arr &^ rem
 }
 
-// twoHopByteMask collapses each 8-bit root group of m into one bit: bit w
-// of the result is set exactly when any of bits 8w..8w+7 of m is.  (Only
-// shift 7w moves a flag bit at 8w into the low byte, so the cascade is
-// alias-free after masking.)
-func twoHopByteMask(m uint64) uint64 {
-	m |= m >> 1
-	m |= m >> 2
-	m |= m >> 4
-	m &= 0x0101010101010101
-	return (m | m>>7 | m>>14 | m>>21 | m>>28 | m>>35 | m>>42 | m>>49) & 0xFF
+// twoHopLanesLE16 flags the 16-bit lanes of x that are <= T, where D is
+// T+1 in every lane: the result has the top bit of each such lane set.
+// Exact while every lane and T+1 stay below 2^15: setting the lane top
+// bits before subtracting keeps each lane's borrow inside the lane, so the
+// surviving top bit is exactly "lane < T+1".  (The classic hasless() trick
+// is NOT exact per lane — a lower lane's borrow can corrupt upper lanes.)
+func twoHopLanesLE16(x, D uint64) uint64 { return ^((x | twoHopHighs16) - D) & twoHopHighs16 }
+
+// twoHopLanesLE8 is twoHopLanesLE16 for 8-bit lanes, exact while every
+// lane and T+1 stay below 2^7.
+func twoHopLanesLE8(x, D uint64) uint64 { return ^((x | twoHopHighs8) - D) & twoHopHighs8 }
+
+// twoHopRowBits8 returns, as root bits (bit 8w+j for lane j of word w),
+// the lanes of row flagged in hi that are <= T (D as in twoHopLanesLE8),
+// and clears them from hi.
+func twoHopRowBits8(row, hi *[8]uint64, D uint64) uint64 {
+	var bits uint64
+	for w := range hi {
+		hit := hi[w] & twoHopLanesLE8(row[w], D)
+		bits |= (hit * twoHopMoveMask8 >> 56) << uint(w*8)
+		hi[w] &^= hit
+	}
+	return bits
+}
+
+// twoHopSpreadHighs8 spreads the low byte of m over the lane top bits of
+// a word of 8-bit lanes: bit j of m becomes bit 8j+7.
+func twoHopSpreadHighs8(m uint64) uint64 {
+	m &= 0xFF
+	m = (m | m<<28) & 0x0000000F0000000F
+	m = (m | m<<14) & 0x0003000300030003
+	m = (m | m<<7) & 0x0101010101010101
+	return m << 7
 }
 
 // twoHopNibbleMask collapses each 4-bit root group of m into one bit: bit
@@ -700,34 +933,6 @@ func twoHopNibbleMask(m uint64) uint64 {
 	m = (m | m>>12) & 0x000000FF000000FF
 	m = (m | m>>24) & 0xFFFF
 	return m
-}
-
-// commitBP appends the batch's label additions.  Each node gains at most
-// one entry per root, the k-ascending outer loop fixes the tail append
-// order, and the merged order is by (dist, rank) — all pure functions of
-// the entry set, so the committed bytes do not depend on how additions
-// were split across workers.
-func (b *twoHopBuilder) commitBP(start, end int) {
-	bp := b.bp
-	for k := 0; k < end-start; k++ {
-		rank := int32(start + k)
-		for _, wk := range bp.workers {
-			nodes, dists := wk.addNodes[k], wk.addDists[k]
-			for i, v := range nodes {
-				b.commitEntry(v, rank, dists[i])
-			}
-			b.total += int64(len(nodes))
-			if len(dists) > 0 {
-				// Per-buffer distances are non-decreasing (levels are
-				// processed in order), so the last one is the buffer max.
-				if last := dists[len(dists)-1]; last > b.maxDist {
-					b.maxDist = last
-				}
-			}
-			wk.addNodes[k] = nodes[:0]
-			wk.addDists[k] = dists[:0]
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -751,44 +956,18 @@ func (b *twoHopBuilder) runBatchScalar(start, end int) {
 			}
 			b.scalar[w] = sc
 		}
-		b.results = make([]twoHopAdditions, twoHopMaxBatch)
 	}
-	var next atomic.Int64
-	next.Store(int64(start))
-	var wg sync.WaitGroup
-	for w := 0; w < b.workers; w++ {
-		wg.Add(1)
-		go func(sc *twoHopScratch) {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1) - 1)
-				if k >= end {
-					return
-				}
-				b.results[k-start] = b.scalarBFS(b.order[k], sc)
-			}
-		}(b.scalar[w])
-	}
-	wg.Wait()
-	for k := start; k < end; k++ {
-		res := b.results[k-start]
-		for i, v := range res.nodes {
-			b.commitEntry(v, int32(k), res.dists[i])
-		}
-		b.total += int64(len(res.nodes))
-		if len(res.dists) > 0 {
-			if last := res.dists[len(res.dists)-1]; last > b.maxDist {
-				b.maxDist = last
-			}
-		}
-		b.results[k-start] = twoHopAdditions{}
-	}
+	twoHopFanOutChunks(b.workers, end-start, 1, func(w, k, _ int) {
+		b.scalarBFS(b.order[start+k], b.scalar[w], &b.results[k])
+	})
+	b.commit(start, end, []*twoHopBatchAdds{&b.results})
 }
 
-// scalarBFS runs the pruned BFS from root against the committed labels: a
-// node u reached at distance d is labeled (and expanded) only if no
-// committed two-hop path already certifies dist(root, u) <= d.
-func (b *twoHopBuilder) scalarBFS(root graph.NodeID, sc *twoHopScratch) twoHopAdditions {
+// scalarBFS runs the pruned BFS from root against the committed labels,
+// appending its additions to out: a node u reached at distance d is
+// labeled (and expanded) only if no committed two-hop path already
+// certifies dist(root, u) <= d.
+func (b *twoHopBuilder) scalarBFS(root graph.NodeID, sc *twoHopScratch, out *twoHopAdditions) {
 	rootEnts := b.lab[root]
 	for _, e := range rootEnts {
 		sc.rootDist[uint32(e)] = int32(e >> 32)
@@ -796,7 +975,6 @@ func (b *twoHopBuilder) scalarBFS(root graph.NodeID, sc *twoHopScratch) twoHopAd
 	queue := sc.queue[:0]
 	queue = append(queue, root)
 	sc.dist[root] = 0
-	var out twoHopAdditions
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		du := sc.dist[u]
@@ -845,5 +1023,4 @@ func (b *twoHopBuilder) scalarBFS(root graph.NodeID, sc *twoHopScratch) twoHopAd
 		sc.rootDist[uint32(e)] = twoHopUnset
 	}
 	sc.queue = queue
-	return out
 }
