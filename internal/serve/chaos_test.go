@@ -24,6 +24,7 @@ import (
 	"navaug/internal/core"
 	"navaug/internal/dist"
 	"navaug/internal/fault"
+	"navaug/internal/graph"
 	"navaug/internal/serve"
 	"navaug/internal/snapshot"
 	"navaug/internal/xrand"
@@ -66,6 +67,36 @@ func getBody(t *testing.T, url string) (int, []byte) {
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatalf("GET %s: reading body: %v", url, err)
+	}
+	return resp.StatusCode, b
+}
+
+// randomPairs draws k seeded pairs of nodes in [0, n).
+func randomPairs(n, k int, seed uint64) [][2]int32 {
+	rng := xrand.New(seed)
+	pairs := make([][2]int32, k)
+	for i := range pairs {
+		pairs[i] = [2]int32{rng.Int31n(int32(n)), rng.Int31n(int32(n))}
+	}
+	return pairs
+}
+
+// bfsDist returns exact distances in g by BFS from u.
+func bfsDist(g *graph.Graph) func(u, v int32) int32 {
+	return func(u, v int32) int32 { return g.BFS(graph.NodeID(u))[v] }
+}
+
+// postBody posts a raw payload and returns status and raw body.
+func postBody(t *testing.T, url string, payload []byte) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("POST %s: reading body: %v", url, err)
 	}
 	return resp.StatusCode, b
 }
@@ -341,6 +372,10 @@ func TestQuarantinedSnapshotServesApprox(t *testing.T) {
 		}
 	}
 
+	// A batch and a single query under pressure: landmark bounds marked
+	// approx, in the bytes encoding/json wrote for the same values.
+	checkDistWire(t, ts.URL, randomPairs(256, 48, 42), bfsDist(snap.Graph), true)
+
 	// Pressure released: the ladder climbs back to the exact field tier,
 	// but the quarantined section keeps the server marked degraded.
 	inj.Deactivate()
@@ -460,6 +495,11 @@ func TestLandmarksOnlyBeneathFieldCache(t *testing.T) {
 			if st := fetchChaosStats(t, ts.URL); st.ApproxAnswers != wantApprox {
 				t.Fatalf("approx_answers = %d, want %d", st.ApproxAnswers, wantApprox)
 			}
+
+			// Faults cleared, every tier answers exactly, in the bytes
+			// encoding/json wrote for the same values.
+			fillers.Wait()
+			checkDistWire(t, ts.URL, randomPairs(256, 48, 41), bfsDist(snap.Graph), false)
 		})
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"runtime"
+	"slices"
 	"strconv"
 	"time"
 
@@ -66,8 +68,8 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 // nodeParam parses one node-id query parameter and range-checks it.
-func (s *Server) nodeParam(r *http.Request, name string) (graph.NodeID, error) {
-	raw := r.URL.Query().Get(name)
+func (s *Server) nodeParam(q url.Values, name string) (graph.NodeID, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return 0, fmt.Errorf("missing required parameter %q", name)
 	}
@@ -111,17 +113,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-type distBatchRequest struct {
-	Pairs [][2]int32 `json:"pairs"`
-}
-
-type distBatchResponse struct {
-	Dists []int32 `json:"dists"`
-	// Approx marks the batch as served from the approximate tier: every
-	// dist is a landmark upper bound, not an exact distance.
-	Approx bool `json:"approx,omitempty"`
-}
-
 // handleDist answers distance queries: GET for one (u, v) pair, POST for a
 // batch.  A batch runs as a single pool task, which is what lets a one-CPU
 // deployment amortise HTTP overhead across thousands of oracle lookups per
@@ -132,10 +123,11 @@ type distBatchResponse struct {
 func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		u, err := s.nodeParam(r, "u")
+		q := r.URL.Query()
+		u, err := s.nodeParam(q, "u")
 		if err == nil {
 			var v graph.NodeID
-			v, err = s.nodeParam(r, "v")
+			v, err = s.nodeParam(q, "v")
 			if err == nil {
 				if !s.admit(w, r) {
 					return
@@ -161,28 +153,30 @@ func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 				s.distQueries.Add(1)
-				resp := map[string]any{"u": u, "v": v, "dist": d}
 				if approx {
 					s.approxAnswers.Add(1)
-					resp["approx"] = true
 				}
-				writeJSON(w, resp)
+				buf := distBufs.Get().(*distBuf)
+				buf.b = appendDistOne(buf.b[:0], u, v, d, approx)
+				writeAnswer(w, buf.b)
+				distBufs.Put(buf)
 				return
 			}
 		}
 		s.httpError(w, http.StatusBadRequest, "%v", err)
 	case http.MethodPost:
-		var req distBatchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.httpError(w, http.StatusBadRequest, "bad batch body: %v", err)
+		buf := distBufs.Get().(*distBuf)
+		defer distBufs.Put(buf)
+		pairs, ok := s.readDistBatch(w, r, buf)
+		if !ok {
 			return
 		}
-		if len(req.Pairs) == 0 || len(req.Pairs) > s.opts.MaxBatch {
-			s.httpError(w, http.StatusBadRequest, "batch of %d pairs out of range [1,%d]", len(req.Pairs), s.opts.MaxBatch)
+		if len(pairs) == 0 || len(pairs) > s.opts.MaxBatch {
+			s.httpError(w, http.StatusBadRequest, "batch of %d pairs out of range [1,%d]", len(pairs), s.opts.MaxBatch)
 			return
 		}
 		n := int32(s.g.N())
-		for i, p := range req.Pairs {
+		for i, p := range pairs {
 			if p[0] < 0 || p[0] >= n || p[1] < 0 || p[1] >= n {
 				s.httpError(w, http.StatusBadRequest, "pair %d = (%d,%d) out of range [0,%d)", i, p[0], p[1], n)
 				return
@@ -191,12 +185,16 @@ func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 		if !s.admit(w, r) {
 			return
 		}
-		resp := distBatchResponse{Dists: make([]int32, len(req.Pairs))}
+		dists := slices.Grow(buf.dists[:0], len(pairs))[:len(pairs)]
+		buf.dists = dists
+		// approx marks the batch as served from the approximate tier:
+		// every dist is a landmark upper bound, not an exact distance.
+		var approx bool
 		err := s.pool.TryDo(func(*Shard) {
-			for i, p := range req.Pairs {
-				var approx bool
-				resp.Dists[i], approx = s.distance(p[0], p[1])
-				resp.Approx = resp.Approx || approx
+			for i, p := range pairs {
+				var a bool
+				dists[i], a = s.distance(p[0], p[1])
+				approx = approx || a
 			}
 		})
 		if errors.Is(err, ErrOverloaded) {
@@ -207,11 +205,12 @@ func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 			s.poolError(w, err)
 			return
 		}
-		s.distQueries.Add(int64(len(req.Pairs)))
-		if resp.Approx {
-			s.approxAnswers.Add(int64(len(req.Pairs)))
+		s.distQueries.Add(int64(len(pairs)))
+		if approx {
+			s.approxAnswers.Add(int64(len(pairs)))
 		}
-		writeJSON(w, resp)
+		buf.b = appendDistBatch(buf.b[:0], dists, approx)
+		writeAnswer(w, buf.b)
 	default:
 		s.httpError(w, http.StatusMethodNotAllowed, "use GET for single queries, POST for batches")
 	}
@@ -296,17 +295,17 @@ func (s *Server) frozenInstance(scheme string, draw int) (routeInstance, error) 
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		from, err := s.nodeParam(r, "s")
-		if err != nil {
-			s.httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		to, err := s.nodeParam(r, "t")
-		if err != nil {
-			s.httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
 		q := r.URL.Query()
+		from, err := s.nodeParam(q, "s")
+		if err != nil {
+			s.httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		to, err := s.nodeParam(q, "t")
+		if err != nil {
+			s.httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
 		draw := 0
 		if raw := q.Get("draw"); raw != "" {
 			if draw, err = strconv.Atoi(raw); err != nil {
@@ -339,8 +338,9 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]any{"scheme": inst.scheme, "draw": inst.draw, "result": res})
 	case http.MethodPost:
 		var req routeBatchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.httpError(w, http.StatusBadRequest, "bad batch body: %v", err)
+		body := http.MaxBytesReader(w, r.Body, batchBodyLimit(s.opts.MaxBatch))
+		if err := json.NewDecoder(body).Decode(&req); err != nil {
+			s.badBody(w, err)
 			return
 		}
 		if len(req.Pairs) == 0 || len(req.Pairs) > s.opts.MaxBatch {

@@ -16,6 +16,13 @@
 //	POST /v1/route              {"pairs":[[s,t],...],...} batched trials
 //	GET  /v1/stats              counters, snapshot meta, peak RSS
 //
+// A batch body may hold at most 64 bytes a pair of MaxBatch plus 4 KiB
+// (516 KiB at the default 8192), room for an indented batch at the int32
+// extremes; a longer body is answered 413 before it is decoded.  A dist
+// batch in the canonical shape above is decoded without reflection, and
+// every dist answer is written byte for byte as encoding/json would; see
+// distwire.go.
+//
 // Queries dispatch onto a fixed pool of workers, each owning a
 // route.Scratch (the sim.Engine worker discipline), so the hot path is
 // lock-free and allocation-free per routing hop.  Distances come

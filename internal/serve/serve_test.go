@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -88,6 +89,55 @@ func postJSON(t *testing.T, url string, body any, out any) *http.Response {
 		t.Fatalf("POST %s: decoding body: %v", url, err)
 	}
 	return resp
+}
+
+// checkDistWire posts pairs to /v1/dist and GETs the first one singly,
+// and checks both bodies byte for byte against json.NewEncoder's output
+// for the response values the handler used to encode: the batch struct
+// below and a map for the single query.  Exact answers must equal
+// exact(u, v); approx ones must be marked and at or above it.
+func checkDistWire(t *testing.T, base string, pairs [][2]int32, exact func(u, v int32) int32, approx bool) {
+	t.Helper()
+	type oldDistBatch struct {
+		Dists  []int32 `json:"dists"`
+		Approx bool    `json:"approx,omitempty"`
+	}
+	encode := func(v any) string {
+		var b bytes.Buffer
+		if err := json.NewEncoder(&b).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	payload, err := json.Marshal(map[string]any{"pairs": pairs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, batch := postBody(t, base+"/v1/dist", payload)
+	var got oldDistBatch
+	if err := json.Unmarshal(batch, &got); code != http.StatusOK || err != nil {
+		t.Fatalf("batch: status %d, err %v: %s", code, err, batch)
+	}
+	if got.Approx != approx || len(got.Dists) != len(pairs) {
+		t.Fatalf("batch: %d dists for %d pairs, approx %v, want %v", len(got.Dists), len(pairs), got.Approx, approx)
+	}
+	for i, p := range pairs {
+		if e := exact(p[0], p[1]); got.Dists[i] < e || (!approx && got.Dists[i] != e) {
+			t.Fatalf("pair %d (%d,%d): dist %d, exact %d, approx %v", i, p[0], p[1], got.Dists[i], e, approx)
+		}
+	}
+	if want := encode(got); string(batch) != want {
+		t.Fatalf("batch body:\n got:  %q\n want: %q", batch, want)
+	}
+	u, v := graph.NodeID(pairs[0][0]), graph.NodeID(pairs[0][1])
+	code, one := getBody(t, fmt.Sprintf("%s/v1/dist?u=%d&v=%d", base, u, v))
+	old := map[string]any{"u": u, "v": v, "dist": got.Dists[0]}
+	if approx {
+		old["approx"] = true
+	}
+	if want := encode(old); code != http.StatusOK || string(one) != want {
+		t.Fatalf("single: status %d:\n got:  %q\n want: %q", code, one, want)
+	}
 }
 
 func TestHealthz(t *testing.T) {
@@ -262,58 +312,57 @@ func TestRouteBatch(t *testing.T) {
 	}
 }
 
+// TestRejectsBadRequests pins the status and, for node parameters and
+// batch bodies, the error text: a body the fast dist parser declines gets exactly encoding/json's
+// outcome, including the keys it matches case-insensitively, the last of
+// duplicate keys, and short or long pairs.
 func TestRejectsBadRequests(t *testing.T) {
 	_, _, ts := newTestServer(t, "ratree", 64, dist.PolicyTwoHop, serve.Options{MaxBatch: 8})
+	nine, _ := json.Marshal(map[string]any{"pairs": make([][2]int32, 9)})
 	for _, tc := range []struct {
-		name string
-		do   func() *http.Response
+		name, path, body string // body "" → GET
+		wantErr          string // "" → status only
 	}{
-		{"missing param", func() *http.Response {
-			r, _ := http.Get(ts.URL + "/v1/dist?u=1")
-			return r
-		}},
-		{"non-numeric", func() *http.Response {
-			r, _ := http.Get(ts.URL + "/v1/dist?u=1&v=abc")
-			return r
-		}},
-		{"out of range", func() *http.Response {
-			r, _ := http.Get(ts.URL + "/v1/dist?u=1&v=64")
-			return r
-		}},
-		{"negative", func() *http.Response {
-			r, _ := http.Get(ts.URL + "/v1/dist?u=-1&v=2")
-			return r
-		}},
-		{"unknown scheme", func() *http.Response {
-			r, _ := http.Get(ts.URL + "/v1/route?s=1&t=2&scheme=nope")
-			return r
-		}},
-		{"bad draw", func() *http.Response {
-			r, _ := http.Get(ts.URL + "/v1/route?s=1&t=2&draw=99")
-			return r
-		}},
-		{"bad batch json", func() *http.Response {
-			r, _ := http.Post(ts.URL+"/v1/dist", "application/json", bytes.NewReader([]byte("{")))
-			return r
-		}},
-		{"oversized batch", func() *http.Response {
-			body, _ := json.Marshal(map[string]any{"pairs": make([][2]int32, 9)})
-			r, _ := http.Post(ts.URL+"/v1/dist", "application/json", bytes.NewReader(body))
-			return r
-		}},
-		{"batch pair out of range", func() *http.Response {
-			body, _ := json.Marshal(map[string]any{"pairs": [][2]int32{{0, 64}}})
-			r, _ := http.Post(ts.URL+"/v1/dist", "application/json", bytes.NewReader(body))
-			return r
-		}},
+		{"missing param", "/v1/dist?u=1", "", `missing required parameter "v"`},
+		{"non-numeric", "/v1/dist?u=1&v=abc", "", `parameter "v": strconv.ParseInt: parsing "abc": invalid syntax`},
+		{"out of range", "/v1/dist?u=1&v=64", "", `parameter "v" = 64 out of range [0,64)`},
+		{"negative", "/v1/dist?u=-1&v=2", "", `parameter "u" = -1 out of range [0,64)`},
+		{"missing route param", "/v1/route?s=1", "", `missing required parameter "t"`},
+		{"unknown scheme", "/v1/route?s=1&t=2&scheme=nope", "", ""},
+		{"bad draw", "/v1/route?s=1&t=2&draw=99", "", ""},
+		{"bad batch json", "/v1/dist", "{", "bad batch body: unexpected EOF"},
+		{"oversized batch", "/v1/dist", string(nine), "batch of 9 pairs out of range [1,8]"},
+		{"batch pair out of range", "/v1/dist", `{"pairs":[[0,64]]}`, "pair 0 = (0,64) out of range [0,64)"},
+		{"empty batch", "/v1/dist", `{"pairs":[]}`, "batch of 0 pairs out of range [1,8]"},
+		{"no pairs key", "/v1/dist", `{}`, "batch of 0 pairs out of range [1,8]"},
+		{"fraction", "/v1/dist", `{"pairs":[[0,1.5]]}`,
+			"bad batch body: json: cannot unmarshal number 1.5 into Go struct field distBatchRequest.pairs of type int32"},
+		{"past int32", "/v1/dist", `{"pairs":[[2147483648,0]]}`,
+			"bad batch body: json: cannot unmarshal number 2147483648 into Go struct field distBatchRequest.pairs of type int32"},
+		{"leading zero", "/v1/dist", `{"pairs":[[01,2]]}`, "bad batch body: invalid character '1' after array element"},
+		{"key case", "/v1/dist", `{"Pairs":[[0,64]]}`, "pair 0 = (0,64) out of range [0,64)"},
+		{"duplicate key", "/v1/dist", `{"pairs":[[1,2]],"pairs":[[3,99]]}`, "pair 0 = (3,99) out of range [0,64)"},
+		{"short and long pairs", "/v1/dist", `{"pairs":[[1,2,3],[70]]}`, "pair 1 = (70,0) out of range [0,64)"},
+		{"trailing comma", "/v1/dist", `{"pairs":[[1,2],]}`, "bad batch body: invalid character ']' looking for beginning of value"},
 	} {
-		resp := tc.do()
-		if resp == nil {
-			t.Fatalf("%s: no response", tc.name)
+		var code int
+		var body []byte
+		if tc.body == "" {
+			code, body = getBody(t, ts.URL+tc.path)
+		} else {
+			code, body = postBody(t, ts.URL+tc.path, []byte(tc.body))
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		if code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", tc.name, code, body)
+		}
+		var got struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatalf("%s: error body %q: %v", tc.name, body, err)
+		}
+		if tc.wantErr != "" && got.Error != tc.wantErr {
+			t.Fatalf("%s: error %q, want %q", tc.name, got.Error, tc.wantErr)
 		}
 	}
 	// Method misuse is its own status.
@@ -322,6 +371,49 @@ func TestRejectsBadRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+}
+
+// TestBatchBodyLimit pins the bound on batch bodies: past about 64 bytes
+// a pair plus 4 KiB, both batch endpoints answer 413 before decoding,
+// while a json.MarshalIndent'ed batch of MaxBatch pairs — even at the
+// int32 extremes — is still read and decoded.
+func TestBatchBodyLimit(t *testing.T) {
+	_, _, small := newTestServer(t, "ratree", 64, dist.PolicyTwoHop, serve.Options{MaxBatch: 8})
+	padded := append(bytes.Repeat([]byte(" "), 5000), `{"pairs":[[0,1]]}`...)
+	for _, ep := range []string{"/v1/dist", "/v1/route"} {
+		code, body := postBody(t, small.URL+ep, padded)
+		if code != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), `"error":"batch body over 4608 bytes"`) {
+			t.Fatalf("POST %s of %d bytes: status %d: %s", ep, len(padded), code, body)
+		}
+	}
+
+	const maxBatch = 8192
+	_, _, ts := newTestServer(t, "ratree", 64, dist.PolicyTwoHop, serve.Options{})
+	pretty := func(p [2]int32) []byte {
+		pairs := make([][2]int32, maxBatch)
+		for i := range pairs {
+			pairs[i] = p
+		}
+		b, err := json.MarshalIndent(map[string]any{"pairs": pairs}, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	extreme := pretty([2]int32{-2147483648, 2147483647})
+	for _, ep := range []string{"/v1/dist", "/v1/route"} {
+		code, body := postBody(t, ts.URL+ep, extreme)
+		if code != http.StatusBadRequest || !strings.Contains(string(body), "pair 0 = (-2147483648,2147483647) out of range") {
+			t.Fatalf("POST %s of an indented %d-byte batch: status %d: %s", ep, len(extreme), code, body)
+		}
+	}
+	code, body := postBody(t, ts.URL+"/v1/dist", pretty([2]int32{63, 0}))
+	var got struct {
+		Dists []int32 `json:"dists"`
+	}
+	if err := json.Unmarshal(body, &got); code != http.StatusOK || err != nil || len(got.Dists) != maxBatch {
+		t.Fatalf("indented in-range batch: status %d, %d dists, err %v", code, len(got.Dists), err)
+	}
 }
 
 func TestStatsCounters(t *testing.T) {
@@ -380,7 +472,7 @@ func TestParallelClients(t *testing.T) {
 			rng := xrand.New(uint64(worker) + 100)
 			for i := 0; i < 40; i++ {
 				u, v := rng.Intn(n), rng.Intn(n)
-				switch i % 3 {
+				switch i % 4 {
 				case 0:
 					resp, err := http.Get(fmt.Sprintf("%s/v1/dist?u=%d&v=%d", ts.URL, u, v))
 					if err != nil {
@@ -414,6 +506,34 @@ func TestParallelClients(t *testing.T) {
 						return
 					}
 					resp.Body.Close()
+				case 3:
+					// Batches share pooled body and answer buffers.
+					pairs := randomPairs(n, 1+rng.Intn(64), uint64(worker*1000+i))
+					payload, _ := json.Marshal(map[string]any{"pairs": pairs})
+					resp, err := http.Post(ts.URL+"/v1/dist", "application/json", bytes.NewReader(payload))
+					if err != nil {
+						errs <- err
+						return
+					}
+					var got struct {
+						Dists []int32 `json:"dists"`
+					}
+					err = json.NewDecoder(resp.Body).Decode(&got)
+					resp.Body.Close()
+					if err != nil {
+						errs <- err
+						return
+					}
+					if len(got.Dists) != len(pairs) {
+						errs <- fmt.Errorf("batch of %d pairs got %d dists", len(pairs), len(got.Dists))
+						return
+					}
+					for k, p := range pairs {
+						if want := src.Dist(p[0], p[1]); got.Dists[k] != want {
+							errs <- fmt.Errorf("batch dist(%d,%d) = %d, want %d", p[0], p[1], got.Dists[k], want)
+							return
+						}
+					}
 				}
 			}
 		}(w)
