@@ -102,12 +102,69 @@ func (s *BallScheme) Prepare(g *graph.Graph) (Instance, error) {
 	return inst, nil
 }
 
-// FillRow implements sampler.RowFiller with the composite distribution of
-// node u's contact.
-func (b *ballInstance) FillRow(u int32, weights []float64) {
-	sc := b.scratches.Get().(*dist.BallBuffer)
-	defer b.scratches.Put(sc)
-	b.fillWeights(u, sc, weights)
+// FillRow implements sampler.RowFiller with the composite distribution φ_u
+// of node u's contact: each admissible scale k contributes
+// 1/(scales·|B_k(u)|) to every member of B(u, 2^k).  The ball always
+// contains u itself, whose entry carries the "no link" mass, exactly as the
+// sampling process does.
+//
+// A node's weight depends only on the smallest admissible scale whose ball
+// holds it, φ_u(v) = Σ_{k ≥ r(v)} pScale/|B_k|, a suffix sum over scales.
+// So one BFS to the largest radius writes each reached node's class code
+// 1 + r(v) over the raw CSR, using the codes as its visited mark; nodes
+// outside every ball keep class 0, weight 0.  The class table holds the
+// suffix sums.
+func (b *ballInstance) FillRow(u int32, cls, queue []int32, buf []float64) []float64 {
+	loK, hiK := 1, b.maxScale
+	if b.fixed > 0 {
+		loK, hiK = b.fixed, b.fixed
+	}
+	off, adj := b.g.RawCSR()
+	// counts[c] is the number of nodes of class c; classes 1+loK..1+hiK.
+	// maxScale = ⌈log₂ n⌉ ≤ 31 for int32 node ids, so fixed-size stacks
+	// keep row builds allocation free.
+	var counts [33]int
+	k := loK
+	cls[u] = int32(1 + k)
+	counts[1+k] = 1
+	queue[0] = u
+	head, tail := 0, 1
+	maxRadius := b.scaleRadius(hiK)
+	for d := int32(1); head < tail && d <= maxRadius; d++ {
+		// Level d: the smallest admissible scale only ever moves forward.
+		for d > b.scaleRadius(k) {
+			k++
+		}
+		c := int32(1 + k)
+		for end := tail; head < end; head++ {
+			x := queue[head]
+			for _, v := range adj[off[x]:off[x+1]] {
+				if cls[v] == 0 {
+					cls[v] = c
+					queue[tail] = v
+					tail++
+				}
+			}
+		}
+		counts[c] += tail - head
+	}
+	// vals[1+k] = Σ_{j ≥ k} pScale/|B_j(u)|, with |B_j| the number of nodes
+	// of class at most 1+j.
+	pScale := 1.0 / float64(hiK-loK+1)
+	var sizes [32]int
+	size := 0
+	for j := loK; j <= hiK; j++ {
+		size += counts[1+j]
+		sizes[j] = size
+	}
+	vals := buf[:2+hiK]
+	clear(vals[:1+loK])
+	suffix := 0.0
+	for j := hiK; j >= loK; j-- {
+		suffix += pScale / float64(sizes[j])
+		vals[1+j] = suffix
+	}
+	return vals
 }
 
 // scaleRadius returns the ball radius of scale k: 2^k, with n standing in
@@ -119,54 +176,6 @@ func (b *ballInstance) scaleRadius(k int) int32 {
 		return int32(1) << uint(k)
 	}
 	return int32(b.g.N())
-}
-
-// fillWeights computes the composite contact distribution φ_u into weights
-// (length n): each admissible scale contributes 1/(scales·|B_k(u)|) to
-// every member of B(u, 2^k).  The ball always contains u itself, whose
-// entry carries the "no link" mass, exactly as the sampling process does.
-//
-// One enumeration at the largest radius suffices for every scale: the ball
-// lists nodes in non-decreasing distance order, so each B_k is a prefix,
-// and φ_u(v) = Σ_{k ≥ r(v)} pScale/|B_k| is a suffix sum over scales.
-func (b *ballInstance) fillWeights(u graph.NodeID, sc *dist.BallBuffer, weights []float64) {
-	for i := range weights {
-		weights[i] = 0
-	}
-	loK, hiK := 1, b.maxScale
-	if b.fixed > 0 {
-		loK, hiK = b.fixed, b.fixed
-	}
-	pScale := 1.0 / float64(hiK-loK+1)
-	nodes, dists := sc.Ball(b.g, u, b.scaleRadius(hiK))
-	// suffix[k-loK] = Σ_{j ≥ k} pScale/|B_j(u)|, with |B_j| read off as the
-	// prefix length of nodes within radius 2^j.  maxScale = ⌈log₂ n⌉ ≤ 31
-	// for int32 node ids, so fixed-size stacks keep row builds allocation
-	// free.
-	var suffixArr [33]float64
-	var sizesArr [32]int
-	suffix := suffixArr[:hiK-loK+2]
-	sizes := sizesArr[:hiK-loK+1]
-	end := 0
-	for k := loK; k <= hiK; k++ {
-		radius := b.scaleRadius(k)
-		for end < len(dists) && dists[end] <= radius {
-			end++
-		}
-		sizes[k-loK] = end
-	}
-	for k := hiK; k >= loK; k-- {
-		suffix[k-loK] = suffix[k-loK+1] + pScale/float64(sizes[k-loK])
-	}
-	// Nodes arrive in non-decreasing distance, so the smallest admissible
-	// scale only ever moves forward.
-	k := loK
-	for i, v := range nodes {
-		for dists[i] > b.scaleRadius(k) {
-			k++
-		}
-		weights[v] = suffix[k-loK]
-	}
 }
 
 // Contact implements Instance.
@@ -214,12 +223,16 @@ func (b *ballInstance) Contact(u graph.NodeID, rng *xrand.RNG) graph.NodeID {
 func (b *ballInstance) ContactDistribution(u graph.NodeID) []float64 {
 	n := b.g.N()
 	phi := make([]float64, n)
-	sc := b.scratches.Get().(*dist.BallBuffer)
-	defer b.scratches.Put(sc)
 	if !b.rankUnif {
-		b.fillWeights(u, sc, phi)
+		cls := make([]int32, n)
+		vals := b.FillRow(u, cls, make([]int32, n), make([]float64, sampler.RowClasses))
+		for v, c := range cls {
+			phi[v] = vals[c]
+		}
 		return phi
 	}
+	sc := b.scratches.Get().(*dist.BallBuffer)
+	defer b.scratches.Put(sc)
 
 	scales := make([]int, 0, b.maxScale)
 	if b.fixed > 0 {

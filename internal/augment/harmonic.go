@@ -118,12 +118,26 @@ func (s *HarmonicScheme) Prepare(g *graph.Graph) (Instance, error) {
 	return inst, nil
 }
 
-// FillRow implements sampler.RowFiller: one BFS from u, harmonic weights
-// dist(u,·)^-r into the row (0 for u itself and unreachable nodes).
-func (h *harmonicInstance) FillRow(u int32, weights []float64) {
-	sc := h.scratch.Get().(*harmonicScratch)
-	defer h.scratch.Put(sc)
-	h.fillWeights(u, sc, weights)
+// FillRow implements sampler.RowFiller: one BFS from u over the raw CSR
+// writes each reached node's distance as its class code, and the class
+// table is powTable, so the row's weights are dist(u,·)^-r.  u itself and
+// unreachable nodes keep class 0, weight 0.
+func (h *harmonicInstance) FillRow(u int32, cls, queue []int32, _ []float64) []float64 {
+	off, adj := h.g.RawCSR()
+	queue[0] = u
+	tail := 1
+	for head := 0; head < tail; head++ {
+		x := queue[head]
+		d := cls[x] + 1
+		for _, v := range adj[off[x]:off[x+1]] {
+			if cls[v] == 0 && v != u {
+				cls[v] = d
+				queue[tail] = v
+				tail++
+			}
+		}
+	}
+	return h.powTable
 }
 
 // fillWeights runs one BFS from u and fills weights with the unnormalised

@@ -47,6 +47,16 @@ func sameCSR(t *testing.T, a, b *graph.Graph) {
 	}
 }
 
+// run is the whole pipeline for one spec: its stream, replayed at the
+// spec's budget.
+func run(base *graph.Graph, seed uint64, spec churn.Spec, workers int) (*churn.Result, error) {
+	st, err := churn.NewStream(base, seed, spec, workers)
+	if err != nil {
+		return nil, err
+	}
+	return st.Replay(spec.RepairBudget)
+}
+
 // TestRunDeterminism pins the stream contract: equal (base, seed, spec)
 // yield identical final graphs, dirty sets, and tallies — at every worker
 // count, and across repair budgets for everything except repair quality.
@@ -54,12 +64,12 @@ func TestRunDeterminism(t *testing.T) {
 	base := churnTestGraph(150, 60, 9)
 	spec := churn.Spec{Rate: 0.02, Batches: 5, RepairBudget: -1, CompactEvery: 3}
 
-	a, err := churn.Run(base, 1234, spec, 1)
+	a, err := run(base, 1234, spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		b, err := churn.Run(base, 1234, spec, workers)
+		b, err := run(base, 1234, spec, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +94,7 @@ func TestRunDeterminism(t *testing.T) {
 
 	// A different budget must churn the same edges and dirty the same nodes
 	// — only the repair state may differ.  This is the StreamKey separation.
-	c, err := churn.Run(base, 1234, churn.Spec{Rate: 0.02, Batches: 5, RepairBudget: 0, CompactEvery: 3}, 1)
+	c, err := run(base, 1234, churn.Spec{Rate: 0.02, Batches: 5, RepairBudget: 0, CompactEvery: 3}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +120,7 @@ func TestRunDeterminism(t *testing.T) {
 // the generation-stamped field cache must serve at the final generation.
 func TestRunUnlimitedBudgetExact(t *testing.T) {
 	base := churnTestGraph(120, 50, 3)
-	res, err := churn.Run(base, 77, churn.Spec{Rate: 0.03, Batches: 4, RepairBudget: -1, CompactEvery: 2}, 2)
+	res, err := run(base, 77, churn.Spec{Rate: 0.03, Batches: 4, RepairBudget: -1, CompactEvery: 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +144,7 @@ func TestRunUnlimitedBudgetExact(t *testing.T) {
 // rebuild.
 func TestRunZeroBudgetTracksDebt(t *testing.T) {
 	base := churnTestGraph(100, 40, 5)
-	res, err := churn.Run(base, 42, churn.Spec{Rate: 0.05, Batches: 3, RepairBudget: 0}, 1)
+	res, err := run(base, 42, churn.Spec{Rate: 0.05, Batches: 3, RepairBudget: 0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,16 +165,16 @@ func TestRunZeroBudgetTracksDebt(t *testing.T) {
 func TestFrozenTableDeterminismAndLocality(t *testing.T) {
 	base := churnTestGraph(130, 50, 11)
 	spec := churn.Spec{Rate: 0.03, Batches: 4, RepairBudget: -1}
-	res, err := churn.Run(base, 2024, spec, 1)
+	res, err := run(base, 2024, spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	scheme := augment.NewUniformScheme()
-	ta, err := churn.FrozenTable(res, scheme)
+	ta, err := churn.FrozenTable(res.Stream, scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := churn.FrozenTable(res, scheme)
+	tb, err := churn.FrozenTable(res.Stream, scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +222,11 @@ func churnHash(s string) uint64 {
 // the final graph — the oracle is a drop-in distance source.
 func TestRouteTraceAgreement(t *testing.T) {
 	base := churnTestGraph(140, 60, 21)
-	res, err := churn.Run(base, 555, churn.Spec{Rate: 0.02, Batches: 4, RepairBudget: -1, CompactEvery: 2}, 2)
+	res, err := run(base, 555, churn.Spec{Rate: 0.02, Batches: 4, RepairBudget: -1, CompactEvery: 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := churn.FrozenTable(res, augment.NewUniformScheme())
+	table, err := churn.FrozenTable(res.Stream, augment.NewUniformScheme())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,27 +34,30 @@ import (
 //
 // # Repair model
 //
-// Each applied batch computes D exactly (BFS from every endpoint on the old
-// and the new graph, diffed) and adds it to the debt set.  A repair budget
-// then patches debt nodes in ascending node id: a patch is one exact BFS
-// field from the node on the current graph, stamped with the current
-// generation.  A query prefers the fresher endpoint's patch, falling back
-// to the base labels when neither endpoint was ever dirtied.  When the debt
-// set is empty the oracle is query-equivalent to a full rebuild (the
+// The repair of one batch is split in two.  ApplyDirty applies the batch to
+// the graph and computes D exactly (BFS from every endpoint on the old and
+// the new graph, diffed).  Repair then adds D to the oracle's debt set, and
+// a repair budget patches debt nodes in ascending node id: a patch is one
+// exact BFS field from the node on the graph after the batch, stamped with
+// its generation.  D and the graphs depend only on the batches, so one
+// dirty-set pass can serve any number of oracles replaying the same batches
+// under different budgets.  A query prefers the fresher endpoint's patch, falling
+// back to the base labels when neither endpoint was ever dirtied.  When the
+// debt set is empty the oracle is query-equivalent to a full rebuild (the
 // disttest conformance suite pins this); nodes still in debt serve their
 // last-known answers — that bounded staleness, as a function of the budget,
-// is exactly what experiment E13 measures.  Rebuild (the compaction path)
-// re-labels from scratch and clears all patches and debt.
+// is exactly what experiment E13 measures.  Relabel (the compaction path)
+// installs labels built from scratch and clears all patches and debt; the
+// labels are immutable, so oracles replaying one stream share them.
 //
 // # Concurrency
 //
-// All reads go through one atomic pointer to an immutable state; ApplyBatch
-// and Rebuild construct a fresh state and swap it in.  Dist is therefore
+// All reads go through one atomic pointer to an immutable state; Repair
+// and Relabel construct a fresh state and swap it in.  Dist is therefore
 // safe for any number of concurrent readers against one writer (the churn
 // pipeline), which the race-detector soak exercises.  Writers are not safe
 // against each other.
 type DynTwoHop struct {
-	opts  TwoHopOptions
 	state atomic.Pointer[dynTwoHopState]
 }
 
@@ -92,31 +95,26 @@ type DynTwoHopStats struct {
 	// Patched is the number of nodes currently carrying a patch field.
 	Patched int
 	// DirtyTotal counts dirty-set members summed over all batches;
-	// PatchedTotal counts patch BFS runs; Rebuilds counts full re-labelings.
+	// PatchedTotal counts patch BFS runs; Rebuilds counts label installs
+	// (the initial labels and every Relabel).
 	DirtyTotal   int64
 	PatchedTotal int64
 	Rebuilds     int64
 }
 
-// NewDynTwoHop builds the base labels for the current state of d (compacted
-// if the overlay is non-empty) and returns an oracle at d's generation.
-// The options follow NewTwoHopWith, except that a MaxAvgLabel budget abort
-// is an error here — a churn pipeline needs an oracle, not a nil fallback.
-func NewDynTwoHop(d *graph.DynGraph, opts TwoHopOptions) (*DynTwoHop, error) {
-	t := &DynTwoHop{opts: opts}
-	if err := t.rebuild(d.Compact(), d.Gen()); err != nil {
-		return nil, err
-	}
-	return t, nil
+// NewDynTwoHop returns an oracle at graph generation gen that answers from
+// labels, which must label the graph at that generation.  The labels are
+// only read, so oracles may share them.
+func NewDynTwoHop(labels *TwoHop, gen uint64) *DynTwoHop {
+	t := &DynTwoHop{}
+	t.install(labels, gen)
+	return t
 }
 
-// rebuild labels g from scratch and installs a fresh state at gen.
-func (t *DynTwoHop) rebuild(g *graph.Graph, gen uint64) error {
-	base := NewTwoHopWith(g, t.opts)
-	if base == nil {
-		return fmt.Errorf("dist: 2-hop label build aborted by MaxAvgLabel budget %.0f on %s", t.opts.MaxAvgLabel, g)
-	}
-	idx := make([]int32, g.N())
+// install puts a fresh state over labels at gen, clearing every patch and
+// all debt and counting a rebuild.
+func (t *DynTwoHop) install(labels *TwoHop, gen uint64) {
+	idx := make([]int32, labels.N())
 	for i := range idx {
 		idx[i] = -1
 	}
@@ -124,21 +122,25 @@ func (t *DynTwoHop) rebuild(g *graph.Graph, gen uint64) error {
 	if s := t.state.Load(); s != nil {
 		prev = s.stats
 	}
-	st := &dynTwoHopState{base: base, n: g.N(), gen: gen, patchIdx: idx}
+	st := &dynTwoHopState{base: labels, n: labels.N(), gen: gen, patchIdx: idx}
 	st.stats = prev
 	st.stats.Gen = gen
 	st.stats.Debt = 0
 	st.stats.Patched = 0
 	st.stats.Rebuilds++
 	t.state.Store(st)
-	return nil
 }
 
-// Rebuild re-labels the oracle from scratch on the current state of d —
-// the compaction path: the churn pipeline rebases the DynGraph and rebuilds
-// the oracle over the fresh CSR, clearing every patch and all debt.
-func (t *DynTwoHop) Rebuild(d *graph.DynGraph) error {
-	return t.rebuild(d.Compact(), d.Gen())
+// Relabel installs labels built from scratch for the graph at generation
+// gen — the compaction path: the churn pipeline rebases the DynGraph and
+// relabels the oracle over the fresh CSR, clearing every patch and all
+// debt.
+func (t *DynTwoHop) Relabel(labels *TwoHop, gen uint64) error {
+	if have := t.N(); labels.N() != have {
+		return fmt.Errorf("dist: relabel with labels over %d nodes, oracle covers %d", labels.N(), have)
+	}
+	t.install(labels, gen)
+	return nil
 }
 
 // N returns the node count, letting the routing validator check the oracle
@@ -160,7 +162,7 @@ func (t *DynTwoHop) Stats() DynTwoHopStats { return t.state.Load().stats }
 // not seen.
 func (t *DynTwoHop) CheckGen(gen uint64) error {
 	if have := t.Gen(); have != gen {
-		return fmt.Errorf("dist: stale 2-hop oracle: oracle at graph generation %d, graph at %d (every DynGraph.Apply must go through ApplyBatch)", have, gen)
+		return fmt.Errorf("dist: stale 2-hop oracle: oracle at graph generation %d, graph at %d (every applied batch must be repaired once, in order)", have, gen)
 	}
 	return nil
 }
@@ -186,24 +188,10 @@ func (t *DynTwoHop) Dist(u, v graph.NodeID) int32 {
 	return s.base.Dist(u, v)
 }
 
-// ApplyBatch applies one delta batch to d and repairs the oracle: it
-// computes the exact dirty set (old/new BFS diff from every delta
-// endpoint), merges it into the debt set, patches up to budget debt nodes
-// (budget < 0 means unlimited, 0 means track debt only), and swaps in a
-// state at d's new generation.  It returns the dirty set, sorted ascending
-// — the churn pipeline resamples those nodes' augmentation contacts.
-//
-// The oracle must be at d's current generation when called (every Apply on
-// d has to go through here); otherwise it fails loud without mutating d.
-func (t *DynTwoHop) ApplyBatch(d *graph.DynGraph, deltas []graph.Delta, budget int) ([]graph.NodeID, error) {
-	old := t.state.Load()
-	if old.n != d.N() {
-		return nil, fmt.Errorf("dist: oracle covers %d nodes, graph has %d", old.n, d.N())
-	}
-	if err := t.CheckGen(d.Gen()); err != nil {
-		return nil, err
-	}
-
+// ApplyDirty applies one delta batch to d and returns its exact dirty set
+// D (the old/new BFS diff from every delta endpoint; see DynTwoHop), sorted
+// ascending.  An invalid batch leaves d unchanged and returns the error.
+func ApplyDirty(d *graph.DynGraph, deltas []graph.Delta) ([]graph.NodeID, error) {
 	// Unique delta endpoints, sorted for a deterministic BFS order.
 	endpoints := make([]graph.NodeID, 0, 2*len(deltas))
 	for _, dl := range deltas {
@@ -245,13 +233,33 @@ func (t *DynTwoHop) ApplyBatch(d *graph.DynGraph, deltas []graph.Delta, budget i
 			}
 		}
 	}
+	return dirty, nil
+}
+
+// Repair advances the oracle over one applied batch: g is the graph after
+// the batch, at generation gen, and dirty is the batch's dirty set as
+// ApplyDirty returned it (sorted ascending).  Repair merges dirty into the
+// debt set, patches up to budget debt nodes with BFS fields on g (budget
+// < 0 means unlimited, 0 means track debt only), and swaps in a state at
+// gen.
+//
+// gen must be exactly one past the oracle's generation; otherwise Repair
+// fails loud without touching the oracle.
+func (t *DynTwoHop) Repair(g *graph.Graph, gen uint64, dirty []graph.NodeID, budget int) error {
+	old := t.state.Load()
+	if old.n != g.N() {
+		return fmt.Errorf("dist: oracle covers %d nodes, graph has %d", old.n, g.N())
+	}
+	if gen != old.gen+1 {
+		return fmt.Errorf("dist: 2-hop oracle at graph generation %d cannot repair generation %d (every applied batch must be repaired once, in order)", old.gen, gen)
+	}
 
 	// Copy-on-write state: patches are immutable per entry, so a shallow
 	// slice copy suffices; patchIdx is cloned.
 	st := &dynTwoHopState{
 		base:     old.base,
 		n:        old.n,
-		gen:      d.Gen(),
+		gen:      gen,
 		patchIdx: append([]int32(nil), old.patchIdx...),
 		patches:  append([]dynPatch(nil), old.patches...),
 	}
@@ -263,6 +271,7 @@ func (t *DynTwoHop) ApplyBatch(d *graph.DynGraph, deltas []graph.Delta, budget i
 
 	// Budgeted repair in ascending node id: one exact BFS field per node,
 	// stamped with the new generation.
+	queue := make([]int32, 0, g.N())
 	repaired := 0
 	remaining := debt[:0]
 	for _, w := range debt {
@@ -270,8 +279,8 @@ func (t *DynTwoHop) ApplyBatch(d *graph.DynGraph, deltas []graph.Delta, budget i
 			remaining = append(remaining, w)
 			continue
 		}
-		field := unreachableField(d.N())
-		d.BFSInto(w, field, queue)
+		field := unreachableField(g.N())
+		g.BFSInto(w, field, queue)
 		p := dynPatch{node: w, gen: st.gen, field: field}
 		if i := st.patchIdx[w]; i >= 0 {
 			st.patches[i] = p
@@ -286,7 +295,7 @@ func (t *DynTwoHop) ApplyBatch(d *graph.DynGraph, deltas []graph.Delta, budget i
 	st.stats.Debt = len(st.debt)
 	st.stats.Patched = len(st.patches)
 	t.state.Store(st)
-	return dirty, nil
+	return nil
 }
 
 // unreachableField returns an n-entry distance field filled with

@@ -67,6 +67,28 @@ func churnStep(d *graph.DynGraph, rng *xrand.RNG, k int) []graph.Delta {
 	return deltas
 }
 
+// newDynOracle labels the current graph of d from scratch and returns an
+// oracle over the labels at d's generation.
+func newDynOracle(d *graph.DynGraph, workers int) *dist.DynTwoHop {
+	return dist.NewDynTwoHop(dist.NewTwoHopWith(d.Compact(), dist.TwoHopOptions{Workers: workers}), d.Gen())
+}
+
+// applyBatch is the single-oracle pipeline step: apply one batch to d,
+// computing its dirty set, and repair the oracle over it.
+func applyBatch(o *dist.DynTwoHop, d *graph.DynGraph, deltas []graph.Delta, budget int) ([]graph.NodeID, error) {
+	dirty, err := dist.ApplyDirty(d, deltas)
+	if err != nil {
+		return nil, err
+	}
+	return dirty, o.Repair(d.Compact(), d.Gen(), dirty, budget)
+}
+
+// relabel is the compaction step: rebase d and relabel the oracle over the
+// fresh CSR.
+func relabel(o *dist.DynTwoHop, d *graph.DynGraph) error {
+	return o.Relabel(dist.NewTwoHop(d.Rebase()), d.Gen())
+}
+
 // TestDynTwoHopRepairMatchesRebuild pins the query-equivalence contract at
 // every worker count: with an unlimited budget, the incrementally repaired
 // oracle must answer exactly like a full rebuild — and like BFS ground
@@ -76,14 +98,11 @@ func TestDynTwoHopRepairMatchesRebuild(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		base := repairTestGraph(120, 40, 11)
 		d := graph.NewDynGraph(base)
-		oracle, err := dist.NewDynTwoHop(d, dist.TwoHopOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
+		oracle := newDynOracle(d, workers)
 		rng := xrand.New(99)
 		for batch := 0; batch < 6; batch++ {
 			deltas := churnStep(d, rng, 5)
-			if _, err := oracle.ApplyBatch(d, deltas, -1); err != nil {
+			if _, err := applyBatch(oracle, d, deltas, -1); err != nil {
 				t.Fatalf("workers=%d batch %d: %v", workers, batch, err)
 			}
 			if oracle.Debt() != 0 {
@@ -112,12 +131,9 @@ func TestDynTwoHopRepairMatchesRebuild(t *testing.T) {
 func TestDynTwoHopBudgetedDebtDrains(t *testing.T) {
 	base := repairTestGraph(100, 30, 5)
 	d := graph.NewDynGraph(base)
-	oracle, err := dist.NewDynTwoHop(d, dist.TwoHopOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	oracle := newDynOracle(d, 0)
 	rng := xrand.New(3)
-	dirty, err := oracle.ApplyBatch(d, churnStep(d, rng, 6), 0)
+	dirty, err := applyBatch(oracle, d, churnStep(d, rng, 6), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +147,7 @@ func TestDynTwoHopBudgetedDebtDrains(t *testing.T) {
 	// must shrink by exactly the budget each time and reach zero.
 	for oracle.Debt() > 0 {
 		before := oracle.Debt()
-		if _, err := oracle.ApplyBatch(d, nil, 4); err != nil {
+		if _, err := applyBatch(oracle, d, nil, 4); err != nil {
 			t.Fatal(err)
 		}
 		want := before - 4
@@ -151,14 +167,11 @@ func TestDynTwoHopBudgetedDebtDrains(t *testing.T) {
 
 // TestDynTwoHopGenerationMismatch is the regression pin for the loud
 // generation check: a graph mutated behind the oracle's back must be
-// rejected by ApplyBatch and CheckGen, never silently served.
+// rejected by Repair and CheckGen, never silently served.
 func TestDynTwoHopGenerationMismatch(t *testing.T) {
 	base := repairTestGraph(50, 10, 1)
 	d := graph.NewDynGraph(base)
-	oracle, err := dist.NewDynTwoHop(d, dist.TwoHopOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	oracle := newDynOracle(d, 0)
 	// Mutate the graph without telling the oracle.
 	if err := d.Apply([]graph.Delta{{U: 0, V: 49, Op: graph.DeltaInsert}}); err != nil {
 		t.Fatal(err)
@@ -168,11 +181,15 @@ func TestDynTwoHopGenerationMismatch(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "stale 2-hop oracle") {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	if _, err := oracle.ApplyBatch(d, nil, -1); err == nil {
-		t.Fatal("ApplyBatch accepted a graph the oracle has not seen")
+	// One more batch puts the graph two generations ahead: no dirty set
+	// can bring the oracle there.
+	if _, err := applyBatch(oracle, d, nil, -1); err == nil {
+		t.Fatal("Repair accepted a graph the oracle has not seen")
+	} else if !strings.Contains(err.Error(), "cannot repair generation 2") {
+		t.Fatalf("unexpected error: %v", err)
 	}
-	// Rebuild resynchronises.
-	if err := oracle.Rebuild(d); err != nil {
+	// Relabelling resynchronises.
+	if err := relabel(oracle, d); err != nil {
 		t.Fatal(err)
 	}
 	if err := oracle.CheckGen(d.Gen()); err != nil {
@@ -217,10 +234,7 @@ func TestDynTwoHopApplyQuerySoak(t *testing.T) {
 	}
 	base := repairTestGraph(200, 80, 21)
 	d := graph.NewDynGraph(base)
-	oracle, err := dist.NewDynTwoHop(d, dist.TwoHopOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	oracle := newDynOracle(d, 0)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	n := int32(d.N())
@@ -247,12 +261,11 @@ func TestDynTwoHopApplyQuerySoak(t *testing.T) {
 	rng := xrand.New(77)
 	for batch := 0; batch < 40; batch++ {
 		budget := batch % 3 // exercise debt-carrying states too
-		if _, err := oracle.ApplyBatch(d, churnStep(d, rng, 3), budget); err != nil {
+		if _, err := applyBatch(oracle, d, churnStep(d, rng, 3), budget); err != nil {
 			t.Fatal(err)
 		}
 		if batch%16 == 15 {
-			d.Rebase()
-			if err := oracle.Rebuild(d); err != nil {
+			if err := relabel(oracle, d); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -261,7 +274,7 @@ func TestDynTwoHopApplyQuerySoak(t *testing.T) {
 	wg.Wait()
 	// Drain the debt and finish exact.
 	for oracle.Debt() > 0 {
-		if _, err := oracle.ApplyBatch(d, nil, 16); err != nil {
+		if _, err := applyBatch(oracle, d, nil, 16); err != nil {
 			t.Fatal(err)
 		}
 	}

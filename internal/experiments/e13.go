@@ -58,7 +58,8 @@ func e13Families() []scenario.Family {
 // The stream is seeded independently of the budget, so every budget cell of
 // a (family, rate) group churns the identical edge sequence: differences in
 // greedy diameter, stretch and failure rate are attributable to the repair
-// budget alone.  Disconnected pairs (churn legitimately cuts graphs apart,
+// budget alone (and the runner computes each stream once for all its
+// budget cells).  Disconnected pairs (churn legitimately cuts graphs apart,
 // especially the tree families, where every deletion splits a component
 // until an insertion rejoins it) are counted in the `unreachable` column —
 // never errored, never resampled, never spun against the step cap.

@@ -56,10 +56,13 @@ func (g *Graph) BFSInto(src NodeID, dist []int32, queue []int32) int {
 	dist[src] = 0
 	queue = append(queue, src)
 	reached := 1
+	// Queued nodes come from the adjacency itself, so they need no range
+	// check: read their neighbours from the CSR in place.
+	off, adj := g.offsets, g.adj
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		du := dist[u]
-		for _, v := range g.Neighbors(u) {
+		for _, v := range adj[off[u]:off[u+1]] {
 			if dist[v] == Unreachable {
 				dist[v] = du + 1
 				queue = append(queue, v)

@@ -55,7 +55,7 @@ func Ancestor(x, j int) int {
 
 // Ancestors returns all ancestors of x (including x itself) that are at most
 // maxValue, in increasing level order.  The slice has at most
-// log2(maxValue)+1 entries.
+// ⌊log2(maxValue)⌋+1 entries, and is allocated once at that capacity.
 func Ancestors(x, maxValue int) []int {
 	if x < 1 {
 		panic("label: Ancestors requires x >= 1")
@@ -67,7 +67,7 @@ func Ancestors(x, maxValue int) []int {
 	// but the ancestor at level k+j is at least 2^(k+j), so once that power of
 	// two exceeds maxValue no further ancestor can qualify.
 	k := Level(x)
-	var out []int
+	out := make([]int, 0, bits.Len(uint(maxValue)))
 	for j := 0; k+j < 62 && (1<<uint(k+j)) <= maxValue; j++ {
 		if a := Ancestor(x, j); a <= maxValue {
 			out = append(out, a)

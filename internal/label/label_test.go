@@ -93,6 +93,63 @@ func TestAncestorsCountIsLogarithmic(t *testing.T) {
 	}
 }
 
+// ancestorsReference is the append loop Ancestors ran before it sized its
+// result up front.
+func ancestorsReference(x, maxValue int) []int {
+	if maxValue < 1 {
+		return nil
+	}
+	k := Level(x)
+	var out []int
+	for j := 0; k+j < 62 && (1<<uint(k+j)) <= maxValue; j++ {
+		if a := Ancestor(x, j); a <= maxValue {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// TestAncestorsMatchesAppendLoop pins Ancestors against the append loop it
+// replaced, and checks that the result is allocated once, at capacity
+// ⌊log2 maxValue⌋+1.
+func TestAncestorsMatchesAppendLoop(t *testing.T) {
+	cases := []struct{ x, maxValue, capacity int }{
+		{1, 0, 0},
+		{5, -3, 0},
+		{1, 1, 1},
+		{3, 20, 5},
+		{7, 5, 3},
+		{6, 6, 3},
+		{8, 7, 3},
+		{1000, 10, 4},
+		{4096, 4096, 13},
+		{4095, 4096, 13},
+		{2731, 4097, 13},
+		{12345, 1 << 20, 21},
+		{1 << 40, 1<<41 + 3, 42},
+		{1<<62 - 1, 1<<63 - 1, 63},
+	}
+	for _, c := range cases {
+		got := Ancestors(c.x, c.maxValue)
+		want := ancestorsReference(c.x, c.maxValue)
+		if len(got) != len(want) || cap(got) != c.capacity {
+			t.Fatalf("Ancestors(%d, %d) = %v (cap %d), want %v (cap %d)", c.x, c.maxValue, got, cap(got), want, c.capacity)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("Ancestors(%d, %d) = %v, want %v", c.x, c.maxValue, got, want)
+			}
+		}
+		wantAllocs := 1.0
+		if c.maxValue < 1 {
+			wantAllocs = 0
+		}
+		if allocs := testing.AllocsPerRun(10, func() { Ancestors(c.x, c.maxValue) }); allocs != wantAllocs {
+			t.Fatalf("Ancestors(%d, %d) allocates %v times, want %v", c.x, c.maxValue, allocs, wantAllocs)
+		}
+	}
+}
+
 func TestAncestorsIncludeSelf(t *testing.T) {
 	for x := 1; x <= 200; x++ {
 		anc := Ancestors(x, 1000)

@@ -110,6 +110,37 @@ func BuildInto(prob []float64, alias []int32, weights []float64, scratch []int32
 			scratch[largeBot] = int32(i)
 		}
 	}
+	smallTop, largeBot = pairVose(prob, alias, scratch, smallTop, largeBot)
+	// Leftovers hold (up to rounding) exactly their own column: accept
+	// always.  A zero-weight leftover can only appear through floating-point
+	// drift; keep it undrawable by aliasing it to the heaviest outcome.
+	finalise := func(i int32) {
+		if weights[i] == 0 {
+			prob[i] = 0
+			alias[i] = heaviest
+			return
+		}
+		prob[i] = 1
+		alias[i] = i
+	}
+	for _, i := range scratch[largeBot:] {
+		finalise(i)
+	}
+	for smallTop > 0 {
+		smallTop--
+		finalise(scratch[smallTop])
+	}
+	return nil
+}
+
+// pairVose is Vose's pairing loop, shared by every table build.  On entry
+// prob holds the weights scaled to average 1, scratch[:smallTop] the donors
+// (scaled < 1) and scratch[largeBot:] the receivers (scaled >= 1).  Each
+// step pairs the top donor with the bottom receiver, which donates the
+// donor's deficit.  It returns the bounds of the leftovers, which the
+// caller finalises: scratch[:smallTop] and scratch[largeBot:].
+func pairVose(prob []float64, alias, scratch []int32, smallTop, largeBot int) (int, int) {
+	k := len(scratch)
 	for smallTop > 0 && largeBot < k {
 		smallTop--
 		s := scratch[smallTop]
@@ -125,24 +156,5 @@ func BuildInto(prob []float64, alias []int32, weights []float64, scratch []int32
 			smallTop++
 		}
 	}
-	// Leftovers hold (up to rounding) exactly their own column: accept
-	// always.  A zero-weight leftover can only appear through floating-point
-	// drift; keep it undrawable by aliasing it to the heaviest outcome.
-	finalise := func(i int32) {
-		if weights[i] == 0 {
-			prob[i] = 0
-			alias[i] = heaviest
-			return
-		}
-		prob[i] = 1
-		alias[i] = i
-	}
-	for ; largeBot < k; largeBot++ {
-		finalise(scratch[largeBot])
-	}
-	for smallTop > 0 {
-		smallTop--
-		finalise(scratch[smallTop])
-	}
-	return nil
+	return smallTop, largeBot
 }

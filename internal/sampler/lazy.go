@@ -2,21 +2,36 @@ package sampler
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
 	"navaug/internal/xrand"
 )
 
-// RowFiller computes the unnormalised weights of one sampling row.  It must
-// be safe for concurrent use (LazyRows may build different rows from
-// different goroutines at once) and must write only finite, non-negative
-// weights.
+// RowFiller computes one sampling row as class codes: outcome i of the row
+// has weight vals[cls[i]], where vals is the class table FillRow returns.
+// Class 0 means weight 0 (vals[0] must be 0), so an outcome the filler never
+// touches is never drawn.  Schemes whose weights take few distinct values
+// per row (one per distance, or per ball scale) write one small code per
+// outcome instead of one float, and the table build reads the weights in
+// outcome order straight out of the class table.
+//
+// A RowFiller must be safe for concurrent use (LazyRows may build different
+// rows from different goroutines at once), and every class value it uses
+// must be finite and non-negative.
 type RowFiller interface {
-	// FillRow writes the weights of outcome 0..k-1 for the given row into
-	// weights (length k, arbitrary prior contents).
-	FillRow(row int32, weights []float64)
+	// FillRow writes the class code of outcomes 0..k-1 of the given row
+	// into cls (length k, all zero on entry) and returns the class table.
+	// queue (length k) is free scratch.  buf (length RowClasses) is scratch
+	// the returned table may live in; a table anywhere else must not change
+	// while the LazyRows is in use.
+	FillRow(row int32, cls, queue []int32, buf []float64) (vals []float64)
 }
+
+// RowClasses is the length of the buf a RowFiller may return its class
+// table in.
+const RowClasses = 64
 
 // LazyRows is a square family of Walker alias tables — one row of k
 // outcomes per key in [0, rows) — whose rows are built on first draw.
@@ -44,8 +59,9 @@ type LazyRows struct {
 }
 
 type rowScratch struct {
-	weights []float64
-	work    []int32
+	cls  []int32
+	work []int32 // the filler's queue, then the Vose worklist
+	vals [RowClasses]float64
 }
 
 // lazyStripes is the number of build locks; first builds of distinct rows
@@ -67,7 +83,7 @@ func NewLazyRows(rows, k int, filler RowFiller) *LazyRows {
 		locks:  make([]sync.Mutex, lazyStripes),
 	}
 	l.pool.New = func() any {
-		return &rowScratch{weights: make([]float64, k), work: make([]int32, k)}
+		return &rowScratch{cls: make([]int32, k), work: make([]int32, k)}
 	}
 	return l
 }
@@ -75,16 +91,26 @@ func NewLazyRows(rows, k int, filler RowFiller) *LazyRows {
 // Draw samples an outcome from the given row, building the row's table on
 // first use.  Amortised O(1); allocation-free once the row exists.
 func (l *LazyRows) Draw(row int32, rng *xrand.RNG) int32 {
+	return l.Row(row).Draw(rng)
+}
+
+// Row returns the given row's table, building it on first use.  The table
+// is immutable once built.
+func (l *LazyRows) Row(row int32) *Alias {
 	r := l.rows[row].Load()
 	if r == nil {
 		r = l.build(row)
 	}
-	return r.Draw(rng)
+	return r
 }
 
 // build allocates, fills and publishes one row under its stripe lock and
 // returns it.  The row is immutable once published, so the atomic Store
 // orders its build before every reader's Load.
+//
+// The table is BuildInto's over the weights vals[cls[i]]: the same sum in
+// the same order, the same scaled weights and the same pairing, so every
+// prob and alias entry has the bits BuildInto gives those weights.
 func (l *LazyRows) build(row int32) *Alias {
 	lock := &l.locks[int(row)%lazyStripes]
 	lock.Lock()
@@ -94,21 +120,61 @@ func (l *LazyRows) build(row int32) *Alias {
 	}
 	sc := l.pool.Get().(*rowScratch)
 	defer l.pool.Put(sc)
-	l.filler.FillRow(row, sc.weights)
+	clear(sc.cls)
+	vals := l.filler.FillRow(row, sc.cls, sc.work, sc.vals[:])
+
 	total := 0.0
-	for _, w := range sc.weights {
+	heaviest, top := int32(-1), 0.0
+	for i, c := range sc.cls {
+		w := vals[c]
+		if !(w >= 0 && w <= math.MaxFloat64) {
+			// Failing loud beats sampling from a half-built row.
+			panic(fmt.Sprintf("sampler: lazy row %d: weight %d is %v, want finite and >= 0", row, i, w))
+		}
+		if heaviest < 0 || w > top {
+			heaviest, top = int32(i), w
+		}
 		total += w
 	}
-	if total == 0 {
-		// No admissible outcome: all mass stays on the row itself.
-		sc.weights[row] = 1
-	}
 	r := &Alias{prob: make([]float64, l.k), alias: make([]int32, l.k)}
-	if err := BuildInto(r.prob, r.alias, sc.weights, sc.work); err != nil {
-		// The filler contract (finite, non-negative) plus the zero-total
-		// fallback above make this unreachable; failing loud beats sampling
-		// from a half-built row.
-		panic(fmt.Sprintf("sampler: lazy row %d: %v", row, err))
+	if total == 0 {
+		// No admissible outcome: all mass stays on the row itself.  This is
+		// the table of the one-hot weights at row.
+		for i := range r.alias {
+			r.alias[i] = row
+		}
+		r.prob[row] = 1
+		l.rows[row].Store(r)
+		return r
+	}
+	scale := float64(l.k) / total
+	smallTop, largeBot := 0, l.k
+	for i, c := range sc.cls {
+		r.prob[i] = vals[c] * scale
+		if r.prob[i] < 1 {
+			sc.work[smallTop] = int32(i)
+			smallTop++
+		} else {
+			largeBot--
+			sc.work[largeBot] = int32(i)
+		}
+	}
+	smallTop, largeBot = pairVose(r.prob, r.alias, sc.work, smallTop, largeBot)
+	finalise := func(i int32) {
+		if vals[sc.cls[i]] == 0 {
+			r.prob[i] = 0
+			r.alias[i] = heaviest
+			return
+		}
+		r.prob[i] = 1
+		r.alias[i] = i
+	}
+	for _, i := range sc.work[largeBot:] {
+		finalise(i)
+	}
+	for smallTop > 0 {
+		smallTop--
+		finalise(sc.work[smallTop])
 	}
 	l.rows[row].Store(r)
 	return r

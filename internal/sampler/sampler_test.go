@@ -217,15 +217,18 @@ func TestLazyRowsRejectsNonSquareFallback(t *testing.T) {
 }
 
 // countingFiller serves fixed weight rows and counts how often each row is
-// filled.
+// filled.  Outcome i of a row is class i+1, its weight the table entry.
 type countingFiller struct {
 	weights [][]float64
 	fills   []atomic.Int32
 }
 
-func (f *countingFiller) FillRow(row int32, weights []float64) {
+func (f *countingFiller) FillRow(row int32, cls, _ []int32, _ []float64) []float64 {
 	f.fills[row].Add(1)
-	copy(weights, f.weights[row])
+	for i := range cls {
+		cls[i] = int32(i + 1)
+	}
+	return append([]float64{0}, f.weights[row]...)
 }
 
 // TestLazyRowsMatchesAlias checks LazyRows against a standalone alias table
@@ -320,10 +323,12 @@ func TestLazyRowsMatchesAlias(t *testing.T) {
 
 type constFiller struct{}
 
-func (constFiller) FillRow(_ int32, weights []float64) {
-	for i := range weights {
-		weights[i] = 1
+func (constFiller) FillRow(_ int32, cls, _ []int32, buf []float64) []float64 {
+	for i := range cls {
+		cls[i] = 1
 	}
+	buf[0], buf[1] = 0, 1
+	return buf[:2]
 }
 
 // TestLazyRowsOnlyDrawnRowsHoldMemory checks that a wide table family costs

@@ -28,12 +28,14 @@ type Runner struct {
 	cfg    Config
 	engine *sim.Engine
 
-	graphs sync.Map // graph key -> *graphEntry
-	insts  sync.Map // instance key -> *instEntry
+	graphs  sync.Map // graph key -> *graphEntry
+	streams sync.Map // stream key -> *streamEntry
+	insts   sync.Map // instance key -> *instEntry
 
-	refMu     sync.Mutex
-	graphRefs map[string]int
-	instRefs  map[string]int
+	refMu      sync.Mutex
+	graphRefs  map[string]int
+	streamRefs map[string]int
+	instRefs   map[string]int
 
 	progressMu sync.Mutex
 	start      time.Time
@@ -71,6 +73,14 @@ type graphEntry struct {
 	err    error
 }
 
+// streamEntry is the budget-independent half of a churn pipeline, shared
+// by every budget cell of one (family, n, stream).
+type streamEntry struct {
+	once sync.Once
+	st   *churn.Stream
+	err  error
+}
+
 type instEntry struct {
 	once sync.Once
 	inst augment.Instance
@@ -83,11 +93,12 @@ type instEntry struct {
 func NewRunner(cfg Config) *Runner {
 	cfg = cfg.WithDefaults()
 	return &Runner{
-		cfg:       cfg,
-		engine:    sim.NewEngine(cfg.Workers),
-		graphRefs: make(map[string]int),
-		instRefs:  make(map[string]int),
-		start:     time.Now(),
+		cfg:        cfg,
+		engine:     sim.NewEngine(cfg.Workers),
+		graphRefs:  make(map[string]int),
+		streamRefs: make(map[string]int),
+		instRefs:   make(map[string]int),
+		start:      time.Now(),
 	}
 }
 
@@ -201,7 +212,7 @@ func (r *Runner) runCell(cell Cell) (*sim.Estimate, any, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	inst, name, err := r.prepared(gkey, cell, bg)
+	inst, name, err := r.prepared(instKey(cell), cell, bg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -262,19 +273,34 @@ func (r *Runner) cellSimConfig(gkey string, cell Cell, fields *dist.FieldCache, 
 	return c
 }
 
+// graphKey is the cache identity of a cell's graph artefacts: the built
+// graph, its field cache and its distance source.  For a churned graph the
+// full churn spec — budget included — is part of it: two cells differing
+// only in repair budget measure different oracles.  The work the budgets
+// have in common lives in one stream entry (streamKey), which each budget's
+// graph entry replays.  The key also seeds the cell's pair sampling.
 func graphKey(ref GraphRef) string {
 	k := ref.Family + "#" + strconv.Itoa(ref.N)
 	if ref.Churn != nil {
-		// The full churn spec — budget included — is part of the cache
-		// identity: two cells differing only in repair budget measure
-		// different oracles and must not share a pipeline.
 		k += "|churn:" + ref.Churn.Key()
 	}
 	return k
 }
 
-func instKey(gkey string, ref SchemeRef) string {
-	return gkey + "|" + ref.Key
+// streamKey is the cache identity of a churned graph's stream: family,
+// size and the churn spec without its budget.
+func streamKey(ref GraphRef) string {
+	return ref.Family + "#" + strconv.Itoa(ref.N) + "|churn:" + ref.Churn.StreamKey()
+}
+
+// instKey is the cache identity of a cell's prepared instance.  A churned
+// graph's frozen contact table depends on its stream alone, so every
+// budget cell of the stream shares it.
+func instKey(cell Cell) string {
+	if cell.Graph.Churn != nil {
+		return streamKey(cell.Graph) + "|" + cell.Scheme.Key
+	}
+	return graphKey(cell.Graph) + "|" + cell.Scheme.Key
 }
 
 // builtGraph returns the shared graph instance for a ref, building it at
@@ -286,28 +312,31 @@ func (r *Runner) builtGraph(gkey string, ref GraphRef) (*BuiltGraph, *dist.Field
 	e := v.(*graphEntry)
 	e.once.Do(func() {
 		r.stats.graphsBuilt.Add(1)
-		rng := xrand.New(GraphSeed(r.cfg.Seed, ref.Family, ref.N))
-		bg, err := ref.Build(ref.N, rng)
-		if err != nil {
-			e.err = fmt.Errorf("building %s n=%d: %w", ref.Family, ref.N, err)
-			return
-		}
 		if ref.Churn != nil {
-			// Churn pipeline: the stream seed depends on the family, size and
-			// StreamKey only — NOT the repair budget — so budget cells churn
-			// identical edges.  The measured artefacts are the final compacted
+			// Churned graph: replay this cell's repair budget over the
+			// shared stream.  The measured artefacts are the final compacted
 			// graph, the repaired (possibly debt-carrying) oracle, and the
-			// generation-stamped field cache; the base graph's analytic metric
-			// no longer describes the churned edge set and is dropped.
-			cseed := GraphSeed(r.cfg.Seed, "churn|"+ref.Family+"|"+ref.Churn.StreamKey(), ref.N)
-			res, cerr := churn.Run(bg.G, cseed, *ref.Churn, r.cfg.Workers)
-			if cerr != nil {
-				e.err = fmt.Errorf("churning %s n=%d: %w", ref.Family, ref.N, cerr)
+			// generation-stamped field cache; the base graph's analytic
+			// metric no longer describes the churned edge set and is dropped.
+			st, err := r.stream(ref)
+			if err != nil {
+				e.err = err
+				return
+			}
+			res, err := st.Replay(ref.Churn.RepairBudget)
+			if err != nil {
+				e.err = fmt.Errorf("churning %s n=%d: %w", ref.Family, ref.N, err)
 				return
 			}
 			e.bg = &BuiltGraph{G: res.Final, Aux: res}
 			e.fields = res.Fields
 			e.source = res.Oracle
+			return
+		}
+		rng := xrand.New(GraphSeed(r.cfg.Seed, ref.Family, ref.N))
+		bg, err := ref.Build(ref.N, rng)
+		if err != nil {
+			e.err = fmt.Errorf("building %s n=%d: %w", ref.Family, ref.N, err)
 			return
 		}
 		e.bg = bg
@@ -333,6 +362,27 @@ func (r *Runner) builtGraph(gkey string, ref GraphRef) (*BuiltGraph, *dist.Field
 	return e.bg, e.fields, e.source, e.err
 }
 
+// stream returns the shared churn stream of a churned ref, building the
+// base graph and running the stream at most once per run.  The stream seed
+// depends on the family, size and StreamKey only — NOT the repair budget —
+// so every budget cell replays identical edges and dirty sets.
+func (r *Runner) stream(ref GraphRef) (*churn.Stream, error) {
+	v, _ := r.streams.LoadOrStore(streamKey(ref), &streamEntry{})
+	e := v.(*streamEntry)
+	e.once.Do(func() {
+		bg, err := ref.Build(ref.N, xrand.New(GraphSeed(r.cfg.Seed, ref.Family, ref.N)))
+		if err != nil {
+			e.err = fmt.Errorf("building %s n=%d: %w", ref.Family, ref.N, err)
+			return
+		}
+		cseed := GraphSeed(r.cfg.Seed, "churn|"+ref.Family+"|"+ref.Churn.StreamKey(), ref.N)
+		if e.st, err = churn.NewStream(bg.G, cseed, *ref.Churn, r.cfg.Workers); err != nil {
+			e.err = fmt.Errorf("churning %s n=%d: %w", ref.Family, ref.N, err)
+		}
+	})
+	return e.st, e.err
+}
+
 // oracleProgress reports a built 2-hop oracle's cost on the progress
 // stream: the one-off label build time and the label-size statistics that
 // dominate its memory footprint.  (Progress is stderr-only diagnostics;
@@ -348,17 +398,17 @@ func (r *Runner) oracleProgress(ref GraphRef, th *dist.TwoHop, took time.Duratio
 		th.AvgLabel(), th.MaxLabel(), float64(th.MemoryBytes())/1e6)
 }
 
-// prepared returns the shared prepared instance for (graph, scheme),
+// prepared returns the shared prepared instance under ikey (see instKey),
 // preparing it at most once per run.
-func (r *Runner) prepared(gkey string, cell Cell, bg *BuiltGraph) (augment.Instance, string, error) {
+func (r *Runner) prepared(ikey string, cell Cell, bg *BuiltGraph) (augment.Instance, string, error) {
 	r.stats.instLookups.Add(1)
-	v, _ := r.insts.LoadOrStore(instKey(gkey, cell.Scheme), &instEntry{})
+	v, _ := r.insts.LoadOrStore(ikey, &instEntry{})
 	e := v.(*instEntry)
 	e.once.Do(func() {
 		r.stats.prepares.Add(1)
 		scheme, err := cell.Scheme.New(bg)
 		if err != nil {
-			e.err = fmt.Errorf("constructing scheme %s on %s: %w", cell.Scheme.Key, gkey, err)
+			e.err = fmt.Errorf("constructing scheme %s on %s: %w", cell.Scheme.Key, ikey, err)
 			return
 		}
 		// Churned graphs route over the churn-maintained frozen contact
@@ -367,9 +417,9 @@ func (r *Runner) prepared(gkey string, cell Cell, bg *BuiltGraph) (augment.Insta
 		// of clean nodes intentionally reflect the pre-churn distribution —
 		// that residual mismatch is part of what churn cells measure.
 		if res, ok := bg.Aux.(*churn.Result); ok {
-			table, terr := churn.FrozenTable(res, scheme)
+			table, terr := churn.FrozenTable(res.Stream, scheme)
 			if terr != nil {
-				e.err = fmt.Errorf("freezing scheme %s on %s: %w", scheme.Name(), gkey, terr)
+				e.err = fmt.Errorf("freezing scheme %s on %s: %w", scheme.Name(), ikey, terr)
 				return
 			}
 			e.inst = table
@@ -378,7 +428,7 @@ func (r *Runner) prepared(gkey string, cell Cell, bg *BuiltGraph) (augment.Insta
 		}
 		inst, err := scheme.Prepare(bg.G)
 		if err != nil {
-			e.err = fmt.Errorf("preparing scheme %s on %s: %w", scheme.Name(), gkey, err)
+			e.err = fmt.Errorf("preparing scheme %s on %s: %w", scheme.Name(), ikey, err)
 			return
 		}
 		e.inst = inst
@@ -387,16 +437,18 @@ func (r *Runner) prepared(gkey string, cell Cell, bg *BuiltGraph) (augment.Insta
 	return e.inst, e.name, e.err
 }
 
-// retain records that each of the given cells will need its graph and
-// prepared instance, so release can evict artefacts as soon as the last
+// retain records that each of the given cells will need its graph, stream
+// and prepared instance, so release can evict artefacts as soon as the last
 // referencing cell finishes.
 func (r *Runner) retain(cs []Cell) {
 	r.refMu.Lock()
 	defer r.refMu.Unlock()
 	for _, c := range cs {
-		gk := graphKey(c.Graph)
-		r.graphRefs[gk]++
-		r.instRefs[instKey(gk, c.Scheme)]++
+		r.graphRefs[graphKey(c.Graph)]++
+		if c.Graph.Churn != nil {
+			r.streamRefs[streamKey(c.Graph)]++
+		}
+		r.instRefs[instKey(c)]++
 	}
 }
 
@@ -406,16 +458,26 @@ func (r *Runner) retain(cs []Cell) {
 func (r *Runner) release(c Cell) {
 	r.refMu.Lock()
 	defer r.refMu.Unlock()
-	gk := graphKey(c.Graph)
-	ik := instKey(gk, c.Scheme)
-	if r.instRefs[ik]--; r.instRefs[ik] <= 0 {
-		delete(r.instRefs, ik)
+	if ik := instKey(c); decRef(r.instRefs, ik) {
 		r.insts.Delete(ik)
 	}
-	if r.graphRefs[gk]--; r.graphRefs[gk] <= 0 {
-		delete(r.graphRefs, gk)
+	if gk := graphKey(c.Graph); decRef(r.graphRefs, gk) {
 		r.graphs.Delete(gk)
 	}
+	if c.Graph.Churn != nil {
+		if sk := streamKey(c.Graph); decRef(r.streamRefs, sk) {
+			r.streams.Delete(sk)
+		}
+	}
+}
+
+// decRef drops one reference to key and reports whether it was the last.
+func decRef(refs map[string]int, key string) bool {
+	if refs[key]--; refs[key] > 0 {
+		return false
+	}
+	delete(refs, key)
+	return true
 }
 
 // progress emits one line per completed cell to the configured writer.

@@ -134,11 +134,13 @@ type GraphRef struct {
 	// (internal/churn) before any cell measures it: the cell then routes on
 	// the churned (final) graph, steered by the incrementally repaired
 	// DynTwoHop oracle — whose budget-bounded staleness is part of what the
-	// cell measures.  The churn spec (budget included) joins the cache
-	// identity, so cells differing only in budget get separate pipelines,
-	// while the delta stream itself is seeded from Spec.StreamKey and is
-	// therefore identical across budgets.  The churn.Result is handed to the
-	// spec's renderer via CellResult.Aux.
+	// cell measures.  The churn spec (budget included) joins the graph
+	// cache identity, so cells differing only in budget measure separate
+	// oracles.  The delta stream is seeded from Spec.StreamKey and is
+	// therefore identical across budgets: the runner computes it once per
+	// (Family, N, StreamKey) — dirty sets, labels, final graph and frozen
+	// contact tables — and each budget only replays its repair over it.
+	// The churn.Result is handed to the spec's renderer via CellResult.Aux.
 	Churn *churn.Spec
 }
 

@@ -3,10 +3,12 @@ package scenario
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"navaug/internal/augment"
+	"navaug/internal/churn"
 	"navaug/internal/graph"
 	"navaug/internal/graph/gen"
 	"navaug/internal/report"
@@ -111,6 +113,68 @@ func TestRunnerReleasesArtefacts(t *testing.T) {
 	left := 0
 	runner.graphs.Range(func(any, any) bool { left++; return true })
 	runner.insts.Range(func(any, any) bool { left++; return true })
+	if left != 0 {
+		t.Fatalf("%d cached artefacts survived the run", left)
+	}
+}
+
+// TestRunnerSharesChurnStreams pins the stream sharing of churned graphs:
+// the budget cells of one (family, n, stream) build the base graph and run
+// the stream once, share one frozen table per scheme, and still measure one
+// oracle per budget.  Every stream, graph and instance entry is released
+// when the run ends.
+func TestRunnerSharesChurnStreams(t *testing.T) {
+	var builds atomic.Int64
+	fam := GraphFamily("cycle", func(n int, rng *xrand.RNG) (*graph.Graph, error) {
+		builds.Add(1)
+		return gen.Cycle(n), nil
+	})
+	schemes := []SchemeRef{Scheme(augment.NewUniformScheme()), Scheme(augment.NewBallScheme())}
+	spec := Spec{
+		ID: "SC",
+		CellsFn: func(Config) ([]Cell, error) {
+			var cells []Cell
+			for _, budget := range []int{0, 2, -1} {
+				ref := fam.Ref(200)
+				ref.Churn = &churn.Spec{Rate: 0.02, Batches: 4, RepairBudget: budget, CompactEvery: 2}
+				for _, s := range schemes {
+					cells = append(cells, Cell{Graph: ref, Scheme: s, Pairs: 3, Trials: 2})
+				}
+			}
+			return cells, nil
+		},
+		RenderFn: func(_ Config, res []CellResult) ([]*report.Table, error) {
+			debts := make(map[int]int)
+			for _, r := range res {
+				cres := r.Aux.(*churn.Result)
+				if cres.Stream != res[0].Aux.(*churn.Result).Stream {
+					return nil, fmt.Errorf("budget %d replayed a stream of its own", cres.Spec.RepairBudget)
+				}
+				debts[cres.Spec.RepairBudget] = cres.DebtRemaining
+			}
+			if len(debts) != 3 || debts[-1] != 0 || debts[0] == 0 {
+				return nil, fmt.Errorf("per-budget debts %v", debts)
+			}
+			tbl := report.NewTable("SC", "cells")
+			tbl.AddRow(len(res))
+			return []*report.Table{tbl}, nil
+		},
+	}
+	runner := NewRunner(Config{Seed: 3, Scale: 1, Parallel: 4, Workers: 2})
+	defer runner.Close()
+	if _, err := runner.RunSpec(spec); err != nil {
+		t.Fatal(err)
+	}
+	if got := builds.Load(); got != 1 {
+		t.Fatalf("base graph built %d times, want once for the shared stream", got)
+	}
+	if st := runner.Stats(); st.GraphsBuilt != 3 || st.Prepares != 2 || st.Cells != 6 {
+		t.Fatalf("want 3 budget graphs and 2 frozen tables over 6 cells, got %+v", st)
+	}
+	left := 0
+	for _, m := range []*sync.Map{&runner.graphs, &runner.streams, &runner.insts} {
+		m.Range(func(any, any) bool { left++; return true })
+	}
 	if left != 0 {
 		t.Fatalf("%d cached artefacts survived the run", left)
 	}
