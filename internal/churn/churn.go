@@ -42,9 +42,10 @@ type Spec struct {
 	// < 0 means unlimited (the oracle stays exact), 0 means track debt only
 	// (answers go stale until a compaction).
 	RepairBudget int
-	// CompactEvery > 0 rebases the overlay into a fresh CSR and rebuilds the
-	// oracle from scratch after every CompactEvery batches — except after the
-	// final batch, so measurements see the budget's effect, not a rebuild's.
+	// CompactEvery > 0 relabels the oracle from scratch (fresh 2-hop labels
+	// of the current graph, clearing patches and debt) after every
+	// CompactEvery batches — except after the final batch, so measurements
+	// see the budget's effect, not a rebuild's.
 	CompactEvery int
 }
 

@@ -41,14 +41,15 @@ import (
 // exact BFS field from the node on the graph after the batch, stamped with
 // its generation.  D and the graphs depend only on the batches, so one
 // dirty-set pass can serve any number of oracles replaying the same batches
-// under different budgets.  A query prefers the fresher endpoint's patch, falling
-// back to the base labels when neither endpoint was ever dirtied.  When the
-// debt set is empty the oracle is query-equivalent to a full rebuild (the
-// disttest conformance suite pins this); nodes still in debt serve their
-// last-known answers — that bounded staleness, as a function of the budget,
-// is exactly what experiment E13 measures.  Relabel (the compaction path)
-// installs labels built from scratch and clears all patches and debt; the
-// labels are immutable, so oracles replaying one stream share them.
+// under different budgets.  A query prefers the fresher endpoint's patch,
+// falling back to the base labels when neither endpoint was ever dirtied.
+// When the debt set is empty the oracle is query-equivalent to a full
+// rebuild (the disttest conformance suite pins this); nodes still in debt
+// serve their last-known answers — that bounded staleness, as a function
+// of the budget, is exactly what experiment E13 measures.  Relabel (the
+// compaction path) installs labels built from scratch and clears all
+// patches and debt; the labels are immutable, so oracles replaying one
+// stream share them.
 //
 // # Concurrency
 //
@@ -132,9 +133,8 @@ func (t *DynTwoHop) install(labels *TwoHop, gen uint64) {
 }
 
 // Relabel installs labels built from scratch for the graph at generation
-// gen — the compaction path: the churn pipeline rebases the DynGraph and
-// relabels the oracle over the fresh CSR, clearing every patch and all
-// debt.
+// gen, clearing every patch and all debt — the compaction path of the
+// churn pipeline.
 func (t *DynTwoHop) Relabel(labels *TwoHop, gen uint64) error {
 	if have := t.N(); labels.N() != have {
 		return fmt.Errorf("dist: relabel with labels over %d nodes, oracle covers %d", labels.N(), have)
