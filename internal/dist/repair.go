@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"navaug/internal/graph"
@@ -39,7 +40,9 @@ import (
 // the new graph, diffed).  Repair then adds D to the oracle's debt set, and
 // a repair budget patches debt nodes in ascending node id: a patch is one
 // exact BFS field from the node on the graph after the batch, stamped with
-// its generation.  D and the graphs depend only on the batches, so one
+// its generation.  The field is computed on the patch's first query, so a
+// patch that a later batch or a relabel replaces before anyone asks costs
+// no BFS.  D and the graphs depend only on the batches, so one
 // dirty-set pass can serve any number of oracles replaying the same batches
 // under different budgets.  A query prefers the fresher endpoint's patch,
 // falling back to the base labels when neither endpoint was ever dirtied.
@@ -54,10 +57,11 @@ import (
 // # Concurrency
 //
 // All reads go through one atomic pointer to an immutable state; Repair
-// and Relabel construct a fresh state and swap it in.  Dist is therefore
-// safe for any number of concurrent readers against one writer (the churn
-// pipeline), which the race-detector soak exercises.  Writers are not safe
-// against each other.
+// and Relabel construct a fresh state and swap it in.  A patch's field is
+// computed once, under its own sync.Once, by the first query that needs
+// it.  Dist is therefore safe for any number of concurrent readers against
+// one writer (the churn pipeline), which the race-detector soak exercises.
+// Writers are not safe against each other.
 type DynTwoHop struct {
 	state atomic.Pointer[dynTwoHopState]
 }
@@ -70,7 +74,7 @@ type dynTwoHopState struct {
 	// patchIdx[u] indexes patches, -1 when u has no patch.  Dense so the
 	// query hot path pays an array read, not a map lookup.
 	patchIdx []int32
-	patches  []dynPatch
+	patches  []*dynPatch
 
 	// debt holds dirty nodes not yet re-patched at their latest dirtying,
 	// sorted ascending.  Their answers (old patch or base labels) may be
@@ -80,11 +84,26 @@ type dynTwoHopState struct {
 	stats DynTwoHopStats
 }
 
-// dynPatch is one repaired node: its exact BFS field at generation gen.
+// dynPatch is one repaired node: its exact BFS field on g, the graph at
+// generation gen.  g is immutable, so the field is the same whenever it is
+// computed; once computed, the patch lets go of g.
 type dynPatch struct {
 	node  graph.NodeID
 	gen   uint64
+	g     *graph.Graph
+	once  sync.Once
 	field []int32
+}
+
+// dist returns the distance from the patched node to v, computing the
+// patch's field on first use.
+func (p *dynPatch) dist(v graph.NodeID) int32 {
+	p.once.Do(func() {
+		p.field = unreachableField(p.g.N())
+		p.g.BFSInto(p.node, p.field, nil)
+		p.g = nil
+	})
+	return p.field[v]
 }
 
 // DynTwoHopStats summarises the repair history of a DynTwoHop.
@@ -93,11 +112,12 @@ type DynTwoHopStats struct {
 	Gen uint64
 	// Debt is the number of dirty nodes still serving stale answers.
 	Debt int
-	// Patched is the number of nodes currently carrying a patch field.
+	// Patched is the number of nodes currently carrying a patch.
 	Patched int
 	// DirtyTotal counts dirty-set members summed over all batches;
-	// PatchedTotal counts patch BFS runs; Rebuilds counts label installs
-	// (the initial labels and every Relabel).
+	// PatchedTotal counts patches made (repairs, whether or not a query
+	// ever computed their field); Rebuilds counts label installs (the
+	// initial labels and every Relabel).
 	DirtyTotal   int64
 	PatchedTotal int64
 	Rebuilds     int64
@@ -178,12 +198,12 @@ func (t *DynTwoHop) Dist(u, v graph.NodeID) int32 {
 	iu, iv := s.patchIdx[u], s.patchIdx[v]
 	if iu >= 0 {
 		if iv >= 0 && s.patches[iv].gen > s.patches[iu].gen {
-			return s.patches[iv].field[u]
+			return s.patches[iv].dist(u)
 		}
-		return s.patches[iu].field[v]
+		return s.patches[iu].dist(v)
 	}
 	if iv >= 0 {
-		return s.patches[iv].field[u]
+		return s.patches[iv].dist(u)
 	}
 	return s.base.Dist(u, v)
 }
@@ -240,8 +260,8 @@ func ApplyDirty(d *graph.DynGraph, deltas []graph.Delta) ([]graph.NodeID, error)
 // the batch, at generation gen, and dirty is the batch's dirty set as
 // ApplyDirty returned it (sorted ascending).  Repair merges dirty into the
 // debt set, patches up to budget debt nodes with BFS fields on g (budget
-// < 0 means unlimited, 0 means track debt only), and swaps in a state at
-// gen.
+// < 0 means unlimited, 0 means track debt only; g must not change), and
+// swaps in a state at gen.
 //
 // gen must be exactly one past the oracle's generation; otherwise Repair
 // fails loud without touching the oracle.
@@ -254,14 +274,14 @@ func (t *DynTwoHop) Repair(g *graph.Graph, gen uint64, dirty []graph.NodeID, bud
 		return fmt.Errorf("dist: 2-hop oracle at graph generation %d cannot repair generation %d (every applied batch must be repaired once, in order)", old.gen, gen)
 	}
 
-	// Copy-on-write state: patches are immutable per entry, so a shallow
-	// slice copy suffices; patchIdx is cloned.
+	// Copy-on-write state: a patch never changes once made (its field is
+	// computed once), so a shallow slice copy suffices; patchIdx is cloned.
 	st := &dynTwoHopState{
 		base:     old.base,
 		n:        old.n,
 		gen:      gen,
 		patchIdx: append([]int32(nil), old.patchIdx...),
-		patches:  append([]dynPatch(nil), old.patches...),
+		patches:  append([]*dynPatch(nil), old.patches...),
 	}
 	st.stats = old.stats
 	st.stats.Gen = st.gen
@@ -269,9 +289,8 @@ func (t *DynTwoHop) Repair(g *graph.Graph, gen uint64, dirty []graph.NodeID, bud
 
 	debt := mergeSorted(old.debt, dirty)
 
-	// Budgeted repair in ascending node id: one exact BFS field per node,
-	// stamped with the new generation.
-	queue := make([]int32, 0, g.N())
+	// Budgeted repair in ascending node id: one patch per node, stamped
+	// with the new generation.
 	repaired := 0
 	remaining := debt[:0]
 	for _, w := range debt {
@@ -279,9 +298,7 @@ func (t *DynTwoHop) Repair(g *graph.Graph, gen uint64, dirty []graph.NodeID, bud
 			remaining = append(remaining, w)
 			continue
 		}
-		field := unreachableField(g.N())
-		g.BFSInto(w, field, queue)
-		p := dynPatch{node: w, gen: st.gen, field: field}
+		p := &dynPatch{node: w, gen: st.gen, g: g}
 		if i := st.patchIdx[w]; i >= 0 {
 			st.patches[i] = p
 		} else {

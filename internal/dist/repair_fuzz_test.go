@@ -22,7 +22,10 @@ import (
 //   - an oracle replayed on a DynGraph of its own, from the recorded dirty
 //     sets and labels built once for the stream, answers every pair, and
 //     reports the debt and stats, exactly like the oracle that computed its
-//     own dirty sets and built its own labels.
+//     own dirty sets and built its own labels;
+//   - a second replay, queried only after the last batch, so that its
+//     patch fields are computed long after their batches, answers every
+//     pair exactly like the oracles queried after every batch.
 //
 // The base graph comes from baseEdges, read as node pairs mod n.  The
 // stream is read three bytes per op: two endpoints mod n and a control
@@ -35,6 +38,9 @@ func FuzzDynTwoHop(f *testing.F) {
 	f.Add(uint8(16), uint8(1), []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 0, 8, 9, 9, 10, 10, 11},
 		[]byte{0, 4, 0, 2, 6, 1, 7, 8, 2, 3, 4, 0, 11, 8, 1, 0, 1, 3, 1, 5, 0, 9, 10, 1})
 	f.Add(uint8(1), uint8(3), []byte{}, []byte{0, 0, 1})
+	// Isolated nodes joined and cut again: a patch's field computed on a
+	// later graph than its own answers differently.
+	f.Add(uint8('T'), uint8(2), []byte("0"), []byte("011070020"))
 	f.Fuzz(func(t *testing.T, rawN, rawBudget uint8, baseEdges, stream []byte) {
 		n := int(rawN)%24 + 1
 		budget := int(rawBudget) % 4 // 0..3
@@ -58,6 +64,7 @@ func FuzzDynTwoHop(f *testing.F) {
 		exact := dist.NewDynTwoHop(shared, 0)
 		own := dist.NewDynTwoHop(dist.NewTwoHop(base), 0)
 		replay := dist.NewDynTwoHop(shared, 0)
+		late := dist.NewDynTwoHop(shared, 0)
 
 		var batch []graph.Delta
 		flush := func(compact bool) {
@@ -76,7 +83,7 @@ func FuzzDynTwoHop(f *testing.F) {
 				o      *dist.DynTwoHop
 				g      *graph.DynGraph
 				budget int
-			}{{exact, d, -1}, {own, d, budget}, {replay, dr, budget}} {
+			}{{exact, d, -1}, {own, d, budget}, {replay, dr, budget}, {late, dr, budget}} {
 				if err := step.o.Repair(step.g.Compact(), step.g.Gen(), dirty, step.budget); err != nil {
 					t.Fatal(err)
 				}
@@ -89,7 +96,7 @@ func FuzzDynTwoHop(f *testing.F) {
 				for _, step := range []struct {
 					o      *dist.DynTwoHop
 					labels *dist.TwoHop
-				}{{exact, shared}, {own, dist.NewTwoHop(d.Base())}, {replay, shared}} {
+				}{{exact, shared}, {own, dist.NewTwoHop(d.Base())}, {replay, shared}, {late, shared}} {
 					if err := step.o.Relabel(step.labels, d.Gen()); err != nil {
 						t.Fatal(err)
 					}
@@ -116,6 +123,16 @@ func FuzzDynTwoHop(f *testing.F) {
 			}
 		}
 		flush(false)
+		for u := graph.NodeID(0); int(u) < n; u++ {
+			for v := graph.NodeID(0); int(v) < n; v++ {
+				if got, want := late.Dist(u, v), own.Dist(u, v); got != want {
+					t.Fatalf("late-queried Dist(%d,%d) = %d, oracle queried after every batch says %d", u, v, got, want)
+				}
+			}
+		}
+		if late.Stats() != own.Stats() {
+			t.Fatalf("late-queried stats %+v, want %+v", late.Stats(), own.Stats())
+		}
 	})
 }
 

@@ -201,6 +201,48 @@ func TestDynTwoHopGenerationMismatch(t *testing.T) {
 	}
 }
 
+// TestDynTwoHopConcurrentFirstQueries: a patch's field is computed by the
+// first query that needs it.  Many goroutines querying fresh patches at
+// once must all read BFS distances (the CI race job runs this under
+// -short).
+func TestDynTwoHopConcurrentFirstQueries(t *testing.T) {
+	base := repairTestGraph(150, 60, 8)
+	d := graph.NewDynGraph(base)
+	oracle := newDynOracle(d, 0)
+	rng := xrand.New(5)
+	for batch := 0; batch < 3; batch++ {
+		if _, err := applyBatch(oracle, d, churnStep(d, rng, 4), -1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if oracle.Stats().Patched == 0 {
+		t.Fatal("churn patched nothing")
+	}
+	g := d.Compact()
+	n := g.N()
+	truth := make([][]int32, n)
+	for u := range truth {
+		truth[u] = g.BFS(graph.NodeID(u))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				u := graph.NodeID((i + w*n/8) % n)
+				for v := graph.NodeID(0); int(v) < n; v++ {
+					if got := oracle.Dist(u, v); got != truth[u][v] {
+						t.Errorf("Dist(%d,%d) = %d, BFS says %d", u, v, got, truth[u][v])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestFieldCacheGeneration pins the stale-field guard: a generation-stamped
 // cache serves FieldAt only at its own generation and fails loud otherwise.
 func TestFieldCacheGeneration(t *testing.T) {
