@@ -2,9 +2,11 @@ package dist
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 
 	"navaug/internal/graph"
+	"navaug/internal/par"
 )
 
 // TwoHop is an exact 2-hop-cover distance oracle (pruned landmark labeling)
@@ -482,7 +484,33 @@ func TwoHopFromRaw(n int, order []graph.NodeID, index []int64, hubs, dists []int
 // must decode to exactly its declared byte length with no truncated or
 // over-long varint, so a hostile blob can never send a query decode out of
 // bounds.
+//
+// The label streams are walked over node ranges, on GOMAXPROCS goroutines
+// once the blob holds at least twoHopValidateParallelMin bytes; the error
+// is the one a serial walk in node order meets first.
 func TwoHopPackedFromRaw(n int, order []graph.NodeID, poff []int64, blob []byte) (*TwoHop, error) {
+	workers := 1
+	if len(blob) >= twoHopValidateParallelMin {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return twoHopPackedFromRaw(n, order, poff, blob, workers)
+}
+
+const (
+	// twoHopValidateParallelMin is the blob size below which the label
+	// walk runs on one goroutine, and twoHopValidateChunk the node range a
+	// goroutine claims at a time.
+	twoHopValidateParallelMin = 1 << 18
+	twoHopValidateChunk       = 1024
+)
+
+// twoHopWalkTally is one goroutine's share of the label statistics.
+type twoHopWalkTally struct {
+	entries  int64
+	maxLabel int
+}
+
+func twoHopPackedFromRaw(n int, order []graph.NodeID, poff []int64, blob []byte, workers int) (*TwoHop, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("dist: negative node count %d", n)
 	}
@@ -504,42 +532,107 @@ func TwoHopPackedFromRaw(n int, order []graph.NodeID, poff []int64, blob []byte)
 	if v, ok := twoHopMonotone(poff); !ok {
 		return nil, fmt.Errorf("dist: packed label index decreases at node %d (%d > %d)", v, poff[v], poff[v+1])
 	}
+	tally := make([]twoHopWalkTally, max(workers, 1))
+	if err := par.Ranges(n, twoHopValidateChunk, workers, func(w, lo, hi int) error {
+		return twoHopWalkLabels(n, poff, blob, lo, hi, &tally[w])
+	}); err != nil {
+		return nil, err
+	}
 	var entries int64
 	maxLabel := 0
-	for v := 0; v < n; v++ {
-		lo, hi := poff[v], poff[v+1]
-		prev := int32(-1)
-		size := 0
-		for i := lo; i < hi; {
-			// One-byte varints are in bounds (i < hi) and in range by
-			// construction; longer ones take the fully checked decode.
-			var delta, d uint32
+	for _, t := range tally {
+		entries += t.entries
+		maxLabel = max(maxLabel, t.maxLabel)
+	}
+	return &TwoHop{n: int32(n), entries: entries, maxLabel: maxLabel, order: order,
+		poff: poff, blob: blob}, nil
+}
+
+// twoHopWalkLabels decodes the label streams of nodes [from, to), adding
+// their statistics to t, and returns the first fault in node order.  Each
+// stream is read by twoHopFastLabel, and one it cannot finish is walked
+// again by twoHopCheckLabel, which names the fault exactly.
+func twoHopWalkLabels(n int, poff []int64, blob []byte, from, to int, t *twoHopWalkTally) error {
+	var entries int64
+	maxLabel := 0
+	for v := from; v < to; v++ {
+		size, ok := twoHopFastLabel(int64(n), blob, poff[v], poff[v+1])
+		if !ok {
 			var err error
-			if b := blob[i]; b < 0x80 {
-				delta, i = uint32(b), i+1
-			} else if delta, i, err = twoHopCheckedUvarint(blob, i, hi); err != nil {
-				return nil, fmt.Errorf("dist: node %d label stream: %w", v, err)
+			if size, err = twoHopCheckLabel(n, v, blob, poff[v], poff[v+1]); err != nil {
+				return err
 			}
-			if i < hi && blob[i] < 0x80 {
-				d, i = uint32(blob[i]), i+1
-			} else if d, i, err = twoHopCheckedUvarint(blob, i, hi); err != nil {
-				return nil, fmt.Errorf("dist: node %d label stream: %w", v, err)
-			}
-			h := int64(prev) + 1 + int64(delta)
-			if h >= int64(n) {
-				return nil, fmt.Errorf("dist: node %d references hub rank %d out of range [0,%d)", v, h, n)
-			}
-			if int64(d) >= int64(n) {
-				return nil, fmt.Errorf("dist: node %d has label distance %d out of range [0,%d)", v, d, n)
-			}
-			prev = int32(h)
-			size++
 		}
 		entries += int64(size)
 		maxLabel = max(maxLabel, size)
 	}
-	return &TwoHop{n: int32(n), entries: entries, maxLabel: maxLabel, order: order,
-		poff: poff, blob: blob}, nil
+	t.entries += entries
+	t.maxLabel = max(t.maxLabel, maxLabel)
+	return nil
+}
+
+// twoHopFastLabel counts the entries of the label stream blob[lo:hi),
+// decoding rank deltas of up to three bytes and distances of up to two
+// inline (one byte holds most rank deltas and nearly every distance,
+// three the rank deltas of a large sparse graph; none can exceed 31
+// bits).  It makes no call, so the loop keeps its state in registers.
+// ok is false for a stream it cannot finish: a longer varint, one cut by
+// the stream's end, or a rank or distance out of range.
+func twoHopFastLabel(n int64, blob []byte, lo, hi int64) (size int, ok bool) {
+	prev := int64(-1)
+	for i := lo; i < hi; {
+		var delta, d int64
+		if b := blob[i]; b < 0x80 {
+			delta, i = int64(b), i+1
+		} else if i+2 < hi && blob[i+1] < 0x80 {
+			delta, i = int64(b&0x7f)|int64(blob[i+1])<<7, i+2
+		} else if i+2 < hi && blob[i+2] < 0x80 {
+			delta, i = int64(b&0x7f)|int64(blob[i+1]&0x7f)<<7|int64(blob[i+2])<<14, i+3
+		} else {
+			return 0, false
+		}
+		if i < hi && blob[i] < 0x80 {
+			d, i = int64(blob[i]), i+1
+		} else if i+1 < hi && blob[i+1] < 0x80 {
+			d, i = int64(blob[i]&0x7f)|int64(blob[i+1])<<7, i+2
+		} else {
+			return 0, false
+		}
+		prev += 1 + delta
+		if prev >= n || d >= n {
+			return 0, false
+		}
+		size++
+	}
+	return size, true
+}
+
+// twoHopCheckLabel walks node v's label stream blob[lo:hi) decoding every
+// varint through twoHopCheckedUvarint, and returns its entry count or its
+// first fault.
+func twoHopCheckLabel(n, v int, blob []byte, lo, hi int64) (int, error) {
+	prev := int64(-1)
+	size := 0
+	for i := lo; i < hi; {
+		delta, ni, err := twoHopCheckedUvarint(blob, i, hi)
+		if err != nil {
+			return 0, fmt.Errorf("dist: node %d label stream: %w", v, err)
+		}
+		d, ni, err := twoHopCheckedUvarint(blob, ni, hi)
+		if err != nil {
+			return 0, fmt.Errorf("dist: node %d label stream: %w", v, err)
+		}
+		h := prev + 1 + int64(delta)
+		if h >= int64(n) {
+			return 0, fmt.Errorf("dist: node %d references hub rank %d out of range [0,%d)", v, h, n)
+		}
+		if int64(d) >= int64(n) {
+			return 0, fmt.Errorf("dist: node %d has label distance %d out of range [0,%d)", v, d, n)
+		}
+		prev, i = h, ni
+		size++
+	}
+	return size, nil
 }
 
 // twoHopMonotone reports the first node v whose label offsets decrease

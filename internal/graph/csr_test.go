@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -101,13 +102,19 @@ func TestFromCSRRejectsAsymmetric(t *testing.T) {
 // symmetry check accepts.  The input picks n ≤ 16 and, two bytes per
 // node, a neighbour bitmask, so every list is sorted and self-loop free
 // and symmetry (with the arc count's parity) is what decides acceptance.
+// A non-empty offs replaces the offset index built from the lists with
+// raw little-endian int16s — of any length, decreasing or overshooting
+// the adjacency — and FromCSR must then return exactly the serial walk's
+// error, never panic.
 func FuzzFromCSR(f *testing.F) {
-	f.Add([]byte{3, 0b110, 0, 0b101, 0, 0b011, 0}) // triangle
-	f.Add([]byte{3, 0b010, 0, 0b100, 0, 0b010, 0}) // 0->1 without reverse
-	f.Add([]byte{4, 0b0010, 0, 0b1001, 0, 0, 0, 0b0100, 0})
-	f.Add([]byte{16, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{0})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{3, 0b110, 0, 0b101, 0, 0b011, 0}, []byte(nil)) // triangle
+	f.Add([]byte{3, 0b010, 0, 0b100, 0, 0b010, 0}, []byte(nil)) // 0->1 without reverse
+	f.Add([]byte{4, 0b0010, 0, 0b1001, 0, 0, 0, 0b0100, 0}, []byte(nil))
+	f.Add([]byte{16, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte(nil))
+	f.Add([]byte{0}, []byte(nil))
+	f.Add([]byte{2, 0b10, 0, 0b01, 0}, []byte{0, 0, 5, 0, 2, 0})       // overshoots, then decreases
+	f.Add([]byte{3, 0b110, 0, 0b101, 0, 0b011, 0}, []byte{0, 0, 2, 0}) // too short
+	f.Fuzz(func(t *testing.T, data, offs []byte) {
 		if len(data) == 0 {
 			return
 		}
@@ -127,6 +134,18 @@ func FuzzFromCSR(f *testing.F) {
 			}
 		}
 		offsets, adj := csrFromLists(lists)
+		if len(offs) > 0 {
+			offsets = make([]int64, len(offs)/2)
+			for i := range offsets {
+				offsets[i] = int64(int16(binary.LittleEndian.Uint16(offs[2*i:])))
+			}
+			_, err := FromCSR("", n, offsets, adj)
+			_, want := fromCSRSerial("", n, offsets, adj)
+			if fmt.Sprint(err) != fmt.Sprint(want) {
+				t.Fatalf("FromCSR error %v, serial walk %v (offsets %v, adj %v)", err, want, offsets, adj)
+			}
+			return
+		}
 		want := referenceSymmetric(&Graph{n: int32(n), offsets: offsets, adj: adj})
 		if len(adj)%2 != 0 && want == nil {
 			want = fmt.Errorf("odd adjacency length")

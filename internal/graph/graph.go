@@ -10,7 +10,10 @@ package graph
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+
+	"navaug/internal/par"
 )
 
 // NodeID identifies a node of a Graph.  IDs are dense in [0, N).
@@ -177,8 +180,39 @@ func (g *Graph) RawCSR() (offsets []int64, adj []int32) {
 // adjacency list strictly increasing (sorted, no duplicates, no
 // self-loops), and edge symmetry (v in adj[u] iff u in adj[v]) — so a
 // corrupted or hostile serialised graph is rejected instead of breaking
-// BFS/routing invariants later.  The total cost is O(n + m).
+// BFS/routing invariants later.  The total cost is O(n + m log Δ).
+//
+// The whole offset index is checked before any list is read, so no list
+// is ever sliced out of bounds, and a decreasing index outranks a
+// neighbour error at an earlier node.  The lists are then checked over
+// node ranges, on GOMAXPROCS goroutines for graphs of at least
+// csrParallelMin nodes plus arcs; the error is always the first one a
+// serial walk in node order meets, and every list error outranks an
+// asymmetric edge.
 func FromCSR(name string, n int, offsets []int64, adj []int32) (*Graph, error) {
+	workers := 1
+	if n+len(adj) >= csrParallelMin {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return fromCSR(name, n, offsets, adj, workers)
+}
+
+const (
+	// csrParallelMin is the graph size, in nodes plus adjacency entries,
+	// below which FromCSR checks on one goroutine (fan-out costs more than
+	// the work); csrChunk is the node range a goroutine claims at a time.
+	csrParallelMin = 1 << 16
+	csrChunk       = 4096
+)
+
+// csrTally is one goroutine's count of the arcs it checked, split by
+// direction, and whether an upward arc lacked its reverse.
+type csrTally struct {
+	up, down int64 // arcs u->v with u < v, and with u > v
+	asym     bool
+}
+
+func fromCSR(name string, n int, offsets []int64, adj []int32, workers int) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative node count %d", n)
 	}
@@ -194,23 +228,11 @@ func FromCSR(name string, n int, offsets []int64, adj []int32) (*Graph, error) {
 	if len(adj)%2 != 0 {
 		return nil, fmt.Errorf("graph: odd adjacency length %d (undirected graphs store each edge twice)", len(adj))
 	}
+	// With offsets[0] = 0 and offsets[n] = len(adj), a monotone index puts
+	// every node's list inside adj.
 	for u := 0; u < n; u++ {
-		lo, hi := offsets[u], offsets[u+1]
-		if lo > hi {
-			return nil, fmt.Errorf("graph: offsets decrease at node %d (%d > %d)", u, lo, hi)
-		}
-		prev := int32(-1)
-		for _, v := range adj[lo:hi] {
-			if v < 0 || v >= int32(n) {
-				return nil, fmt.Errorf("graph: neighbour %d of node %d out of range [0,%d)", v, u, n)
-			}
-			if v == int32(u) {
-				return nil, fmt.Errorf("graph: self-loop at node %d", u)
-			}
-			if v <= prev {
-				return nil, fmt.Errorf("graph: adjacency of node %d not strictly increasing (%d after %d)", u, v, prev)
-			}
-			prev = v
+		if offsets[u] > offsets[u+1] {
+			return nil, fmt.Errorf("graph: offsets decrease at node %d (%d > %d)", u, offsets[u], offsets[u+1])
 		}
 	}
 	g := &Graph{
@@ -220,20 +242,95 @@ func FromCSR(name string, n int, offsets []int64, adj []int32) (*Graph, error) {
 		adj:     adj,
 		name:    name,
 	}
-	if err := g.checkSymmetric(); err != nil {
+	tally := make([]csrTally, max(workers, 1))
+	if err := par.Ranges(n, csrChunk, workers, func(w, lo, hi int) error {
+		return g.checkLists(int32(lo), int32(hi), &tally[w])
+	}); err != nil {
 		return nil, err
+	}
+	// Every upward arc u->v found its reverse, a downward arc of v, and
+	// distinct arcs have distinct reverses; so when there are as many
+	// downward arcs as upward ones, every downward arc is such a reverse
+	// and the graph is symmetric.  Otherwise checkSymmetric names the arc
+	// a serial walk names.
+	var up, down int64
+	asym := false
+	for _, t := range tally {
+		up, down, asym = up+t.up, down+t.down, asym || t.asym
+	}
+	if asym || up != down {
+		if err := g.checkSymmetric(); err != nil {
+			return nil, err
+		}
 	}
 	return g, nil
 }
 
+// checkLists checks the adjacency lists of nodes [lo, hi) — neighbours in
+// range, no self-loop, strictly increasing — and returns the first
+// violation in node order, adding its arc counts to t.  For each upward
+// arc u->v it also looks u up in v's list, recording a miss in t.asym
+// rather than failing, since a list error at any node outranks an
+// asymmetric edge.  v's list may be unsorted (another range reports
+// that), which can only turn a hit into a miss.
+func (g *Graph) checkLists(lo, hi int32, t *csrTally) error {
+	n := g.n
+	var up, down int64
+	asym := false
+	for u := lo; u < hi; u++ {
+		prev := int32(-1)
+		for _, v := range g.adj[g.offsets[u]:g.offsets[u+1]] {
+			if v < 0 || v >= n {
+				return fmt.Errorf("graph: neighbour %d of node %d out of range [0,%d)", v, u, n)
+			}
+			if v == u {
+				return fmt.Errorf("graph: self-loop at node %d", u)
+			}
+			if v <= prev {
+				return fmt.Errorf("graph: adjacency of node %d not strictly increasing (%d after %d)", u, v, prev)
+			}
+			prev = v
+			if v < u {
+				down++
+				continue
+			}
+			up++
+			if !asym && !g.listHas(v, u) {
+				asym = true
+			}
+		}
+	}
+	t.up, t.down, t.asym = t.up+up, t.down+down, t.asym || asym
+	return nil
+}
+
+// listHas reports whether u is in v's list, by binary search (the list is
+// assumed sorted; the index must already be checked monotone).
+func (g *Graph) listHas(v, u int32) bool {
+	lo, hi := g.offsets[v], g.offsets[v+1]
+	if lo < hi && g.adj[lo] == u {
+		return true // u is v's smallest neighbour, as a tree parent usually is
+	}
+	for lo < hi {
+		mid := int64(uint64(lo+hi) >> 1)
+		if g.adj[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo < g.offsets[v+1] && g.adj[lo] == u
+}
+
 // checkSymmetric verifies that every arc u->v has its reverse v->u, given
-// sorted duplicate-free adjacency lists, in one O(n + m) pass.  Visiting u
-// in increasing order, the arcs into v arrive in increasing u, which is
-// exactly the order of v's own sorted list when the graph is symmetric;
-// so one cursor per node walks each list once, and every arc u->v must
-// find u under v's cursor.  When all arcs match, every list has been
-// consumed (there are as many arcs as list entries), so nothing else needs
-// checking.
+// sorted duplicate-free adjacency lists, in one serial O(n + m) pass;
+// FromCSR runs it only to name the arc once its range pass has found the
+// graph asymmetric.  Visiting u in increasing order, the arcs into v
+// arrive in increasing u, which is exactly the order of v's own sorted
+// list when the graph is symmetric; so one cursor per node walks each list
+// once, and every arc u->v must find u under v's cursor.  When all arcs
+// match, every list has been consumed (there are as many arcs as list
+// entries), so nothing else needs checking.
 func (g *Graph) checkSymmetric() error {
 	cur := make([]int64, g.n)
 	copy(cur, g.offsets)

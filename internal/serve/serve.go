@@ -31,12 +31,15 @@
 // then approximate landmark bounds) when that tier is missing or
 // quarantined and fields are unaffordable; see degrade.go.  Landmarks
 // exist only beneath the field cache: a snapshot with an exact tier never
-// builds them, so set-up is the snapshot read (snapshot.ReadBytes, which
-// validates sections concurrently) and little else.  Routing uses the
-// frozen contact tables,
-// so every healthy /v1/route answer is fully deterministic and
-// reproducible from the snapshot file alone; degraded answers carry
-// "approx": true.
+// builds them, so set-up is the snapshot read and little else.  That read
+// (snapshot.ReadBytes) keeps every core busy: sections are checked
+// concurrently, a big section's CRC-64 runs beside its parse, and the
+// graph's CSR checks and the 2-hop label walk split into node ranges on
+// GOMAXPROCS goroutines, so the read is bound by its total CPU work, of
+// which the single-goroutine CRC-64 of the largest section is the
+// longest indivisible piece.  Routing uses the frozen contact tables, so
+// every healthy /v1/route answer is fully deterministic and reproducible
+// from the snapshot file alone; degraded answers carry "approx": true.
 //
 // The serving stack is built to stay up under faults: the task queue is
 // bounded and overflows shed with 429 + Retry-After rather than queueing

@@ -178,7 +178,7 @@ type rawSec struct {
 	payload []byte
 }
 
-func parseSecs(t *testing.T, b []byte) []rawSec {
+func parseSecs(t testing.TB, b []byte) []rawSec {
 	t.Helper()
 	count := int(binary.LittleEndian.Uint32(b[12:16]))
 	out := make([]rawSec, count)
@@ -297,4 +297,38 @@ func TestReadRejectsSemanticLies(t *testing.T) {
 	}
 	mustFail(t, unreg, "not in the gen registry", "unregistered metric")
 	snap.MetricName = ""
+}
+
+// overshootGraphPayload returns a copy of a graph section payload whose
+// offset index overshoots the adjacency at node 1 and so decreases after
+// it: the index that once sent graph.FromCSR slicing out of bounds.
+func overshootGraphPayload(t testing.TB, payload []byte) []byte {
+	t.Helper()
+	p := clone(payload)
+	n := binary.LittleEndian.Uint64(p[0:])
+	nameLen := binary.LittleEndian.Uint64(p[16:])
+	offsets := 24 + (nameLen+7)&^7
+	if n < 2 || uint64(len(p)) < offsets+8*(n+1) {
+		t.Fatalf("graph payload too small to hold node 1's offset")
+	}
+	m := binary.LittleEndian.Uint64(p[8:])
+	binary.LittleEndian.PutUint64(p[offsets+8:], 2*m+5)
+	return p
+}
+
+// TestReadRejectsOvershootingOffsets reseals a graph section whose offset
+// index overshoots the adjacency: both readers must return the index
+// error (the graph is mandatory, so the tolerant one cannot quarantine
+// it), not panic on a section goroutine.
+func TestReadRejectsOvershootingOffsets(t *testing.T) {
+	for name, b := range sweepBases(t) {
+		secs := parseSecs(t, b)
+		secs[1].payload = overshootGraphPayload(t, secs[1].payload)
+		bad := assemble(secs)
+		want := "snapshot: graph: offsets decrease at node 1"
+		mustFail(t, bad, want, name)
+		if _, err := snapshot.ReadBytesTolerant(bad); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: tolerant reader returned %v, want %q", name, err, want)
+		}
+	}
 }

@@ -11,6 +11,8 @@ package snapshot_test
 import (
 	"encoding/binary"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"navaug/internal/dist"
@@ -221,6 +223,72 @@ func TestReadMultiFaultPrecedence(t *testing.T) {
 				t.Errorf("tolerant reader loaded the file, want error %q", tc.tolerant)
 			case err == nil && !reflect.DeepEqual(s.Quarantined, tc.quarantin):
 				t.Errorf("Quarantined = %#v, want %#v", s.Quarantined, tc.quarantin)
+			}
+		})
+	}
+}
+
+// TestReadBigSectionChecksumOutranksParse covers sections big enough that
+// the reader parses them while their checksums are computed: a payload
+// that is both damaged and unparseable must still fail with its checksum
+// error (strict) or be quarantined by it (tolerant), and once resealed it
+// must fail with its parse error.
+func TestReadBigSectionChecksumOutranksParse(t *testing.T) {
+	_, base := buildCase(t, "ratree", 4096, dist.PolicyTwoHop, "uniform")
+	secs := parseSecs(t, base)
+	if len(secs) != 4 || secs[1].kind != 2 || secs[2].kind != 6 {
+		t.Fatalf("base sections %v, want meta, graph, packed 2-hop, scheme", secs)
+	}
+	for _, i := range []int{1, 2} {
+		if len(secs[i].payload) < snapshot.CheckAsideMin {
+			t.Fatalf("section %d holds %d bytes, below the %d from which its checksum runs beside the parse",
+				i, len(secs[i].payload), snapshot.CheckAsideMin)
+		}
+	}
+	overshoot := overshootGraphPayload(t, secs[1].payload)
+	hugeTwoHop := clone(secs[2].payload)
+	binary.LittleEndian.PutUint64(hugeTwoHop, snapshot.MaxNodes+1)
+	// unsealed swaps one payload in after the checksums were recorded.
+	unsealed := func(i int, payload []byte) []byte {
+		b := assemble(secs)
+		copy(b[binary.LittleEndian.Uint64(b[24+40*i+8:]):], payload)
+		return b
+	}
+	resealed := func(i int, payload []byte) []byte {
+		s := slices.Clone(secs)
+		s[i].payload = payload
+		return assemble(s)
+	}
+	cases := []struct {
+		name, strict string
+		b            []byte
+		tolerant     string   // the tolerant reader's error, "" if it loads
+		quarantin    []string // what a tolerant load quarantines
+	}{
+		{name: "graph", b: unsealed(1, overshoot),
+			strict: "snapshot: section 1 (kind 2) checksum mismatch", tolerant: "snapshot: section 1 (kind 2) checksum mismatch"},
+		{name: "twohop", b: unsealed(2, hugeTwoHop),
+			strict: "snapshot: section 2 (kind 6) checksum mismatch", quarantin: []string{"twohop"}},
+		{name: "resealed graph", b: resealed(1, overshoot),
+			strict: "snapshot: graph: offsets decrease at node 1", tolerant: "snapshot: graph: offsets decrease at node 1"},
+		{name: "resealed twohop", b: resealed(2, hugeTwoHop),
+			strict: "snapshot: 2-hop node count 268435457 exceeds cap 268435456", quarantin: []string{"twohop"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := snapshot.ReadBytes(tc.b); err == nil || !strings.HasPrefix(err.Error(), tc.strict) {
+				t.Errorf("strict error %v, want prefix %q", err, tc.strict)
+			}
+			s, err := snapshot.ReadBytesTolerant(tc.b)
+			switch {
+			case tc.tolerant != "":
+				if err == nil || !strings.HasPrefix(err.Error(), tc.tolerant) {
+					t.Errorf("tolerant error %v, want prefix %q", err, tc.tolerant)
+				}
+			case err != nil:
+				t.Errorf("tolerant reader failed: %v", err)
+			case !reflect.DeepEqual(s.Quarantined, tc.quarantin) || s.TwoHop != nil:
+				t.Errorf("Quarantined = %#v (2-hop kept: %v), want %#v", s.Quarantined, s.TwoHop != nil, tc.quarantin)
 			}
 		})
 	}
