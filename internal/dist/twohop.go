@@ -485,24 +485,16 @@ func TwoHopFromRaw(n int, order []graph.NodeID, index []int64, hubs, dists []int
 // over-long varint, so a hostile blob can never send a query decode out of
 // bounds.
 //
-// The label streams are walked over node ranges, on GOMAXPROCS goroutines
-// once the blob holds at least twoHopValidateParallelMin bytes; the error
-// is the one a serial walk in node order meets first.
+// The label streams are walked over node ranges on GOMAXPROCS goroutines;
+// the error is the one a serial walk in node order meets first.
 func TwoHopPackedFromRaw(n int, order []graph.NodeID, poff []int64, blob []byte) (*TwoHop, error) {
-	workers := 1
-	if len(blob) >= twoHopValidateParallelMin {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return twoHopPackedFromRaw(n, order, poff, blob, workers)
+	return twoHopPackedFromRaw(n, order, poff, blob, runtime.GOMAXPROCS(0))
 }
 
-const (
-	// twoHopValidateParallelMin is the blob size below which the label
-	// walk runs on one goroutine, and twoHopValidateChunk the node range a
-	// goroutine claims at a time.
-	twoHopValidateParallelMin = 1 << 18
-	twoHopValidateChunk       = 1024
-)
+// twoHopValidateChunk is the node range a goroutine of the label walk
+// claims at a time; a graph of at most this many nodes is walked on one
+// goroutine.
+const twoHopValidateChunk = 1024
 
 // twoHopWalkTally is one goroutine's share of the label statistics.
 type twoHopWalkTally struct {

@@ -5,9 +5,9 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"navaug/internal/graph"
+	"navaug/internal/par"
 )
 
 // This file holds the TwoHop construction engine.  The batch schedule —
@@ -324,21 +324,6 @@ func twoHopFanOut(workers int, fn func(w int)) {
 	wg.Wait()
 }
 
-// twoHopFanOutChunks runs fn(w, lo, hi) over [0, n) in chunks of the
-// given size that the workers goroutines claim in turn.
-func twoHopFanOutChunks(workers, n, chunk int, fn func(w, lo, hi int)) {
-	var next atomic.Int64
-	twoHopFanOut(workers, func(w int) {
-		for {
-			lo := int(next.Add(int64(chunk)) - int64(chunk))
-			if lo >= n {
-				return
-			}
-			fn(w, lo, min(lo+chunk, n))
-		}
-	})
-}
-
 // commit appends the label additions of hubs [start, end): sets holds one
 // twoHopBatchAdds per producer, and each node gains at most one entry per
 // root across all of them.  Every node receives its entries in root order
@@ -481,16 +466,15 @@ func (ms *twoHopMergeScratch) mergeTail(ents []uint64, s int) {
 // use, on all workers once the labels hold at least twoHopPackParallelMin
 // entries.
 func (b *twoHopBuilder) pack() {
-	if b.total < twoHopPackParallelMin || b.workers == 1 {
-		for v := range b.lab {
-			b.merge[0].packLabel(b.lab[v], int(b.sortedLen[v]))
-		}
-		return
+	workers := b.workers
+	if b.total < twoHopPackParallelMin {
+		workers = 1
 	}
-	twoHopFanOutChunks(b.workers, b.n, twoHopBPChunk, func(w, lo, hi int) {
+	par.Ranges(b.n, twoHopBPChunk, workers, func(w, lo, hi int) error {
 		for v := lo; v < hi; v++ {
 			b.merge[w].packLabel(b.lab[v], int(b.sortedLen[v]))
 		}
+		return nil
 	})
 }
 
@@ -715,12 +699,13 @@ func (b *twoHopBuilder) runBatchBP(start, end int) bool {
 func (b *twoHopBuilder) processLevel(d int32) {
 	bp := b.bp
 	list := bp.nextList
-	if int64(len(list))*(b.total/int64(b.n)+1) < twoHopLevelParallelMin || b.workers == 1 {
-		b.processRange(bp.workers[0], list, d)
-		return
+	workers := b.workers
+	if int64(len(list))*(b.total/int64(b.n)+1) < twoHopLevelParallelMin {
+		workers = 1
 	}
-	twoHopFanOutChunks(b.workers, len(list), twoHopBPChunk, func(w, lo, hi int) {
+	par.Ranges(len(list), twoHopBPChunk, workers, func(w, lo, hi int) error {
 		b.processRange(bp.workers[w], list[lo:hi], d)
+		return nil
 	})
 }
 
@@ -957,8 +942,11 @@ func (b *twoHopBuilder) runBatchScalar(start, end int) {
 			b.scalar[w] = sc
 		}
 	}
-	twoHopFanOutChunks(b.workers, end-start, 1, func(w, k, _ int) {
-		b.scalarBFS(b.order[start+k], b.scalar[w], &b.results[k])
+	par.Ranges(end-start, 1, b.workers, func(w, lo, hi int) error {
+		for k := lo; k < hi; k++ {
+			b.scalarBFS(b.order[start+k], b.scalar[w], &b.results[k])
+		}
+		return nil
 	})
 	b.commit(start, end, []*twoHopBatchAdds{&b.results})
 }

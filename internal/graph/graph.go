@@ -185,25 +185,16 @@ func (g *Graph) RawCSR() (offsets []int64, adj []int32) {
 // The whole offset index is checked before any list is read, so no list
 // is ever sliced out of bounds, and a decreasing index outranks a
 // neighbour error at an earlier node.  The lists are then checked over
-// node ranges, on GOMAXPROCS goroutines for graphs of at least
-// csrParallelMin nodes plus arcs; the error is always the first one a
-// serial walk in node order meets, and every list error outranks an
+// node ranges on GOMAXPROCS goroutines; the error is always the first one
+// a serial walk in node order meets, and every list error outranks an
 // asymmetric edge.
 func FromCSR(name string, n int, offsets []int64, adj []int32) (*Graph, error) {
-	workers := 1
-	if n+len(adj) >= csrParallelMin {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return fromCSR(name, n, offsets, adj, workers)
+	return fromCSR(name, n, offsets, adj, runtime.GOMAXPROCS(0))
 }
 
-const (
-	// csrParallelMin is the graph size, in nodes plus adjacency entries,
-	// below which FromCSR checks on one goroutine (fan-out costs more than
-	// the work); csrChunk is the node range a goroutine claims at a time.
-	csrParallelMin = 1 << 16
-	csrChunk       = 4096
-)
+// csrChunk is the node range a goroutine of FromCSR's list check claims at
+// a time; a graph of at most this many nodes is checked on one goroutine.
+const csrChunk = 4096
 
 // csrTally is one goroutine's count of the arcs it checked, split by
 // direction, and whether an upward arc lacked its reverse.

@@ -1,5 +1,5 @@
-// Package par runs a validation pass over node ranges on several
-// goroutines while reporting exactly what the serial pass reports.
+// Package par runs a pass over index ranges on several goroutines; a
+// validation pass reports exactly what the serial pass reports.
 package par
 
 import (
@@ -8,15 +8,19 @@ import (
 )
 
 // Ranges splits [0, n) into consecutive ranges of chunk items and calls
-// check on each, on up to workers goroutines (the caller's among them);
-// w, in [0, workers), names the goroutine, for per-worker tallies.  It
-// returns the error of the lowest range whose check failed, or nil.  So
-// when check reports the first failing item of its range, Ranges reports
-// the first failing item of [0, n), as one serial pass over it would.
+// check on each, on up to workers goroutines of its own while the caller
+// waits; w, in [0, workers), names the goroutine, for per-worker
+// tallies.  It returns the error of the lowest range whose check failed,
+// or nil.  So when check reports the first failing item of its range,
+// Ranges reports the first failing item of [0, n), as one serial pass
+// over it would.
 //
 // Ranges are claimed in increasing order, and no range above a failed one
 // is started, so a failure near the front stops the pass early.  With
-// workers <= 1 or n <= chunk, check runs once, over all of [0, n).
+// workers <= 1 or n <= chunk, check runs once, over all of [0, n), on the
+// caller's goroutine.  The caller takes no range itself otherwise: the
+// 2-hop build, which fans out several hundred times a build, ran 1-3%
+// slower that way on a 2-vCPU host.
 func Ranges(n, chunk, workers int, check func(w, lo, hi int) error) error {
 	if workers <= 1 || n <= chunk {
 		return check(0, 0, n)
@@ -47,14 +51,13 @@ func Ranges(n, chunk, workers int, check func(w, lo, hi int) error) error {
 			}
 		}
 	}
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
+	wg.Add(workers)
+	for w := range workers {
 		go func() {
 			defer wg.Done()
 			run(w)
 		}()
 	}
-	run(0)
 	wg.Wait()
 	return first
 }

@@ -33,7 +33,7 @@
 // exist only beneath the field cache: a snapshot with an exact tier never
 // builds them, so set-up is the snapshot read and little else.  That read
 // (snapshot.ReadBytes) keeps every core busy: sections are checked
-// concurrently, a big section's CRC-64 runs beside its parse, and the
+// concurrently, each section's CRC-64 runs beside its parse, and the
 // graph's CSR checks and the 2-hop label walk split into node ranges on
 // GOMAXPROCS goroutines, so the read is bound by its total CPU work, of
 // which the single-goroutine CRC-64 of the largest section is the

@@ -228,22 +228,16 @@ func TestReadMultiFaultPrecedence(t *testing.T) {
 	}
 }
 
-// TestReadBigSectionChecksumOutranksParse covers sections big enough that
-// the reader parses them while their checksums are computed: a payload
-// that is both damaged and unparseable must still fail with its checksum
-// error (strict) or be quarantined by it (tolerant), and once resealed it
-// must fail with its parse error.
+// TestReadBigSectionChecksumOutranksParse covers the big graph and 2-hop
+// sections, which the reader parses while their checksums are computed: a
+// payload that is both damaged and unparseable must still fail with its
+// checksum error (strict) or be quarantined by it (tolerant), and once
+// resealed it must fail with its parse error.
 func TestReadBigSectionChecksumOutranksParse(t *testing.T) {
 	_, base := buildCase(t, "ratree", 4096, dist.PolicyTwoHop, "uniform")
 	secs := parseSecs(t, base)
 	if len(secs) != 4 || secs[1].kind != 2 || secs[2].kind != 6 {
 		t.Fatalf("base sections %v, want meta, graph, packed 2-hop, scheme", secs)
-	}
-	for _, i := range []int{1, 2} {
-		if len(secs[i].payload) < snapshot.CheckAsideMin {
-			t.Fatalf("section %d holds %d bytes, below the %d from which its checksum runs beside the parse",
-				i, len(secs[i].payload), snapshot.CheckAsideMin)
-		}
 	}
 	overshoot := overshootGraphPayload(t, secs[1].payload)
 	hugeTwoHop := clone(secs[2].payload)

@@ -66,15 +66,15 @@ func Read(r io.Reader) (*Snapshot, error) {
 // payload checksum and its structural parse, where every declared count
 // is checked against the (already length-verified) payload before any
 // slice is materialised, and the semantic invariants of its artefact
-// (graph.FromCSR, dist.TwoHopPackedFromRaw, contact ranges).  A payload of
-// checkAsideMin bytes or more is checksummed on a further goroutine while
-// it is parsed, and the big graph and 2-hop checks split into node ranges
-// on GOMAXPROCS goroutines, so the read uses every core.  The results are
-// weighed in table order, cross-section consistency last, with a
-// checksum mismatch ahead of the same section's parse result, so a file
-// with several faults fails with the error a front-to-back read meets
-// first, whatever order the goroutines finish in, and nothing parsed from
-// a damaged payload is ever used.
+// (graph.FromCSR, dist.TwoHopPackedFromRaw, contact ranges).  Each
+// payload is checksummed on a further goroutine while it is parsed, and
+// the graph and 2-hop checks split into node ranges on GOMAXPROCS
+// goroutines, so the read uses every core.  The results are weighed in
+// table order, cross-section consistency last, with a checksum mismatch
+// ahead of the same section's parse result, so a file with several
+// faults fails with the error a front-to-back read meets first, whatever
+// order the goroutines finish in, and nothing parsed from a damaged
+// payload is ever used.
 func ReadBytes(b []byte) (*Snapshot, error) { return readBytes(b, false) }
 
 // ReadBytesTolerant is ReadBytes with load-time quarantine: structural
@@ -333,27 +333,14 @@ func readLayout(b []byte, count, tableEnd int) ([]section, error) {
 	return secs, nil
 }
 
-// checkAsideMin is the payload size from which check computes the
-// checksum on a goroutine of its own, beside the parse, rather than
-// before it.
-const checkAsideMin = 1 << 16
-
 // check checksums the payload and parses and validates a graph, 2-hop or
 // scheme artefact.  It reads only the section itself, so the sections of
-// one file check concurrently.  A small payload is parsed only when its
-// checksum matches; a big one is parsed while its checksum is computed,
-// so the decoders must be safe on any bytes.  Either way readBytes weighs
-// a checksum mismatch before the parse result, so a mismatch outranks
-// every parse error, and an artefact parsed from a damaged payload is
-// never used.
+// one file check concurrently.  The checksum runs on a goroutine of its
+// own beside the parse, so the decoders must be safe on any bytes;
+// readBytes weighs a checksum mismatch before the parse result, so a
+// mismatch outranks every parse error, and an artefact parsed from a
+// damaged payload is never used.
 func (sec *section) check() {
-	if len(sec.payload) < checkAsideMin {
-		sec.crc = crc64.Checksum(sec.payload, crcTable)
-		if sec.crc == sec.sum {
-			sec.parse()
-		}
-		return
-	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
