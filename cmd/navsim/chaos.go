@@ -55,7 +55,7 @@ func runChaos(c *command, args []string) error {
 	landmarks := fs.Int("landmarks", 0, "landmark count for the approximate tier beneath the field cache, built only when the snapshot has no exact O(1) tier (0 = default 16)")
 	seed := fs.Uint64("seed", 1, "loadgen sampling seed")
 	out := fs.String("out", "", "append the chaos record to this JSON bench file (e.g. BENCH_serve.json)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *snapPath == "" {

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"flag"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -207,5 +209,38 @@ func TestCommandErrors(t *testing.T) {
 				t.Fatalf("failed command wrote to stdout: %q", stdout)
 			}
 		})
+	}
+}
+
+// TestFlagErrorsReturn: every command hands an unknown or malformed flag
+// and -h back to main as an error instead of exiting, after printing the
+// flag package's message and the command's usage.
+func TestFlagErrorsReturn(t *testing.T) {
+	for _, c := range commands {
+		tests := []struct {
+			name, arg, stderr string
+		}{
+			{"unknown flag", "-bogus", "flag provided but not defined: -bogus\n"},
+			{"malformed flag", "---seed", "bad flag syntax: ---seed\n"},
+			{"help", "-h", ""},
+		}
+		for _, tc := range tests {
+			t.Run(c.name+" "+tc.name, func(t *testing.T) {
+				stdout, stderr, err := runCommand(t, c.name, tc.arg)
+				if tc.arg == "-h" {
+					if !errors.Is(err, flag.ErrHelp) {
+						t.Fatalf("navsim %s -h returned %v, want flag.ErrHelp", c.name, err)
+					}
+				} else if !errors.As(err, new(flagError)) {
+					t.Fatalf("navsim %s %s returned %v, want a flagError", c.name, tc.arg, err)
+				}
+				if !strings.HasPrefix(stderr, tc.stderr+"usage: navsim "+c.name+" ") || !strings.Contains(stderr, "\nflags:\n") {
+					t.Errorf("stderr %q does not start with %q and the usage", stderr, tc.stderr)
+				}
+				if stdout != "" {
+					t.Errorf("stdout %q, want nothing", stdout)
+				}
+			})
+		}
 	}
 }

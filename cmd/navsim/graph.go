@@ -23,7 +23,7 @@ func runGraph(c *command, args []string) error {
 	dot := fs.Bool("dot", false, "emit Graphviz DOT instead of the edge-list format")
 	out := fs.String("o", "", "output file (default stdout)")
 	listFamilies := fs.Bool("families", false, "list the known graph families and exit")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *listFamilies {
@@ -73,7 +73,7 @@ func runTrace(c *command, args []string) error {
 	dst := fs.Int("t", -1, "target node (negative = auto)")
 	seed := fs.Uint64("seed", 7, "random seed")
 	lookahead := fs.Bool("lookahead", false, "use neighbour-of-neighbour lookahead routing")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	g, err := core.GraphByName(*family, *n, *seed)

@@ -24,7 +24,7 @@ func runLoadgen(c *command, args []string) error {
 	draw := fs.Int("draw", 0, "frozen draw index for route mode")
 	retries := fs.Int("retries", 0, "retry budget per request for 429/timeout/5xx/conn errors (0 = no retries; capped exponential backoff with jitter)")
 	out := fs.String("out", "", "append the result record to this JSON bench file (e.g. BENCH_serve.json)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 

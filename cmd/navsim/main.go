@@ -16,6 +16,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -123,7 +124,13 @@ func main() {
 		if c.name != name {
 			continue
 		}
-		if err := c.run(c, os.Args[2:]); err != nil {
+		err := c.run(c, os.Args[2:])
+		switch {
+		case errors.Is(err, flag.ErrHelp):
+			// -h printed the usage.
+		case errors.As(err, new(flagError)):
+			os.Exit(2) // the flag package printed the error and the usage
+		case err != nil:
 			fmt.Fprintf(os.Stderr, "navsim: %v\n", err)
 			os.Exit(1)
 		}
@@ -144,9 +151,10 @@ func usage() {
 }
 
 // newFlagSet builds the command's FlagSet with the unified -h output:
-// usage line, summary, then the registered flags.
+// usage line, summary, then the registered flags.  Parse errors come back
+// to the command's run (see parseFlags), so no command exits the process.
 func newFlagSet(c *command) *flag.FlagSet {
-	fs := flag.NewFlagSet("navsim "+c.name, flag.ExitOnError)
+	fs := flag.NewFlagSet("navsim "+c.name, flag.ContinueOnError)
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: navsim %s %s\n\n%s\n\nflags:\n", c.name, c.synopsis, c.summary)
 		fs.PrintDefaults()
@@ -154,10 +162,24 @@ func newFlagSet(c *command) *flag.FlagSet {
 	return fs
 }
 
+// flagError is an unknown or malformed flag, which the flag package has
+// already printed with the usage; main exits 2 on it.
+type flagError struct{ error }
+
+// parseFlags parses args into fs.  -h comes back as flag.ErrHelp (main
+// exits 0), any other parse error as a flagError.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return flagError{err}
+	}
+	return err
+}
+
 func runList(c *command, args []string) error {
 	fs := newFlagSet(c)
 	format := fs.String("format", "text", "output format: text or md")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	switch *format {
@@ -195,7 +217,7 @@ func runExperiments(c *command, args []string) error {
 	maxTrials := fs.Int("max-trials", 0, "adaptive mode: per-pair trial cap (0 = 8x the base budget)")
 	oracle := fs.String("oracle", "auto", "distance-source policy: auto, analytic, twohop (twohop-packed is a synonym) or field (identical results; cost knob)")
 	quiet := fs.Bool("quiet", false, "suppress the per-cell progress on stderr")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	policy, err := dist.ParseSourcePolicy(*oracle)
@@ -249,7 +271,7 @@ func runEstimate(c *command, args []string) error {
 	seed := fs.Uint64("seed", 1, "random seed")
 	workers := fs.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
 	oracle := fs.String("oracle", "auto", "distance-source policy: auto, analytic, twohop (twohop-packed is a synonym) or field (identical results; cost knob)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	policy, err := dist.ParseSourcePolicy(*oracle)
@@ -296,7 +318,7 @@ func runExact(c *command, args []string) error {
 	n := fs.Int("n", 400, "approximate graph size (exact computation is cubic; keep n small)")
 	schemeName := fs.String("scheme", "uniform", "augmentation scheme ("+strings.Join(core.SchemeNames(), ", ")+")")
 	seed := fs.Uint64("seed", 1, "random seed for graph generation")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	g, err := core.GraphByName(*family, *n, *seed)

@@ -30,7 +30,7 @@ func runServe(c *command, args []string) error {
 	faults := fs.String("faults", "", "fault-injection spec, e.g. 'stall:shard=0,delay=50ms;storm:p=0.1,delay=3s' (testing only)")
 	faultSeed := fs.Uint64("fault-seed", 1, "seed for the fault-injection draw stream")
 	drain := fs.Duration("drain", time.Second, "grace between flipping readiness and closing the listener on SIGTERM")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *snapPath == "" {

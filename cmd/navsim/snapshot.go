@@ -44,7 +44,7 @@ func runSnapshot(c *command, args []string) error {
 	out := fs.String("o", "", "output .navsnap path (required)")
 	benchOut := fs.String("bench-out", "", "append a build/load timing record to this JSON bench file")
 	quiet := fs.Bool("quiet", false, "suppress build progress on stderr")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *family == "" || *n <= 0 || *out == "" {

@@ -32,13 +32,6 @@ func NewStatic(name string, contacts []graph.NodeID) (*Static, error) {
 	return &Static{name: name, contacts: contacts}, nil
 }
 
-// Freeze eagerly samples one full augmentation draw of inst on an n-node
-// graph and freezes it as a Static table.  The draw consumes the rng
-// exactly as SampleAll does, so equal seeds give equal tables.
-func Freeze(name string, inst Instance, n int, rng *xrand.RNG) *Static {
-	return &Static{name: name, contacts: SampleAll(inst, n, rng)}
-}
-
 // Name returns the identifier of the scheme the table was drawn from.
 func (s *Static) Name() string { return s.name }
 

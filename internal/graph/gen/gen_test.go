@@ -342,7 +342,7 @@ func TestIntervalGraphMatchesBruteForce(t *testing.T) {
 		g := IntervalGraph(model)
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				want := model[i].Overlaps(model[j])
+				want := model[i].Lo <= model[j].Hi && model[j].Lo <= model[i].Hi
 				if g.HasEdge(int32(i), int32(j)) != want {
 					return false
 				}

@@ -13,11 +13,6 @@ type Interval struct {
 	Lo, Hi float64
 }
 
-// Overlaps reports whether the two closed intervals intersect.
-func (iv Interval) Overlaps(other Interval) bool {
-	return iv.Lo <= other.Hi && other.Lo <= iv.Hi
-}
-
 // IntervalModel is the geometric representation of an interval graph:
 // Model[v] is the interval of node v.  The model is what the decomposition
 // package uses to build a clique path of pathlength 1.

@@ -166,19 +166,6 @@ func (s Sweep) render(res []CellResult) ([]*report.Table, error) {
 	return tables, nil
 }
 
-// FitFor extracts the fitted power law of one (family, scheme) group from
-// sweep results — a convenience for Finalize hooks and tests.
-func FitFor(res []CellResult, family, schemeKey string) (stats.PowerFit, error) {
-	var xs, ys []float64
-	for _, r := range res {
-		if r.Cell.Graph.Family == family && r.Cell.Scheme.Key == schemeKey {
-			xs = append(xs, float64(r.Est.N))
-			ys = append(ys, r.Est.GreedyDiameter)
-		}
-	}
-	return stats.PowerLaw(xs, ys)
-}
-
 // EstimateOf finds the estimate of one (family, n, scheme) cell in sweep
 // results, or nil.
 func EstimateOf(res []CellResult, family string, n int, schemeKey string) *sim.Estimate {

@@ -33,11 +33,11 @@
 // exist only beneath the field cache: a snapshot with an exact tier never
 // builds them, so set-up is the snapshot read and little else.  That read
 // (snapshot.ReadBytes) keeps every core busy: sections are checked
-// concurrently, each section's CRC-64 runs beside its parse, and the
-// graph's CSR checks and the 2-hop label walk split into node ranges on
-// GOMAXPROCS goroutines, so the read is bound by its total CPU work, of
-// which the single-goroutine CRC-64 of the largest section is the
-// longest indivisible piece.  Routing uses the frozen contact tables, so
+// concurrently, each one checksummed (CRC-32C in files written today,
+// a small share of the read) and then parsed, and the graph's CSR checks
+// and the 2-hop label walk split into node ranges on GOMAXPROCS
+// goroutines, so the read is bound by its total CPU work, most of it the
+// 2-hop label walk.  Routing uses the frozen contact tables, so
 // every healthy /v1/route answer is fully deterministic and reproducible
 // from the snapshot file alone; degraded answers carry "approx": true.
 //

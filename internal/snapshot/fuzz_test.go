@@ -82,14 +82,15 @@ func checkRoundTrip(t *testing.T, s *snapshot.Snapshot) {
 // FuzzSnapshotSections reaches the section decoders past the checksums:
 // it replaces one section payload of a valid file with the fuzzer's bytes
 // and reseals that section's checksum and the table's, so every mutation
-// is parsed.  Big payloads are parsed while their checksum is computed,
-// so the decoders must be safe on any bytes.  The strict and tolerant
-// readers must never panic, and whatever the strict one accepts must
-// round-trip.  The low bits of which pick the section; its high bit
-// picks the legacy raw-2-hop fixture as the base instead of a current
-// file (meta, graph, metric, packed 2-hop, scheme).  The committed corpus
-// under testdata/fuzz/FuzzSnapshotSections holds a graph payload whose
-// offset index overshoots the adjacency and then decreases.
+// is parsed, so the decoders must be safe on any bytes that carry a
+// valid checksum.  The strict and tolerant readers must never panic, and
+// whatever the strict one accepts must round-trip.  The low six bits of
+// which pick the section; bit 6 seals the file as format version 1
+// (CRC-64) instead of 2 (CRC-32C), and bit 7 picks the legacy raw-2-hop
+// fixture as the base instead of a current file (meta, graph, metric,
+// packed 2-hop, scheme).  The committed corpus under
+// testdata/fuzz/FuzzSnapshotSections holds a graph payload whose offset
+// index overshoots the adjacency and then decreases, in a version 2 file.
 func FuzzSnapshotSections(f *testing.F) {
 	snap, _, err := core.BuildSnapshot(core.SnapshotOptions{
 		Family: "torus", N: 25, Seed: 5,
@@ -110,11 +111,16 @@ func FuzzSnapshotSections(f *testing.F) {
 		}
 	}
 	f.Add(uint8(1), overshootGraphPayload(f, bases[0][1].payload))
+	for b, secs := range bases {
+		for i, sec := range secs {
+			f.Add(uint8(b<<7|1<<6|i), sec.payload)
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, which uint8, payload []byte) {
 		secs := slices.Clone(bases[which>>7])
-		secs[int(which&0x7f)%len(secs)].payload = payload
-		b := assemble(secs)
+		secs[int(which&0x3f)%len(secs)].payload = payload
+		b := assemble(uint32(2-which>>6&1), secs)
 		snapshot.ReadBytesTolerant(b) // only required not to panic
 		s, err := snapshot.ReadBytes(b)
 		if err != nil {

@@ -64,25 +64,27 @@ func TestRoundTripPackedTwoHop(t *testing.T) {
 
 func TestTolerantReadQuarantinesPackedTwoHop(t *testing.T) {
 	fresh, b := buildCase(t, "gnp", 300, dist.PolicyTwoHop, "ball")
-	bad := corrupted(t, b, "twohop")
+	eachVersion(t, b, func(t *testing.T, b []byte) {
+		bad := corrupted(t, b, "twohop")
 
-	if _, err := snapshot.ReadBytes(bad); err == nil {
-		t.Fatal("strict reader accepted a corrupt packed 2-hop section")
-	}
-	s, err := snapshot.ReadBytesTolerant(bad)
-	if err != nil {
-		t.Fatalf("tolerant read: %v", err)
-	}
-	if !reflect.DeepEqual(s.Quarantined, []string{"twohop"}) {
-		t.Fatalf("Quarantined = %v, want [twohop]", s.Quarantined)
-	}
-	if s.TwoHop != nil {
-		t.Fatal("quarantined packed section still decoded")
-	}
-	if s.Graph == nil || s.Graph.N() != fresh.Graph.N() {
-		t.Fatal("graph damaged by an unrelated quarantine")
-	}
-	if !reflect.DeepEqual(s.Schemes, fresh.Schemes) {
-		t.Fatal("schemes damaged by an unrelated quarantine")
-	}
+		if _, err := snapshot.ReadBytes(bad); err == nil {
+			t.Fatal("strict reader accepted a corrupt packed 2-hop section")
+		}
+		s, err := snapshot.ReadBytesTolerant(bad)
+		if err != nil {
+			t.Fatalf("tolerant read: %v", err)
+		}
+		if !reflect.DeepEqual(s.Quarantined, []string{"twohop"}) {
+			t.Fatalf("Quarantined = %v, want [twohop]", s.Quarantined)
+		}
+		if s.TwoHop != nil {
+			t.Fatal("quarantined packed section still decoded")
+		}
+		if s.Graph == nil || s.Graph.N() != fresh.Graph.N() {
+			t.Fatal("graph damaged by an unrelated quarantine")
+		}
+		if !reflect.DeepEqual(s.Schemes, fresh.Schemes) {
+			t.Fatal("schemes damaged by an unrelated quarantine")
+		}
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"os"
 	"sync"
@@ -63,18 +62,17 @@ func Read(r io.Reader) (*Snapshot, error) {
 // magic/version/table checksum first, then one serial pass over the
 // section table for bounds, alignment, padding and the file's tail.  Each
 // section that pass accepts is then checked on its own goroutine: its
-// payload checksum and its structural parse, where every declared count
-// is checked against the (already length-verified) payload before any
-// slice is materialised, and the semantic invariants of its artefact
-// (graph.FromCSR, dist.TwoHopPackedFromRaw, contact ranges).  Each
-// payload is checksummed on a further goroutine while it is parsed, and
-// the graph and 2-hop checks split into node ranges on GOMAXPROCS
-// goroutines, so the read uses every core.  The results are weighed in
-// table order, cross-section consistency last, with a checksum mismatch
-// ahead of the same section's parse result, so a file with several
-// faults fails with the error a front-to-back read meets first, whatever
-// order the goroutines finish in, and nothing parsed from a damaged
-// payload is ever used.
+// payload checksum, then, if that matches, its structural parse, where
+// every declared count is checked against the (already length-verified)
+// payload before any slice is materialised, and the semantic invariants
+// of its artefact (graph.FromCSR, dist.TwoHopPackedFromRaw, contact
+// ranges).  The graph and 2-hop checks split into node ranges on
+// GOMAXPROCS goroutines, so the read uses every core.  The results are
+// weighed in table order, cross-section consistency last, with a checksum
+// mismatch ahead of the same section's parse result, so a file with
+// several faults fails with the error a front-to-back read meets first,
+// whatever order the goroutines finish in, and nothing is parsed from a
+// damaged payload.
 func ReadBytes(b []byte) (*Snapshot, error) { return readBytes(b, false) }
 
 // ReadBytesTolerant is ReadBytes with load-time quarantine: structural
@@ -94,8 +92,9 @@ func readBytes(b []byte, tolerant bool) (*Snapshot, error) {
 	if string(b[0:8]) != MagicV1 {
 		return nil, fmt.Errorf("snapshot: bad magic %q", b[0:8])
 	}
-	if v := binary.LittleEndian.Uint32(b[8:12]); v != FormatVersion {
-		return nil, fmt.Errorf("snapshot: unsupported format version %d (this reader handles %d)", v, FormatVersion)
+	version := binary.LittleEndian.Uint32(b[8:12])
+	if version != 1 && version != FormatVersion {
+		return nil, fmt.Errorf("snapshot: unsupported format version %d (this reader handles 1 and %d)", version, FormatVersion)
 	}
 	count := binary.LittleEndian.Uint32(b[12:16])
 	if count == 0 || count > MaxSections {
@@ -105,7 +104,7 @@ func readBytes(b []byte, tolerant bool) (*Snapshot, error) {
 	if tableEnd > len(b) {
 		return nil, fmt.Errorf("snapshot: truncated section table (%d sections need %d bytes, file has %d)", count, tableEnd, len(b))
 	}
-	if got, want := crc64.Checksum(b[headerSize:tableEnd], crcTable), binary.LittleEndian.Uint64(b[16:24]); got != want {
+	if got, want := checksum(version, b[headerSize:tableEnd]), binary.LittleEndian.Uint64(b[16:24]); got != want {
 		return nil, fmt.Errorf("snapshot: section table checksum mismatch (file %016x, computed %016x)", want, got)
 	}
 
@@ -117,7 +116,7 @@ func readBytes(b []byte, tolerant bool) (*Snapshot, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			secs[i].check()
+			secs[i].check(version)
 		}()
 	}
 	wg.Wait()
@@ -333,21 +332,16 @@ func readLayout(b []byte, count, tableEnd int) ([]section, error) {
 	return secs, nil
 }
 
-// check checksums the payload and parses and validates a graph, 2-hop or
-// scheme artefact.  It reads only the section itself, so the sections of
-// one file check concurrently.  The checksum runs on a goroutine of its
-// own beside the parse, so the decoders must be safe on any bytes;
-// readBytes weighs a checksum mismatch before the parse result, so a
-// mismatch outranks every parse error, and an artefact parsed from a
-// damaged payload is never used.
-func (sec *section) check() {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sec.crc = crc64.Checksum(sec.payload, crcTable)
-	}()
-	sec.parse()
-	<-done
+// check checksums the payload under the file's format version and, if
+// the checksum matches, parses and validates a graph, 2-hop or scheme
+// artefact.  It reads only the section itself, so the sections of one
+// file check concurrently.  readBytes weighs a checksum mismatch before
+// the parse result, so a mismatch outranks every parse error.
+func (sec *section) check(version uint32) {
+	sec.crc = checksum(version, sec.payload)
+	if sec.crc == sec.sum {
+		sec.parse()
+	}
 }
 
 // parse decodes the artefact of a graph, 2-hop or scheme section.

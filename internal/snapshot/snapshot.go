@@ -27,13 +27,20 @@
 //
 //	header (24 bytes):
 //	  [0:8)    magic "NAVSNAP1"
-//	  [8:12)   u32 format version (currently 1)
+//	  [8:12)   u32 format version, 1 or 2
 //	  [12:16)  u32 section count S (at most MaxSections)
-//	  [16:24)  u64 CRC-64/ECMA of the section table bytes
+//	  [16:24)  u64 checksum of the section table bytes
 //	section table (S × 40 bytes):
-//	  u32 kind, u32 flags (0), u64 offset, u64 length, u64 CRC-64/ECMA
-//	  of the payload, u64 reserved (0)
+//	  u32 kind, u32 flags (0), u64 offset, u64 length, u64 checksum of
+//	  the payload, u64 reserved (0)
 //	payloads: 8-byte aligned, in table order
+//
+// The two versions share this layout and differ only in the checksum:
+// version 1 uses CRC-64/ECMA, version 2 CRC-32C (Castagnoli), stored
+// zero-extended in the same 8-byte fields, so a set high half is a
+// mismatch.  Writers emit version 2; readers accept both, so version 1
+// files keep loading.  The version numbers differ in two bits, so no
+// single bit flip switches the checksum.
 //
 // Readers verify the magic, version, table checksum, section bounds and
 // alignment, and each payload's checksum before parsing a byte of it;
@@ -46,6 +53,7 @@ package snapshot
 
 import (
 	"fmt"
+	"hash/crc32"
 	"hash/crc64"
 
 	"navaug/internal/augment"
@@ -54,10 +62,10 @@ import (
 )
 
 // Format constants.  MagicV1 both identifies the file type and pins the
-// major layout; incompatible layout changes bump formatVersion.
+// major layout; FormatVersion is the version writers emit.
 const (
 	MagicV1       = "NAVSNAP1"
-	FormatVersion = 1
+	FormatVersion = 2
 
 	headerSize       = 24
 	sectionEntrySize = 40
@@ -91,8 +99,20 @@ const (
 	MaxDraws = 1024
 )
 
-// crcTable is the CRC-64/ECMA table shared by writer and reader.
-var crcTable = crc64.MakeTable(crc64.ECMA)
+var (
+	crc64Table  = crc64.MakeTable(crc64.ECMA)
+	crc32cTable = crc32.MakeTable(crc32.Castagnoli)
+)
+
+// checksum is the checksum of b under format version 1 (CRC-64/ECMA) or
+// 2 (CRC-32C, zero-extended; the stdlib runs it on the CPU's CRC32
+// instructions where there are any).
+func checksum(version uint32, b []byte) uint64 {
+	if version == 1 {
+		return crc64.Checksum(b, crc64Table)
+	}
+	return uint64(crc32.Checksum(b, crc32cTable))
+}
 
 // Meta is the JSON build-provenance section: which family/size/seed the
 // snapshot froze and under which oracle policy it was built.  It is

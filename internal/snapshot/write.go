@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"os"
 )
@@ -23,7 +22,9 @@ func (s *Snapshot) Bytes() ([]byte, error) {
 	}
 	var secs []section
 
-	metaJSON, err := json.Marshal(s.Meta)
+	meta := s.Meta
+	meta.FormatVersion = FormatVersion // the version this file is written in
+	metaJSON, err := json.Marshal(meta)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: encoding meta: %w", err)
 	}
@@ -74,12 +75,11 @@ func (s *Snapshot) Bytes() ([]byte, error) {
 		binary.LittleEndian.PutUint32(e[4:8], 0) // flags
 		binary.LittleEndian.PutUint64(e[8:16], uint64(offsets[i]))
 		binary.LittleEndian.PutUint64(e[16:24], uint64(len(sec.payload)))
-		binary.LittleEndian.PutUint64(e[24:32], crc64.Checksum(sec.payload, crcTable))
+		binary.LittleEndian.PutUint64(e[24:32], checksum(FormatVersion, sec.payload))
 		binary.LittleEndian.PutUint64(e[32:40], 0) // reserved
 		copy(out[offsets[i]:], sec.payload)
 	}
-	binary.LittleEndian.PutUint64(out[16:24],
-		crc64.Checksum(out[headerSize:tableEnd], crcTable))
+	binary.LittleEndian.PutUint64(out[16:24], checksum(FormatVersion, out[headerSize:tableEnd]))
 	return out, nil
 }
 

@@ -73,15 +73,6 @@ func (r *RNG) Split() *RNG {
 	return New(seed)
 }
 
-// SplitN derives n independent child generators.
-func (r *RNG) SplitN(n int) []*RNG {
-	out := make([]*RNG, n)
-	for i := range out {
-		out[i] = r.Split()
-	}
-	return out
-}
-
 // Int63 returns a non-negative pseudo-random 63-bit integer.
 func (r *RNG) Int63() int64 {
 	return int64(r.Uint64() >> 1)
@@ -141,17 +132,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Perm32 returns a uniform random permutation of [0, n) as int32 values.
-func (r *RNG) Perm32(n int) []int32 {
-	p := make([]int32, n)
-	for i := 1; i < n; i++ {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = int32(i)
-	}
-	return p
-}
-
 // Shuffle permutes the first n elements using the provided swap function.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
@@ -168,16 +148,6 @@ func (r *RNG) NormFloat64() float64 {
 		s := u*u + v*v
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
 		}
 	}
 }

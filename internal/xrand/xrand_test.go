@@ -57,21 +57,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
-func TestSplitNCount(t *testing.T) {
-	kids := New(3).SplitN(8)
-	if len(kids) != 8 {
-		t.Fatalf("SplitN returned %d generators", len(kids))
-	}
-	seen := map[uint64]bool{}
-	for _, k := range kids {
-		v := k.Uint64()
-		if seen[v] {
-			t.Fatal("two children produced identical first output")
-		}
-		seen[v] = true
-	}
-}
-
 func TestIntnRange(t *testing.T) {
 	r := New(11)
 	for i := 0; i < 10000; i++ {
@@ -169,18 +154,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestPerm32IsPermutation(t *testing.T) {
-	r := New(37)
-	p := r.Perm32(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if seen[v] {
-			t.Fatal("duplicate in Perm32")
-		}
-		seen[v] = true
-	}
-}
-
 func TestShuffleKeepsMultiset(t *testing.T) {
 	r := New(41)
 	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
@@ -214,18 +187,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.05 {
 		t.Fatalf("normal variance too far from 1: %v", variance)
-	}
-}
-
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(47)
-	n := 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	if mean := sum / float64(n); math.Abs(mean-1) > 0.03 {
-		t.Fatalf("exponential mean too far from 1: %v", mean)
 	}
 }
 
