@@ -170,69 +170,6 @@ func NewHarmonicMatrix(k int) *Matrix {
 	return m
 }
 
-// NewAncestorMatrix returns the dense k×k version of the paper's matrix A:
-// A(i,j) = 1/(1+log2 k) when j is an ancestor of i (including i itself) and
-// j <= k, and 0 otherwise.  Theorem 2's structured scheme never materialises
-// this matrix; the dense form exists for tests and small-scale experiments.
-func NewAncestorMatrix(k int) *Matrix {
-	norm := 1.0 / (1.0 + math.Log2(float64(maxIntA(k, 2))))
-	p := make([][]float64, k)
-	for i := 1; i <= k; i++ {
-		p[i-1] = make([]float64, k)
-		for _, j := range ancestorsUpTo(i, k) {
-			p[i-1][j-1] = norm
-		}
-	}
-	m, err := NewMatrix(p)
-	if err != nil {
-		panic("augment: ancestor matrix construction failed: " + err.Error())
-	}
-	return m
-}
-
-// Combine returns (a + b) / 2 entrywise, the M = (A+U)/2 construction of
-// Theorem 2.  Both matrices must have the same dimension.
-func Combine(a, b *Matrix) (*Matrix, error) {
-	if a.k != b.k {
-		return nil, fmt.Errorf("augment: cannot combine %d×%d with %d×%d", a.k, a.k, b.k, b.k)
-	}
-	p := make([][]float64, a.k)
-	for i := 0; i < a.k; i++ {
-		p[i] = make([]float64, a.k)
-		for j := 0; j < a.k; j++ {
-			p[i][j] = (a.p[i][j] + b.p[i][j]) / 2
-		}
-	}
-	return NewMatrix(p)
-}
-
-// ancestorsUpTo mirrors label.Ancestors for the dense matrix without
-// importing the label package (avoiding an import cycle is not the issue —
-// keeping the matrix code self-contained is).
-func ancestorsUpTo(x, maxValue int) []int {
-	k := 0
-	for x&(1<<uint(k)) == 0 {
-		k++
-	}
-	var out []int
-	for j := 0; k+j < 62 && 1<<uint(k+j) <= maxValue; j++ {
-		target := k + j
-		high := x &^ ((1 << uint(target+1)) - 1)
-		a := high | (1 << uint(target))
-		if a <= maxValue {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-func maxIntA(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // NameIndependentScheme applies an augmentation matrix to a graph through
 // an explicit bijective labeling: node v carries label Perm[v] ∈ [1, n] and
 // draws its contact's label from row Perm[v] of the matrix.  Theorem 1

@@ -1,6 +1,7 @@
 package augment
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -122,7 +123,7 @@ func TestHarmonicMatrixProperties(t *testing.T) {
 
 func TestAncestorMatrixMatchesDefinition(t *testing.T) {
 	k := 16
-	m := NewAncestorMatrix(k)
+	m := newAncestorMatrix(k)
 	norm := 1.0 / (1.0 + math.Log2(float64(k)))
 	// Ancestors of 3 within [1,16]: 3, 2, 4, 8, 16.
 	for _, j := range []int{3, 2, 4, 8, 16} {
@@ -141,9 +142,9 @@ func TestAncestorMatrixMatchesDefinition(t *testing.T) {
 }
 
 func TestCombineMatrices(t *testing.T) {
-	a := NewAncestorMatrix(8)
+	a := newAncestorMatrix(8)
 	u := NewUniformMatrix(8)
-	m, err := Combine(a, u)
+	m, err := combine(a, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestCombineMatrices(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Combine(NewUniformMatrix(3), NewUniformMatrix(4)); err == nil {
+	if _, err := combine(NewUniformMatrix(3), NewUniformMatrix(4)); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
 }
@@ -447,4 +448,59 @@ func TestLabelsForGraphSizeAndBound(t *testing.T) {
 	if math.Abs(Theorem3LowerBoundExponent(0.25)-0.25) > 1e-12 {
 		t.Fatal("bound exponent wrong")
 	}
+}
+
+// newAncestorMatrix returns the dense k×k version of the paper's matrix A:
+// A(i,j) = 1/(1+log2 k) when j is an ancestor of i (including i itself) and
+// j <= k, and 0 otherwise.  Theorem 2's structured scheme never materialises
+// this matrix; the dense form is an independent reference for its tests.
+func newAncestorMatrix(k int) *Matrix {
+	norm := 1.0 / (1.0 + math.Log2(float64(max(k, 2))))
+	p := make([][]float64, k)
+	for i := 1; i <= k; i++ {
+		p[i-1] = make([]float64, k)
+		for _, j := range ancestorsUpTo(i, k) {
+			p[i-1][j-1] = norm
+		}
+	}
+	m, err := NewMatrix(p)
+	if err != nil {
+		panic("augment: ancestor matrix construction failed: " + err.Error())
+	}
+	return m
+}
+
+// combine returns (a + b) / 2 entrywise, the M = (A+U)/2 construction of
+// Theorem 2.  Both matrices must have the same dimension.
+func combine(a, b *Matrix) (*Matrix, error) {
+	if a.k != b.k {
+		return nil, fmt.Errorf("augment: cannot combine %d×%d with %d×%d", a.k, a.k, b.k, b.k)
+	}
+	p := make([][]float64, a.k)
+	for i := 0; i < a.k; i++ {
+		p[i] = make([]float64, a.k)
+		for j := 0; j < a.k; j++ {
+			p[i][j] = (a.p[i][j] + b.p[i][j]) / 2
+		}
+	}
+	return NewMatrix(p)
+}
+
+// ancestorsUpTo lists the ancestors of label x (x itself included) up to
+// maxValue, independently of label.Ancestors.
+func ancestorsUpTo(x, maxValue int) []int {
+	k := 0
+	for x&(1<<uint(k)) == 0 {
+		k++
+	}
+	var out []int
+	for j := 0; k+j < 62 && 1<<uint(k+j) <= maxValue; j++ {
+		target := k + j
+		high := x &^ ((1 << uint(target+1)) - 1)
+		a := high | (1 << uint(target))
+		if a <= maxValue {
+			out = append(out, a)
+		}
+	}
+	return out
 }

@@ -22,8 +22,7 @@
 // Greedy routing never revisits a node (the distance to the target strictly
 // decreases every step), so drawing contacts lazily at first visit is
 // statistically identical to drawing the whole augmentation up front.
-// route.Scratch provides that per-trial memoisation allocation-free; the
-// map-backed Memo wrapper remains for tests and one-off callers.
+// route.Scratch provides that per-trial memoisation allocation-free.
 package augment
 
 import (
@@ -76,37 +75,6 @@ type InstanceFunc func(u graph.NodeID, rng *xrand.RNG) graph.NodeID
 
 // Contact implements Instance.
 func (f InstanceFunc) Contact(u graph.NodeID, rng *xrand.RNG) graph.NodeID { return f(u, rng) }
-
-// Memo memoises contact draws so that, within one routing trial, every node
-// keeps a single consistent long-range contact.  A Memo is not safe for
-// concurrent use; create one per routing trial (they are cheap).
-type Memo struct {
-	inst     Instance
-	contacts map[graph.NodeID]graph.NodeID
-}
-
-// NewMemo wraps an Instance with per-trial memoisation.
-func NewMemo(inst Instance) *Memo {
-	return &Memo{inst: inst, contacts: make(map[graph.NodeID]graph.NodeID, 32)}
-}
-
-// Contact returns the memoised contact of u, drawing it on first use.
-func (m *Memo) Contact(u graph.NodeID, rng *xrand.RNG) graph.NodeID {
-	if c, ok := m.contacts[u]; ok {
-		return c
-	}
-	c := m.inst.Contact(u, rng)
-	m.contacts[u] = c
-	return c
-}
-
-// Reset clears the memo so the wrapper can be reused for a fresh trial.
-func (m *Memo) Reset() {
-	clear(m.contacts)
-}
-
-// Drawn returns the number of distinct nodes whose contact has been drawn.
-func (m *Memo) Drawn() int { return len(m.contacts) }
 
 // SampleAll eagerly draws the long-range contact of every node, returning
 // contacts[u] = long-range contact of u (possibly u itself).  It is used by

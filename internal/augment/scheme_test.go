@@ -356,29 +356,6 @@ func TestTheorem2SchemeErrorPropagation(t *testing.T) {
 	}
 }
 
-func TestMemoConsistency(t *testing.T) {
-	g := gen.Path(50)
-	inst, err := NewUniformScheme().Prepare(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := xrand.New(12)
-	memo := NewMemo(inst)
-	first := memo.Contact(10, rng)
-	for i := 0; i < 100; i++ {
-		if memo.Contact(10, rng) != first {
-			t.Fatal("memoised contact changed within a trial")
-		}
-	}
-	if memo.Drawn() != 1 {
-		t.Fatalf("Drawn=%d, want 1", memo.Drawn())
-	}
-	memo.Reset()
-	if memo.Drawn() != 0 {
-		t.Fatal("Reset did not clear the memo")
-	}
-}
-
 func TestSampleAllCoversAllNodes(t *testing.T) {
 	g := gen.Cycle(30)
 	inst, err := NewBallScheme().Prepare(g)

@@ -85,6 +85,61 @@ func TestAPSPDiameterAndEccentricity(t *testing.T) {
 	}
 }
 
+// bfsBounded is the plain map-backed BFS that the ball tests check
+// against: the nodes within radius of src in non-decreasing distance order,
+// src first at distance 0, with their distances.
+func bfsBounded(g *graph.Graph, src graph.NodeID, radius int32) (nodes []graph.NodeID, dists []int32) {
+	if radius < 0 {
+		return nil, nil
+	}
+	seen := map[graph.NodeID]bool{src: true}
+	nodes = append(nodes, src)
+	dists = append(dists, 0)
+	for head := 0; head < len(nodes); head++ {
+		u, du := nodes[head], dists[head]
+		if du == radius {
+			continue
+		}
+		for _, v := range g.Neighbors(u) {
+			if !seen[v] {
+				seen[v] = true
+				nodes = append(nodes, v)
+				dists = append(dists, du+1)
+			}
+		}
+	}
+	return nodes, dists
+}
+
+func TestBFSBounded(t *testing.T) {
+	g := graph.NewBuilder(6).AddPath(0, 1, 2, 3, 4, 5).Build()
+	nodes, dists := bfsBounded(g, 2, 2)
+	if len(nodes) != 5 { // 0,1,2,3,4
+		t.Fatalf("ball size %d, want 5", len(nodes))
+	}
+	for i, d := range dists {
+		if d > 2 {
+			t.Fatalf("node %d at distance %d > radius", nodes[i], d)
+		}
+	}
+	if nodes[0] != 2 || dists[0] != 0 {
+		t.Fatal("ball must start at the centre")
+	}
+	// Distances must be non-decreasing (BFS order).
+	for i := 1; i < len(dists); i++ {
+		if dists[i] < dists[i-1] {
+			t.Fatal("bfsBounded distances not sorted")
+		}
+	}
+}
+
+func TestBFSBoundedNegativeRadius(t *testing.T) {
+	g := graph.NewBuilder(5).AddPath(0, 1, 2, 3, 4).Build()
+	if nodes, _ := bfsBounded(g, 0, -1); nodes != nil {
+		t.Fatal("negative radius should yield empty ball")
+	}
+}
+
 func TestBallMatchesBFSBounded(t *testing.T) {
 	for _, g := range testGraphs() {
 		if g.N() == 0 {
@@ -94,9 +149,9 @@ func TestBallMatchesBFSBounded(t *testing.T) {
 			for u := 0; u < g.N(); u += 3 {
 				src := graph.NodeID(u)
 				nodes, dists := BallWithDists(g, src, radius)
-				wantNodes, wantDists := g.BFSBounded(src, radius)
+				wantNodes, wantDists := bfsBounded(g, src, radius)
 				if len(nodes) != len(wantNodes) {
-					t.Fatalf("%v: |B(%d,%d)| = %d, BFSBounded says %d", g, u, radius, len(nodes), len(wantNodes))
+					t.Fatalf("%v: |B(%d,%d)| = %d, bfsBounded says %d", g, u, radius, len(nodes), len(wantNodes))
 				}
 				got := make(map[graph.NodeID]int32, len(nodes))
 				for i, v := range nodes {

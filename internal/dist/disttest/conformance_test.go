@@ -94,7 +94,7 @@ func TestConformanceTwoHopPacked(t *testing.T) {
 func TestConformanceTwoHopPinned(t *testing.T) {
 	forAllConformanceGraphs(t, func(t *testing.T, g *graph.Graph) {
 		o := dist.NewTwoHopWith(g, dist.TwoHopOptions{Workers: 5})
-		ExactPinned(t, g, o)
+		exactPinned(t, g, o)
 	})
 }
 
@@ -115,7 +115,7 @@ func TestConformanceField(t *testing.T) {
 	forAllConformanceGraphs(t, func(t *testing.T, g *graph.Graph) {
 		for i := 0; i < 4; i++ {
 			target := graph.NodeID(rng.Intn(g.N()))
-			ExactAt(t, g, target, dist.NewField(g.BFS(target), target))
+			exactAt(t, g, target, dist.NewField(g.BFS(target), target))
 		}
 	})
 }
@@ -140,7 +140,114 @@ func TestConformanceAnalyticMetrics(t *testing.T) {
 func TestConformanceLandmarkBounds(t *testing.T) {
 	forAllConformanceGraphs(t, func(t *testing.T, g *graph.Graph) {
 		for _, k := range []int{1, 4, 16} {
-			UpperLower(t, g, dist.NewLandmarkOracle(g, k, xrand.New(uint64(k)+7)))
+			upperLower(t, g, dist.NewLandmarkOracle(g, k, xrand.New(uint64(k)+7)))
 		}
 	})
+}
+
+// exactAt checks a single-target Source (a BFS field wrapped by
+// dist.NewField) against the target's BFS field: such sources only answer
+// Dist(u, target), which is exactly what greedy routing asks.
+func exactAt(t testing.TB, g *graph.Graph, target graph.NodeID, src dist.Source) {
+	t.Helper()
+	d := g.BFS(target)
+	for u := 0; u < g.N(); u++ {
+		if got := src.Dist(graph.NodeID(u), target); got != d[u] {
+			t.Fatalf("%v: field Dist(%d,%d) = %d, BFS says %d", g, u, target, got, d[u])
+		}
+	}
+}
+
+// exactPinned checks a 2-hop oracle through its target-pinned view, the
+// way greedy routing queries it: one dist.TwoHopPin is re-pinned to each
+// target in turn — every node up to ExhaustiveMaxNodes, sampled targets
+// beyond — and checked against the target's BFS field with exactAt.
+func exactPinned(t testing.TB, g *graph.Graph, o *dist.TwoHop) {
+	t.Helper()
+	var p dist.TwoHopPin
+	check := func(target graph.NodeID) {
+		p.Pin(o, target)
+		exactAt(t, g, target, &p)
+	}
+	n := g.N()
+	if n <= ExhaustiveMaxNodes {
+		for v := 0; v < n; v++ {
+			check(graph.NodeID(v))
+		}
+		return
+	}
+	rng := xrand.New(0x9199)
+	for i := 0; i < sampledSources; i++ {
+		check(graph.NodeID(rng.Intn(n)))
+	}
+}
+
+// bounded is the contract of approximate oracles that return triangle
+// bounds (dist.LandmarkOracle).
+type bounded interface {
+	dist.Source
+	Bounds(u, v graph.NodeID) (lower, upper int32)
+}
+
+// upperLower checks a bounded oracle's approximation guarantee on every
+// pair (small graphs) or sampled pairs: lower <= d(u,v) <= upper for
+// connected pairs (upper == graph.Unreachable means "no finite upper bound
+// is known" and is only allowed when the oracle genuinely connects no
+// landmark to both endpoints), bounds are symmetric in the pair, Dist
+// returns exactly the upper bound, and both bounds collapse to the exact
+// distance when u == v.
+func upperLower(t testing.TB, g *graph.Graph, o bounded) {
+	t.Helper()
+	n := g.N()
+	if n == 0 {
+		return
+	}
+	check := func(u, v graph.NodeID, duv int32) {
+		lower, upper := o.Bounds(u, v)
+		if l2, u2 := o.Bounds(v, u); l2 != lower || u2 != upper {
+			t.Fatalf("%v: Bounds(%d,%d) = (%d,%d) but Bounds(%d,%d) = (%d,%d)", g, u, v, lower, upper, v, u, l2, u2)
+		}
+		if got := o.Dist(u, v); got != upper {
+			t.Fatalf("%v: Dist(%d,%d) = %d but upper bound is %d", g, u, v, got, upper)
+		}
+		if u == v {
+			if lower != 0 || upper != 0 {
+				t.Fatalf("%v: Bounds(%d,%d) = (%d,%d), want (0,0)", g, u, v, lower, upper)
+			}
+			return
+		}
+		if duv == graph.Unreachable {
+			// Disconnected pair: any lower bound is vacuously true, but a
+			// finite upper bound would claim a path that does not exist.
+			if upper != graph.Unreachable {
+				t.Fatalf("%v: disconnected pair (%d,%d) got finite upper bound %d", g, u, v, upper)
+			}
+			return
+		}
+		if lower < 0 || lower > duv {
+			t.Fatalf("%v: lower bound %d for pair (%d,%d) exceeds true distance %d", g, lower, u, v, duv)
+		}
+		if upper != graph.Unreachable && upper < duv {
+			t.Fatalf("%v: upper bound %d for pair (%d,%d) is below true distance %d", g, upper, u, v, duv)
+		}
+	}
+	if n <= ExhaustiveMaxNodes {
+		for u := 0; u < n; u++ {
+			d := g.BFS(graph.NodeID(u))
+			for v := u; v < n; v++ {
+				check(graph.NodeID(u), graph.NodeID(v), d[v])
+			}
+		}
+		return
+	}
+	rng := xrand.New(0xb0a2d5)
+	for s := 0; s < sampledSources; s++ {
+		u := graph.NodeID(rng.Intn(n))
+		d := g.BFS(u)
+		check(u, u, 0)
+		for i := 0; i < sampledProbes; i++ {
+			v := graph.NodeID(rng.Intn(n))
+			check(u, v, d[v])
+		}
+	}
 }

@@ -103,22 +103,6 @@ func bestLocalNeighbour(g *graph.Graph, u graph.NodeID, distToTarget []int32) (g
 	return best, bestDist
 }
 
-// PairExpectation returns the exact expected number of greedy steps from s
-// to t.
-func PairExpectation(g *graph.Graph, inst augment.Distributional, s, t graph.NodeID) (float64, error) {
-	exp, err := ExpectedSteps(g, inst, t)
-	if err != nil {
-		return 0, err
-	}
-	if int(s) < 0 || int(s) >= len(exp) {
-		return 0, fmt.Errorf("exact: source %d out of range", s)
-	}
-	if exp[s] < 0 {
-		return 0, fmt.Errorf("exact: target %d unreachable from source %d", t, s)
-	}
-	return exp[s], nil
-}
-
 // Result is the outcome of a GreedyDiameter computation.
 type Result struct {
 	// GreedyDiameter is max over ordered pairs (s, t) of E[steps s→t].

@@ -2,10 +2,11 @@ package exact
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"navaug/internal/augment"
-	"navaug/internal/decomp"
+	"navaug/internal/core"
 	"navaug/internal/graph"
 	"navaug/internal/graph/gen"
 	"navaug/internal/sim"
@@ -120,52 +121,85 @@ func TestExpectedStepsInputValidation(t *testing.T) {
 func TestPairExpectation(t *testing.T) {
 	g := gen.Path(50)
 	inst := mustDistributional(t, augment.NewNoAugmentation(), g)
-	e, err := PairExpectation(g, inst, 0, 49)
+	exp, err := ExpectedSteps(g, inst, 49)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e != 49 {
-		t.Fatalf("pair expectation %v, want 49", e)
+	if exp[0] != 49 {
+		t.Fatalf("pair expectation %v, want 49", exp[0])
 	}
 	dg := graph.NewBuilder(4).AddEdge(0, 1).AddEdge(2, 3).Build()
 	dinst := mustDistributional(t, augment.NewNoAugmentation(), dg)
-	if _, err := PairExpectation(dg, dinst, 0, 3); err == nil {
-		t.Fatal("disconnected pair accepted")
+	if exp, err := ExpectedSteps(dg, dinst, 3); err != nil || exp[0] >= 0 {
+		t.Fatalf("disconnected pair: expectation %v, err %v; want a negative entry", exp, err)
 	}
 }
 
-// The Monte Carlo estimator must agree with the exact DP on fixed pairs.
+// The Monte Carlo estimator must agree with the exact DP for every scheme
+// core knows whose instances expose their contact distributions, on a tree,
+// a grid and a random graph.  Each case routes one fixed pair (node 0 and
+// the node farthest from it), so the trial-level CI of that pair's mean is
+// the estimator's own error bar: the estimate must lie within 1.5 of those
+// half-widths (about 3σ) of the exact value, plus a little float slack.
 func TestMonteCarloMatchesExact(t *testing.T) {
-	g := gen.Path(200)
-	schemes := []augment.Scheme{
-		augment.NewUniformScheme(),
-		augment.NewBallScheme(),
-		augment.NewTheorem2Scheme(func(g *graph.Graph) (*decomp.PathDecomposition, error) {
-			return decomp.OfPathGraph(g)
-		}),
+	graphs := []*graph.Graph{
+		gen.RandomTree(150, xrand.New(21)),
+		gen.Grid2D(12, 12),
+		gen.ConnectedGNP(150, 0.03, xrand.New(22)),
 	}
 	e := sim.NewEngine(0)
 	defer e.Close()
-	for _, scheme := range schemes {
-		inst := mustDistributional(t, scheme, g)
-		want, err := PairExpectation(g, inst, 0, 199)
+	for _, name := range core.SchemeNames() {
+		name = strings.ReplaceAll(name, "<r>", "2")
+		scheme, err := core.SchemeByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := e.Estimate(g, scheme, sim.Config{
-			FixedPairs: []sim.Pair{{Source: 0, Target: 199}},
-			Trials:     3000,
-			Seed:       11,
-		})
-		if err != nil {
-			t.Fatal(err)
+		ran := 0
+		for _, g := range graphs {
+			inst, err := scheme.Prepare(g)
+			if err != nil {
+				continue // theorem2-tree needs a tree
+			}
+			d, ok := inst.(augment.Distributional)
+			if !ok {
+				continue
+			}
+			ran++
+			s, tgt := graph.NodeID(0), farthestFrom(g, 0)
+			exp, err := ExpectedSteps(g, d, tgt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			est, err := e.Estimate(g, scheme, sim.Config{
+				FixedPairs: []sim.Pair{{Source: s, Target: tgt}},
+				Trials:     2000,
+				Seed:       11,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ci := est.PairStats[0].Steps.CI95()
+			if diff := math.Abs(est.MeanSteps - exp[s]); diff > 1.5*ci+1e-9 {
+				t.Errorf("%s on %v: Monte Carlo %v ± %v vs exact %v", name, g, est.MeanSteps, ci, exp[s])
+			}
 		}
-		got := est.MeanSteps
-		// 3000 trials: allow a 6% relative band plus a small absolute slack.
-		if math.Abs(got-want) > 0.06*want+1.5 {
-			t.Fatalf("%s: Monte Carlo %v vs exact %v", scheme.Name(), got, want)
+		if ran == 0 {
+			t.Errorf("%s: no graph gave a Distributional instance", name)
 		}
 	}
+}
+
+// farthestFrom returns the node farthest from s, the smallest id on ties.
+func farthestFrom(g *graph.Graph, s graph.NodeID) graph.NodeID {
+	dist := g.BFS(s)
+	far := s
+	for v, d := range dist {
+		if d > dist[far] {
+			far = graph.NodeID(v)
+		}
+	}
+	return far
 }
 
 func TestGreedyDiameterExactSmallPath(t *testing.T) {
@@ -213,14 +247,15 @@ func TestBallBeatsUniformExactlyOnLongPair(t *testing.T) {
 	g := gen.Path(4096)
 	uniInst := mustDistributional(t, augment.NewUniformScheme(), g)
 	ballInst := mustDistributional(t, augment.NewBallScheme(), g)
-	uni, err := PairExpectation(g, uniInst, 0, 4095)
+	uniExp, err := ExpectedSteps(g, uniInst, 4095)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ball, err := PairExpectation(g, ballInst, 0, 4095)
+	ballExp, err := ExpectedSteps(g, ballInst, 4095)
 	if err != nil {
 		t.Fatal(err)
 	}
+	uni, ball := uniExp[0], ballExp[0]
 	if ball >= uni {
 		t.Fatalf("exact: ball %v not below uniform %v on the (0,4095) pair", ball, uni)
 	}

@@ -135,25 +135,6 @@ func (i *Injector) Deactivate() {
 	i.activatedAt.Store(0)
 }
 
-// Active reports whether the schedule clock is running and at least one
-// fault window is currently open.
-func (i *Injector) Active() bool {
-	if i == nil {
-		return false
-	}
-	elapsed, on := i.elapsed()
-	if !on {
-		return false
-	}
-	for idx := range i.faults {
-		f := &i.faults[idx]
-		if i.open(f, elapsed) {
-			return true
-		}
-	}
-	return false
-}
-
 // String renders the schedule back in the Parse grammar.
 func (i *Injector) String() string {
 	if i == nil || len(i.faults) == 0 {

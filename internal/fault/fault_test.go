@@ -11,7 +11,7 @@ func TestNilInjectorIsDisabled(t *testing.T) {
 	if i.RequestDelay() != 0 || i.StallDelay(0) != 0 || i.InjectPanic(0) || i.MemoryPressure() {
 		t.Fatal("nil injector injected a fault")
 	}
-	if i.Active() || i.String() != "" {
+	if i.String() != "" {
 		t.Fatal("nil injector reports state")
 	}
 	i.Activate() // must not panic
@@ -20,15 +20,15 @@ func TestNilInjectorIsDisabled(t *testing.T) {
 
 func TestDormantUntilActivate(t *testing.T) {
 	i := MustParse("stall:shard=0,delay=10ms;mem;panic:p=1", 1)
-	if i.StallDelay(0) != 0 || i.MemoryPressure() || i.InjectPanic(0) || i.Active() {
+	if i.StallDelay(0) != 0 || i.MemoryPressure() || i.InjectPanic(0) {
 		t.Fatal("dormant injector fired before Activate")
 	}
 	i.Activate()
-	if i.StallDelay(0) != 10*time.Millisecond || !i.MemoryPressure() || !i.InjectPanic(0) || !i.Active() {
+	if i.StallDelay(0) != 10*time.Millisecond || !i.MemoryPressure() || !i.InjectPanic(0) {
 		t.Fatal("activated injector did not fire")
 	}
 	i.Deactivate()
-	if i.StallDelay(0) != 0 || i.MemoryPressure() || i.Active() {
+	if i.StallDelay(0) != 0 || i.MemoryPressure() {
 		t.Fatal("deactivated injector still fires")
 	}
 }
@@ -64,7 +64,7 @@ func TestWindows(t *testing.T) {
 	past := MustParse("mem:dur=1ms", 1)
 	past.Activate()
 	past.activatedAt.Store(time.Now().Add(-time.Second).UnixNano())
-	if past.MemoryPressure() || past.Active() {
+	if past.MemoryPressure() {
 		t.Fatal("expired window still open")
 	}
 }

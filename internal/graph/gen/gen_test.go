@@ -319,17 +319,6 @@ func TestWattsStrogatz(t *testing.T) {
 	}
 }
 
-func TestLongPathWithBushes(t *testing.T) {
-	rng := xrand.New(9)
-	g := LongPathWithBushes(20, 5, rng)
-	if g.N() != 120 || !g.IsConnected() {
-		t.Fatalf("bushpath n=%d connected=%v", g.N(), g.IsConnected())
-	}
-	if g.M() != g.N()-1 {
-		t.Fatalf("bushpath should be a tree, m=%d", g.M())
-	}
-}
-
 func TestIntervalGraphMatchesBruteForce(t *testing.T) {
 	rng := xrand.New(10)
 	check := func(raw uint16) bool {
@@ -391,36 +380,6 @@ func TestUnitIntervalPath(t *testing.T) {
 	}
 	if !g3.IsConnected() {
 		t.Fatal("thick unit interval graph disconnected")
-	}
-}
-
-func TestPermutationGraphIdentityAndReverse(t *testing.T) {
-	idPerm := []int{0, 1, 2, 3, 4}
-	if g := PermutationGraph(idPerm); g.M() != 0 {
-		t.Fatal("identity permutation graph should have no edges")
-	}
-	rev := []int{4, 3, 2, 1, 0}
-	if g := PermutationGraph(rev); g.M() != 10 {
-		t.Fatalf("reverse permutation graph should be complete, m=%d", g.M())
-	}
-}
-
-func TestRandomConnectedPermutationGraph(t *testing.T) {
-	rng := xrand.New(12)
-	g, perm := RandomConnectedPermutationGraph(40, rng)
-	if !g.IsConnected() {
-		t.Fatal("permutation graph disconnected")
-	}
-	if len(perm) != 40 {
-		t.Fatal("permutation length")
-	}
-	// Edges must agree with the inversion rule.
-	for i := 0; i < 40; i++ {
-		for j := i + 1; j < 40; j++ {
-			if g.HasEdge(int32(i), int32(j)) != (perm[i] > perm[j]) {
-				t.Fatal("edge does not match inversion")
-			}
-		}
 	}
 }
 

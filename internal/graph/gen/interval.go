@@ -98,44 +98,3 @@ func UnitIntervalPath(n, overlap int) (*graph.Graph, IntervalModel) {
 	g := IntervalGraph(model).WithName(fmt.Sprintf("unitinterval-%d-%d", n, overlap))
 	return g, model
 }
-
-// PermutationGraph builds the permutation graph of perm: nodes i < j are
-// adjacent iff perm inverts them (perm[i] > perm[j]).  Permutation graphs
-// are AT-free; they appear in Corollary 1 of the paper.
-func PermutationGraph(perm []int) *graph.Graph {
-	n := len(perm)
-	b := graph.NewBuilder(n).SetName(fmt.Sprintf("permutation-%d", n))
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if perm[i] > perm[j] {
-				b.AddEdge(int32(i), int32(j))
-			}
-		}
-	}
-	return b.Build()
-}
-
-// RandomConnectedPermutationGraph draws random permutations until the
-// resulting permutation graph is connected (which happens quickly for
-// moderately shuffled permutations) and returns it with the permutation.
-// To bound the work, after maxTries failures it falls back to a permutation
-// built from a single long displaced cycle, whose graph is connected.
-func RandomConnectedPermutationGraph(n int, rng *xrand.RNG) (*graph.Graph, []int) {
-	requirePositive(n, "RandomConnectedPermutationGraph")
-	const maxTries = 50
-	for try := 0; try < maxTries; try++ {
-		perm := rng.Perm(n)
-		g := PermutationGraph(perm)
-		if g.IsConnected() {
-			return g, perm
-		}
-	}
-	// Fallback: reverse permutation gives the complete graph; shift-by-half
-	// keeps it connected but sparse-ish.  Use reversal for guaranteed
-	// connectivity (n>=2).
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = n - 1 - i
-	}
-	return PermutationGraph(perm), perm
-}

@@ -70,17 +70,6 @@ func registerMetric(family string, parse func(rest string) (Metric, bool)) {
 	metricRegistry = append(metricRegistry, metricFamily{family: family, parse: parse})
 }
 
-// MetricFamilies returns the registered family name prefixes, in
-// registration order.  The metric property test uses it to ensure every
-// registered family is covered.
-func MetricFamilies() []string {
-	out := make([]string, 0, len(metricRegistry))
-	for _, e := range metricRegistry {
-		out = append(out, e.family)
-	}
-	return out
-}
-
 // MetricFor returns the closed-form distance metric of g, keyed by the
 // canonical family name its generator stamped on it, or (nil, false) when
 // the family has no registered metric (random families, graphs built

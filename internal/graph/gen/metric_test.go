@@ -135,8 +135,8 @@ func TestMetricMatchesBFSSampled(t *testing.T) {
 // property-test entry (or expected here but never registered) fails.
 func TestMetricRegistryCovered(t *testing.T) {
 	registered := map[string]bool{}
-	for _, fam := range MetricFamilies() {
-		registered[fam] = true
+	for _, e := range metricRegistry {
+		registered[e.family] = true
 	}
 	tabled := map[string]bool{}
 	for _, tc := range metricCases {

@@ -212,35 +212,6 @@ func WattsStrogatz(n, k int, beta float64, rng *xrand.RNG) *graph.Graph {
 	return b.Build()
 }
 
-// LongPathWithBushes returns a path of spine nodes where every node carries
-// a random tree of bushSize nodes.  Its pathshape is governed by the bushes
-// while its diameter is governed by the spine, which makes it useful for
-// contrasting the Theorem 2 and Theorem 4 schemes.
-func LongPathWithBushes(spine, bushSize int, rng *xrand.RNG) *graph.Graph {
-	requirePositive(spine, "LongPathWithBushes spine")
-	if bushSize < 0 {
-		panic("gen: LongPathWithBushes requires bushSize >= 0")
-	}
-	n := spine * (1 + bushSize)
-	b := graph.NewBuilder(n).SetName(fmt.Sprintf("bushpath-%dx%d", spine, bushSize))
-	for i := 0; i+1 < spine; i++ {
-		b.AddEdge(int32(i), int32(i+1))
-	}
-	next := spine
-	for i := 0; i < spine; i++ {
-		// Random recursive bush rooted at spine node i.
-		local := make([]int32, 0, bushSize+1)
-		local = append(local, int32(i))
-		for s := 0; s < bushSize; s++ {
-			parent := local[rng.Intn(len(local))]
-			b.AddEdge(parent, int32(next))
-			local = append(local, int32(next))
-			next++
-		}
-	}
-	return b.Build()
-}
-
 func min32(a, b int32) int32 {
 	if a < b {
 		return a

@@ -139,36 +139,6 @@ func TestBFSIntoReusesBuffers(t *testing.T) {
 	}
 }
 
-func TestBFSBounded(t *testing.T) {
-	g := NewBuilder(6).AddPath(0, 1, 2, 3, 4, 5).Build()
-	nodes, dists := g.BFSBounded(2, 2)
-	if len(nodes) != 5 { // 0,1,2,3,4
-		t.Fatalf("ball size %d, want 5", len(nodes))
-	}
-	for i, d := range dists {
-		if d > 2 {
-			t.Fatalf("node %d at distance %d > radius", nodes[i], d)
-		}
-	}
-	if nodes[0] != 2 || dists[0] != 0 {
-		t.Fatal("ball must start at the centre")
-	}
-	// Distances must be non-decreasing (BFS order).
-	for i := 1; i < len(dists); i++ {
-		if dists[i] < dists[i-1] {
-			t.Fatal("BFSBounded distances not sorted")
-		}
-	}
-}
-
-func TestBFSBoundedNegativeRadius(t *testing.T) {
-	g := buildTriangleWithTail()
-	nodes, _ := g.BFSBounded(0, -1)
-	if nodes != nil {
-		t.Fatal("negative radius should yield empty ball")
-	}
-}
-
 func TestIsConnected(t *testing.T) {
 	if !buildTriangleWithTail().IsConnected() {
 		t.Fatal("triangle with tail should be connected")
@@ -219,22 +189,6 @@ func TestDiameterDisconnected(t *testing.T) {
 	}
 }
 
-func TestTwoSweepOnPathIsExact(t *testing.T) {
-	g := NewBuilder(10).AddPath(0, 1, 2, 3, 4, 5, 6, 7, 8, 9).Build()
-	if lb := g.TwoSweepDiameterLowerBound(4); lb != 9 {
-		t.Fatalf("two-sweep on path = %d, want 9", lb)
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := buildTriangleWithTail()
-	h := g.DegreeHistogram()
-	// degrees: 0:2, 1:2, 2:3, 3:2, 4:1
-	if h[1] != 1 || h[2] != 3 || h[3] != 1 {
-		t.Fatalf("unexpected degree histogram: %v", h)
-	}
-}
-
 func TestMaxAndAverageDegree(t *testing.T) {
 	g := buildTriangleWithTail()
 	if g.MaxDegree() != 3 {
@@ -243,17 +197,6 @@ func TestMaxAndAverageDegree(t *testing.T) {
 	want := 2.0 * 5 / 5
 	if g.AverageDegree() != want {
 		t.Fatalf("AverageDegree = %v, want %v", g.AverageDegree(), want)
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g := buildTriangleWithTail()
-	sub, orig := g.InducedSubgraph([]NodeID{0, 1, 2, 2})
-	if sub.N() != 3 || sub.M() != 3 {
-		t.Fatalf("induced triangle has n=%d m=%d", sub.N(), sub.M())
-	}
-	if len(orig) != 3 {
-		t.Fatalf("mapping length %d", len(orig))
 	}
 }
 

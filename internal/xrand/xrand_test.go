@@ -213,33 +213,6 @@ func TestGeometricPanics(t *testing.T) {
 	New(1).Geometric(0)
 }
 
-func TestWeightedChoiceDistribution(t *testing.T) {
-	r := New(59)
-	weights := []float64{1, 2, 3, 4}
-	counts := make([]int, len(weights))
-	n := 100000
-	for i := 0; i < n; i++ {
-		counts[r.WeightedChoice(weights)]++
-	}
-	total := 10.0
-	for i, w := range weights {
-		got := float64(counts[i]) / float64(n)
-		want := w / total
-		if math.Abs(got-want) > 0.02 {
-			t.Fatalf("weight %d frequency %v, want %v", i, got, want)
-		}
-	}
-}
-
-func TestWeightedChoicePanicsOnZeroTotal(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(1).WeightedChoice([]float64{0, 0})
-}
-
 func TestSampleDistinct(t *testing.T) {
 	r := New(61)
 	check := func(nRaw, kRaw uint8) bool {
