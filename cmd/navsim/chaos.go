@@ -15,8 +15,9 @@ import (
 	"navaug/internal/snapshot"
 )
 
-// chaosRecord is the bench-file record a chaos run appends: the degraded-
-// mode throughput measurement plus the recovery verdict.
+// chaosRecord is the record a chaos run writes to stdout as one JSON
+// object: the degraded-mode throughput measurement plus the recovery
+// verdict.
 type chaosRecord struct {
 	Snapshot    string   `json:"snapshot"`
 	Faults      string   `json:"faults"`
@@ -54,7 +55,6 @@ func runChaos(c *command, args []string) error {
 	timeout := fs.Duration("timeout", 500*time.Millisecond, "server per-request timeout")
 	landmarks := fs.Int("landmarks", 0, "landmark count for the approximate tier beneath the field cache, built only when the snapshot has no exact O(1) tier (0 = default 16)")
 	seed := fs.Uint64("seed", 1, "loadgen sampling seed")
-	out := fs.String("out", "", "append the chaos record to this JSON bench file (e.g. BENCH_serve.json)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -152,29 +152,26 @@ func runChaos(c *command, args []string) error {
 		Panics: st.Panics, Shed: st.Shed, Approx: st.ApproxAnswers,
 		Recovered: recovered,
 	}
-	fmt.Printf("chaos window: %s under %q\n", *duration, *faults)
-	fmt.Printf("goodput:      %.0f ok-queries/s (%d ok, %d shed, %d timeouts, %d 5xx)\n",
+	fmt.Fprintf(os.Stderr, "chaos window: %s under %q\n", *duration, *faults)
+	fmt.Fprintf(os.Stderr, "goodput:      %.0f ok-queries/s (%d ok, %d shed, %d timeouts, %d 5xx)\n",
 		res.GoodputPerS, res.OK, res.Shed429, res.Timeouts, res.Errors5xx)
-	fmt.Printf("latency ms:   p50 %.3f  p99 %.3f  max %.3f (ok responses only)\n",
+	fmt.Fprintf(os.Stderr, "latency ms:   p50 %.3f  p99 %.3f  max %.3f (ok responses only)\n",
 		res.Latency.P50, res.Latency.P99, res.Latency.Max)
-	fmt.Printf("server:       %d panics recovered, %d shed, %d approx answers\n",
+	fmt.Fprintf(os.Stderr, "server:       %d panics recovered, %d shed, %d approx answers\n",
 		st.Panics, st.Shed, st.ApproxAnswers)
 	if len(snap.Quarantined) > 0 {
-		fmt.Printf("recovered:    n/a (sections %v quarantined at load; server stays degraded)\n", snap.Quarantined)
+		fmt.Fprintf(os.Stderr, "recovered:    n/a (sections %v quarantined at load; server stays degraded)\n", snap.Quarantined)
 	} else {
-		fmt.Printf("recovered:    %v (post-fault probes byte-identical to baseline)\n", recovered)
-		if !recovered {
-			return fmt.Errorf("chaos: server did not recover byte-identical answers")
-		}
+		fmt.Fprintf(os.Stderr, "recovered:    %v (post-fault probes byte-identical to baseline)\n", recovered)
+	}
+	if err := json.NewEncoder(os.Stdout).Encode(rec); err != nil {
+		return err
+	}
+	if len(snap.Quarantined) == 0 && !recovered {
+		return fmt.Errorf("chaos: server did not recover byte-identical answers")
 	}
 	if res.OK == 0 {
 		return fmt.Errorf("chaos: zero goodput during the fault window")
-	}
-	if *out != "" {
-		if err := appendBenchRecord(*out, "chaos", rec); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "navsim chaos: appended record to %s\n", *out)
 	}
 	return nil
 }

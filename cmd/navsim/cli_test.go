@@ -79,6 +79,8 @@ func TestCommandsMatchGolden(t *testing.T) {
 			"estimate_grid_ball.golden", ""},
 		{"estimate grid ball adaptive", []string{"estimate", "-family", "grid", "-n", "1024", "-scheme", "ball", "-pairs", "4", "-trials", "2", "-precision", "0.2"},
 			"estimate_grid_ball_adaptive.golden", ""},
+		{"estimate grid ball one pair", []string{"estimate", "-family", "grid", "-n", "256", "-scheme", "ball", "-pairs", "1", "-trials", "200"},
+			"estimate_grid_ball_one_pair.golden", ""},
 		{"estimate ratree theorem2", []string{"estimate", "-family", "ratree", "-n", "1024", "-scheme", "theorem2", "-pairs", "4", "-trials", "2"},
 			"estimate_ratree_theorem2.golden", ""},
 	}

@@ -2,7 +2,9 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"os"
 	"time"
 
 	"navaug/internal/serve"
@@ -23,7 +25,6 @@ func runLoadgen(c *command, args []string) error {
 	scheme := fs.String("scheme", "", "frozen scheme for route mode (default: first packed)")
 	draw := fs.Int("draw", 0, "frozen draw index for route mode")
 	retries := fs.Int("retries", 0, "retry budget per request for 429/timeout/5xx/conn errors (0 = no retries; capped exponential backoff with jitter)")
-	out := fs.String("out", "", "append the result record to this JSON bench file (e.g. BENCH_serve.json)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -51,25 +52,20 @@ func runLoadgen(c *command, args []string) error {
 	if res.OpenLoop {
 		loop = fmt.Sprintf("open loop @ %.0f req/s", res.TargetRate)
 	}
-	fmt.Printf("target:      %s (%s, n=%d, oracle %s)\n", *url, res.ServerFamily, res.ServerN, res.ServerOracle)
-	fmt.Printf("workload:    %s, %s keys, batch %d, %d conns, %s, %.1fs\n",
+	fmt.Fprintf(os.Stderr, "target:      %s (%s, n=%d, oracle %s)\n", *url, res.ServerFamily, res.ServerN, res.ServerOracle)
+	fmt.Fprintf(os.Stderr, "workload:    %s, %s keys, batch %d, %d conns, %s, %.1fs\n",
 		res.Mode, res.KeyDist, res.Batch, res.Conns, loop, res.DurationS)
-	fmt.Printf("throughput:  %.0f req/s = %.0f %s-queries/s (%d requests, %d ok, %d errors)\n",
+	fmt.Fprintf(os.Stderr, "throughput:  %.0f req/s = %.0f %s-queries/s (%d requests, %d ok, %d errors)\n",
 		res.RequestsPerS, res.QueriesPerS, res.Mode, res.Requests, res.OK, res.Errors)
-	fmt.Printf("goodput:     %.0f ok-queries/s\n", res.GoodputPerS)
+	fmt.Fprintf(os.Stderr, "goodput:     %.0f ok-queries/s\n", res.GoodputPerS)
 	if res.Errors > 0 || res.Retries > 0 {
-		fmt.Printf("errors:      %d shed (429), %d timeouts, %d 5xx, %d conn; %d retries\n",
+		fmt.Fprintf(os.Stderr, "errors:      %d shed (429), %d timeouts, %d 5xx, %d conn; %d retries\n",
 			res.Shed429, res.Timeouts, res.Errors5xx, res.ConnErrors, res.Retries)
 	}
-	fmt.Printf("latency ms:  p50 %.3f  p90 %.3f  p99 %.3f  p99.9 %.3f  max %.3f  mean %.3f  (over ok responses only)\n",
+	fmt.Fprintf(os.Stderr, "latency ms:  p50 %.3f  p90 %.3f  p99 %.3f  p99.9 %.3f  max %.3f  mean %.3f  (over ok responses only)\n",
 		res.Latency.P50, res.Latency.P90, res.Latency.P99, res.Latency.P999, res.Latency.Max, res.Latency.Mean)
 	if res.ServerPeakRSS > 0 {
-		fmt.Printf("server rss:  %.1f MB peak\n", float64(res.ServerPeakRSS)/1e6)
+		fmt.Fprintf(os.Stderr, "server rss:  %.1f MB peak\n", float64(res.ServerPeakRSS)/1e6)
 	}
-	if *out != "" {
-		if err := appendBenchRecord(*out, "loadgen", res); err != nil {
-			return err
-		}
-	}
-	return nil
+	return json.NewEncoder(os.Stdout).Encode(res)
 }

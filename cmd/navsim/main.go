@@ -83,7 +83,7 @@ var commands = []*command{
 	{
 		name: "snapshot",
 		synopsis: "-family powerlaw-tree -n 1048576 -o graph.navsnap [-seed N] [-scheme ball,uniform]\n" +
-			"               [-draws K] [-oracle auto|analytic|twohop|field] [-bench-out BENCH_serve.json]",
+			"               [-draws K] [-oracle auto|analytic|twohop|field]",
 		summary: "Build a graph, its distance oracle and frozen augmentations, and write a .navsnap.",
 		run:     runSnapshot,
 	},
@@ -97,15 +97,15 @@ var commands = []*command{
 	{
 		name: "loadgen",
 		synopsis: "[-url http://127.0.0.1:8080] [-mode dist|route] [-rate R] [-duration 5s] [-conns N]\n" +
-			"               [-batch N] [-keys uniform|zipf] [-zipf 1.1] [-seed N] [-retries N] [-out BENCH_serve.json]",
-		summary: "Benchmark a running navsim serve instance and record throughput and latency.",
+			"               [-batch N] [-keys uniform|zipf] [-zipf 1.1] [-seed N] [-retries N]",
+		summary: "Benchmark a running navsim serve instance; print throughput and latency as one JSON record.",
 		run:     runLoadgen,
 	},
 	{
 		name: "chaos",
 		synopsis: "-snapshot graph.navsnap [-faults SPEC] [-corrupt twohop] [-duration 5s] [-conns N]\n" +
-			"               [-mode dist|route] [-retries N] [-workers N] [-queue N] [-out BENCH_serve.json]",
-		summary: "Torture a snapshot in-process under injected faults and verify goodput, shedding and byte-identical recovery.",
+			"               [-mode dist|route] [-retries N] [-workers N] [-queue N]",
+		summary: "Torture a snapshot in-process under injected faults and verify goodput, shedding and byte-identical recovery; print one JSON record.",
 		run:     runChaos,
 	},
 }
@@ -302,7 +302,12 @@ func runEstimate(c *command, args []string) error {
 	fmt.Printf("graph:            %v\n", g)
 	fmt.Printf("scheme:           %s\n", est.Scheme)
 	fmt.Printf("greedy diameter:  %.2f (max over %d sampled pairs of per-pair mean)\n", est.GreedyDiameter, len(est.PairStats))
-	fmt.Printf("mean steps:       %.2f ± %.2f (95%% CI over pair means)\n", est.MeanSteps, est.CI95)
+	ci, over := est.CI95, "pair means"
+	if len(est.PairStats) == 1 {
+		// One pair's mean has no spread across pairs; its trials do.
+		ci, over = est.PairStats[0].Steps.CI95(), "trials"
+	}
+	fmt.Printf("mean steps:       %.2f ± %.2f (95%% CI over %s)\n", est.MeanSteps, ci, over)
 	fmt.Printf("mean long links:  %.2f per route\n", est.MeanLongLinks)
 	if est.Adaptive {
 		fmt.Printf("samples:          %d routed trials (adaptive, per-pair CI target %.3g)\n", est.Samples, est.TargetCI)

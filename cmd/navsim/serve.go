@@ -64,11 +64,16 @@ func runServe(c *command, args []string) error {
 		fmt.Fprintln(w, `{"status":"loading"}`)
 	}))
 	handler.Store(&loading)
+	// The request deadline starts with the handler, so a body that stalls
+	// is bounded here: its read fails at ReadTimeout and is answered as a
+	// timed-out request.
+	const readHeaderTimeout = 5 * time.Second
 	httpSrv := &http.Server{
 		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			(*handler.Load()).ServeHTTP(w, r)
 		}),
-		ReadHeaderTimeout: 5 * time.Second,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readHeaderTimeout + *timeout,
 		IdleTimeout:       60 * time.Second,
 	}
 	errCh := make(chan error, 1)

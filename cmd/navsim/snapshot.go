@@ -11,28 +11,6 @@ import (
 	"navaug/internal/snapshot"
 )
 
-// snapshotBenchRecord is the BENCH_serve.json entry one snapshot build
-// emits: the one-off build cost next to the load cost it amortises away.
-type snapshotBenchRecord struct {
-	Family          string   `json:"family"`
-	N               int      `json:"n"`
-	M               int      `json:"m"`
-	Seed            uint64   `json:"seed"`
-	Oracle          string   `json:"oracle"`
-	Schemes         []string `json:"schemes"`
-	Draws           int      `json:"draws"`
-	Bytes           int64    `json:"bytes"`
-	BuildGraphS     float64  `json:"build_graph_s"`
-	BuildOracleS    float64  `json:"build_oracle_s"`
-	PrepareSchemesS float64  `json:"prepare_schemes_s"`
-	RebuildS        float64  `json:"rebuild_s"`
-	WriteS          float64  `json:"write_s"`
-	LoadS           float64  `json:"load_s"`
-	LoadVsRebuild   float64  `json:"speedup_load_vs_rebuild"`
-	TwoHopAvgLabel  float64  `json:"twohop_avg_label,omitempty"`
-	TwoHopMaxLabel  int      `json:"twohop_max_label,omitempty"`
-}
-
 func runSnapshot(c *command, args []string) error {
 	fs := newFlagSet(c)
 	family := fs.String("family", "", "graph family ("+strings.Join(core.GraphFamilies(), ", ")+")")
@@ -42,7 +20,6 @@ func runSnapshot(c *command, args []string) error {
 	draws := fs.Int("draws", 1, "frozen full contact tables per scheme")
 	oracle := fs.String("oracle", "auto", "distance tier to pack: auto, analytic, twohop (twohop-packed is a synonym) or field (field packs none)")
 	out := fs.String("o", "", "output .navsnap path (required)")
-	benchOut := fs.String("bench-out", "", "append a build/load timing record to this JSON bench file")
 	quiet := fs.Bool("quiet", false, "suppress build progress on stderr")
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -82,7 +59,7 @@ func runSnapshot(c *command, args []string) error {
 	}
 
 	// Always reload what was written: it verifies every checksum end to
-	// end, and times the load path the bench record reports.
+	// end, and times the load path against the rebuild.
 	start = time.Now()
 	loaded, err := snapshot.ReadFile(*out)
 	if err != nil {
@@ -93,35 +70,15 @@ func runSnapshot(c *command, args []string) error {
 		return fmt.Errorf("verifying written snapshot: reloaded graph %v does not match built %v", loaded.Graph, snap.Graph)
 	}
 
-	rec := snapshotBenchRecord{
-		Family:          opts.Family,
-		N:               snap.Graph.N(),
-		M:               snap.Graph.M(),
-		Seed:            opts.Seed,
-		Oracle:          string(policy),
-		Schemes:         opts.Schemes,
-		Draws:           opts.Draws,
-		Bytes:           info.Size(),
-		BuildGraphS:     stats.GraphBuild.Seconds(),
-		BuildOracleS:    stats.OracleBuild.Seconds(),
-		PrepareSchemesS: stats.SchemesPrepare.Seconds(),
-		RebuildS:        stats.Rebuild().Seconds(),
-		WriteS:          writeTime.Seconds(),
-		LoadS:           loadTime.Seconds(),
-		TwoHopAvgLabel:  stats.TwoHopAvgLabel,
-		TwoHopMaxLabel:  stats.TwoHopMaxLabel,
-	}
+	rebuild := stats.Rebuild().Seconds()
+	speedup := 0.0
 	if loadTime > 0 {
-		rec.LoadVsRebuild = stats.Rebuild().Seconds() / loadTime.Seconds()
+		speedup = rebuild / loadTime.Seconds()
 	}
 	fmt.Printf("wrote %s: %v, %d bytes, oracle %s\n", *out, snap.Graph, info.Size(), string(policy))
 	fmt.Printf("build %.2fs (graph %.2fs, oracle %.2fs, schemes %.2fs), write %.3fs, load+verify %.3fs (%.0fx faster than rebuild)\n",
-		rec.RebuildS, rec.BuildGraphS, rec.BuildOracleS, rec.PrepareSchemesS, rec.WriteS, rec.LoadS, rec.LoadVsRebuild)
-	if *benchOut != "" {
-		if err := appendBenchRecord(*benchOut, "snapshots", rec); err != nil {
-			return err
-		}
-	}
+		rebuild, stats.GraphBuild.Seconds(), stats.OracleBuild.Seconds(), stats.SchemesPrepare.Seconds(),
+		writeTime.Seconds(), loadTime.Seconds(), speedup)
 	return nil
 }
 

@@ -48,8 +48,6 @@ type SnapshotBuildStats struct {
 	GraphBuild     time.Duration
 	OracleBuild    time.Duration
 	SchemesPrepare time.Duration
-	TwoHopAvgLabel float64
-	TwoHopMaxLabel int
 }
 
 // Rebuild is the total one-off cost the snapshot amortises away.
@@ -117,8 +115,6 @@ func BuildSnapshot(opts SnapshotOptions) (*snapshot.Snapshot, *SnapshotBuildStat
 	}
 	stats.OracleBuild = time.Since(start)
 	if th != nil {
-		stats.TwoHopAvgLabel = th.AvgLabel()
-		stats.TwoHopMaxLabel = th.MaxLabel()
 		progress("2-hop labels built in %.2fs (avg %.1f, max %d, %.1f MB)",
 			stats.OracleBuild.Seconds(), th.AvgLabel(), th.MaxLabel(), float64(th.MemoryBytes())/1e6)
 	} else if hasMetric && opts.Oracle != dist.PolicyField {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -37,14 +38,19 @@ type distBuf struct {
 var distBufs = sync.Pool{New: func() any { return new(distBuf) }}
 
 // badBody answers a batch body that could not be read or decoded: 413 past
-// the size limit, else 400 with the reader's or the decoder's message.
+// the size limit, the counted 503 when the body stalled past the server's
+// read timeout, else 400 with the reader's or the decoder's message.
 func (s *Server) badBody(w http.ResponseWriter, err error) {
 	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
+	var netErr net.Error
+	switch {
+	case errors.As(err, &tooBig):
 		s.httpError(w, http.StatusRequestEntityTooLarge, "batch body over %d bytes", tooBig.Limit)
-		return
+	case errors.As(err, &netErr) && netErr.Timeout():
+		s.timedOut(w)
+	default:
+		s.httpError(w, http.StatusBadRequest, "bad batch body: %v", err)
 	}
-	s.httpError(w, http.StatusBadRequest, "bad batch body: %v", err)
 }
 
 type distBatchRequest struct {

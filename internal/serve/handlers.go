@@ -33,33 +33,25 @@ func (s *Server) shedRequest(w http.ResponseWriter) {
 	s.httpError(w, http.StatusTooManyRequests, "overloaded: worker queue full, retry later")
 }
 
-// admit rejects work whose deadline has already passed before it consumes
-// a queue slot — under a timeout storm the queue should hold only requests
-// that can still be answered in time.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
-	ctx := r.Context()
-	expired := ctx.Err() != nil
-	if !expired {
-		if d, ok := ctx.Deadline(); ok && time.Until(d) <= 0 {
-			expired = true
-		}
-	}
-	if expired {
-		s.timeouts.Add(1)
-		s.httpError(w, http.StatusServiceUnavailable, "deadline exceeded before dispatch")
-		return false
-	}
-	return true
+// timedOut answers a request past its deadline: a counted 503.
+func (s *Server) timedOut(w http.ResponseWriter) {
+	s.timeouts.Add(1)
+	s.httpError(w, http.StatusServiceUnavailable, "request timed out")
 }
 
-// poolError maps a TryDo failure (other than ErrOverloaded, which callers
-// shed or degrade on) to an HTTP answer.
+// poolError maps a TryDo failure to an HTTP answer.  A single GET
+// /v1/dist degrades on ErrOverloaded instead of coming here.
 func (s *Server) poolError(w http.ResponseWriter, err error) {
-	if errors.Is(err, ErrPanicked) {
+	switch {
+	case errors.Is(err, ErrOverloaded):
+		s.shedRequest(w)
+	case errors.Is(err, ErrPanicked):
 		s.httpError(w, http.StatusInternalServerError, "worker panicked")
-		return
+	case errors.Is(err, ErrExpired), errors.Is(err, ErrTimedOut):
+		s.timedOut(w)
+	default:
+		s.httpError(w, http.StatusServiceUnavailable, "%v", err)
 	}
-	s.httpError(w, http.StatusServiceUnavailable, "%v", err)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -129,12 +121,9 @@ func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 			var v graph.NodeID
 			v, err = s.nodeParam(q, "v")
 			if err == nil {
-				if !s.admit(w, r) {
-					return
-				}
 				var d int32
 				var approx bool
-				poolErr := s.pool.TryDo(func(*Shard) { d, approx = s.distance(u, v) })
+				poolErr := s.pool.TryDo(r.Context(), func(*Shard) { d, approx = s.distance(u, v) })
 				if errors.Is(poolErr, ErrOverloaded) {
 					// Answer here instead of shedding when it is cheap: an
 					// O(1)-tier probe is exact and costs less than k
@@ -182,26 +171,22 @@ func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		if !s.admit(w, r) {
-			return
-		}
 		dists := slices.Grow(buf.dists[:0], len(pairs))[:len(pairs)]
 		buf.dists = dists
 		// approx marks the batch as served from the approximate tier:
 		// every dist is a landmark upper bound, not an exact distance.
 		var approx bool
-		err := s.pool.TryDo(func(*Shard) {
+		err := s.pool.TryDo(r.Context(), func(*Shard) {
 			for i, p := range pairs {
 				var a bool
 				dists[i], a = s.distance(p[0], p[1])
 				approx = approx || a
 			}
 		})
-		if errors.Is(err, ErrOverloaded) {
-			s.shedRequest(w)
-			return
-		}
 		if err != nil {
+			if errors.Is(err, ErrTimedOut) {
+				*buf = distBuf{} // the task still uses pairs and dists: leave them to it
+			}
 			s.poolError(w, err)
 			return
 		}
@@ -319,17 +304,10 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		trace := q.Get("trace") == "1" || q.Get("trace") == "true"
-		if !s.admit(w, r) {
-			return
-		}
 		var res routeResult
-		poolErr := s.pool.TryDo(func(sh *Shard) {
+		poolErr := s.pool.TryDo(r.Context(), func(sh *Shard) {
 			res = s.routeOne(sh, inst, from, to, trace)
 		})
-		if errors.Is(poolErr, ErrOverloaded) {
-			s.shedRequest(w)
-			return
-		}
 		if poolErr != nil {
 			s.poolError(w, poolErr)
 			return
@@ -359,19 +337,12 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 			s.httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		if !s.admit(w, r) {
-			return
-		}
 		results := make([]routeResult, len(req.Pairs))
-		poolErr := s.pool.TryDo(func(sh *Shard) {
+		poolErr := s.pool.TryDo(r.Context(), func(sh *Shard) {
 			for i, p := range req.Pairs {
 				results[i] = s.routeOne(sh, inst, p[0], p[1], req.Trace)
 			}
 		})
-		if errors.Is(poolErr, ErrOverloaded) {
-			s.shedRequest(w)
-			return
-		}
 		if poolErr != nil {
 			s.poolError(w, poolErr)
 			return

@@ -68,7 +68,7 @@ type Percentiles struct {
 	Mean float64 `json:"mean_ms"`
 }
 
-// LoadResult is the measured outcome of RunLoad, shaped for BENCH_serve.json.
+// LoadResult is the measured outcome of RunLoad, printed by navsim loadgen.
 type LoadResult struct {
 	Mode       string  `json:"mode"`
 	KeyDist    string  `json:"key_dist"`

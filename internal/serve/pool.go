@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"sync"
@@ -14,8 +15,8 @@ import (
 // compute, so extra workers only add scratch memory and queueing noise.
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// Pool submission errors, surfaced to handlers as load-shedding (429) and
-// panic-isolation (500) responses respectively.
+// Pool submission errors, surfaced to handlers as load-shedding (429),
+// panic-isolation (500) and deadline (503) responses.
 var (
 	// ErrOverloaded means the bounded task queue was full at submission:
 	// the request is shed rather than queued without bound.
@@ -26,6 +27,11 @@ var (
 	ErrPanicked = errors.New("serve: worker panicked")
 	// ErrClosed means the pool shut down before a worker ran the task.
 	ErrClosed = errors.New("serve: pool closed")
+	// ErrExpired means ctx had ended before submission; fn never runs.
+	ErrExpired = errors.New("deadline exceeded before dispatch")
+	// ErrTimedOut means ctx ended first, but fn still runs to completion,
+	// so nothing it captured may be reused until then.
+	ErrTimedOut = errors.New("request timed out")
 )
 
 // Shard is the per-worker state of the query pool: a reusable routing
@@ -152,19 +158,26 @@ func (p *pool) runTask(shard *Shard, br *breaker, t *task) {
 	br.Success()
 }
 
-// TryDo runs fn on some worker's shard and waits for it to finish.  It
-// never blocks on a full queue: submission either lands in the bounded
-// queue or fails with ErrOverloaded on the spot.  ErrPanicked reports that
-// fn started but died; the worker survived it.
-func (p *pool) TryDo(fn func(*Shard)) error {
+// TryDo runs fn on some worker's shard and waits for it to finish or for
+// ctx to end.  It never blocks on a full queue: submission either lands in
+// the bounded queue or fails with ErrOverloaded on the spot.  ErrPanicked
+// reports that fn started but died; the worker survived it.
+func (p *pool) TryDo(ctx context.Context, fn func(*Shard)) error {
+	if ctx.Err() != nil {
+		return ErrExpired
+	}
 	t := &task{run: fn, done: make(chan struct{})}
 	select {
 	case p.tasks <- t:
 	default:
 		return ErrOverloaded
 	}
-	<-t.done
-	return t.err
+	select {
+	case <-t.done:
+		return t.err
+	case <-ctx.Done():
+		return ErrTimedOut
+	}
 }
 
 // TrippedBreakers counts shards currently quarantined or probing.

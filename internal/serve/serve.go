@@ -43,15 +43,17 @@
 //
 // The serving stack is built to stay up under faults: the task queue is
 // bounded and overflows shed with 429 + Retry-After rather than queueing
-// without bound, worker panics are recovered and counted, and a shard
-// whose tasks keep dying is circuit-broken — quarantined, then probed
-// back in (pool.go, breaker.go).  The frozen tables never change, so a
-// quarantine leaves every other shard's answers byte-identical.  The
-// fault layer (internal/fault) injects the corresponding failures
-// deterministically; a nil injector costs nothing.
+// without bound, a request past its deadline gets a counted 503, worker
+// panics are recovered and counted, and a shard whose tasks keep dying is
+// circuit-broken — quarantined, then probed back in (pool.go,
+// breaker.go).  The frozen tables never change, so a quarantine leaves
+// every other shard's answers byte-identical.  The fault layer
+// (internal/fault) injects the corresponding failures deterministically;
+// a nil injector costs nothing.
 package serve
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"sync/atomic"
@@ -72,8 +74,8 @@ type Options struct {
 	// QueueDepth bounds the worker task queue; submissions beyond it are
 	// shed with 429.  Default max(16, 4×Workers).
 	QueueDepth int
-	// RequestTimeout bounds each request end to end (default 2s); the
-	// handler chain is wrapped in http.TimeoutHandler.
+	// RequestTimeout is each request's deadline (default 2s): past it,
+	// queued, running or storm-delayed, the request gets a counted 503.
 	RequestTimeout time.Duration
 	// MaxBatch caps the pairs accepted by the batched endpoints
 	// (default 8192): one batch is one pool task, so the cap bounds how
@@ -221,25 +223,23 @@ func New(snap *snapshot.Snapshot, opts Options) (*Server, error) {
 	return s, nil
 }
 
-// Handler returns the full middleware chain: counting and injected
-// request-level latency, then the mux, all under the request timeout.
+// Handler returns the full middleware chain: counting, the request
+// deadline and injected request-level latency, then the mux.
 func (s *Server) Handler() http.Handler {
-	counted := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Add(1)
+		ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
+		defer cancel()
 		if d := s.opts.Faults.RequestDelay(); d > 0 {
-			t := time.NewTimer(d)
 			select {
-			case <-t.C:
-			case <-r.Context().Done():
-				t.Stop()
-				s.timeouts.Add(1)
-				return // TimeoutHandler already answered 503
+			case <-time.After(d):
+			case <-ctx.Done():
+				s.timedOut(w)
+				return
 			}
 		}
-		s.mux.ServeHTTP(w, r)
+		s.mux.ServeHTTP(w, r.WithContext(ctx))
 	})
-	return http.TimeoutHandler(counted, s.opts.RequestTimeout,
-		`{"error":"request timed out"}`)
 }
 
 // BeginDrain flips the server to draining: /v1/readyz (and /v1/healthz)

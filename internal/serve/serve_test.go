@@ -33,6 +33,15 @@ import (
 // exactly what a file-loaded server would run.
 func newTestServer(t *testing.T, family string, n int, oracle dist.SourcePolicy, opts serve.Options) (*snapshot.Snapshot, *serve.Server, *httptest.Server) {
 	t.Helper()
+	snap, srv, ts := newUnstartedTestServer(t, family, n, oracle, opts)
+	ts.Start()
+	return snap, srv, ts
+}
+
+// newUnstartedTestServer is newTestServer with the httptest.Server not yet
+// started, so a test can set its http.Server fields first.
+func newUnstartedTestServer(t testing.TB, family string, n int, oracle dist.SourcePolicy, opts serve.Options) (*snapshot.Snapshot, *serve.Server, *httptest.Server) {
+	t.Helper()
 	built, _, err := core.BuildSnapshot(core.SnapshotOptions{
 		Family: family, N: n, Seed: 7,
 		Schemes: []string{"ball", "uniform"}, Draws: 2,
@@ -53,7 +62,7 @@ func newTestServer(t *testing.T, family string, n int, oracle dist.SourcePolicy,
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewUnstartedServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		srv.Close()
@@ -612,4 +621,49 @@ func TestLoadgenRejectsBadOptions(t *testing.T) {
 	if _, err := serve.RunLoad(ctx, serve.LoadOptions{BaseURL: ts.URL, KeyDist: "nope"}); err == nil {
 		t.Fatal("RunLoad with unknown key distribution should fail")
 	}
+}
+
+// BenchmarkHandler times one request through Server.Handler in process,
+// with no network, and reports its allocations: a single distance, a
+// single route and a 256-pair distance batch on a 4096-node tree.
+func BenchmarkHandler(b *testing.B) {
+	snap, srv, _ := newUnstartedTestServer(b, "ratree", 4096, dist.PolicyTwoHop, serve.Options{Workers: 2})
+	h := srv.Handler()
+	n := snap.Graph.N()
+	batch, err := json.Marshal(map[string]any{"pairs": randomPairs(n, 256, 1)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	serveOne := func(b *testing.B, method, target string, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, target, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s %s: status %d: %s", method, target, rec.Code, rec.Body)
+		}
+	}
+	// Targets are formatted up front, so only the handler is measured.
+	dists, routes := make([]string, 1024), make([]string, 1024)
+	for i := range dists {
+		u, v := i*31%n, i*7919%n
+		dists[i] = fmt.Sprintf("/v1/dist?u=%d&v=%d", u, v)
+		routes[i] = fmt.Sprintf("/v1/route?s=%d&t=%d", u, v)
+	}
+	b.Run("get-dist", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			serveOne(b, "GET", dists[i%len(dists)], nil)
+		}
+	})
+	b.Run("get-route", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			serveOne(b, "GET", routes[i%len(routes)], nil)
+		}
+	})
+	b.Run("post-dist-256", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			serveOne(b, "POST", "/v1/dist", batch)
+		}
+	})
 }
