@@ -77,10 +77,9 @@ type TwoHopOptions struct {
 	//
 	// Deprecated: labels are always packed.
 	Packed bool
-	// forceScalar and force16 disable build engines (tests only): they pin
-	// the byte-identity contract by diffing the engines against each other.
+	// forceScalar disables the bit-parallel build engine (tests only): it
+	// pins the byte-identity contract by diffing the engines.
 	forceScalar bool
-	force16     bool
 }
 
 // twoHopMaxBatch caps the number of hubs per bit-parallel batch (the mask

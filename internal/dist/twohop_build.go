@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
-	"sync"
 
 	"navaug/internal/graph"
 	"navaug/internal/par"
@@ -25,12 +24,12 @@ import (
 //     propagation mask — exactly the per-root prune, applied per bit.
 //   - The coverage test runs once per (node, level) over the node's
 //     committed label and answers all arrived roots at once: a rank-indexed
-//     root-distance matrix holds dist(root_k, hub) in 8- or 16-bit lanes,
-//     and a SWAR compare turns each label entry into a per-root coverage
-//     mask — in 8-bit lanes over the hub's whole 64-byte row, with no
-//     per-word branch.  The label scan — the dominant cost on
-//     expander-like graphs, where labels reach ~10^3 entries — is thus
-//     shared across the whole batch instead of repeated per root.
+//     root-distance matrix holds dist(root_k, hub) in 8-bit lanes, and a
+//     SWAR compare turns each label entry into a per-root coverage mask
+//     over the hub's whole 64-byte row, with no per-word branch.  The label
+//     scan — the dominant cost on expander-like graphs, where labels reach
+//     ~10^3 entries — is thus shared across the whole batch instead of
+//     repeated per root.
 //
 // During construction each node's committed label is kept sorted by
 // distance (a sorted run plus a small tail of recent additions), not by hub
@@ -59,45 +58,35 @@ import (
 // set — which batch-then-rank order fixes regardless of the engine, the
 // worker count, or the order workers drain a level.
 //
-// Distances inside the bit-parallel engine live in 16-bit lanes, capped by
-// twoHopMaxDepth; the rare graphs that exceed it mid-batch (diameter above
-// ~16k, e.g. huge near-path graphs) bail out of the batch and fall back to
-// the scalar engine permanently.  Both engines produce identical labels, so
-// the switch point does not affect the output.
+// Distances inside the bit-parallel engine live in 8-bit lanes, capped by
+// twoHopMaxDepth8 — enough for the expander-like families it exists for.
+// A batch whose BFS runs deeper than the cap (on long grids, tori and
+// paths the very first traversal does) bails out and falls back to the
+// scalar engine, which then runs every later batch.  Both engines produce
+// identical labels, so the switch point does not affect the output.
 
 const (
-	// twoHopInf16 is the "no entry" sentinel of the root-distance matrix
+	// twoHopInf8 is the "no entry" sentinel of the root-distance matrix
 	// lanes.  It must never satisfy a coverage compare: compares test
-	// lane <= T with T <= twoHopMaxDepth < twoHopInf16.
-	twoHopInf16 = 0x3FFF
-	// twoHopMaxDepth caps BFS depth and committed label distances for the
-	// bit-parallel engine; beyond it 16-bit lanes could not represent
+	// lane <= T with T <= twoHopMaxDepth8 < twoHopInf8.
+	twoHopInf8 = 0x7F
+	// twoHopMaxDepth8 caps BFS depth and committed label distances for the
+	// bit-parallel engine; beyond it 8-bit lanes could not represent
 	// root-hub distances (and the SWAR compare, which needs every lane
-	// strictly below 2^15, could see carries).
-	twoHopMaxDepth = twoHopInf16 - 1
-	// twoHopOnes16 has 1 in each of the four 16-bit lanes.
-	twoHopOnes16 uint64 = 0x0001000100010001
-	// twoHopHighs16 has the top bit of each 16-bit lane.
-	twoHopHighs16 uint64 = 0x8000800080008000
-	// twoHopSentinelRow is a root-distance word with every lane unset.
-	twoHopSentinelRow uint64 = twoHopInf16 * twoHopOnes16
-	// The 8-bit-lane counterparts: while every committed distance fits 7
-	// bits — true for the expander-like families throughout their build —
-	// the matrix packs 8 roots per word instead of 4, halving the words the
-	// coverage scan touches.
-	twoHopInf8                = 0x7F
-	twoHopMaxDepth8           = twoHopInf8 - 1
+	// strictly below 2^7, could see borrows).
+	twoHopMaxDepth8 = twoHopInf8 - 1
+	// twoHopOnes8 has 1 in each of the eight 8-bit lanes, twoHopHighs8 the
+	// top bit of each, and twoHopSentinelRow8 is a root-distance word with
+	// every lane unset.
 	twoHopOnes8        uint64 = 0x0101010101010101
 	twoHopHighs8       uint64 = 0x8080808080808080
 	twoHopSentinelRow8 uint64 = twoHopInf8 * twoHopOnes8
-	// twoHopMoveMask16/8 are movemask-by-multiply constants: with flag
-	// bits only at the top bit of each lane, hit * K places lane j's flag
-	// at result bit 60+j (16-bit lanes) / 56+j (8-bit lanes).  Every
-	// partial product lands on a distinct bit (16(j-j') = 15(i'-i) and
-	// 8(j-j') = 7(i'-i) have no non-zero solutions in lane range), so no
-	// carries — the top nibble/byte is exactly the per-lane hit mask.
-	twoHopMoveMask16 uint64 = 0x0000200040008001
-	twoHopMoveMask8  uint64 = 0x0002040810204081
+	// twoHopMoveMask8 is a movemask-by-multiply constant: with flag bits
+	// only at the top bit of each lane, hit * twoHopMoveMask8 places lane
+	// j's flag at result bit 56+j.  Every partial product lands on a
+	// distinct bit (8(j-j') = 7(i'-i) has no non-zero solution in lane
+	// range), so no carries — the top byte is exactly the per-lane hit mask.
+	twoHopMoveMask8 uint64 = 0x0002040810204081
 	// twoHopLevelParallelMin is the estimated coverage work of a
 	// bit-parallel level — staged nodes times the average committed label
 	// size, in label entries — below which the level drains on one
@@ -170,20 +159,13 @@ type twoHopBPWorker struct {
 // twoHopBPScratch is the bit-parallel engine's reusable state.
 type twoHopBPScratch struct {
 	// rd is the root-distance matrix: row h (a committed hub rank) holds
-	// dist(root_k, hub_h) for the current batch's roots k in 16-bit lanes,
-	// 4 lanes per word, words words per row; twoHopInf16 lanes mean "hub h
-	// not in root k's label".  Rows revert to all-sentinel between batches
-	// via touched.
-	rd       []uint64
-	words    int
-	sentinel uint64 // all-unset row value for the current lane width
-	touched  []int32
-	// rdWordMask[h] flags which words of a 16-bit-lane row h hold any real
-	// lane (bit w set when some lane of word w is not the sentinel).
-	// coverage16 intersects it with the words that still have uncovered
-	// arrivals; for sparse batches most label entries hit an empty
-	// intersection and skip the row entirely after one small-table load.
-	rdWordMask []uint16
+	// dist(root_k, hub_h) for the current batch's roots k in 8-bit lanes,
+	// 8 lanes per word, 8 words per row — one 64-byte cache line, so
+	// coverage8 compares whole rows; lanes past the batch size stay
+	// sentinel.  twoHopInf8 lanes mean "hub h not in root k's label".  Rows
+	// revert to all-sentinel between batches via touched.
+	rd      []uint64
+	touched []int32
 	// Per-node masks: seen accumulates the roots that have reached the
 	// node this batch, propMask is the subset still propagating (arrived
 	// uncovered), nextMask stages the next level's arrivals.
@@ -220,9 +202,7 @@ type twoHopBuilder struct {
 	total   int64
 	maxDist int32 // max committed label distance, gates the BP engine
 
-	lanes8  bool // current batch runs 8-bit root-distance lanes
-	bp8Dead bool // a batch exceeded twoHopMaxDepth8; stay on 16-bit lanes
-	bpDead  bool // a batch exceeded twoHopMaxDepth; stay scalar
+	bpDead  bool // a batch exceeded twoHopMaxDepth8; stay scalar
 	bp      *twoHopBPScratch
 	scalar  []*twoHopScratch
 	results twoHopBatchAdds // the scalar engine's additions
@@ -258,10 +238,9 @@ func twoHopBuildLabels(g *graph.Graph, order []graph.NodeID, opts TwoHopOptions)
 	if opts.MaxAvgLabel > 0 {
 		budget = int64(opts.MaxAvgLabel * float64(n))
 	}
-	// Test hooks: starting with an engine marked dead exercises the wider
-	// engines on inputs the fast paths would otherwise own, so tests can
-	// pin that every engine commits identical labels.
-	b.bp8Dead = opts.force16 || opts.forceScalar
+	// Test hook: starting with the bit-parallel engine marked dead runs the
+	// scalar engine on inputs the fast path would otherwise own, so tests
+	// can pin that both engines commit identical labels.
 	b.bpDead = opts.forceScalar
 	batch := 1
 	for start := 0; start < n; {
@@ -271,28 +250,10 @@ func twoHopBuildLabels(g *graph.Graph, order []graph.NodeID, opts TwoHopOptions)
 		}
 		// Engine choice per batch — a pure function of the committed labels
 		// (via maxDist) and the batch's own BFS depth, never of worker
-		// scheduling: 8-bit lanes while distances allow, 16-bit lanes
-		// after, scalar once even those overflow.  A depth bailout redoes
-		// the same batch with the next wider engine; all engines commit
-		// identical labels.
-		ran := false
-		if !b.bpDead && b.maxDist <= twoHopMaxDepth {
-			if !b.bp8Dead && b.maxDist <= twoHopMaxDepth8 {
-				b.lanes8 = true
-				ran = b.runBatchBP(start, end)
-				if !ran {
-					b.bp8Dead = true
-				}
-			}
-			if !ran {
-				b.lanes8 = false
-				ran = b.runBatchBP(start, end)
-				if !ran {
-					b.bpDead = true
-				}
-			}
-		}
-		if ran {
+		// scheduling: 8-bit lanes while distances allow, scalar after.  A
+		// depth bailout redoes the same batch on the scalar engine; both
+		// engines commit identical labels.
+		if !b.bpDead && b.maxDist <= twoHopMaxDepth8 && b.runBatchBP(start, end) {
 			b.commit(start, end, b.bp.adds)
 		} else {
 			b.bpDead = true
@@ -308,20 +269,6 @@ func twoHopBuildLabels(g *graph.Graph, order []graph.NodeID, opts TwoHopOptions)
 	}
 	b.pack()
 	return b.lab, b.total, true
-}
-
-// twoHopFanOut runs fn(0), ..., fn(workers-1) on their own goroutines and
-// waits for all of them.
-func twoHopFanOut(workers int, fn func(w int)) {
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(w)
-		}()
-	}
-	wg.Wait()
 }
 
 // commit appends the label additions of hubs [start, end): sets holds one
@@ -355,7 +302,12 @@ func (b *twoHopBuilder) commit(start, end int, sets []*twoHopBatchAdds) {
 				b.owner[v] = uint8((v >> twoHopOwnerShift) % b.workers)
 			}
 		}
-		twoHopFanOut(b.workers, func(w int) { b.commitOwned(start, end, sets, w) })
+		// One chunk per owner: each owner index is claimed exactly once, so
+		// b.merge[owner] stays private to one goroutine.
+		par.Ranges(b.workers, 1, b.workers, func(_, owner, _ int) error {
+			b.commitOwned(start, end, sets, owner)
+			return nil
+		})
 	}
 	for _, set := range sets {
 		for k := 0; k < B; k++ {
@@ -541,19 +493,19 @@ func twoHopMergeRuns(dst, x, y []uint64) {
 // ---------------------------------------------------------------------------
 // Bit-parallel engine
 
-// ensureBP sizes the bit-parallel scratch for a batch needing words
-// root-distance words per row filled with sentinel (which fixes the lane
-// width).
-func (b *twoHopBuilder) ensureBP(words int, sentinel uint64) *twoHopBPScratch {
-	bp := b.bp
-	if bp == nil {
-		bp = &twoHopBPScratch{
-			seen:       make([]uint64, b.n),
-			propMask:   make([]uint64, b.n),
-			nextMask:   make([]uint64, b.n),
-			rdWordMask: make([]uint16, b.n),
-			workers:    make([]*twoHopBPWorker, b.workers),
-			sentinel:   sentinel,
+// ensureBP returns the bit-parallel scratch, allocating it — with every
+// root-distance lane set to the sentinel — on the first batch.
+func (b *twoHopBuilder) ensureBP() *twoHopBPScratch {
+	if b.bp == nil {
+		bp := &twoHopBPScratch{
+			rd:       make([]uint64, b.n*8),
+			seen:     make([]uint64, b.n),
+			propMask: make([]uint64, b.n),
+			nextMask: make([]uint64, b.n),
+			workers:  make([]*twoHopBPWorker, b.workers),
+		}
+		for i := range bp.rd {
+			bp.rd[i] = twoHopSentinelRow8
 		}
 		for w := range bp.workers {
 			bp.workers[w] = &twoHopBPWorker{}
@@ -561,61 +513,28 @@ func (b *twoHopBuilder) ensureBP(words int, sentinel uint64) *twoHopBPScratch {
 		}
 		b.bp = bp
 	}
-	if len(bp.rd) < b.n*words || bp.sentinel != sentinel {
-		// A lane-width switch refills the whole matrix; it happens at most
-		// once per build (maxDist only grows).
-		if len(bp.rd) < b.n*words {
-			bp.rd = make([]uint64, b.n*words)
-		}
-		bp.sentinel = sentinel
-		for i := range bp.rd {
-			bp.rd[i] = sentinel
-		}
-	}
-	bp.words = words
-	return bp
+	return b.bp
 }
 
 // runBatchBP runs hubs [start, end) as one bit-parallel pruned multi-source
-// BFS, leaving the additions in the worker buffers for commitBP.  It
-// returns false — with all scratch state restored — when the BFS exceeds
-// twoHopMaxDepth, in which case the caller falls back to the scalar
+// BFS, leaving the additions in the worker buffers for commit.  It returns
+// false — with all scratch state restored — when the BFS exceeds
+// twoHopMaxDepth8, in which case the caller falls back to the scalar
 // engine.
 func (b *twoHopBuilder) runBatchBP(start, end int) bool {
 	B := end - start
-	words := (B + 3) / 4
-	maxDepth := int32(twoHopMaxDepth)
-	sentinel := twoHopSentinelRow
-	if b.lanes8 {
-		// 8-bit rows always span a full batch — one 64-byte cache line —
-		// so coverage8 compares whole rows; lanes past B stay sentinel.
-		words = twoHopMaxBatch / 8
-		maxDepth = twoHopMaxDepth8
-		sentinel = twoHopSentinelRow8
-	}
-	bp := b.ensureBP(words, sentinel)
+	bp := b.ensureBP()
 
 	// Fill the root-distance matrix from the batch roots' committed
 	// labels: lane k of row h gets dist(root_k, hub_h).
 	for k := 0; k < B; k++ {
 		root := b.order[start+k]
-		if b.lanes8 {
-			shift := uint(k&7) * 8
-			for _, e := range b.lab[root] {
-				h := int32(uint32(e))
-				idx := int(h)*words + k>>3
-				bp.rd[idx] = bp.rd[idx]&^(0xFF<<shift) | (e>>32)<<shift
-				bp.touched = append(bp.touched, h)
-			}
-		} else {
-			shift := uint(k&3) * 16
-			for _, e := range b.lab[root] {
-				h := int32(uint32(e))
-				idx := int(h)*words + k>>2
-				bp.rd[idx] = bp.rd[idx]&^(0xFFFF<<shift) | (e>>32)<<shift
-				bp.rdWordMask[h] |= 1 << uint(k>>2)
-				bp.touched = append(bp.touched, h)
-			}
+		shift := uint(k&7) * 8
+		for _, e := range b.lab[root] {
+			h := int32(uint32(e))
+			idx := int(h)*8 + k>>3
+			bp.rd[idx] = bp.rd[idx]&^(0xFF<<shift) | (e>>32)<<shift
+			bp.touched = append(bp.touched, h)
 		}
 	}
 
@@ -636,7 +555,7 @@ func (b *twoHopBuilder) runBatchBP(start, end int) bool {
 
 	ok := true
 	for d := int32(1); len(bp.curList) > 0; d++ {
-		if d > maxDepth {
+		if d > twoHopMaxDepth8 {
 			ok = false
 			break
 		}
@@ -673,11 +592,10 @@ func (b *twoHopBuilder) runBatchBP(start, end int) bool {
 	bp.arrived = bp.arrived[:0]
 	bp.curList = bp.curList[:0]
 	for _, h := range bp.touched {
-		row := bp.rd[int(h)*words:]
-		for w := 0; w < words; w++ {
-			row[w] = sentinel
+		row := bp.rd[int(h)*8:][:8]
+		for w := range row {
+			row[w] = twoHopSentinelRow8
 		}
-		bp.rdWordMask[h] = 0
 	}
 	bp.touched = bp.touched[:0]
 	if !ok {
@@ -725,13 +643,7 @@ func (b *twoHopBuilder) processRange(wk *twoHopBPWorker, list []graph.NodeID, d 
 			wk.arrived = append(wk.arrived, v)
 		}
 		bp.seen[v] |= arr
-		var cov uint64
-		if b.lanes8 {
-			cov = b.coverage8(v, arr, d)
-		} else {
-			cov = b.coverage16(v, arr, d)
-		}
-		surv := arr &^ cov
+		surv := arr &^ b.coverage8(v, arr, d)
 		if surv == 0 {
 			continue
 		}
@@ -745,89 +657,19 @@ func (b *twoHopBuilder) processRange(wk *twoHopBPWorker, list []graph.NodeID, d 
 	}
 }
 
-// coverage16 returns a mask whose bits within the arrival bits arr are the
+// coverage8 returns a mask whose bits within the arrival bits arr are the
 // roots covered at (v, d) (bits outside arr are don't-cares): root k is
 // covered when some committed entry (h, dhv) of v's label satisfies
-// dist(root_k, h) + dhv <= d.  One scan of v's
-// label answers every arrived root: each entry becomes a per-root
-// threshold test dist(root_k, h) <= d - dhv, evaluated four roots per word
-// by an exact SWAR lane compare.  The scan runs over the distance-sorted
-// run first — stopping at the first entry with dhv >= d, which no
-// remaining entry can beat — and then over the small unsorted tail.  Words
-// are visited only when they both hold a real lane of the entry's row
-// (rdWordMask) and still have an uncovered arrival; most entries fail the
-// intersection and never touch the matrix.
-func (b *twoHopBuilder) coverage16(v graph.NodeID, arr uint64, d int32) uint64 {
-	bp := b.bp
-	rd := bp.rd
-	wm := bp.rdWordMask
-	words := bp.words
-	ents := b.lab[v]
-	var cov uint64
-	rem := arr
-	// remWW mirrors rem as a bit-per-word mask: bit w set when any of
-	// word w's four roots is still uncovered.
-	remWW := twoHopNibbleMask(rem)
-	s := int(b.sortedLen[v])
-	i, end := 0, s
-	for pass := 0; pass < 2; pass++ {
-		for ; i < end; i++ {
-			e := ents[i]
-			T := d - int32(e>>32)
-			if T <= 0 {
-				if pass == 0 {
-					// Sorted by distance: no later run entry can help
-					// (an entry with dhv >= d could only cover a root at
-					// distance <= 0 from its hub — impossible, batch
-					// roots are uncommitted).
-					break
-				}
-				continue
-			}
-			h := uint32(e)
-			mw := uint64(wm[h]) & remWW
-			if mw == 0 {
-				continue
-			}
-			// Lanes cap at twoHopInf16 and T+1 at twoHopMaxDepth+1, so
-			// the 4-lane compare is exact.
-			D := uint64(uint32(T+1)) * twoHopOnes16
-			base := int(h) * words
-			hitAny := false
-			for ; mw != 0; mw &= mw - 1 {
-				w := bits.TrailingZeros64(mw)
-				hit := twoHopLanesLE16(rd[base+w], D)
-				if hit == 0 {
-					continue
-				}
-				cov |= (hit * twoHopMoveMask16 >> 60) << uint(w*4)
-				hitAny = true
-			}
-			if hitAny {
-				// Late in a scan most hits re-flag already-covered
-				// lanes; only refresh the word mask when a root was
-				// newly covered.
-				if nr := arr &^ cov; nr != rem {
-					if nr == 0 {
-						return cov
-					}
-					rem = nr
-					remWW = twoHopNibbleMask(nr)
-				}
-			}
-		}
-		i, end = s, len(ents)
-	}
-	return cov
-}
-
-// coverage8 is coverage16 for 8-bit root-distance lanes, whose rows are
-// always 8 words — one 64-byte cache line.  Each entry compares its whole
-// row with no per-word branch: the twoHopLanesLE8 compare of every word
-// (exact, as every lane stays below 2^7), masked by hi — the top bits of
-// the lanes whose roots are still uncovered, so covered and absent roots
-// never count — and ORed across the words.  Only an entry that covers a
-// new root pays for turning the hits into root bits (twoHopRowBits8).
+// dist(root_k, h) + dhv <= d.  One scan of v's label answers every arrived
+// root: each entry becomes a per-root threshold test dist(root_k, h) <=
+// d - dhv over the hub's whole row, with no per-word branch — the
+// twoHopLanesLE8 compare of every word, masked by hi (the top bits of the
+// lanes whose roots are still uncovered, so covered and absent roots never
+// count) and ORed across the words.  Only an entry that covers a new root
+// pays for turning the hits into root bits (twoHopRowBits8).  The scan runs
+// over the distance-sorted run first — stopping at the first entry with
+// dhv >= d, which no remaining entry can beat — and then over the small
+// unsorted tail.
 func (b *twoHopBuilder) coverage8(v graph.NodeID, arr uint64, d int32) uint64 {
 	rd := b.bp.rd
 	ents := b.lab[v]
@@ -844,7 +686,11 @@ func (b *twoHopBuilder) coverage8(v graph.NodeID, arr uint64, d int32) uint64 {
 			T := d - int32(e>>32)
 			if T <= 0 {
 				if pass == 0 {
-					break // sorted by distance, as in coverage16
+					// Sorted by distance: no later run entry can help (an
+					// entry with dhv >= d could only cover a root at
+					// distance <= 0 from its hub — impossible, batch roots
+					// are uncommitted).
+					break
 				}
 				continue
 			}
@@ -870,16 +716,12 @@ func (b *twoHopBuilder) coverage8(v graph.NodeID, arr uint64, d int32) uint64 {
 	return arr &^ rem
 }
 
-// twoHopLanesLE16 flags the 16-bit lanes of x that are <= T, where D is
-// T+1 in every lane: the result has the top bit of each such lane set.
-// Exact while every lane and T+1 stay below 2^15: setting the lane top
-// bits before subtracting keeps each lane's borrow inside the lane, so the
+// twoHopLanesLE8 flags the 8-bit lanes of x that are <= T, where D is T+1
+// in every lane: the result has the top bit of each such lane set.  Exact
+// while every lane and T+1 stay below 2^7: setting the lane top bits
+// before subtracting keeps each lane's borrow inside the lane, so the
 // surviving top bit is exactly "lane < T+1".  (The classic hasless() trick
 // is NOT exact per lane — a lower lane's borrow can corrupt upper lanes.)
-func twoHopLanesLE16(x, D uint64) uint64 { return ^((x | twoHopHighs16) - D) & twoHopHighs16 }
-
-// twoHopLanesLE8 is twoHopLanesLE16 for 8-bit lanes, exact while every
-// lane and T+1 stay below 2^7.
 func twoHopLanesLE8(x, D uint64) uint64 { return ^((x | twoHopHighs8) - D) & twoHopHighs8 }
 
 // twoHopRowBits8 returns, as root bits (bit 8w+j for lane j of word w),
@@ -905,23 +747,8 @@ func twoHopSpreadHighs8(m uint64) uint64 {
 	return m << 7
 }
 
-// twoHopNibbleMask collapses each 4-bit root group of m into one bit: bit
-// w of the result is set exactly when any of bits 4w..4w+3 of m is.
-func twoHopNibbleMask(m uint64) uint64 {
-	m |= m >> 1
-	m |= m >> 2
-	m &= 0x1111111111111111
-	// One flag bit per nibble (at position 4w); compress to one bit per
-	// position with a shift-or cascade.
-	m = (m | m>>3) & 0x0303030303030303
-	m = (m | m>>6) & 0x000F000F000F000F
-	m = (m | m>>12) & 0x000000FF000000FF
-	m = (m | m>>24) & 0xFFFF
-	return m
-}
-
 // ---------------------------------------------------------------------------
-// Scalar engine (fallback for graphs deeper than the 16-bit lane budget)
+// Scalar engine (fallback for graphs deeper than the 8-bit lane budget)
 
 // runBatchScalar runs hubs [start, end) as independent per-root pruned
 // BFSes (in parallel across roots) and commits in hub order — the original

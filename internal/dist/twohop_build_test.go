@@ -2,6 +2,9 @@ package dist
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"slices"
 	"testing"
@@ -33,33 +36,31 @@ func twoHopExpanderLike() *graph.Graph {
 }
 
 // twoHopDeepGrid is a long, thin grid: its first traversal exceeds the
-// 8-bit lane depth cap, so the whole build runs 16-bit lanes.
+// 8-bit lane depth cap, so the whole build runs on the scalar engine.
 func twoHopDeepGrid() *graph.Graph { return gridGraph(16, 512) }
-
-// twoHopEngines names the build engines the test hooks can force.
-var twoHopEngines = []struct {
-	name string
-	opts TwoHopOptions
-}{
-	{"8-bit", TwoHopOptions{}},
-	{"16-bit", TwoHopOptions{force16: true}},
-	{"scalar", TwoHopOptions{forceScalar: true}},
-}
 
 // TestTwoHopBuildIdentityAtScale is the worker × engine identity contract
 // at a size where the build really fans out: the parallel level drains,
 // the node-owned parallel commit and the parallel final pack all run
 // (the small graphs of the other 2-hop tests never reach them).  The packed label
-// arrays must be the same bytes for every worker count and every engine.
+// arrays must be the same bytes for every worker count and both engines;
+// the expander's default build stays in 8-bit lanes throughout.
 // It takes seconds (minutes under -race), so -short skips it; CI's race job
 // runs it on its own, without -short.
 func TestTwoHopBuildIdentityAtScale(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds a 4096-node expander nine times")
+		t.Skip("builds a 4096-node expander six times")
 	}
 	g := twoHopExpanderLike()
 	wantOrder, wantPoff, wantBlob := NewTwoHopWith(g, TwoHopOptions{Workers: 1}).RawPacked()
-	for _, eng := range twoHopEngines {
+	engines := []struct {
+		name string
+		opts TwoHopOptions
+	}{
+		{"8-bit", TwoHopOptions{}},
+		{"scalar", TwoHopOptions{forceScalar: true}},
+	}
+	for _, eng := range engines {
 		for _, workers := range []int{1, 2, 3} {
 			if eng.name == "8-bit" && workers == 1 {
 				continue // the reference
@@ -76,10 +77,55 @@ func TestTwoHopBuildIdentityAtScale(t *testing.T) {
 	}
 }
 
-// BenchmarkTwoHopBuild times whole label builds per engine: an
-// expander-like graph (8-bit lanes by default) and a deep grid (16-bit
-// lanes by default), each also forced onto the wider engines, so the
-// 16-bit lane can be weighed against the scalar engine it backs up.
+// TestTwoHopLabelsGolden pins the packed label bytes against history: the
+// identity tests compare engines and worker counts with each other, so a
+// change that shifts every engine the same way would pass them.  Each case
+// hashes RawPacked() — order as int32s, poff as int64s, then the blob, all
+// little-endian — at 1 and 3 workers.  The grid, the long path and the
+// 255-cycle (whose traversals reach depth 127, one past the 8-bit cap)
+// leave the 8-bit lanes on their first batch; the expander stays in them
+// throughout.
+func TestTwoHopLabelsGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		g    func() *graph.Graph
+		slow bool
+		want string
+	}{
+		{"grid-16x512", twoHopDeepGrid, false, "f32e91cdbc161d6be8272008e04e1c05c888e35dd7fa42dd1f3a0513d71a73fe"},
+		{"expander", twoHopExpanderLike, true, "34852d44ffb4de9b9e7d411a667d2ab3499cc8898eb1e079aec29b638a3ac321"},
+		{"path-20000", func() *graph.Graph { return pathGraph(20000) }, false, "db634817c68f221bd01b5223b43308bf0a39133ca759c48fd411513f8a620bfc"},
+		{"cycle-255", func() *graph.Graph { return cycleGraph(255) }, false, "fa91954290de5f9d4f9d25c3848ac5c0895b41d06c0eb7e5ee9e63e7352041ea"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if c.slow && testing.Short() {
+				t.Skip("builds a 4096-node expander twice")
+			}
+			g := c.g()
+			for _, workers := range []int{1, 3} {
+				order, poff, blob := NewTwoHopWith(g, TwoHopOptions{Workers: workers}).RawPacked()
+				h := sha256.New()
+				for _, v := range order {
+					h.Write(binary.LittleEndian.AppendUint32(nil, uint32(v)))
+				}
+				for _, p := range poff {
+					h.Write(binary.LittleEndian.AppendUint64(nil, uint64(p)))
+				}
+				h.Write(blob)
+				if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+					t.Errorf("workers=%d: labels hash to %s, want %s", workers, got, c.want)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkTwoHopBuild times whole label builds on the default engine
+// choice and forced scalar: an expander-like graph and a 24³ grid (depth
+// 69), both in 8-bit lanes throughout by default, and a deep grid, whose
+// default build bails out of the 8-bit lanes on its first batch — so
+// grid-deep/default shows what that bailout costs over grid-deep/scalar.
 func BenchmarkTwoHopBuild(b *testing.B) {
 	graphs := []struct {
 		name string
@@ -87,12 +133,17 @@ func BenchmarkTwoHopBuild(b *testing.B) {
 	}{
 		{"expander", twoHopExpanderLike()},
 		{"grid-deep", twoHopDeepGrid()},
+		{"grid-3d", cubeGraph(24)},
+	}
+	engines := []struct {
+		name string
+		opts TwoHopOptions
+	}{
+		{"default", TwoHopOptions{}},
+		{"scalar", TwoHopOptions{forceScalar: true}},
 	}
 	for _, gc := range graphs {
-		for _, eng := range twoHopEngines {
-			if gc.name == "grid-deep" && eng.name == "8-bit" {
-				continue // the deep grid never runs 8-bit lanes
-			}
+		for _, eng := range engines {
 			b.Run(gc.name+"/"+eng.name, func(b *testing.B) {
 				var entries int64
 				for b.Loop() {
@@ -105,128 +156,98 @@ func BenchmarkTwoHopBuild(b *testing.B) {
 }
 
 // twoHopRandLane draws a lane value for the SWAR compare tests: the
-// sentinel one time in four, otherwise a distance in [0, maxDepth].
-func twoHopRandLane(rng *xrand.RNG, maxDepth, sentinel int) uint64 {
+// sentinel one time in four, otherwise a distance in [0, twoHopMaxDepth8].
+func twoHopRandLane(rng *xrand.RNG) uint64 {
 	if rng.Intn(4) == 0 {
-		return uint64(sentinel)
+		return twoHopInf8
 	}
-	return uint64(rng.Intn(maxDepth + 1))
+	return uint64(rng.Intn(twoHopMaxDepth8 + 1))
 }
 
-// TestTwoHopLaneCompare checks the per-word SWAR compares against a
+// TestTwoHopLaneCompare checks the per-word SWAR compare against a
 // per-lane reference (lane <= T) for every threshold the build can pose,
-// T = 1 … max depth (so the subtrahend T+1 reaches max depth + 1), in
-// 8-bit and 16-bit lanes, on random lanes that include the sentinel — which
-// must never compare as covered.
+// T = 1 … twoHopMaxDepth8 (so the subtrahend T+1 reaches max depth + 1),
+// on random 8-bit lanes that include the sentinel — which must never
+// compare as covered.
 func TestTwoHopLaneCompare(t *testing.T) {
-	cases := []struct {
-		name                  string
-		width, maxDepth, sent int
-		ones                  uint64
-		le                    func(x, D uint64) uint64
-	}{
-		{"8-bit", 8, twoHopMaxDepth8, twoHopInf8, twoHopOnes8, twoHopLanesLE8},
-		{"16-bit", 16, twoHopMaxDepth, twoHopInf16, twoHopOnes16, twoHopLanesLE16},
-	}
 	rng := xrand.New(7)
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			lanes := 64 / c.width
-			for T := 1; T <= c.maxDepth; T++ {
-				D := uint64(T+1) * c.ones
-				for range 8 {
-					var x, want uint64
-					for j := 0; j < lanes; j++ {
-						lane := twoHopRandLane(rng, c.maxDepth, c.sent)
-						if rng.Intn(8) == 0 {
-							lane = uint64(T) // the boundary itself
-						}
-						x |= lane << uint(j*c.width)
-						if lane <= uint64(T) {
-							want |= 1 << uint(j*c.width+c.width-1)
-						}
+	t.Run("8-bit", func(t *testing.T) {
+		for T := 1; T <= twoHopMaxDepth8; T++ {
+			D := uint64(T+1) * twoHopOnes8
+			for range 8 {
+				var x, want uint64
+				for j := 0; j < 8; j++ {
+					lane := twoHopRandLane(rng)
+					if rng.Intn(8) == 0 {
+						lane = uint64(T) // the boundary itself
 					}
-					if got := c.le(x, D); got != want {
-						t.Fatalf("T=%d x=%#x: got %#x, want %#x", T, x, got, want)
+					x |= lane << uint(j*8)
+					if lane <= uint64(T) {
+						want |= 1 << uint(j*8+7)
 					}
 				}
+				if got := twoHopLanesLE8(x, D); got != want {
+					t.Fatalf("T=%d x=%#x: got %#x, want %#x", T, x, got, want)
+				}
 			}
-		})
-	}
+		}
+	})
 }
 
-// TestTwoHopCoverageCompare checks the label scans — coverage8's
-// branch-free full-row compare on 8-bit lanes, coverage16's per-word one on
-// 16-bit lanes — against a scalar reference on a hand-built batch of 64
-// roots: root k of the arrivals is covered at (v, d) when some entry
-// (h, dhv) of v's label has lane(h, k) + dhv <= d.  Every threshold
-// T = d - dhv from 1 to the max depth occurs in 8-bit lanes, a spread
-// sample of them in 16-bit lanes.
+// TestTwoHopCoverageCompare checks coverage8's branch-free full-row label
+// scan against a scalar reference on a hand-built batch of 64 roots: root
+// k of the arrivals is covered at (v, d) when some entry (h, dhv) of v's
+// label has lane(h, k) + dhv <= d.  Every threshold T = d - dhv from 1 to
+// twoHopMaxDepth8 occurs.
 func TestTwoHopCoverageCompare(t *testing.T) {
 	const hubs = 24
 	rng := xrand.New(11)
-	for _, lanes8 := range []bool{true, false} {
-		maxDepth, sent, width := twoHopMaxDepth, twoHopInf16, 16
-		if lanes8 {
-			maxDepth, sent, width = twoHopMaxDepth8, twoHopInf8, 8
+	for T := 1; T <= twoHopMaxDepth8; T++ {
+		// Rows: lane k of row h is dist(root_k, hub h) or the sentinel.
+		lane := make([][64]uint64, hubs)
+		bp := &twoHopBPScratch{rd: make([]uint64, hubs*8)}
+		for h := range lane {
+			for k := range lane[h] {
+				lane[h][k] = twoHopRandLane(rng)
+				bp.rd[h*8+k/8] |= lane[h][k] << uint(k%8*8)
+			}
 		}
-		per := 64 / width // lanes per word
-		words := 64 / per
-		for T := 1; T <= maxDepth; T += 1 + rng.Intn(1+maxDepth/200) {
-			// Rows: lane k of row h is dist(root_k, hub h) or the sentinel.
-			lane := make([][64]uint64, hubs)
-			bp := &twoHopBPScratch{rd: make([]uint64, hubs*words), words: words, rdWordMask: make([]uint16, hubs)}
-			for h := range lane {
-				for k := range lane[h] {
-					lane[h][k] = twoHopRandLane(rng, maxDepth, sent)
-					bp.rd[h*words+k/per] |= lane[h][k] << uint(k%per*width)
-					if lane[h][k] != uint64(sent) {
-						bp.rdWordMask[h] |= 1 << uint(k/per)
-					}
+		// v's label: a distance-sorted run and a rank-sorted tail, with
+		// entries at threshold exactly T among others.
+		d := T + rng.Intn(twoHopMaxDepth8-T+1)
+		var run, tail []uint64
+		for h := 0; h < hubs; h++ {
+			dhv := d - T
+			if rng.Intn(2) == 0 {
+				dhv = rng.Intn(d + 2) // may reach dhv >= d: never covers
+			}
+			e := uint64(dhv)<<32 | uint64(h)
+			if h < hubs/2 {
+				run = append(run, e)
+			} else {
+				tail = append(tail, e)
+			}
+		}
+		slices.Sort(run)
+		b := &twoHopBuilder{lab: [][]uint64{append(run, tail...)}, sortedLen: []int32{int32(len(run))}, bp: bp}
+		arr := rng.Uint64()
+		var want uint64
+		for k := 0; k < 64; k++ {
+			for _, e := range b.lab[0] {
+				h, dhv := uint32(e), int(e>>32)
+				if arr>>k&1 == 1 && lane[h][k] != twoHopInf8 && int(lane[h][k])+dhv <= d {
+					want |= 1 << k
 				}
 			}
-			// v's label: a distance-sorted run and a rank-sorted tail, with
-			// entries at threshold exactly T among others.
-			d := T + rng.Intn(maxDepth-T+1)
-			var run, tail []uint64
-			for h := 0; h < hubs; h++ {
-				dhv := d - T
-				if rng.Intn(2) == 0 {
-					dhv = rng.Intn(d + 2) // may reach dhv >= d: never covers
-				}
-				e := uint64(dhv)<<32 | uint64(h)
-				if h < hubs/2 {
-					run = append(run, e)
-				} else {
-					tail = append(tail, e)
-				}
-			}
-			slices.Sort(run)
-			b := &twoHopBuilder{lab: [][]uint64{append(run, tail...)}, sortedLen: []int32{int32(len(run))}, bp: bp}
-			arr := rng.Uint64()
-			var want uint64
-			for k := 0; k < 64; k++ {
-				for _, e := range b.lab[0] {
-					h, dhv := uint32(e), int(e>>32)
-					if arr>>k&1 == 1 && lane[h][k] != uint64(sent) && int(lane[h][k])+dhv <= d {
-						want |= 1 << k
-					}
-				}
-			}
-			cov := b.coverage16(0, arr, int32(d))
-			if lanes8 {
-				cov = b.coverage8(0, arr, int32(d))
-			}
-			if cov&arr != want { // bits outside arr are don't-cares
-				t.Fatalf("%d-bit lanes: T=%d d=%d arr=%#x: covered %#x, want %#x", width, T, d, arr, cov, want)
-			}
+		}
+		if cov := b.coverage8(0, arr, int32(d)); cov&arr != want { // bits outside arr are don't-cares
+			t.Fatalf("T=%d d=%d arr=%#x: covered %#x, want %#x", T, d, arr, cov, want)
 		}
 	}
 }
 
-// TestTwoHopGroupMasks checks twoHopNibbleMask's root-group collapse
-// against a per-group reference, and twoHopSpreadHighs8 against a per-bit
-// one.
+// TestTwoHopGroupMasks checks twoHopSpreadHighs8, which spreads a root
+// group's bits over its word's lane top bits, against a per-bit reference.
 func TestTwoHopGroupMasks(t *testing.T) {
 	rng := xrand.New(5)
 	for i := 0; i < 1<<14; i++ {
@@ -240,19 +261,11 @@ func TestTwoHopGroupMasks(t *testing.T) {
 		case 3:
 			m = 0
 		}
-		var nibbles, spread uint64
+		var spread uint64
 		for w := 0; w < 8; w++ {
 			if m>>w&1 == 1 {
 				spread |= 1 << uint(8*w+7)
 			}
-		}
-		for w := 0; w < 16; w++ {
-			if m>>uint(4*w)&0xF != 0 {
-				nibbles |= 1 << w
-			}
-		}
-		if got := twoHopNibbleMask(m); got != nibbles {
-			t.Fatalf("twoHopNibbleMask(%#x) = %#x, want %#x", m, got, nibbles)
 		}
 		if got := twoHopSpreadHighs8(m); got != spread {
 			t.Fatalf("twoHopSpreadHighs8(%#x) = %#x, want %#x", m, got, spread)

@@ -70,9 +70,9 @@ func twoHopRequireEqual(t *testing.T, name string, want, got *TwoHop) {
 }
 
 // TestTwoHopEngineByteIdentity is the engine-equivalence contract: the
-// 8-bit-lane, 16-bit-lane and scalar batch engines must commit identical
-// labels, so the (depth-driven) engine switch points can never change what
-// a build produces.
+// 8-bit-lane and scalar batch engines must commit identical labels, so the
+// (depth-driven) engine switch point can never change what a build
+// produces.
 func TestTwoHopEngineByteIdentity(t *testing.T) {
 	graphs := twoHopTestGraphs()
 	for name, g := range twoHopBoundaryGraphs() {
@@ -81,19 +81,17 @@ func TestTwoHopEngineByteIdentity(t *testing.T) {
 	for name, g := range graphs {
 		base := NewTwoHopWith(g, TwoHopOptions{Workers: 1})
 		scalar := NewTwoHopWith(g, TwoHopOptions{Workers: 1, forceScalar: true})
-		wide := NewTwoHopWith(g, TwoHopOptions{Workers: 1, force16: true})
 		twoHopRequireEqual(t, name+"/scalar", base, scalar)
-		twoHopRequireEqual(t, name+"/16-bit", base, wide)
 	}
 }
 
-// TestTwoHopDepthFallback forces the mid-batch engine bailouts: a path of
+// TestTwoHopDepthFallback forces the mid-batch engine bailout: a path of
 // 200 nodes exceeds the 8-bit lane depth cap (126) partway through a
-// traversal, and one of 17000 nodes exceeds the 16-bit cap (16382) too,
-// driving the build through every fallback seam.  Labels must match the
-// scalar engine exactly, and distances must match the path metric.  The
-// deep path's labels carry 1-, 2- and 3-byte rank deltas and distances,
-// which no other test reaches.
+// traversal, driving the build through the fallback seam.  Labels must
+// match the forced-scalar build exactly.  The 40000-node path is kept for
+// its labels, which carry 1-, 2- and 3-byte rank deltas and distances (no
+// other test reaches 3-byte varints), and for a long scalar-engine build:
+// its distances must match the path metric.
 func TestTwoHopDepthFallback(t *testing.T) {
 	g := pathGraph(200)
 	twoHopRequireEqual(t, "path-200",

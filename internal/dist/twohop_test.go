@@ -27,8 +27,8 @@ func twoHopTestGraphs() map[string]*graph.Graph {
 	}
 }
 
-// pathGraph, cycleGraph, gridGraph and randomTreeLike are tiny local
-// builders: the dist package cannot import gen (gen depends on dist).
+// pathGraph, cycleGraph, gridGraph, cubeGraph and randomTreeLike are tiny
+// local builders: the dist package cannot import gen (gen depends on dist).
 func pathGraph(n int) *graph.Graph {
 	b := graph.NewBuilder(n)
 	for i := 0; i+1 < n; i++ {
@@ -55,6 +55,19 @@ func gridGraph(rows, cols int) *graph.Graph {
 			}
 			if c+1 < cols {
 				b.AddEdge(id(r, c), id(r, c+1))
+			}
+		}
+	}
+	return b.Build()
+}
+
+// cubeGraph is the side×side×side grid, of diameter 3(side-1).
+func cubeGraph(side int) *graph.Graph {
+	b := graph.NewBuilder(side * side * side)
+	for v := 0; v < side*side*side; v++ {
+		for _, step := range []int{1, side, side * side} {
+			if v/step%side+1 < side {
+				b.AddEdge(int32(v), int32(v+step))
 			}
 		}
 	}
