@@ -29,12 +29,6 @@ import (
 	"navaug/internal/xrand"
 )
 
-// treeDecomposer wires the Theorem 2 scheme to the centroid decomposition
-// used by the micro-benchmark below.
-func treeDecomposer(g *graph.Graph) (*decomp.PathDecomposition, error) {
-	return decomp.TreeCentroid(g)
-}
-
 // benchScale returns the experiment size scale used by the benchmarks.
 // The default keeps a full `go test -bench=.` run to a few minutes; set
 // NAVAUG_BENCH_SCALE=1.0 to reproduce the EXPERIMENTS.md numbers exactly.
@@ -141,7 +135,7 @@ func BenchmarkBallContactDraw(b *testing.B) {
 // 65535-node binary tree (ancestor enumeration plus label lookup).
 func BenchmarkTheorem2ContactDraw(b *testing.B) {
 	g := gen.BinaryTree(65535)
-	scheme := augment.NewTheorem2Scheme(treeDecomposer)
+	scheme := augment.NewTheorem2Scheme(decomp.TreeCentroid)
 	inst, err := scheme.Prepare(g)
 	if err != nil {
 		b.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"navaug/internal/core"
 	"navaug/internal/dist"
 	"navaug/internal/graph"
+	"navaug/internal/graph/gen"
 	"navaug/internal/route"
 	"navaug/internal/xrand"
 )
@@ -17,7 +18,7 @@ import (
 // edge-list format (or Graphviz DOT) and a structural summary to stderr.
 func runGraph(c *command, args []string) error {
 	fs := newFlagSet(c)
-	family := fs.String("family", "grid", "graph family ("+strings.Join(core.GraphFamilies(), ", ")+")")
+	family := fs.String("family", "grid", "graph family ("+strings.Join(gen.Families(), ", ")+")")
 	n := fs.Int("n", 1024, "approximate number of nodes")
 	seed := fs.Uint64("seed", 1, "random seed for random families")
 	dot := fs.Bool("dot", false, "emit Graphviz DOT instead of the edge-list format")
@@ -27,7 +28,7 @@ func runGraph(c *command, args []string) error {
 		return err
 	}
 	if *listFamilies {
-		fmt.Println(strings.Join(core.GraphFamilies(), "\n"))
+		fmt.Println(strings.Join(gen.Families(), "\n"))
 		return nil
 	}
 	g, err := core.GraphByName(*family, *n, *seed)
@@ -66,7 +67,7 @@ func runGraph(c *command, args []string) error {
 // the hop-by-hop trace.
 func runTrace(c *command, args []string) error {
 	fs := newFlagSet(c)
-	family := fs.String("family", "grid", "graph family ("+strings.Join(core.GraphFamilies(), ", ")+")")
+	family := fs.String("family", "grid", "graph family ("+strings.Join(gen.Families(), ", ")+")")
 	n := fs.Int("n", 1024, "approximate number of nodes")
 	schemeName := fs.String("scheme", "ball", "augmentation scheme ("+strings.Join(core.SchemeNames(), ", ")+")")
 	src := fs.Int("s", -1, "source node (negative = auto)")

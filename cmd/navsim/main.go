@@ -26,6 +26,7 @@ import (
 	"navaug/internal/dist"
 	"navaug/internal/exact"
 	"navaug/internal/experiments"
+	"navaug/internal/graph/gen"
 	"navaug/internal/scenario"
 	"navaug/internal/sim"
 )
@@ -262,7 +263,7 @@ func runExperiments(c *command, args []string) error {
 
 func runEstimate(c *command, args []string) error {
 	fs := newFlagSet(c)
-	family := fs.String("family", "grid", "graph family ("+strings.Join(core.GraphFamilies(), ", ")+")")
+	family := fs.String("family", "grid", "graph family ("+strings.Join(gen.Families(), ", ")+")")
 	n := fs.Int("n", 4096, "approximate graph size")
 	schemeName := fs.String("scheme", "ball", "augmentation scheme ("+strings.Join(core.SchemeNames(), ", ")+")")
 	pairs := fs.Int("pairs", 12, "source/target pairs")
@@ -319,7 +320,7 @@ func runEstimate(c *command, args []string) error {
 
 func runExact(c *command, args []string) error {
 	fs := newFlagSet(c)
-	family := fs.String("family", "path", "graph family ("+strings.Join(core.GraphFamilies(), ", ")+")")
+	family := fs.String("family", "path", "graph family ("+strings.Join(gen.Families(), ", ")+")")
 	n := fs.Int("n", 400, "approximate graph size (exact computation is cubic; keep n small)")
 	schemeName := fs.String("scheme", "uniform", "augmentation scheme ("+strings.Join(core.SchemeNames(), ", ")+")")
 	seed := fs.Uint64("seed", 1, "random seed for graph generation")

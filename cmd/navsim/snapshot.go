@@ -8,12 +8,13 @@ import (
 
 	"navaug/internal/core"
 	"navaug/internal/dist"
+	"navaug/internal/graph/gen"
 	"navaug/internal/snapshot"
 )
 
 func runSnapshot(c *command, args []string) error {
 	fs := newFlagSet(c)
-	family := fs.String("family", "", "graph family ("+strings.Join(core.GraphFamilies(), ", ")+")")
+	family := fs.String("family", "", "graph family ("+strings.Join(gen.Families(), ", ")+")")
 	n := fs.Int("n", 0, "approximate graph size")
 	seed := fs.Uint64("seed", 1, "run seed (the graph matches a `navsim run` at this seed)")
 	schemes := fs.String("scheme", "ball", "comma-separated augmentation schemes to freeze")

@@ -62,9 +62,7 @@ func main() {
 	// second table for the families it is designed for.
 	t2 := report.NewTable("Theorem 2 (M,L) scheme on its target families",
 		"family", "decomposition", "greedy diameter")
-	treeScheme := augment.NewTheorem2Scheme(func(g *graph.Graph) (*decomp.PathDecomposition, error) {
-		return decomp.TreeCentroid(g)
-	})
+	treeScheme := augment.NewTheorem2Scheme(decomp.TreeCentroid)
 	bfsScheme := augment.NewTheorem2Scheme(func(g *graph.Graph) (*decomp.PathDecomposition, error) {
 		return decomp.BFSLayers(g, 0)
 	})

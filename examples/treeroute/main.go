@@ -25,9 +25,7 @@ import (
 )
 
 func main() {
-	theorem2 := augment.NewTheorem2Scheme(func(g *graph.Graph) (*decomp.PathDecomposition, error) {
-		return decomp.TreeCentroid(g)
-	})
+	theorem2 := augment.NewTheorem2Scheme(decomp.TreeCentroid)
 	uniform := augment.NewUniformScheme()
 
 	fmt.Printf("%8s %12s %14s %14s %12s %12s\n",

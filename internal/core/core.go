@@ -1,9 +1,10 @@
-// Package core holds the name registries and one-call entry points the
-// command-line tool, the examples and the bench harness drive the library
-// through:
+// Package core holds the scheme-name registry and the one-call entry points
+// the command-line tool, the examples and the bench harness drive the
+// library through:
 //
-//   - SchemeByName and GraphByName build the paper's schemes and graph
-//     families from strings, so tools can be driven from flags;
+//   - SchemeByName builds the paper's schemes from strings, so tools can be
+//     driven from flags; GraphByName is a seed-taking front to the family
+//     table, gen.ByName, which owns what every graph-family name builds;
 //   - RunSuite runs the paper's experiments on one scenario runner;
 //   - BuildSnapshot freezes a graph, its distance oracle and augmentation
 //     tables for serving (see snapshot.go).
@@ -13,7 +14,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"navaug/internal/augment"
@@ -108,9 +108,7 @@ func SchemeByName(name string) (augment.Scheme, error) {
 	case lower == "theorem2":
 		return augment.NewTheorem2Scheme(nil), nil
 	case lower == "theorem2-tree":
-		return augment.NewTheorem2Scheme(func(g *graph.Graph) (*decomp.PathDecomposition, error) {
-			return decomp.TreeCentroid(g)
-		}), nil
+		return augment.NewTheorem2Scheme(decomp.TreeCentroid), nil
 	case lower == "theorem2-bfs":
 		return augment.NewTheorem2Scheme(func(g *graph.Graph) (*decomp.PathDecomposition, error) {
 			return decomp.BFSLayers(g, 0)
@@ -133,134 +131,8 @@ func SchemeNames() []string {
 	return []string{"none", "uniform", "ball", "harmonic:<r>", "theorem2", "theorem2-tree", "theorem2-bfs"}
 }
 
-// GraphByName builds a graph of a named family at (approximately) the given
-// size.  Recognised families:
-//
-//	path, cycle, grid, grid3d, torus, hypercube, complete, star,
-//	binary-tree, balanced-tree, random-tree, attachment-tree, caterpillar,
-//	spider, comb, interval, gnp, regular, watts-strogatz, powerlaw,
-//	powerlaw-tree, lollipop, barbell
+// GraphByName builds a graph of a named family (see gen.ByName) at
+// (approximately) the given size, with its randomness drawn from seed.
 func GraphByName(family string, n int, seed uint64) (*graph.Graph, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("core: graph size must be >= 1, got %d", n)
-	}
-	rng := xrand.New(seed)
-	switch strings.ToLower(strings.TrimSpace(family)) {
-	case "path":
-		return gen.Path(n), nil
-	case "cycle":
-		return gen.Cycle(maxInt(n, 3)), nil
-	case "grid":
-		side := intSqrt(n)
-		return gen.Grid2D(side, side), nil
-	case "grid3d":
-		side := intCbrt(n)
-		return gen.Grid3D(side, side, side), nil
-	case "torus":
-		side := maxInt(intSqrt(n), 3)
-		return gen.Torus2D(side, side), nil
-	case "hypercube":
-		d := 0
-		for 1<<uint(d+1) <= n {
-			d++
-		}
-		return gen.Hypercube(d), nil
-	case "complete":
-		return gen.Complete(n), nil
-	case "star":
-		return gen.Star(n), nil
-	case "binary-tree", "bintree":
-		return gen.BinaryTree(n), nil
-	case "balanced-tree":
-		depth := 0
-		for count := 1; count < n; count = count*3 + 1 {
-			depth++
-		}
-		return gen.BalancedTree(3, depth), nil
-	case "random-tree", "rtree":
-		return gen.RandomTree(n, rng), nil
-	case "attachment-tree", "ratree":
-		return gen.RandomAttachmentTree(n, rng), nil
-	case "caterpillar":
-		spine := maxInt(n/4, 1)
-		return gen.Caterpillar(spine, 3), nil
-	case "spider":
-		legLen := maxInt((n-1)/8, 1)
-		return gen.Spider(8, legLen), nil
-	case "comb":
-		spine := maxInt(n/4, 1)
-		return gen.Comb(spine, 3), nil
-	case "interval":
-		g, _ := gen.RandomIntervalGraph(n, 3.0, rng)
-		return g, nil
-	case "gnp":
-		return gen.ConnectedGNP(n, 3.0/float64(n), rng), nil
-	case "regular":
-		d := 4
-		if n <= d {
-			d = maxInt(n-1, 1)
-		}
-		if n*d%2 != 0 {
-			d++
-		}
-		return gen.RandomRegular(n, d, rng)
-	case "powerlaw", "plaw":
-		if n < 3 {
-			return nil, fmt.Errorf("core: powerlaw needs n >= 3")
-		}
-		return gen.PowerLawAttachment(n, 2, rng), nil
-	case "powerlaw-tree", "plaw-tree":
-		if n < 2 {
-			return nil, fmt.Errorf("core: powerlaw-tree needs n >= 2")
-		}
-		return gen.PowerLawAttachment(n, 1, rng), nil
-	case "watts-strogatz", "ws":
-		if n < 5 {
-			return nil, fmt.Errorf("core: watts-strogatz needs n >= 5")
-		}
-		return gen.WattsStrogatz(n, 2, 0.1, rng), nil
-	case "lollipop":
-		clique := maxInt(intSqrt(n), 2)
-		return gen.Lollipop(clique, n-clique), nil
-	case "barbell":
-		clique := maxInt(intSqrt(n), 2)
-		return gen.Barbell(clique, maxInt(n-2*clique, 0)), nil
-	default:
-		return nil, fmt.Errorf("core: unknown graph family %q (known: %s)", family, strings.Join(GraphFamilies(), ", "))
-	}
-}
-
-// GraphFamilies lists the family names understood by GraphByName.
-func GraphFamilies() []string {
-	fams := []string{
-		"path", "cycle", "grid", "grid3d", "torus", "hypercube", "complete", "star",
-		"binary-tree", "balanced-tree", "random-tree", "attachment-tree", "caterpillar",
-		"spider", "comb", "interval", "gnp", "regular", "watts-strogatz", "powerlaw",
-		"powerlaw-tree", "lollipop", "barbell",
-	}
-	sort.Strings(fams)
-	return fams
-}
-
-func intSqrt(n int) int {
-	s := 1
-	for (s+1)*(s+1) <= n {
-		s++
-	}
-	return s
-}
-
-func intCbrt(n int) int {
-	s := 1
-	for (s+1)*(s+1)*(s+1) <= n {
-		s++
-	}
-	return s
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return gen.ByName(family, n, xrand.New(seed))
 }

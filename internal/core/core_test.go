@@ -6,6 +6,7 @@ import (
 
 	"navaug/internal/augment"
 	"navaug/internal/graph"
+	"navaug/internal/graph/gen"
 	"navaug/internal/sim"
 )
 
@@ -99,7 +100,7 @@ func TestHarmonicSchemeExponentParsed(t *testing.T) {
 }
 
 func TestGraphByNameAllFamilies(t *testing.T) {
-	for _, fam := range GraphFamilies() {
+	for _, fam := range gen.Families() {
 		g, err := GraphByName(fam, 60, 42)
 		if err != nil {
 			t.Fatalf("%s: %v", fam, err)

@@ -2,10 +2,9 @@ package dist
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"navaug/internal/graph"
+	"navaug/internal/par"
 )
 
 // APSP is an exact all-pairs shortest-path oracle.  Distances are stored in
@@ -17,55 +16,28 @@ type APSP struct {
 	d []int32 // row-major n×n, d[u*n+v] = dist(u, v)
 }
 
-// APSPOptions tunes NewAPSPWith.
-type APSPOptions struct {
-	// Workers is the BFS worker-pool size; <= 0 means GOMAXPROCS.  The
-	// resulting matrix is identical for every worker count: each worker
-	// claims whole rows and rows are pure functions of the graph.
-	Workers int
-}
-
-// NewAPSP computes the exact distance matrix of g using all CPUs.
+// NewAPSP computes the exact distance matrix of g using all CPUs: one BFS
+// row per claim, with one queue per worker.  Rows are pure functions of the
+// graph, so the matrix is the same at every GOMAXPROCS.  Construction costs
+// O(n·(n+m)) time and n² int32 of memory.
 func NewAPSP(g *graph.Graph) *APSP {
-	return NewAPSPWith(g, APSPOptions{})
-}
-
-// NewAPSPWith computes the exact distance matrix of g with the given
-// options.  Construction costs O(n·(n+m)) time and n² int32 of memory.
-func NewAPSPWith(g *graph.Graph, opts APSPOptions) *APSP {
 	n := g.N()
 	a := &APSP{n: int32(n), d: make([]int32, n*n)}
-	if n == 0 {
-		return a
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			queue := make([]int32, 0, n)
-			for {
-				u := next.Add(1) - 1
-				if u >= int64(n) {
-					return
-				}
-				row := a.d[int(u)*n : (int(u)+1)*n]
-				for i := range row {
-					row[i] = graph.Unreachable
-				}
-				g.BFSInto(graph.NodeID(u), row, queue)
+	workers := runtime.GOMAXPROCS(0)
+	queues := make([][]int32, workers)
+	par.Ranges(n, 1, workers, func(w, lo, hi int) error {
+		if queues[w] == nil {
+			queues[w] = make([]int32, 0, n)
+		}
+		for u := lo; u < hi; u++ {
+			row := a.d[u*n : (u+1)*n]
+			for i := range row {
+				row[i] = graph.Unreachable
 			}
-		}()
-	}
-	wg.Wait()
+			g.BFSInto(graph.NodeID(u), row, queues[w])
+		}
+		return nil
+	})
 	return a
 }
 

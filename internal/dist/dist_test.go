@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -54,14 +56,18 @@ func TestAPSPMatchesBFS(t *testing.T) {
 	}
 }
 
+// TestAPSPDeterministicAcrossWorkers builds the matrix at several
+// GOMAXPROCS settings, so one to eight goroutines claim its rows, and
+// checks every row against a plain BFS each time.
 func TestAPSPDeterministicAcrossWorkers(t *testing.T) {
 	g := gen.ConnectedGNP(120, 0.05, xrand.New(7))
-	ref := NewAPSPWith(g, APSPOptions{Workers: 1})
-	for _, workers := range []int{2, 3, 8, 200} {
-		a := NewAPSPWith(g, APSPOptions{Workers: workers})
-		for i := range ref.d {
-			if a.d[i] != ref.d[i] {
-				t.Fatalf("workers=%d: matrix differs at index %d", workers, i)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		a := NewAPSP(g)
+		for u := 0; u < g.N(); u++ {
+			if !slices.Equal(a.Row(graph.NodeID(u)), g.BFS(graph.NodeID(u))) {
+				t.Fatalf("GOMAXPROCS=%d: row %d differs from BFS", procs, u)
 			}
 		}
 	}

@@ -4,10 +4,8 @@ import (
 	"navaug/internal/augment"
 	"navaug/internal/decomp"
 	"navaug/internal/graph"
-	"navaug/internal/graph/gen"
 	"navaug/internal/report"
 	"navaug/internal/scenario"
-	"navaug/internal/xrand"
 )
 
 // E10 runs the construction ablations: each design ingredient of the
@@ -22,18 +20,11 @@ import (
 //	(c) Theorem 4 drawing contacts uniformly over distances ("rank uniform")
 //	    instead of uniformly over the ball.
 func E10() scenario.Spec {
-	gridFamily := scenario.GraphFamily("grid", func(n int, _ *xrand.RNG) (*graph.Graph, error) {
-		side := intSqrt(n)
-		return gen.Grid2D(side, side), nil
-	})
-	treeFamily := scenario.GraphFamily("binary-tree", func(n int, _ *xrand.RNG) (*graph.Graph, error) {
-		return gen.BinaryTree(n), nil
-	})
-	pathFamily := scenario.GraphFamily("path",
-		func(n int, _ *xrand.RNG) (*graph.Graph, error) { return gen.Path(n), nil })
+	gridFamily := scenario.Named("grid")
+	treeFamily := scenario.Named("binary-tree")
+	pathFamily := scenario.Named("path")
 
 	gridDecomp := func(g *graph.Graph) (*decomp.PathDecomposition, error) { return decomp.BFSLayers(g, 0) }
-	treeDecomp := func(g *graph.Graph) (*decomp.PathDecomposition, error) { return decomp.TreeCentroid(g) }
 	// The cache key must identify the decomposition, not just the ablation:
 	// both variants report as "theorem2-ancestor-only", but preparing one
 	// must never satisfy a cell that asked for the other.
@@ -61,7 +52,7 @@ func E10() scenario.Spec {
 				add(tagA, gridFamily, n, theorem2BFSScheme(), 8, 4)
 				add(tagA, gridFamily, n, ancestorOnly("bfs", gridDecomp), 8, 4)
 				add(tagA, treeFamily, n, theorem2TreeScheme(), 8, 4)
-				add(tagA, treeFamily, n, ancestorOnly("centroid", treeDecomp), 8, 4)
+				add(tagA, treeFamily, n, ancestorOnly("centroid", decomp.TreeCentroid), 8, 4)
 			}
 			for _, n := range sizes {
 				// (b) Ball-scheme scale-mixture and sampling ablations.

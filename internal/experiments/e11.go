@@ -6,9 +6,7 @@ import (
 
 	"navaug/internal/augment"
 	"navaug/internal/dist"
-	"navaug/internal/graph/gen"
 	"navaug/internal/scenario"
-	"navaug/internal/xrand"
 )
 
 // E11 is the large-n mode: the regime where the paper's separations become
@@ -25,35 +23,14 @@ import (
 // sweep reach n >= 10^6 nodes even in a CI smoke run.
 func E11() scenario.Spec {
 	return scenario.Sweep{
-		ID:    "E11",
-		Title: "Large-n mode: analytic oracles separate ball, uniform and harmonic at n up to 10^6",
-		Claim: "on 2D tori and hypercubes up to a million nodes, greedy diameter under the ball scheme scales clearly below the uniform scheme's ~n^{1/2} (approaching the Õ(n^{1/3}) bound), while harmonic r=2 is polylog on tori (Kleinberg) and far from universal on hypercubes",
-		Families: []scenario.Family{
-			{Name: "torus", Build: func(n int, _ *xrand.RNG) (*scenario.BuiltGraph, error) {
-				side := intSqrt(n)
-				if side < 3 {
-					side = 3
-				}
-				return &scenario.BuiltGraph{
-					G:      gen.Torus2D(side, side),
-					Metric: gen.Torus2DMetric(side, side),
-				}, nil
-			}},
-			{Name: "hypercube", Build: func(n int, _ *xrand.RNG) (*scenario.BuiltGraph, error) {
-				d := 0
-				for 1<<uint(d+1) <= n {
-					d++
-				}
-				return &scenario.BuiltGraph{
-					G:      gen.Hypercube(d),
-					Metric: gen.HypercubeMetric(d),
-				}, nil
-			}},
-		},
-		Sizes:   []int{65536, 262144, 1048576},
-		Schemes: []scenario.SchemeRef{uniformScheme(), analyticBallScheme(), analyticHarmonicScheme(2)},
-		Pairs:   4,
-		Trials:  3,
+		ID:       "E11",
+		Title:    "Large-n mode: analytic oracles separate ball, uniform and harmonic at n up to 10^6",
+		Claim:    "on 2D tori and hypercubes up to a million nodes, greedy diameter under the ball scheme scales clearly below the uniform scheme's ~n^{1/2} (approaching the Õ(n^{1/3}) bound), while harmonic r=2 is polylog on tori (Kleinberg) and far from universal on hypercubes",
+		Families: []scenario.Family{scenario.Named("torus"), scenario.Named("hypercube")},
+		Sizes:    []int{65536, 262144, 1048576},
+		Schemes:  []scenario.SchemeRef{uniformScheme(), analyticBallScheme(), analyticHarmonicScheme(2)},
+		Pairs:    4,
+		Trials:   3,
 
 		DetailTitle: "E11: million-node torus/hypercube sweep (analytic oracles, O(1) memory per distance query)",
 		Columns: []scenario.Column{

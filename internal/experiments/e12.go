@@ -4,10 +4,7 @@ import (
 	"math"
 
 	"navaug/internal/augment"
-	"navaug/internal/graph"
-	"navaug/internal/graph/gen"
 	"navaug/internal/scenario"
-	"navaug/internal/xrand"
 )
 
 // E12 is the large-n universality sweep: the paper's headline claim is that
@@ -44,30 +41,11 @@ func E12() scenario.Spec {
 		Claim: "greedy diameters keep the paper's universal shape on unstructured graphs as n grows: " +
 			"uniform stays ~n^{1/2} while the ball scheme scales clearly below it on every family, " +
 			"with no structured metric to lean on — distances come from exact 2-hop labels (or BFS fields, identically)",
-		Families: []scenario.Family{
-			scenario.GraphFamily("ws", func(n int, rng *xrand.RNG) (*graph.Graph, error) {
-				return gen.WattsStrogatz(max(n, 5), 2, 0.1, rng), nil
-			}),
-			scenario.GraphFamily("gnp", func(n int, rng *xrand.RNG) (*graph.Graph, error) {
-				return gen.ConnectedGNP(n, 3.0/float64(n), rng), nil
-			}),
-			scenario.GraphFamily("regular", func(n int, rng *xrand.RNG) (*graph.Graph, error) {
-				return gen.RandomRegular(n, 4, rng)
-			}),
-			scenario.GraphFamily("powerlaw", func(n int, rng *xrand.RNG) (*graph.Graph, error) {
-				return gen.PowerLawAttachment(max(n, 3), 2, rng), nil
-			}),
-			scenario.GraphFamily("plaw-tree", func(n int, rng *xrand.RNG) (*graph.Graph, error) {
-				return gen.PowerLawAttachment(n, 1, rng), nil
-			}),
-			scenario.GraphFamily("ratree", func(n int, rng *xrand.RNG) (*graph.Graph, error) {
-				return gen.RandomAttachmentTree(n, rng), nil
-			}),
-		},
-		Sizes:   []int{4096, 16384, 65536, 131072, 262144, 1048576},
-		Schemes: []scenario.SchemeRef{uniformScheme(), ballScheme(), scenario.Scheme(augment.NewHarmonicScheme(2))},
-		Pairs:   4,
-		Trials:  3,
+		Families: e12Families(),
+		Sizes:    []int{4096, 16384, 65536, 131072, 262144, 1048576},
+		Schemes:  []scenario.SchemeRef{uniformScheme(), ballScheme(), scenario.Scheme(augment.NewHarmonicScheme(2))},
+		Pairs:    4,
+		Trials:   3,
 		// Expander-like families are capped: their 2-hop labels grow
 		// ~sqrt(n) (the documented infeasibility half of the experiment)
 		// and their per-draw ball/harmonic sampling has no analytic
@@ -101,4 +79,14 @@ func E12() scenario.Spec {
 			"ball clearly below uniform everywhere (Theorem 4's Õ(n^{1/3}) holds on any graph); harmonic-r2 has no " +
 			"universal guarantee — its exponent tracks the family's growth structure and degrades off it",
 	}.Spec()
+}
+
+// e12Families are E12's unstructured families.  E13 churns the same
+// names, so its base instances are the very graphs E12 measures at the
+// same size.
+func e12Families() []scenario.Family {
+	return []scenario.Family{
+		scenario.Named("ws"), scenario.Named("gnp"), scenario.Named("regular"),
+		scenario.Named("powerlaw"), scenario.Named("plaw-tree"), scenario.Named("ratree"),
+	}
 }

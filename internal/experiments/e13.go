@@ -4,11 +4,8 @@ import (
 	"fmt"
 
 	"navaug/internal/churn"
-	"navaug/internal/graph"
-	"navaug/internal/graph/gen"
 	"navaug/internal/report"
 	"navaug/internal/scenario"
-	"navaug/internal/xrand"
 )
 
 // e13Params is the per-cell churn configuration carried through Cell.Data to
@@ -16,33 +13,6 @@ import (
 type e13Params struct {
 	Rate   float64
 	Budget int
-}
-
-// e13Families are the E12 unstructured families (same names and builders, so
-// the base instances are the very graphs E12 measures), restricted to one
-// moderate size — churn cells pay per-batch BFS diffs on top of routing, and
-// the experiment's axis is the repair budget, not n.
-func e13Families() []scenario.Family {
-	return []scenario.Family{
-		scenario.GraphFamily("ws", func(n int, rng *xrand.RNG) (*graph.Graph, error) {
-			return gen.WattsStrogatz(max(n, 5), 2, 0.1, rng), nil
-		}),
-		scenario.GraphFamily("gnp", func(n int, rng *xrand.RNG) (*graph.Graph, error) {
-			return gen.ConnectedGNP(n, 3.0/float64(n), rng), nil
-		}),
-		scenario.GraphFamily("regular", func(n int, rng *xrand.RNG) (*graph.Graph, error) {
-			return gen.RandomRegular(n, 4, rng)
-		}),
-		scenario.GraphFamily("powerlaw", func(n int, rng *xrand.RNG) (*graph.Graph, error) {
-			return gen.PowerLawAttachment(max(n, 3), 2, rng), nil
-		}),
-		scenario.GraphFamily("plaw-tree", func(n int, rng *xrand.RNG) (*graph.Graph, error) {
-			return gen.PowerLawAttachment(n, 1, rng), nil
-		}),
-		scenario.GraphFamily("ratree", func(n int, rng *xrand.RNG) (*graph.Graph, error) {
-			return gen.RandomAttachmentTree(n, rng), nil
-		}),
-	}
 }
 
 // E13 is the churn experiment: the paper's schemes assume a fixed graph, but
@@ -75,10 +45,13 @@ func E13() scenario.Spec {
 			"visible stretch and failures from stale steering, and tree-like families disconnect (unreachable > 0) " +
 			"where cyclic families absorb the same churn",
 		CellsFn: func(cfg scenario.Config) ([]scenario.Cell, error) {
+			// One moderate size: churn cells pay per-batch BFS diffs on top
+			// of routing, and the experiment's axis is the repair budget,
+			// not n.
 			sizes := cfg.ScaleSizes(4096)
 			n := sizes[len(sizes)-1]
 			var cells []scenario.Cell
-			for _, fam := range e13Families() {
+			for _, fam := range e12Families() {
 				for _, rate := range rates {
 					for _, budget := range budgets {
 						spec := &churn.Spec{Rate: rate, Batches: 8, RepairBudget: budget, CompactEvery: 4}

@@ -6,7 +6,6 @@ import (
 
 	"navaug/internal/augment"
 	"navaug/internal/graph"
-	"navaug/internal/graph/gen"
 	"navaug/internal/report"
 	"navaug/internal/scenario"
 	"navaug/internal/sim"
@@ -22,12 +21,11 @@ import (
 // gains essentially nothing over plain walking, so the greedy diameter is at
 // least the segment pair distance ≈ √n/3.
 func E2() scenario.Spec {
-	pathFamily := scenario.GraphFamily("path",
-		func(n int, _ *xrand.RNG) (*graph.Graph, error) { return gen.Path(n), nil })
+	pathFamily := scenario.Named("path")
 	snapToSquares := func(sizes []int) []int {
 		out := make([]int, 0, len(sizes))
 		for _, n := range sizes {
-			s := intSqrt(n)
+			s := int(math.Sqrt(float64(n)))
 			if n-s*s > (s+1)*(s+1)-n {
 				s++
 			}

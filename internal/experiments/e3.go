@@ -3,10 +3,7 @@ package experiments
 import (
 	"math"
 
-	"navaug/internal/graph"
-	"navaug/internal/graph/gen"
 	"navaug/internal/scenario"
-	"navaug/internal/xrand"
 )
 
 // E3 reproduces the first half of Corollary 1: the Theorem 2 scheme (M, L),
@@ -25,24 +22,7 @@ func E3() scenario.Spec {
 		Title: "Theorem 2 scheme is polylog on trees",
 		Claim: "greedy diameter of (M,L) on trees stays below the log³ n envelope and grows with a visibly smaller exponent than the uniform scheme's ~0.5, with the gap widening as n grows",
 		Families: []scenario.Family{
-			scenario.GraphFamily("caterpillar", func(n int, _ *xrand.RNG) (*graph.Graph, error) {
-				spine := n / 4
-				if spine < 1 {
-					spine = 1
-				}
-				return gen.Caterpillar(spine, 3), nil
-			}),
-			scenario.GraphFamily("spider", func(n int, _ *xrand.RNG) (*graph.Graph, error) {
-				legs := 8
-				legLen := (n - 1) / legs
-				if legLen < 1 {
-					legLen = 1
-				}
-				return gen.Spider(legs, legLen), nil
-			}),
-			scenario.GraphFamily("random-tree", func(n int, rng *xrand.RNG) (*graph.Graph, error) {
-				return gen.RandomTree(n, rng), nil
-			}),
+			scenario.Named("caterpillar"), scenario.Named("spider"), scenario.Named("random-tree"),
 		},
 		// The polylog-vs-√n separation needs larger sizes than the other
 		// sweeps because the O(log³ n) bound carries a sizeable constant; the

@@ -3,11 +3,8 @@ package experiments
 import (
 	"math"
 
-	"navaug/internal/graph"
-	"navaug/internal/graph/gen"
 	"navaug/internal/report"
 	"navaug/internal/scenario"
-	"navaug/internal/xrand"
 )
 
 // E5 verifies the other half of Theorem 2's guarantee: on graphs whose
@@ -17,22 +14,14 @@ import (
 // plain uniform scheme.
 func E5() scenario.Spec {
 	return scenario.Sweep{
-		ID:    "E5",
-		Title: "Theorem 2 scheme preserves the O(√n) fallback on large-pathshape graphs",
-		Claim: "on grids and sparse random graphs, the (M,L) greedy diameter stays within a small constant factor of the uniform scheme's (and of ~3√n)",
-		Families: []scenario.Family{
-			scenario.GraphFamily("grid", func(n int, _ *xrand.RNG) (*graph.Graph, error) {
-				side := intSqrt(n)
-				return gen.Grid2D(side, side), nil
-			}),
-			scenario.GraphFamily("gnp", func(n int, rng *xrand.RNG) (*graph.Graph, error) {
-				return gen.ConnectedGNP(n, 3.0/float64(n), rng), nil
-			}),
-		},
-		Sizes:   []int{1024, 2048, 4096, 8192, 16384},
-		Schemes: []scenario.SchemeRef{theorem2BFSScheme(), uniformScheme()},
-		Pairs:   10,
-		Trials:  6,
+		ID:       "E5",
+		Title:    "Theorem 2 scheme preserves the O(√n) fallback on large-pathshape graphs",
+		Claim:    "on grids and sparse random graphs, the (M,L) greedy diameter stays within a small constant factor of the uniform scheme's (and of ~3√n)",
+		Families: []scenario.Family{scenario.Named("grid"), scenario.Named("gnp")},
+		Sizes:    []int{1024, 2048, 4096, 8192, 16384},
+		Schemes:  []scenario.SchemeRef{theorem2BFSScheme(), uniformScheme()},
+		Pairs:    10,
+		Trials:   6,
 
 		DetailTitle: "E5: Theorem 2 scheme on large-pathshape graphs",
 		Columns: []scenario.Column{

@@ -4,12 +4,9 @@ import (
 	"fmt"
 
 	"navaug/internal/augment"
-	"navaug/internal/graph"
-	"navaug/internal/graph/gen"
 	"navaug/internal/report"
 	"navaug/internal/scenario"
 	"navaug/internal/stats"
-	"navaug/internal/xrand"
 )
 
 // E6 reproduces Theorem 3: matrix-based augmentation of the path with labels
@@ -19,8 +16,7 @@ import (
 // with k labels and fits its scaling exponent, which should decrease towards
 // 0 as ε grows and always sit above the theorem's lower-bound exponent.
 func E6() scenario.Spec {
-	pathFamily := scenario.GraphFamily("path",
-		func(n int, _ *xrand.RNG) (*graph.Graph, error) { return gen.Path(n), nil })
+	pathFamily := scenario.Named("path")
 	epsilons := []float64{0, 0.25, 0.5, 0.75}
 	return scenario.Spec{
 		ID:    "E6",

@@ -2,10 +2,7 @@ package experiments
 
 import (
 	"navaug/internal/augment"
-	"navaug/internal/graph"
-	"navaug/internal/graph/gen"
 	"navaug/internal/scenario"
-	"navaug/internal/xrand"
 )
 
 // E9 measures the classical baseline the paper positions itself against:
@@ -16,17 +13,11 @@ import (
 // whereas the Theorem 4 ball scheme stays sub-√n everywhere.
 func E9() scenario.Spec {
 	return scenario.Sweep{
-		ID:    "E9",
-		Title: "Kleinberg harmonic baseline: excellent when tuned, not universal",
-		Claim: "harmonic-r is polylog when r matches the family's dimension and polynomial otherwise; the ball scheme is uniformly sub-√n",
-		Families: []scenario.Family{
-			scenario.GraphFamily("path", func(n int, _ *xrand.RNG) (*graph.Graph, error) { return gen.Path(n), nil }),
-			scenario.GraphFamily("grid", func(n int, _ *xrand.RNG) (*graph.Graph, error) {
-				side := intSqrt(n)
-				return gen.Grid2D(side, side), nil
-			}),
-		},
-		Sizes: []int{512, 1024, 2048, 4096, 8192},
+		ID:       "E9",
+		Title:    "Kleinberg harmonic baseline: excellent when tuned, not universal",
+		Claim:    "harmonic-r is polylog when r matches the family's dimension and polynomial otherwise; the ball scheme is uniformly sub-√n",
+		Families: []scenario.Family{scenario.Named("path"), scenario.Named("grid")},
+		Sizes:    []int{512, 1024, 2048, 4096, 8192},
 		Schemes: []scenario.SchemeRef{
 			scenario.Scheme(augment.NewHarmonicScheme(1)),
 			scenario.Scheme(augment.NewHarmonicScheme(2)),

@@ -1,6 +1,6 @@
 // Package experiments defines one scenario spec per claim of the paper,
 // plus the E11 large-n mode built on analytic distance oracles
-// (see EXPERIMENTS.md, which is generated from this registry via
+// (see EXPERIMENTS.md, which is generated from All via
 // `navsim list -format md`).  The paper is purely theoretical — it has no
 // tables or figures — so every theorem and corollary is turned into a
 // measurable sweep whose *shape* (scaling exponent, who wins, where the
@@ -15,12 +15,12 @@
 package experiments
 
 import (
+	"sort"
+
 	"navaug/internal/augment"
 	"navaug/internal/decomp"
 	"navaug/internal/graph"
-	"navaug/internal/graph/gen"
 	"navaug/internal/scenario"
-	"navaug/internal/xrand"
 )
 
 // Config is the scenario run configuration (seed, scale, precision,
@@ -30,20 +30,30 @@ type Config = scenario.Config
 // DefaultConfig is the configuration used for EXPERIMENTS.md.
 func DefaultConfig() Config { return scenario.DefaultConfig() }
 
-func init() {
-	for _, s := range []scenario.Spec{E1(), E2(), E3(), E4(), E5(), E6(), E7(), E8(), E9(), E10(), E11(), E12(), E13()} {
-		scenario.Register(s)
-	}
+// All returns every experiment spec in order E1..E13.
+func All() []scenario.Spec {
+	return []scenario.Spec{E1(), E2(), E3(), E4(), E5(), E6(), E7(), E8(), E9(), E10(), E11(), E12(), E13()}
 }
 
-// All returns every experiment spec in order E1..E13.
-func All() []scenario.Spec { return scenario.All() }
-
 // ByID returns the experiment with the given (case-sensitive) identifier.
-func ByID(id string) (scenario.Spec, bool) { return scenario.ByID(id) }
+func ByID(id string) (scenario.Spec, bool) {
+	for _, s := range All() {
+		if s.ID == id {
+			return s, true
+		}
+	}
+	return scenario.Spec{}, false
+}
 
 // IDs returns the sorted experiment identifiers.
-func IDs() []string { return scenario.IDs() }
+func IDs() []string {
+	var ids []string
+	for _, s := range All() {
+		ids = append(ids, s.ID)
+	}
+	sort.Strings(ids)
+	return ids
+}
 
 // standardFamilies returns the graph families shared by E1/E7/E8: the ones
 // the paper's universal claims must hold on.  Family names are cache
@@ -51,18 +61,8 @@ func IDs() []string { return scenario.IDs() }
 // and sizes measure the very same graph instances.
 func standardFamilies() []scenario.Family {
 	return []scenario.Family{
-		scenario.GraphFamily("path", func(n int, _ *xrand.RNG) (*graph.Graph, error) { return gen.Path(n), nil }),
-		scenario.GraphFamily("cycle", func(n int, _ *xrand.RNG) (*graph.Graph, error) { return gen.Cycle(n), nil }),
-		scenario.GraphFamily("grid", func(n int, _ *xrand.RNG) (*graph.Graph, error) {
-			side := intSqrt(n)
-			return gen.Grid2D(side, side), nil
-		}),
-		scenario.GraphFamily("random-tree", func(n int, rng *xrand.RNG) (*graph.Graph, error) {
-			return gen.RandomTree(n, rng), nil
-		}),
-		scenario.GraphFamily("gnp", func(n int, rng *xrand.RNG) (*graph.Graph, error) {
-			return gen.ConnectedGNP(n, 3.0/float64(n), rng), nil
-		}),
+		scenario.Named("path"), scenario.Named("cycle"), scenario.Named("grid"),
+		scenario.Named("random-tree"), scenario.Named("gnp"),
 	}
 }
 
@@ -79,9 +79,7 @@ func ballScheme() scenario.SchemeRef { return scenario.Scheme(augment.NewBallSch
 // report as "theorem2".
 func theorem2TreeScheme() scenario.SchemeRef {
 	return scenario.SchemeRef{Key: "theorem2-tree", New: func(*scenario.BuiltGraph) (augment.Scheme, error) {
-		return augment.NewTheorem2Scheme(func(g *graph.Graph) (*decomp.PathDecomposition, error) {
-			return decomp.TreeCentroid(g)
-		}), nil
+		return augment.NewTheorem2Scheme(decomp.TreeCentroid), nil
 	}}
 }
 
@@ -93,12 +91,4 @@ func theorem2BFSScheme() scenario.SchemeRef {
 			return decomp.BFSLayers(g, 0)
 		}), nil
 	}}
-}
-
-func intSqrt(n int) int {
-	s := 1
-	for (s+1)*(s+1) <= n {
-		s++
-	}
-	return s
 }

@@ -30,6 +30,8 @@ func runSpec(t *testing.T, spec scenario.Spec, cfg Config) []*report.Table {
 	return tables
 }
 
+// TestRegistryComplete checks that All lists the 13 experiments as
+// complete specs with unique IDs, and that IDs agrees with it.
 func TestRegistryComplete(t *testing.T) {
 	all := All()
 	if len(all) != 13 {

@@ -2,7 +2,8 @@
 // the paper's experiments: paths, cycles, meshes, trees, AT-free graphs and
 // assorted random families.  Deterministic families take only size
 // parameters; random families additionally take an xrand.RNG so experiments
-// stay reproducible.
+// stay reproducible.  ByName is the one table from a family name and a
+// target size to a generator call.
 //
 // All generators return connected graphs unless documented otherwise, and
 // panic on nonsensical size parameters (these are programming errors, not

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"navaug/internal/par"
 	"navaug/internal/xrand"
 )
 
@@ -185,29 +186,12 @@ func (l *LazyRows) build(row int32) *Alias {
 // more times than there are rows and wants the fills to run in parallel up
 // front rather than lazily on the drawing goroutines.
 func (l *LazyRows) BuildAll(workers int) {
-	rows := len(l.rows)
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > rows {
-		workers = rows
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				row := int32(next.Add(1) - 1)
-				if int(row) >= rows {
-					return
-				}
-				if l.rows[row].Load() == nil {
-					l.build(row)
-				}
+	par.Ranges(len(l.rows), 1, workers, func(_, lo, hi int) error {
+		for row := lo; row < hi; row++ {
+			if l.rows[row].Load() == nil {
+				l.build(int32(row))
 			}
-		}()
-	}
-	wg.Wait()
+		}
+		return nil
+	})
 }

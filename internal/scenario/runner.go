@@ -11,7 +11,6 @@ import (
 	"navaug/internal/augment"
 	"navaug/internal/churn"
 	"navaug/internal/dist"
-	"navaug/internal/graph/gen"
 	"navaug/internal/report"
 	"navaug/internal/sim"
 	"navaug/internal/xrand"
@@ -347,14 +346,8 @@ func (r *Runner) builtGraph(gkey string, ref GraphRef) (*BuiltGraph, *dist.Field
 		e.fields = dist.NewFieldCache(bg.G, 64)
 		// Resolve the distance tier once per graph under the run's Oracle
 		// policy: analytic metric, 2-hop-cover oracle, or nil for fields.
-		metric := bg.Metric
-		if metric == nil {
-			if m, ok := gen.MetricFor(bg.G); ok {
-				metric = m
-			}
-		}
 		oracleStart := time.Now()
-		e.source = r.cfg.Oracle.ResolveWith(bg.G, metric, r.cfg.Workers)
+		e.source = r.cfg.Oracle.ResolveWith(bg.G, bg.Metric, r.cfg.Workers)
 		if th, ok := e.source.(*dist.TwoHop); ok {
 			r.oracleProgress(ref, th, time.Since(oracleStart))
 		}

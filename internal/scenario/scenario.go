@@ -2,13 +2,12 @@
 //
 // A Spec describes one scenario — which graphs to build (family × sizes),
 // which augmentation schemes to measure on them, how precisely, and how to
-// render the measurements into report tables.  Specs are registered in a
-// process-wide registry (the paper experiments E1..E10 and the E11 large-n
-// mode live in internal/experiments) and executed by a Runner, which shares
-// every expensive artefact — built graphs, analytic distance metrics or
-// per-target distance fields, prepared scheme instances — across all cells
-// of all scenarios that measure the same instance, and runs cells
-// concurrently on one persistent sim.Engine.
+// render the measurements into report tables.  Specs are plain values (the
+// paper experiments E1..E13 are listed by internal/experiments) executed by
+// a Runner, which shares every expensive artefact — built graphs, analytic
+// distance metrics or per-target distance fields, prepared scheme
+// instances — across all cells of all scenarios that measure the same
+// instance, and runs cells concurrently on one persistent sim.Engine.
 //
 // Determinism contract: for a fixed Config (seed, scale, precision, pair and
 // trial overrides) the produced tables are byte-identical regardless of
@@ -20,8 +19,6 @@ package scenario
 import (
 	"fmt"
 	"io"
-	"sort"
-	"sync"
 
 	"navaug/internal/augment"
 	"navaug/internal/churn"
@@ -114,9 +111,8 @@ type BuiltGraph struct {
 	// Metric, when non-nil, is the graph's closed-form analytic distance
 	// metric (dist.Source).  The runner then routes this graph's cells
 	// through it instead of BFS distance fields — O(1) memory per query,
-	// which is what the large-n mode (E11) relies on.  Builders may leave
-	// it nil; the runner falls back to gen.MetricFor for graphs whose
-	// generator stamped a recognised family name.
+	// which is what the large-n mode (E11) relies on.  Named sets it from
+	// gen.MetricFor; a graph built with it nil has no analytic tier.
 	Metric dist.Source
 }
 
@@ -190,7 +186,7 @@ type CellResult struct {
 	Aux  any
 }
 
-// Spec is one registered scenario: an identifier, the cells to measure, and
+// Spec is one scenario: an identifier, the cells to measure, and
 // the rendering of their results into tables.
 type Spec struct {
 	// ID is the short identifier used by the CLI and benchmarks (e.g. "E7").
@@ -223,59 +219,6 @@ func (s Spec) Render(cfg Config, res []CellResult) ([]*report.Table, error) {
 	return s.RenderFn(cfg, res)
 }
 
-// ---------------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------------
-
-var registry = struct {
-	mu    sync.Mutex
-	specs []Spec
-	byID  map[string]Spec
-}{byID: make(map[string]Spec)}
-
-// Register adds a spec to the process-wide registry.  It panics on an empty
-// or duplicate ID — registration happens from init functions, where a panic
-// is the loudest available diagnostic.
-func Register(s Spec) {
-	if s.ID == "" || s.Title == "" || s.CellsFn == nil || s.RenderFn == nil {
-		panic(fmt.Sprintf("scenario: incomplete spec %+v", s.ID))
-	}
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	if _, dup := registry.byID[s.ID]; dup {
-		panic(fmt.Sprintf("scenario: duplicate spec id %q", s.ID))
-	}
-	registry.byID[s.ID] = s
-	registry.specs = append(registry.specs, s)
-}
-
-// All returns the registered specs in registration order.
-func All() []Spec {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	return append([]Spec(nil), registry.specs...)
-}
-
-// ByID returns the spec with the given (case-sensitive) identifier.
-func ByID(id string) (Spec, bool) {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	s, ok := registry.byID[id]
-	return s, ok
-}
-
-// IDs returns the sorted registered identifiers.
-func IDs() []string {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	ids := make([]string, 0, len(registry.specs))
-	for _, s := range registry.specs {
-		ids = append(ids, s.ID)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
 // hash64 produces a stable FNV-1a hash for deriving per-family seeds.
 func hash64(s string) uint64 {
 	var h uint64 = 1469598103934665603
@@ -292,9 +235,10 @@ func Hash64(s string) uint64 { return hash64(s) }
 
 // GraphSeed derives the deterministic builder seed a run with the given
 // run seed uses for the (family, n) graph instance.  It is exported so
-// out-of-band builders — the snapshot writer in particular — construct the
-// exact instance a live run at that seed would build: a snapshot of
-// (family, n, seed) then answers for the same graph the scenario engine
+// out-of-band builders — the snapshot writer in particular — seed
+// gen.ByName exactly as a live run at that seed does.  Since every spec
+// builds a gen family through Named, which calls the same gen.ByName, a
+// snapshot of (family, n, seed) holds the very graph a run at that seed
 // measures.
 func GraphSeed(seed uint64, family string, n int) uint64 {
 	return seed ^ hash64(family) ^ (uint64(n)+1)*0x9e3779b97f4a7c15

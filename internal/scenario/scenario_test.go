@@ -9,8 +9,6 @@ import (
 
 	"navaug/internal/augment"
 	"navaug/internal/churn"
-	"navaug/internal/graph"
-	"navaug/internal/graph/gen"
 	"navaug/internal/report"
 	"navaug/internal/xrand"
 )
@@ -19,15 +17,12 @@ import (
 // are counted through the passed counter.
 func testSweep(id string, builds *atomic.Int64) Spec {
 	fam := func(name string) Family {
-		return GraphFamily(name, func(n int, rng *xrand.RNG) (*graph.Graph, error) {
+		return Family{Name: name, Build: func(n int, rng *xrand.RNG) (*BuiltGraph, error) {
 			if builds != nil {
 				builds.Add(1)
 			}
-			if name == "cycle" {
-				return gen.Cycle(n), nil
-			}
-			return gen.Path(n), nil
-		})
+			return Named(name).Build(n, rng)
+		}}
 	}
 	return Sweep{
 		ID:          id,
@@ -125,10 +120,10 @@ func TestRunnerReleasesArtefacts(t *testing.T) {
 // when the run ends.
 func TestRunnerSharesChurnStreams(t *testing.T) {
 	var builds atomic.Int64
-	fam := GraphFamily("cycle", func(n int, rng *xrand.RNG) (*graph.Graph, error) {
+	fam := Family{Name: "cycle", Build: func(n int, rng *xrand.RNG) (*BuiltGraph, error) {
 		builds.Add(1)
-		return gen.Cycle(n), nil
-	})
+		return Named("cycle").Build(n, rng)
+	}}
 	schemes := []SchemeRef{Scheme(augment.NewUniformScheme()), Scheme(augment.NewBallScheme())}
 	spec := Spec{
 		ID: "SC",
@@ -220,9 +215,7 @@ func TestAdaptivePrecisionUsesFewerTrialsThanFixed(t *testing.T) {
 	// adaptive mode lets low-variance pairs stop at half of it.
 	spec := Sweep{
 		ID: "SF", Title: "adaptive test", Claim: "testing only",
-		Families: []Family{GraphFamily("path", func(n int, _ *xrand.RNG) (*graph.Graph, error) {
-			return gen.Path(n), nil
-		})},
+		Families:    []Family{Named("path")},
 		Sizes:       []int{3200, 6400},
 		Schemes:     []SchemeRef{Scheme(augment.NewUniformScheme()), Scheme(augment.NewNoAugmentation())},
 		Pairs:       4,
@@ -274,17 +267,6 @@ func TestRunnerPropagatesCellErrors(t *testing.T) {
 	}
 }
 
-func TestRegistryRejectsDuplicates(t *testing.T) {
-	spec := testSweep("SDUP", nil)
-	Register(spec)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
-	Register(spec)
-}
-
 func TestProgressOutput(t *testing.T) {
 	var buf bytes.Buffer
 	runner := NewRunner(Config{Seed: 2, Scale: 0.05, Progress: &buf})
@@ -310,7 +292,7 @@ func TestSweepCellFilterSinglePointGroupSkipsFit(t *testing.T) {
 		ID:       "FILT",
 		Title:    "filtered sweep",
 		Claim:    "testing only",
-		Families: []Family{GraphFamily("path", func(n int, _ *xrand.RNG) (*graph.Graph, error) { return gen.Path(n), nil })},
+		Families: []Family{Named("path")},
 		Sizes:    []int{3200, 6400},
 		Schemes:  []SchemeRef{Scheme(augment.NewUniformScheme()), Scheme(augment.NewNoAugmentation())},
 		Pairs:    2,

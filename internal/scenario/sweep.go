@@ -3,7 +3,7 @@ package scenario
 import (
 	"fmt"
 
-	"navaug/internal/graph"
+	"navaug/internal/graph/gen"
 	"navaug/internal/report"
 	"navaug/internal/sim"
 	"navaug/internal/stats"
@@ -16,14 +16,21 @@ type Family struct {
 	Build func(n int, rng *xrand.RNG) (*BuiltGraph, error)
 }
 
-// GraphFamily wraps a plain graph builder into a Family.
-func GraphFamily(name string, build func(n int, rng *xrand.RNG) (*graph.Graph, error)) Family {
+// Named is the family gen.ByName builds under name, with the family's
+// closed-form metric (gen.MetricFor), when it has one, attached to every
+// built graph.  Every spec that measures a family gen knows names it this
+// way, so a (Family, N) cache identity always means one builder.
+func Named(name string) Family {
 	return Family{Name: name, Build: func(n int, rng *xrand.RNG) (*BuiltGraph, error) {
-		g, err := build(n, rng)
+		g, err := gen.ByName(name, n, rng)
 		if err != nil {
 			return nil, err
 		}
-		return &BuiltGraph{G: g}, nil
+		bg := &BuiltGraph{G: g}
+		if m, ok := gen.MetricFor(g); ok {
+			bg.Metric = m
+		}
+		return bg, nil
 	}}
 }
 
