@@ -349,7 +349,7 @@ func BenchmarkRoutingTrial_harmonic(b *testing.B) {
 	s, t, _ := dist.ExtremalPair(g)
 	// Hold the field as a dist.Source so interface boxing happens once, as
 	// the engine does per pair, keeping the trial itself allocation-free.
-	var d dist.Source = dist.NewField(g.BFS(t), t)
+	var d dist.Source = dist.NewField(g.BFS(t))
 	scratch := route.NewScratch(g.N())
 	rng := xrand.New(3)
 	opts := route.Options{Scratch: scratch}
@@ -407,7 +407,7 @@ func BenchmarkRoutingTrial_fieldSource(b *testing.B) {
 	s, t, _ := dist.ExtremalPair(g)
 	// Hold the field as a dist.Source so interface boxing happens once, as
 	// the engine does per pair, keeping the trial itself allocation-free.
-	var d dist.Source = dist.NewField(g.BFS(t), t)
+	var d dist.Source = dist.NewField(g.BFS(t))
 	scratch := route.NewScratch(g.N())
 	rng := xrand.New(3)
 	opts := route.Options{Scratch: scratch}
@@ -468,7 +468,7 @@ func benchmarkEstimateEndToEnd(b *testing.B, scheme augment.Scheme) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		est, err := e.Estimate(g, scheme, sim.Config{Seed: 1, IncludeExtremalPair: true})
+		est, err := e.Estimate(g, scheme, sim.Config{Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -499,7 +499,7 @@ func BenchmarkGreedyDiameterEstimateBallGrid(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		est, err := e.Estimate(g, augment.NewBallScheme(),
-			sim.Config{Pairs: 8, Trials: 4, Seed: uint64(i) + 1, IncludeExtremalPair: true})
+			sim.Config{Pairs: 8, Trials: 4, Seed: uint64(i) + 1})
 		if err != nil {
 			b.Fatal(err)
 		}

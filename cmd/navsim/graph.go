@@ -97,7 +97,7 @@ func runTrace(c *command, args []string) error {
 	if distToTarget[s] == graph.Unreachable {
 		return fmt.Errorf("target %d unreachable from source %d", t, s)
 	}
-	field := dist.NewField(distToTarget, t)
+	field := dist.NewField(distToTarget)
 	greedy := route.Greedy
 	if *lookahead {
 		greedy = route.GreedyWithLookahead

@@ -191,7 +191,7 @@ func runList(c *command, args []string) error {
 	case "md", "markdown":
 		fmt.Println("# Experiments")
 		fmt.Println()
-		fmt.Println("One scenario per claim of the paper, generated from the spec registry")
+		fmt.Println("One scenario per claim of the paper, generated from the experiment specs")
 		fmt.Println("(`navsim list -format md`).  Run any of them with")
 		fmt.Println("`navsim run -exp <id>`; add `-precision 0.1` for adaptive sampling and")
 		fmt.Println("`-format json` for machine-readable output with a run manifest.")
@@ -290,12 +290,11 @@ func runEstimate(c *command, args []string) error {
 	e := sim.NewEngine(*workers)
 	defer e.Close()
 	est, err := e.Estimate(g, scheme, sim.Config{
-		Pairs:               *pairs,
-		Trials:              *trials,
-		Seed:                *seed,
-		TargetCI:            *precision,
-		IncludeExtremalPair: true,
-		Policy:              policy,
+		Pairs:    *pairs,
+		Trials:   *trials,
+		Seed:     *seed,
+		TargetCI: *precision,
+		Policy:   policy,
 	})
 	if err != nil {
 		return err

@@ -24,7 +24,7 @@ import (
 
 func main() {
 	sizes := []int{1024, 2048, 4096, 8192, 16384, 32768}
-	cfg := sim.Config{Pairs: 10, Trials: 4, Seed: 13, IncludeExtremalPair: true}
+	cfg := sim.Config{Pairs: 10, Trials: 4, Seed: 13}
 	e := sim.NewEngine(0)
 	defer e.Close()
 

@@ -59,7 +59,7 @@ func main() {
 		total := 0
 		worst := 0
 		for i, l := range letters {
-			src := dist.NewField(g.BFS(l.to), l.to)
+			src := dist.NewField(g.BFS(l.to))
 			res, err := route.Greedy(g, inst, l.from, l.to, src, xrand.New(uint64(i)+7), route.Options{})
 			if err != nil {
 				log.Fatal(err)

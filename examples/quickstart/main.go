@@ -36,7 +36,7 @@ func main() {
 	//    print what happened.  Greedy routing steers by the distance to the
 	//    target, here a BFS field.
 	t := graph.NodeID(g.N() - 1)
-	res, err := route.Greedy(g, inst, 0, t, dist.NewField(g.BFS(t), t), xrand.New(42), route.Options{})
+	res, err := route.Greedy(g, inst, 0, t, dist.NewField(g.BFS(t)), xrand.New(42), route.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func main() {
 	//    serve any number of estimations.
 	e := sim.NewEngine(0)
 	defer e.Close()
-	cfg := sim.Config{Pairs: 12, Trials: 6, Seed: 1, IncludeExtremalPair: true}
+	cfg := sim.Config{Pairs: 12, Trials: 6, Seed: 1}
 	est, err := e.EstimateInstance(g, ball.Name(), inst, cfg)
 	if err != nil {
 		log.Fatal(err)

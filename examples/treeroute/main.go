@@ -35,7 +35,7 @@ func main() {
 	rng := xrand.New(11)
 	for _, n := range []int{511, 1023, 2047, 4095, 8191, 16383} {
 		g := gen.RandomTree(n, rng)
-		cfg := sim.Config{Pairs: 10, Trials: 5, Seed: uint64(n), IncludeExtremalPair: true}
+		cfg := sim.Config{Pairs: 10, Trials: 5, Seed: uint64(n)}
 
 		t2, err := e.Estimate(g, theorem2, cfg)
 		if err != nil {

@@ -70,12 +70,6 @@ type Distributional interface {
 	ContactDistribution(u graph.NodeID) []float64
 }
 
-// InstanceFunc adapts a function to the Instance interface.
-type InstanceFunc func(u graph.NodeID, rng *xrand.RNG) graph.NodeID
-
-// Contact implements Instance.
-func (f InstanceFunc) Contact(u graph.NodeID, rng *xrand.RNG) graph.NodeID { return f(u, rng) }
-
 // SampleAll eagerly draws the long-range contact of every node, returning
 // contacts[u] = long-range contact of u (possibly u itself).  It is used by
 // tests and by experiments that need a full augmentation snapshot.

@@ -389,7 +389,7 @@ func TestBallSchemeMatchesFormula(t *testing.T) {
 	want := make([]float64, n)
 	for k := 1; k <= logN; k++ {
 		radius := int32(1) << uint(k)
-		ball := dist.Ball(g, u, radius)
+		ball, _ := dist.NewBallBuffer(n).Ball(g, u, radius)
 		for _, v := range ball {
 			want[v] += 1.0 / (float64(logN) * float64(len(ball)))
 		}

@@ -38,9 +38,6 @@ func (s *Static) Name() string { return s.name }
 // N returns the number of nodes the table covers.
 func (s *Static) N() int { return len(s.contacts) }
 
-// Contacts exposes the underlying table as a shared, read-only slice.
-func (s *Static) Contacts() []graph.NodeID { return s.contacts }
-
 // Contact implements Instance by indexing the frozen table; the rng is
 // ignored (the draw happened at freeze time).
 func (s *Static) Contact(u graph.NodeID, _ *xrand.RNG) graph.NodeID { return s.contacts[u] }

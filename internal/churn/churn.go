@@ -81,8 +81,7 @@ type Stream struct {
 	// Labels holds the 2-hop labels of Base, then those of the graph at
 	// each compaction, in stream order.
 	Labels []*dist.TwoHop
-	// Fields is a field cache over Final, stamped with Gen so stale reads
-	// fail loud (dist.FieldCache.FieldAt).
+	// Fields is a field cache over Final.
 	Fields *dist.FieldCache
 
 	EdgesDeleted  int
@@ -157,7 +156,7 @@ func NewStream(base *graph.Graph, seed uint64, spec Spec, workers int) (*Stream,
 	}
 	s.Gen = d.Gen()
 	s.Final = d.Base()
-	s.Fields = dist.NewFieldCacheAt(s.Final, 64, s.Gen)
+	s.Fields = dist.NewFieldCache(s.Final, 64)
 	for _, comp := range s.Final.Components() {
 		s.Components++
 		if len(comp) > s.LargestComponent {

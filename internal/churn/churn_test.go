@@ -116,8 +116,7 @@ func TestRunDeterminism(t *testing.T) {
 }
 
 // TestRunUnlimitedBudgetExact: with an unlimited budget the repaired oracle
-// must be exact on the final graph (the disttest conformance suite), and
-// the generation-stamped field cache must serve at the final generation.
+// must be exact on the final graph (the disttest conformance suite).
 func TestRunUnlimitedBudgetExact(t *testing.T) {
 	base := churnTestGraph(120, 50, 3)
 	res, err := run(base, 77, churn.Spec{Rate: 0.03, Batches: 4, RepairBudget: -1, CompactEvery: 2}, 2)
@@ -125,15 +124,6 @@ func TestRunUnlimitedBudgetExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	disttest.Exact(t, res.Final, res.Oracle)
-	if res.Fields.Generation() != res.Gen {
-		t.Fatalf("field cache at gen %d, pipeline at %d", res.Fields.Generation(), res.Gen)
-	}
-	if _, err := res.Fields.FieldAt(0, res.Gen); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := res.Fields.FieldAt(0, res.Gen+1); err == nil {
-		t.Fatal("stale field served")
-	}
 	if res.Rebuilds < 2 {
 		t.Fatalf("compaction cadence did not rebuild (rebuilds=%d)", res.Rebuilds)
 	}
@@ -178,8 +168,8 @@ func TestFrozenTableDeterminismAndLocality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for u := range ta.Contacts() {
-		if ta.Contacts()[u] != tb.Contacts()[u] {
+	for u := graph.NodeID(0); int(u) < ta.N(); u++ {
+		if ta.Contact(u, nil) != tb.Contact(u, nil) {
 			t.Fatalf("node %d: table differs across identical runs", u)
 		}
 	}
@@ -199,8 +189,8 @@ func TestFrozenTableDeterminismAndLocality(t *testing.T) {
 	if len(everDirty) == 0 {
 		t.Fatal("churn dirtied nothing")
 	}
-	for u, c := range ta.Contacts() {
-		if !everDirty[graph.NodeID(u)] && c != baseTable[u] {
+	for u := graph.NodeID(0); int(u) < ta.N(); u++ {
+		if !everDirty[u] && ta.Contact(u, nil) != baseTable[u] {
 			t.Fatalf("clean node %d was resampled", u)
 		}
 	}
@@ -240,7 +230,7 @@ func TestRouteTraceAgreement(t *testing.T) {
 			continue
 		}
 		pairs++
-		field := dist.NewField(res.Fields.Field(tgt), tgt)
+		field := dist.NewField(res.Fields.Field(tgt))
 		opts := route.Options{Trace: true}
 		ra, err := route.Greedy(g, table, s, tgt, res.Oracle, xrand.New(77), opts)
 		if err != nil {

@@ -163,7 +163,7 @@ func TestGraphByNameSizesApproximate(t *testing.T) {
 
 func TestEndToEndTheorem2OnTreeViaNames(t *testing.T) {
 	est, err := estimateByName(t, "binary-tree", 1023, 3, "theorem2-tree",
-		sim.Config{Pairs: 6, Trials: 4, Seed: 9, IncludeExtremalPair: true})
+		sim.Config{Pairs: 6, Trials: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,48 +41,8 @@ func NewAPSP(g *graph.Graph) *APSP {
 	return a
 }
 
-// N returns the number of nodes the oracle covers.
-func (a *APSP) N() int { return int(a.n) }
-
 // Dist returns the exact hop distance between u and v, or
 // graph.Unreachable if they lie in different components.
 func (a *APSP) Dist(u, v graph.NodeID) int32 {
 	return a.d[int64(u)*int64(a.n)+int64(v)]
-}
-
-// Row returns the full distance field from u as a shared, read-only slice
-// of length N.  Callers must not modify it.
-func (a *APSP) Row(u graph.NodeID) []int32 {
-	return a.d[int64(u)*int64(a.n) : (int64(u)+1)*int64(a.n)]
-}
-
-// Eccentricity returns the maximum distance from u to any node, or -1 if
-// some node is unreachable from u.
-func (a *APSP) Eccentricity(u graph.NodeID) int32 {
-	ecc := int32(0)
-	for _, d := range a.Row(u) {
-		if d == graph.Unreachable {
-			return -1
-		}
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
-}
-
-// Diameter returns the exact diameter, or -1 for disconnected graphs
-// (0 for the empty graph).
-func (a *APSP) Diameter() int32 {
-	best := int32(0)
-	for u := int32(0); u < a.n; u++ {
-		e := a.Eccentricity(u)
-		if e < 0 {
-			return -1
-		}
-		if e > best {
-			best = e
-		}
-	}
-	return best
 }

@@ -2,25 +2,6 @@ package dist
 
 import "navaug/internal/graph"
 
-// Ball returns the nodes of the ball B(src, radius) = {v : d(src,v) ≤
-// radius} in non-decreasing distance order, src first.  A negative radius
-// yields nil.  The slice is freshly allocated; hot loops should use a
-// BallBuffer instead.
-func Ball(g *graph.Graph, src graph.NodeID, radius int32) []graph.NodeID {
-	nodes, _ := BallWithDists(g, src, radius)
-	return nodes
-}
-
-// BallWithDists is Ball plus the distance of every returned node.
-func BallWithDists(g *graph.Graph, src graph.NodeID, radius int32) ([]graph.NodeID, []int32) {
-	if radius < 0 {
-		return nil, nil
-	}
-	b := NewBallBuffer(g.N())
-	nodes, dists := b.Ball(g, src, radius)
-	return append([]graph.NodeID(nil), nodes...), append([]int32(nil), dists...)
-}
-
 // BallBuffer is reusable scratch space for bounded-ball enumeration.  An
 // epoch-marked seen array lets consecutive enumerations skip the O(n)
 // clearing step, so a buffer kept in a sync.Pool makes repeated ball draws

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"fmt"
 	"sync"
 
 	"navaug/internal/graph"
@@ -21,7 +20,6 @@ import (
 type FieldCache struct {
 	g   *graph.Graph
 	cap int
-	gen uint64
 
 	mu     sync.Mutex
 	fields map[graph.NodeID]*fieldEntry
@@ -40,37 +38,9 @@ func NewFieldCache(g *graph.Graph, capacity int) *FieldCache {
 	return &FieldCache{g: g, cap: capacity, fields: make(map[graph.NodeID]*fieldEntry)}
 }
 
-// NewFieldCacheAt is NewFieldCache with an explicit graph generation stamp.
-// Dynamic-graph pipelines (internal/churn) create their field caches over a
-// compacted CSR at a known graph.DynGraph generation; consumers that track
-// the live generation then read through FieldAt, which refuses to serve
-// fields once the stamps diverge — a field BFS'd on a pre-churn CSR must
-// never steer routing on a post-churn graph.
-func NewFieldCacheAt(g *graph.Graph, capacity int, gen uint64) *FieldCache {
-	c := NewFieldCache(g, capacity)
-	c.gen = gen
-	return c
-}
-
 // Graph returns the graph the cache was built over, letting consumers
 // reject a cache that does not match the graph they are working on.
 func (c *FieldCache) Graph() *graph.Graph { return c.g }
-
-// Generation returns the graph generation the cache was stamped with at
-// construction (0 for caches over static graphs).
-func (c *FieldCache) Generation() uint64 { return c.gen }
-
-// FieldAt returns the BFS field from src like Field, but first checks the
-// caller's graph generation against the cache's stamp and fails loud on a
-// mismatch: serving a stale field would silently mis-steer routing, and
-// a compacted or repaired graph must never answer from a cache built over
-// an earlier edge set.
-func (c *FieldCache) FieldAt(src graph.NodeID, gen uint64) ([]int32, error) {
-	if gen != c.gen {
-		return nil, fmt.Errorf("dist: stale field cache: cache at graph generation %d, caller at %d (rebuild the cache over the current graph)", c.gen, gen)
-	}
-	return c.Field(src), nil
-}
 
 // Field returns the BFS distance field from src (length N, unreachable
 // nodes at graph.Unreachable), computing and caching it on first use.

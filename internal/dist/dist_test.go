@@ -2,7 +2,6 @@ package dist
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 
@@ -43,13 +42,9 @@ func TestAPSPMatchesBFS(t *testing.T) {
 		a := NewAPSP(g)
 		for u := 0; u < g.N(); u++ {
 			want := g.BFS(graph.NodeID(u))
-			row := a.Row(graph.NodeID(u))
 			for v := 0; v < g.N(); v++ {
-				if row[v] != want[v] {
-					t.Fatalf("%v: APSP(%d,%d) = %d, BFS says %d", g, u, v, row[v], want[v])
-				}
-				if a.Dist(graph.NodeID(u), graph.NodeID(v)) != want[v] {
-					t.Fatalf("%v: Dist(%d,%d) disagrees with Row", g, u, v)
+				if d := a.Dist(graph.NodeID(u), graph.NodeID(v)); d != want[v] {
+					t.Fatalf("%v: APSP(%d,%d) = %d, BFS says %d", g, u, v, d, want[v])
 				}
 			}
 		}
@@ -66,28 +61,12 @@ func TestAPSPDeterministicAcrossWorkers(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		a := NewAPSP(g)
 		for u := 0; u < g.N(); u++ {
-			if !slices.Equal(a.Row(graph.NodeID(u)), g.BFS(graph.NodeID(u))) {
-				t.Fatalf("GOMAXPROCS=%d: row %d differs from BFS", procs, u)
+			for v, want := range g.BFS(graph.NodeID(u)) {
+				if a.Dist(graph.NodeID(u), graph.NodeID(v)) != want {
+					t.Fatalf("GOMAXPROCS=%d: row %d differs from BFS", procs, u)
+				}
 			}
 		}
-	}
-}
-
-func TestAPSPDiameterAndEccentricity(t *testing.T) {
-	g := gen.Grid2D(5, 8)
-	a := NewAPSP(g)
-	if d, want := a.Diameter(), g.Diameter(); d != want {
-		t.Fatalf("diameter %d, want %d", d, want)
-	}
-	if e, want := a.Eccentricity(0), g.Eccentricity(0); e != want {
-		t.Fatalf("eccentricity %d, want %d", e, want)
-	}
-	dis := graph.NewBuilder(4).AddEdge(0, 1).AddEdge(2, 3).Build()
-	if NewAPSP(dis).Diameter() != -1 {
-		t.Fatal("disconnected diameter should be -1")
-	}
-	if NewAPSP(graph.NewBuilder(0).Build()).Diameter() != 0 {
-		t.Fatal("empty graph diameter should be 0")
 	}
 }
 
@@ -118,7 +97,7 @@ func bfsBounded(g *graph.Graph, src graph.NodeID, radius int32) (nodes []graph.N
 }
 
 func TestBFSBounded(t *testing.T) {
-	g := graph.NewBuilder(6).AddPath(0, 1, 2, 3, 4, 5).Build()
+	g := gen.Path(6)
 	nodes, dists := bfsBounded(g, 2, 2)
 	if len(nodes) != 5 { // 0,1,2,3,4
 		t.Fatalf("ball size %d, want 5", len(nodes))
@@ -140,7 +119,7 @@ func TestBFSBounded(t *testing.T) {
 }
 
 func TestBFSBoundedNegativeRadius(t *testing.T) {
-	g := graph.NewBuilder(5).AddPath(0, 1, 2, 3, 4).Build()
+	g := gen.Path(5)
 	if nodes, _ := bfsBounded(g, 0, -1); nodes != nil {
 		t.Fatal("negative radius should yield empty ball")
 	}
@@ -151,10 +130,11 @@ func TestBallMatchesBFSBounded(t *testing.T) {
 		if g.N() == 0 {
 			continue
 		}
+		b := NewBallBuffer(g.N())
 		for _, radius := range []int32{0, 1, 2, 5, int32(g.N())} {
 			for u := 0; u < g.N(); u += 3 {
 				src := graph.NodeID(u)
-				nodes, dists := BallWithDists(g, src, radius)
+				nodes, dists := b.Ball(g, src, radius)
 				wantNodes, wantDists := bfsBounded(g, src, radius)
 				if len(nodes) != len(wantNodes) {
 					t.Fatalf("%v: |B(%d,%d)| = %d, bfsBounded says %d", g, u, radius, len(nodes), len(wantNodes))
@@ -180,15 +160,15 @@ func TestBallMatchesBFSBounded(t *testing.T) {
 			}
 		}
 	}
-	if Ball(gen.Path(5), 0, -1) != nil {
-		t.Fatal("negative radius must yield nil")
+	if nodes, _ := NewBallBuffer(5).Ball(gen.Path(5), 0, -1); len(nodes) != 0 {
+		t.Fatal("negative radius must yield an empty ball")
 	}
 }
 
 func TestBallBufferReuse(t *testing.T) {
 	g := gen.Grid2D(10, 10)
 	b := NewBallBuffer(g.N())
-	want := Ball(g, 37, 3)
+	want, _ := NewBallBuffer(g.N()).Ball(g, 37, 3)
 	for i := 0; i < 100; i++ {
 		nodes, dists := b.Ball(g, 37, 3)
 		if len(nodes) != len(want) || len(dists) != len(nodes) {
@@ -324,8 +304,8 @@ func TestLandmarkOracleDeterministic(t *testing.T) {
 	g := gen.ConnectedGNP(100, 0.05, xrand.New(11))
 	a := NewLandmarkOracle(g, 8, xrand.New(33))
 	b := NewLandmarkOracle(g, 8, xrand.New(33))
-	for i, l := range a.Landmarks() {
-		if b.Landmarks()[i] != l {
+	for i, l := range a.landmarks {
+		if b.landmarks[i] != l {
 			t.Fatal("same seed picked different landmarks")
 		}
 	}
@@ -397,10 +377,7 @@ func TestFieldSource(t *testing.T) {
 	g := gen.Grid2D(7, 9)
 	tgt := graph.NodeID(17)
 	d := g.BFS(tgt)
-	f := NewField(d, tgt)
-	if f.Target() != tgt {
-		t.Fatalf("Target()=%d, want %d", f.Target(), tgt)
-	}
+	f := NewField(d)
 	if f.Dist(tgt, tgt) != 0 {
 		t.Fatal("field not rooted at its target")
 	}

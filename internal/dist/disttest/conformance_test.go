@@ -115,7 +115,7 @@ func TestConformanceField(t *testing.T) {
 	forAllConformanceGraphs(t, func(t *testing.T, g *graph.Graph) {
 		for i := 0; i < 4; i++ {
 			target := graph.NodeID(rng.Intn(g.N()))
-			exactAt(t, g, target, dist.NewField(g.BFS(target), target))
+			exactAt(t, g, target, dist.NewField(g.BFS(target)))
 		}
 	})
 }

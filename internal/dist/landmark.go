@@ -181,9 +181,6 @@ func (o *LandmarkOracle) K() int { return len(o.landmarks) }
 // up-front check route.Greedy applies to fields and analytic metrics.
 func (o *LandmarkOracle) N() int { return int(o.n) }
 
-// Landmarks returns the landmark nodes as a shared, read-only slice.
-func (o *LandmarkOracle) Landmarks() []graph.NodeID { return o.landmarks }
-
 // Bounds returns triangle-inequality bounds lower ≤ d(u,v) ≤ upper.  When
 // no landmark reaches both endpoints (which with enough landmarks only
 // happens for pairs in different components) it returns (0,

@@ -20,7 +20,7 @@ func TestLandmarkExactAtLandmarks(t *testing.T) {
 			continue
 		}
 		o := NewLandmarkOracle(g, 4, xrand.New(5))
-		for _, l := range o.Landmarks() {
+		for _, l := range o.landmarks {
 			d := g.BFS(l)
 			for v := 0; v < g.N(); v++ {
 				want := d[v]
@@ -134,8 +134,8 @@ func TestLandmarkMatchesReference(t *testing.T) {
 				seed := uint64(len(name)*31 + k)
 				want := referenceLandmarkOracle(g, k, xrand.New(seed))
 				got := NewLandmarkOracle(g, k, xrand.New(seed))
-				if !slices.Equal(got.Landmarks(), want.Landmarks()) {
-					t.Fatalf("landmarks %v, reference %v", got.Landmarks(), want.Landmarks())
+				if !slices.Equal(got.landmarks, want.landmarks) {
+					t.Fatalf("landmarks %v, reference %v", got.landmarks, want.landmarks)
 				}
 				for u := int32(0); u < int32(g.N()); u++ {
 					for v := int32(0); v < int32(g.N()); v++ {

@@ -12,7 +12,7 @@ import (
 // so the policy never changes results — only build time, query time and
 // memory.  It is threaded from the navsim -oracle flag through
 // scenario.Config and sim.Config down to the per-graph resolution in
-// Resolve.
+// ResolveWith.
 type SourcePolicy string
 
 const (
@@ -66,25 +66,22 @@ func ParseSourcePolicy(s string) (SourcePolicy, error) {
 	return "", fmt.Errorf("dist: unknown oracle policy %q (known: auto, analytic, twohop, twohop-packed, field)", s)
 }
 
-// Resolve picks the distance Source for g under the policy.  metric is the
-// graph's closed-form analytic metric when one exists (resolution is the
-// caller's job — typically gen.MetricFor — to keep this package free of a
-// generator dependency).  A nil return means "use per-target BFS fields";
-// everything else is a shared exact Source.  Resolution is deterministic:
-// for a fixed (graph, metric, policy) it always returns the same tier.
-// An unknown policy string panics — a misspelled policy silently running a
-// different tier than asked would be a debugging trap; CLI input goes
-// through ParseSourcePolicy, so reaching here with garbage is a
-// programming error (the same convention the gen generators follow).
-func (p SourcePolicy) Resolve(g *graph.Graph, metric Source) Source {
-	return p.ResolveWith(g, metric, 0)
-}
-
-// ResolveWith is Resolve with an explicit label-build worker count (0 means
-// GOMAXPROCS); callers that own a worker pool — scenario.Runner — thread
-// their -workers setting through so oracle builds respect the same
-// parallelism budget as everything else in the run.  The built labels are
-// byte-identical at every worker count.
+// ResolveWith picks the distance Source for g under the policy.  metric is
+// the graph's closed-form analytic metric when one exists (resolution is
+// the caller's job — typically gen.MetricFor — to keep this package free
+// of a generator dependency).  A nil return means "use per-target BFS
+// fields"; everything else is a shared exact Source.  Resolution is
+// deterministic: for a fixed (graph, metric, policy) it always returns the
+// same tier.  An unknown policy string panics — a misspelled policy
+// silently running a different tier than asked would be a debugging trap;
+// CLI input goes through ParseSourcePolicy, so reaching here with garbage
+// is a programming error (the same convention the gen generators follow).
+//
+// workers is the label-build worker count (0 means GOMAXPROCS); callers
+// that own a worker pool — scenario.Runner — thread their -workers setting
+// through so oracle builds respect the same parallelism budget as
+// everything else in the run.  The built labels are byte-identical at
+// every worker count.
 func (p SourcePolicy) ResolveWith(g *graph.Graph, metric Source, workers int) Source {
 	switch p {
 	case PolicyField:

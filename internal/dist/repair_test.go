@@ -243,27 +243,6 @@ func TestDynTwoHopConcurrentFirstQueries(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFieldCacheGeneration pins the stale-field guard: a generation-stamped
-// cache serves FieldAt only at its own generation and fails loud otherwise.
-func TestFieldCacheGeneration(t *testing.T) {
-	g := repairTestGraph(40, 5, 2)
-	c := dist.NewFieldCacheAt(g, 8, 7)
-	if c.Generation() != 7 {
-		t.Fatalf("generation = %d", c.Generation())
-	}
-	if _, err := c.FieldAt(0, 7); err != nil {
-		t.Fatalf("matching generation rejected: %v", err)
-	}
-	if _, err := c.FieldAt(0, 8); err == nil {
-		t.Fatal("stale generation served")
-	} else if !strings.Contains(err.Error(), "stale field cache") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	if dist.NewFieldCache(g, 8).Generation() != 0 {
-		t.Fatal("plain caches must sit at generation 0")
-	}
-}
-
 // TestDynTwoHopApplyQuerySoak is the concurrent apply/query soak the CI
 // race job runs explicitly: one writer applies churn batches (state swaps
 // via the atomic pointer) while readers hammer Dist throughout.  Readers

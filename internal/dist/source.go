@@ -32,18 +32,14 @@ type Source interface {
 // mis-rooted fields).  Field is the adapter between the legacy per-target
 // field machinery (FieldCache) and Source-driven routing.
 type Field struct {
-	target graph.NodeID
-	d      []int32
+	d []int32
 }
 
 // NewField wraps the BFS distance field d (d[v] = dist(v, target)) as a
-// Source rooted at target.
-func NewField(d []int32, target graph.NodeID) Field {
-	return Field{target: target, d: d}
+// Source for queries towards target.
+func NewField(d []int32) Field {
+	return Field{d: d}
 }
-
-// Target returns the node the field is rooted at.
-func (f Field) Target() graph.NodeID { return f.target }
 
 // N returns the number of nodes the field covers.  Sources that know their
 // node count (fields, the analytic family metrics) expose it so routing can

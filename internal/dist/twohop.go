@@ -663,9 +663,6 @@ func twoHopCheckedUvarint(blob []byte, i, end int64) (v uint32, next int64, err 
 	return uint32(x), i, nil
 }
 
-// Entries returns the total number of label entries across all nodes.
-func (t *TwoHop) Entries() int64 { return t.entries }
-
 // AvgLabel returns the mean label size per node.
 func (t *TwoHop) AvgLabel() float64 {
 	if t.n == 0 {

@@ -147,7 +147,7 @@ func BenchmarkTwoHopBuild(b *testing.B) {
 			b.Run(gc.name+"/"+eng.name, func(b *testing.B) {
 				var entries int64
 				for b.Loop() {
-					entries = NewTwoHopWith(gc.g, eng.opts).Entries()
+					entries = NewTwoHopWith(gc.g, eng.opts).entries
 				}
 				b.ReportMetric(float64(entries)/float64(gc.g.N()), "labels/node")
 			})

@@ -126,8 +126,8 @@ func FuzzTwoHopPackedFromRaw(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if o.Entries() != entries || o.MaxLabel() != maxLabel {
-			t.Fatalf("entries/max label %d/%d, reference %d/%d", o.Entries(), o.MaxLabel(), entries, maxLabel)
+		if o.entries != entries || o.MaxLabel() != maxLabel {
+			t.Fatalf("entries/max label %d/%d, reference %d/%d", o.entries, o.MaxLabel(), entries, maxLabel)
 		}
 		raw := o.Unpack()
 		var pin TwoHopPin
@@ -204,9 +204,9 @@ func FuzzTwoHopFromRaw(f *testing.F) {
 		if err != nil {
 			t.Fatalf("converted oracle's packed arrays rejected: %v", err)
 		}
-		if reloaded.Entries() != o.Entries() || reloaded.MaxLabel() != o.MaxLabel() {
+		if reloaded.entries != o.entries || reloaded.MaxLabel() != o.MaxLabel() {
 			t.Fatalf("entries/max label %d/%d after reload, %d/%d converted",
-				reloaded.Entries(), reloaded.MaxLabel(), o.Entries(), o.MaxLabel())
+				reloaded.entries, reloaded.MaxLabel(), o.entries, o.MaxLabel())
 		}
 		var pin TwoHopPin
 		for k := 0; k < 12; k++ {

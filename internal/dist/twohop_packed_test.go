@@ -51,8 +51,8 @@ func twoHopFromLegacy(t testing.TB, o *TwoHop) *TwoHop {
 // label sets (entry by entry, node by node).
 func twoHopRequireEqual(t *testing.T, name string, want, got *TwoHop) {
 	t.Helper()
-	if want.Entries() != got.Entries() {
-		t.Fatalf("%s: entry totals differ: %d vs %d", name, got.Entries(), want.Entries())
+	if want.entries != got.entries {
+		t.Fatalf("%s: entry totals differ: %d vs %d", name, got.entries, want.entries)
 	}
 	for v := 0; v < want.N(); v++ {
 		wh, wd := want.Label(graph.NodeID(v))
@@ -124,7 +124,7 @@ func TestTwoHopPackedMatchesRaw(t *testing.T) {
 		o := NewTwoHopWith(g, TwoHopOptions{Workers: 3})
 		l := twoHopFromLegacy(t, o)
 		twoHopRequireEqual(t, name+"/legacy", o, l)
-		if o.Entries() != l.Entries() || o.MaxLabel() != l.MaxLabel() ||
+		if o.entries != l.entries || o.MaxLabel() != l.MaxLabel() ||
 			math.Abs(o.AvgLabel()-l.AvgLabel()) > 1e-12 {
 			t.Fatalf("%s: label statistics differ after the legacy round trip", name)
 		}
@@ -142,7 +142,7 @@ func TestTwoHopPackedMatchesRaw(t *testing.T) {
 				}
 			}
 		}
-		if raw := 4*int64(n) + 8*int64(n+1) + 8*o.Entries(); n > 8 && o.MemoryBytes() >= raw {
+		if raw := 4*int64(n) + 8*int64(n+1) + 8*o.entries; n > 8 && o.MemoryBytes() >= raw {
 			t.Fatalf("%s: packed oracle (%d B) not smaller than raw labels (%d B)", name, o.MemoryBytes(), raw)
 		}
 	}
@@ -264,7 +264,7 @@ func TestTwoHopPackedFromRawHostile(t *testing.T) {
 		t.Fatal("accepted a label index that overshoots the arrays")
 	}
 	// Empty oracle: zero-length streams are fine.
-	if o, err := TwoHopPackedFromRaw(1, []graph.NodeID{0}, []int64{0, 0}, nil); err != nil || o.Entries() != 0 {
+	if o, err := TwoHopPackedFromRaw(1, []graph.NodeID{0}, []int64{0, 0}, nil); err != nil || o.entries != 0 {
 		t.Fatalf("rejected an empty packed oracle: %v", err)
 	}
 }

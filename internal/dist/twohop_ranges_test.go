@@ -154,9 +154,9 @@ func TestTwoHopWalkRangesMatchSerial(t *testing.T) {
 			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 				t.Fatalf("trial %d (%v), %d workers: error %v, serial walk %v", trial, applied, workers, err, wantErr)
 			}
-			if err == nil && (got.Entries() != entries || got.MaxLabel() != maxLabel) {
+			if err == nil && (got.entries != entries || got.MaxLabel() != maxLabel) {
 				t.Fatalf("trial %d (%v), %d workers: %d entries, largest label %d; serial walk %d, %d",
-					trial, applied, workers, got.Entries(), got.MaxLabel(), entries, maxLabel)
+					trial, applied, workers, got.entries, got.MaxLabel(), entries, maxLabel)
 			}
 		}
 	}
@@ -191,9 +191,9 @@ func TestTwoHopWalkDecodesEveryLength(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d workers: %v", workers, err)
 		}
-		if got.Entries() != entries || got.MaxLabel() != maxLabel {
+		if got.entries != entries || got.MaxLabel() != maxLabel {
 			t.Fatalf("%d workers: %d entries, largest label %d; reference %d, %d",
-				workers, got.Entries(), got.MaxLabel(), entries, maxLabel)
+				workers, got.entries, got.MaxLabel(), entries, maxLabel)
 		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 // disconnected graphs sized for exhaustive checking.
 func twoHopTestGraphs() map[string]*graph.Graph {
 	b := graph.NewBuilder(7)
-	b.AddPath(0, 1, 2, 3) // component {0..3}
-	b.AddEdge(4, 5)       // component {4,5}; node 6 isolated
+	b.AddEdge(0, 1).AddEdge(1, 2).AddEdge(2, 3) // component {0..3}
+	b.AddEdge(4, 5)                             // component {4,5}; node 6 isolated
 	disconnected := b.Build()
 	line := graph.NewBuilder(1).Build()
 	return map[string]*graph.Graph{
@@ -117,9 +117,9 @@ func TestTwoHopDeterministicAcrossWorkers(t *testing.T) {
 		base := NewTwoHopWith(g, TwoHopOptions{Workers: 1})
 		for _, workers := range []int{2, 3, 8} {
 			o := NewTwoHopWith(g, TwoHopOptions{Workers: workers})
-			if o.Entries() != base.Entries() {
+			if o.entries != base.entries {
 				t.Fatalf("%s: %d workers produced %d entries, 1 worker %d",
-					name, workers, o.Entries(), base.Entries())
+					name, workers, o.entries, base.entries)
 			}
 			for v := 0; v < g.N(); v++ {
 				bh, bd := base.Label(graph.NodeID(v))
@@ -145,8 +145,8 @@ func TestTwoHopDeterministicAcrossWorkers(t *testing.T) {
 func TestTwoHopDeterministicAcrossBuilds(t *testing.T) {
 	g := gridGraph(16, 16)
 	a, b := NewTwoHop(g), NewTwoHop(g)
-	if a.Entries() != b.Entries() {
-		t.Fatalf("entries differ: %d vs %d", a.Entries(), b.Entries())
+	if a.entries != b.entries {
+		t.Fatalf("entries differ: %d vs %d", a.entries, b.entries)
 	}
 	for v := 0; v < g.N(); v++ {
 		ah, ad := a.Label(graph.NodeID(v))
@@ -181,8 +181,8 @@ func TestTwoHopStats(t *testing.T) {
 	if o.N() != 100 {
 		t.Fatalf("N() = %d", o.N())
 	}
-	if o.Entries() < int64(g.N()) {
-		t.Fatalf("only %d entries for %d nodes (every node labels itself)", o.Entries(), g.N())
+	if o.entries < int64(g.N()) {
+		t.Fatalf("only %d entries for %d nodes (every node labels itself)", o.entries, g.N())
 	}
 	if avg := o.AvgLabel(); avg <= 0 || avg > float64(g.N()) {
 		t.Fatalf("AvgLabel() = %v", avg)
@@ -198,30 +198,30 @@ func TestTwoHopStats(t *testing.T) {
 // TestSourcePolicyResolve checks the resolver's tier choices.
 func TestSourcePolicyResolve(t *testing.T) {
 	small := gridGraph(8, 8)
-	metric := NewField(small.BFS(3), 3) // stand-in analytic source
+	metric := NewField(small.BFS(3)) // stand-in analytic source
 	isMetric := func(src Source) bool {
 		f, ok := src.(Field)
-		return ok && f.Target() == 3
+		return ok && &f.d[0] == &metric.d[0]
 	}
-	if src := PolicyField.Resolve(small, metric); src != nil {
+	if src := PolicyField.ResolveWith(small, metric, 0); src != nil {
 		t.Fatal("field policy must resolve to nil (BFS fields)")
 	}
-	if src := PolicyAnalytic.Resolve(small, metric); !isMetric(src) {
+	if src := PolicyAnalytic.ResolveWith(small, metric, 0); !isMetric(src) {
 		t.Fatal("analytic policy must hand back the metric")
 	}
-	if src := PolicyAnalytic.Resolve(small, nil); src != nil {
+	if src := PolicyAnalytic.ResolveWith(small, nil, 0); src != nil {
 		t.Fatal("analytic policy without a metric must fall back to fields")
 	}
-	if _, ok := PolicyTwoHop.Resolve(small, metric).(*TwoHop); !ok {
+	if _, ok := PolicyTwoHop.ResolveWith(small, metric, 0).(*TwoHop); !ok {
 		t.Fatal("twohop policy must build the oracle even when a metric exists")
 	}
-	if _, ok := PolicyTwoHopPacked.Resolve(small, metric).(*TwoHop); !ok {
+	if _, ok := PolicyTwoHopPacked.ResolveWith(small, metric, 0).(*TwoHop); !ok {
 		t.Fatal("twohop-packed policy must build the oracle even when a metric exists")
 	}
-	if src := PolicyAuto.Resolve(small, metric); !isMetric(src) {
+	if src := PolicyAuto.ResolveWith(small, metric, 0); !isMetric(src) {
 		t.Fatal("auto policy must prefer the metric")
 	}
-	if src := PolicyAuto.Resolve(small, nil); src != nil {
+	if src := PolicyAuto.ResolveWith(small, nil, 0); src != nil {
 		t.Fatalf("auto policy on a small metric-less graph must use fields, got %T", src)
 	}
 	_, err := ParseSourcePolicy("nope")

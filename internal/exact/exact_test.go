@@ -286,7 +286,11 @@ type opaqueScheme struct{}
 
 func (opaqueScheme) Name() string { return "opaque" }
 func (opaqueScheme) Prepare(g *graph.Graph) (augment.Instance, error) {
-	return augment.InstanceFunc(func(u graph.NodeID, rng *xrand.RNG) graph.NodeID { return u }), nil
+	contacts := make([]graph.NodeID, g.N())
+	for u := range contacts {
+		contacts[u] = graph.NodeID(u)
+	}
+	return augment.NewStatic("opaque", contacts)
 }
 
 func BenchmarkExpectedStepsUniformPath(b *testing.B) {

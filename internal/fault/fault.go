@@ -27,7 +27,6 @@ package fault
 import (
 	"fmt"
 	"math"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -74,33 +73,6 @@ type Fault struct {
 	Duration time.Duration
 }
 
-func (f Fault) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s", f.Kind)
-	sep := ":"
-	put := func(format string, args ...any) {
-		b.WriteString(sep)
-		fmt.Fprintf(&b, format, args...)
-		sep = ","
-	}
-	if f.Shard >= 0 {
-		put("shard=%d", f.Shard)
-	}
-	if f.P > 0 && f.P != 1 {
-		put("p=%g", f.P)
-	}
-	if f.Delay > 0 {
-		put("delay=%s", f.Delay)
-	}
-	if f.Start > 0 {
-		put("start=%s", f.Start)
-	}
-	if f.Duration > 0 {
-		put("dur=%s", f.Duration)
-	}
-	return b.String()
-}
-
 // Injector evaluates a fault schedule.  Safe for concurrent use; a nil
 // *Injector is the canonical "fault injection disabled" value.
 type Injector struct {
@@ -135,16 +107,19 @@ func (i *Injector) Deactivate() {
 	i.activatedAt.Store(0)
 }
 
-// String renders the schedule back in the Parse grammar.
-func (i *Injector) String() string {
-	if i == nil || len(i.faults) == 0 {
-		return ""
+// CheckShards rejects a schedule whose stall or panic names a shard that a
+// pool of n workers does not have, since such a fault would never fire.
+// A nil injector passes.
+func (i *Injector) CheckShards(n int) error {
+	if i == nil {
+		return nil
 	}
-	parts := make([]string, len(i.faults))
-	for idx, f := range i.faults {
-		parts[idx] = f.String()
+	for _, f := range i.faults {
+		if (f.Kind == KindStall || f.Kind == KindPanic) && f.Shard >= n {
+			return fmt.Errorf("fault: %s names shard %d, but the pool has %d workers (shards 0 to %d)", f.Kind, f.Shard, n, n-1)
+		}
 	}
-	return strings.Join(parts, ";")
+	return nil
 }
 
 func (i *Injector) elapsed() (time.Duration, bool) {
@@ -279,6 +254,9 @@ func (f *Fault) validate() error {
 	case KindMem:
 	default:
 		return fmt.Errorf("fault: unknown kind %q", f.Kind)
+	}
+	if f.Shard < -1 {
+		return fmt.Errorf("fault: %s shard %d: want a shard index, or -1 for every shard", f.Kind, f.Shard)
 	}
 	if f.P < 0 || f.P > 1 || math.IsNaN(f.P) {
 		return fmt.Errorf("fault: %s probability %v out of [0,1]", f.Kind, f.P)

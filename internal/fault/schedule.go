@@ -54,16 +54,6 @@ func Parse(spec string, seed uint64) (*Injector, error) {
 	return New(seed, faults...), nil
 }
 
-// MustParse is Parse for schedules known valid at compile time (tests,
-// default drill schedules); it panics on error.
-func MustParse(spec string, seed uint64) *Injector {
-	inj, err := Parse(spec, seed)
-	if err != nil {
-		panic(err)
-	}
-	return inj
-}
-
 func parseFault(part string) (Fault, error) {
 	kindStr, rest, _ := strings.Cut(part, ":")
 	f := Fault{Kind: Kind(strings.TrimSpace(kindStr)), Shard: -1, P: 1}

@@ -47,7 +47,7 @@ func checkNamedArc(t *testing.T, err error, lists [][]int32) (a, b int32) {
 
 func TestFromCSRAcceptsBuiltGraphs(t *testing.T) {
 	b := NewBuilder(9)
-	b.AddPath(0, 1, 2, 3, 4, 0).AddEdge(2, 7).AddEdge(7, 8).AddEdge(0, 8)
+	b.AddEdge(0, 1).AddEdge(1, 2).AddEdge(2, 3).AddEdge(3, 4).AddEdge(4, 0).AddEdge(2, 7).AddEdge(7, 8).AddEdge(0, 8)
 	for _, g := range []*Graph{b.Build(), NewBuilder(0).Build(), NewBuilder(3).Build()} {
 		offsets, adj := g.RawCSR()
 		h, err := FromCSR(g.Name(), g.N(), offsets, adj)

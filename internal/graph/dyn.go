@@ -25,8 +25,7 @@ import "fmt"
 // rejects the entire batch with an error and leaves the graph unchanged.
 // Every applied batch bumps the generation counter — the handle that
 // distance oracles and field caches use to refuse serving answers for a
-// graph state they have not seen (see dist.DynTwoHop and
-// dist.FieldCache.FieldAt).  Compaction does not change the edge set, so it
+// graph state they have not seen (see dist.DynTwoHop).  Compaction does not change the edge set, so it
 // does not change the generation.
 //
 // A DynGraph is not safe for concurrent use; the churn pipeline owns it
@@ -73,9 +72,6 @@ func (d *DynGraph) Base() *Graph { return d.base }
 
 // N returns the number of nodes (churn mutates edges only).
 func (d *DynGraph) N() int { return d.base.N() }
-
-// M returns the current number of undirected edges.
-func (d *DynGraph) M() int { return int(d.m) }
 
 // Gen returns the generation: the number of delta batches applied since
 // creation.  Rebase preserves it — compaction changes the representation,
@@ -230,17 +226,6 @@ func (d *DynGraph) setOverlay(slot *[]NodeID, s []NodeID) {
 		d.used--
 	}
 	*slot = s
-}
-
-// BFS computes hop distances from src on the current graph, with
-// unreachable nodes at Unreachable, exactly like Graph.BFS.
-func (d *DynGraph) BFS(src NodeID) []int32 {
-	dist := make([]int32, d.N())
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	d.BFSInto(src, dist, nil)
-	return dist
 }
 
 // BFSInto runs BFS from src on the current graph into pre-filled scratch,

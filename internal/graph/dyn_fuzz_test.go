@@ -88,13 +88,13 @@ func checkDynGraph(t *testing.T, d *DynGraph, has []bool) {
 			}
 		}
 	}
-	want := FromEdges(n, edges)
+	want := fromEdges(n, edges)
 
 	if got := d.Edges(); !slices.Equal(got, want.Edges()) {
 		t.Fatalf("Edges() = %v, want %v", got, want.Edges())
 	}
-	if d.M() != want.M() {
-		t.Fatalf("M() = %d, want %d", d.M(), want.M())
+	if int(d.m) != want.M() {
+		t.Fatalf("edge count %d, want %d", int(d.m), want.M())
 	}
 	baseOff, baseAdj := d.Base().RawCSR()
 	wantOff, wantAdj := want.RawCSR()

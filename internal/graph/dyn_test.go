@@ -53,7 +53,7 @@ func TestAddEdgeStillPanics(t *testing.T) {
 }
 
 func TestDynGraphApplyValidation(t *testing.T) {
-	base := FromEdges(4, []Edge{{0, 1}, {1, 2}, {2, 3}})
+	base := fromEdges(4, []Edge{{0, 1}, {1, 2}, {2, 3}})
 	cases := []struct {
 		name   string
 		deltas []Delta
@@ -73,8 +73,8 @@ func TestDynGraphApplyValidation(t *testing.T) {
 			t.Fatalf("%s: batch accepted", tc.name)
 		}
 		// A rejected batch must leave the graph and its generation untouched.
-		if d.Gen() != 0 || !d.OverlayEmpty() || d.M() != base.M() {
-			t.Fatalf("%s: rejected batch mutated the graph (gen=%d m=%d)", tc.name, d.Gen(), d.M())
+		if d.Gen() != 0 || !d.OverlayEmpty() || int(d.m) != base.M() {
+			t.Fatalf("%s: rejected batch mutated the graph (gen=%d m=%d)", tc.name, d.Gen(), int(d.m))
 		}
 	}
 
@@ -84,8 +84,8 @@ func TestDynGraphApplyValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("delete+reinsert batch rejected: %v", err)
 	}
-	if !d.HasEdge(0, 1) || d.M() != base.M() || d.Gen() != 1 {
-		t.Fatalf("delete+reinsert batch did not round-trip (m=%d gen=%d)", d.M(), d.Gen())
+	if !d.HasEdge(0, 1) || int(d.m) != base.M() || d.Gen() != 1 {
+		t.Fatalf("delete+reinsert batch did not round-trip (m=%d gen=%d)", int(d.m), d.Gen())
 	}
 }
 
@@ -141,8 +141,8 @@ func TestDynGraphOverlayVsCompacted(t *testing.T) {
 		if d.Gen() != uint64(batch) {
 			t.Fatalf("batch %d: gen=%d", batch, d.Gen())
 		}
-		if d.M() != len(ref) {
-			t.Fatalf("batch %d: M=%d want %d", batch, d.M(), len(ref))
+		if int(d.m) != len(ref) {
+			t.Fatalf("batch %d: M=%d want %d", batch, int(d.m), len(ref))
 		}
 
 		// Compacted CSR must match a Builder-built graph byte for byte.
@@ -150,7 +150,7 @@ func TestDynGraphOverlayVsCompacted(t *testing.T) {
 		for k := range ref {
 			edges = append(edges, Edge{U: k[0], V: k[1]})
 		}
-		want := FromEdges(n, edges)
+		want := fromEdges(n, edges)
 		got := d.Compact()
 		wantOff, wantAdj := want.RawCSR()
 		gotOff, gotAdj := got.RawCSR()
@@ -187,7 +187,11 @@ func TestDynGraphOverlayVsCompacted(t *testing.T) {
 
 		// BFS through the overlay equals BFS on the compacted CSR.
 		for _, src := range []NodeID{0, NodeID(n / 2), NodeID(n - 1)} {
-			dd := d.BFS(src)
+			dd := make([]int32, n)
+			for i := range dd {
+				dd[i] = Unreachable
+			}
+			d.BFSInto(src, dd, nil)
 			gd := got.BFS(src)
 			for i := range dd {
 				if dd[i] != gd[i] {
@@ -209,7 +213,7 @@ func TestDynGraphOverlayVsCompacted(t *testing.T) {
 }
 
 func TestDynGraphDeleteThenReinsertAcrossBatches(t *testing.T) {
-	base := FromEdges(3, []Edge{{0, 1}, {1, 2}})
+	base := fromEdges(3, []Edge{{0, 1}, {1, 2}})
 	d := NewDynGraph(base)
 	if err := d.Apply([]Delta{{U: 0, V: 1, Op: DeltaDelete}}); err != nil {
 		t.Fatal(err)
@@ -261,7 +265,7 @@ func TestDynGraphEmptyOverlayZeroAlloc(t *testing.T) {
 }
 
 func TestDynGraphEdges(t *testing.T) {
-	base := FromEdges(4, []Edge{{0, 1}, {1, 2}, {2, 3}})
+	base := fromEdges(4, []Edge{{0, 1}, {1, 2}, {2, 3}})
 	d := NewDynGraph(base)
 	if err := d.Apply([]Delta{
 		{U: 1, V: 2, Op: DeltaDelete},

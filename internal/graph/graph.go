@@ -55,9 +55,6 @@ func (b *Builder) SetName(name string) *Builder {
 	return b
 }
 
-// N returns the number of nodes the builder was created with.
-func (b *Builder) N() int { return int(b.n) }
-
 // AddEdge records the undirected edge {u, v}.  It panics on out-of-range
 // endpoints or self-loops; duplicates are allowed and merged at Build time.
 // The panic is the right contract for generator code, where a bad edge is a
@@ -84,14 +81,6 @@ func (b *Builder) TryAddEdge(u, v NodeID) error {
 	}
 	b.edges = append(b.edges, Edge{U: u, V: v})
 	return nil
-}
-
-// AddPath adds edges forming a path through the listed nodes in order.
-func (b *Builder) AddPath(nodes ...NodeID) *Builder {
-	for i := 1; i < len(nodes); i++ {
-		b.AddEdge(nodes[i-1], nodes[i])
-	}
-	return b
 }
 
 // Build produces the immutable Graph.  The builder may be reused afterwards,
@@ -151,15 +140,6 @@ func (b *Builder) Build() *Graph {
 		adj:     adj,
 		name:    b.name,
 	}
-}
-
-// FromEdges builds a graph directly from an edge list.
-func FromEdges(n int, edges []Edge) *Graph {
-	b := NewBuilder(n)
-	for _, e := range edges {
-		b.AddEdge(e.U, e.V)
-	}
-	return b.Build()
 }
 
 // RawCSR exposes the graph's CSR arrays as shared, read-only slices:

@@ -97,7 +97,7 @@ func Read(r io.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: bad endpoint %q", fields[1])
 		}
-		if u < 0 || v < 0 || u >= b.N() || v >= b.N() {
+		if u < 0 || v < 0 || u >= int(b.n) || v >= int(b.n) {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range", u, v)
 		}
 		if u == v {

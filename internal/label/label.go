@@ -154,27 +154,3 @@ func (l *Labeling) Nodes(lbl int) []graph.NodeID {
 	}
 	return l.NodesByLabel[lbl]
 }
-
-// Validate checks structural invariants of the labeling: labels lie in
-// [1, B] and NodesByLabel is consistent with Labels.
-func (l *Labeling) Validate() error {
-	counts := make([]int, l.B+1)
-	for v, lbl := range l.Labels {
-		if lbl < 1 || lbl > l.B {
-			return fmt.Errorf("label: node %d has label %d outside [1,%d]", v, lbl, l.B)
-		}
-		counts[lbl]++
-	}
-	for lbl := 1; lbl <= l.B; lbl++ {
-		if len(l.NodesByLabel[lbl]) != counts[lbl] {
-			return fmt.Errorf("label: NodesByLabel[%d] has %d nodes, Labels says %d",
-				lbl, len(l.NodesByLabel[lbl]), counts[lbl])
-		}
-		for _, v := range l.NodesByLabel[lbl] {
-			if l.Labels[v] != lbl {
-				return fmt.Errorf("label: node %d listed under label %d but has label %d", v, lbl, l.Labels[v])
-			}
-		}
-	}
-	return nil
-}

@@ -1,6 +1,7 @@
 package label
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -249,7 +250,7 @@ func TestFromPathDecompositionOnPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lab.Validate(); err != nil {
+	if err := validate(lab); err != nil {
 		t.Fatal(err)
 	}
 	if lab.B != pd.B() {
@@ -286,7 +287,7 @@ func TestFromPathDecompositionLabelMembership(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if lab.Validate() != nil {
+		if validate(lab) != nil {
 			return false
 		}
 		first, last := pd.NodeIntervals(n)
@@ -324,7 +325,7 @@ func TestLabelingOnIntervalGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lab.Validate(); err != nil {
+	if err := validate(lab); err != nil {
 		t.Fatal(err)
 	}
 	// All labels must be in [1, B].
@@ -357,4 +358,28 @@ func leastCommonAncestorLevel(x, y int) int {
 		}
 	}
 	panic("label: no common ancestor below level 62")
+}
+
+// validate checks structural invariants of the labeling: labels lie in
+// [1, B] and NodesByLabel is consistent with Labels.
+func validate(l *Labeling) error {
+	counts := make([]int, l.B+1)
+	for v, lbl := range l.Labels {
+		if lbl < 1 || lbl > l.B {
+			return fmt.Errorf("label: node %d has label %d outside [1,%d]", v, lbl, l.B)
+		}
+		counts[lbl]++
+	}
+	for lbl := 1; lbl <= l.B; lbl++ {
+		if len(l.NodesByLabel[lbl]) != counts[lbl] {
+			return fmt.Errorf("label: NodesByLabel[%d] has %d nodes, Labels says %d",
+				lbl, len(l.NodesByLabel[lbl]), counts[lbl])
+		}
+		for _, v := range l.NodesByLabel[lbl] {
+			if l.Labels[v] != lbl {
+				return fmt.Errorf("label: node %d listed under label %d but has label %d", v, lbl, l.Labels[v])
+			}
+		}
+	}
+	return nil
 }

@@ -224,10 +224,10 @@ func TestRoutesMatchReference(t *testing.T) {
 //
 //	0 - 1 - 3 - 5     1 - 4 - 5     2 - 3     2 - 5     0 - 6 - 7
 func TestPinnedScanStopTieRule(t *testing.T) {
-	g := graph.FromEdges(8, []graph.Edge{
-		{U: 0, V: 1}, {U: 1, V: 3}, {U: 1, V: 4}, {U: 2, V: 3}, {U: 2, V: 5},
-		{U: 3, V: 5}, {U: 4, V: 5}, {U: 0, V: 6}, {U: 6, V: 7},
-	})
+	g := graph.NewBuilder(8).
+		AddEdge(0, 1).AddEdge(1, 3).AddEdge(1, 4).AddEdge(2, 3).AddEdge(2, 5).
+		AddEdge(3, 5).AddEdge(4, 5).AddEdge(0, 6).AddEdge(6, 7).
+		Build()
 	o := dist.NewTwoHop(g)
 	for _, tc := range []struct {
 		contact graph.NodeID
@@ -237,12 +237,15 @@ func TestPinnedScanStopTieRule(t *testing.T) {
 		{contact: 6, path: []graph.NodeID{5, 6, 0}, long: 1},
 		{contact: 7, path: []graph.NodeID{5, 3, 1, 0}, long: 0},
 	} {
-		inst := augment.InstanceFunc(func(u graph.NodeID, _ *xrand.RNG) graph.NodeID {
-			if u == 5 {
-				return tc.contact
-			}
-			return u
-		})
+		contacts := make([]graph.NodeID, g.N())
+		for u := range contacts {
+			contacts[u] = graph.NodeID(u)
+		}
+		contacts[5] = tc.contact
+		inst, err := augment.NewStatic("test", contacts)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got, err := Greedy(g, inst, 5, 0, o, xrand.New(1), Options{Trace: true, Scratch: NewScratch(g.N())})
 		if err != nil {
 			t.Fatal(err)
@@ -267,7 +270,7 @@ func TestResultDist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	twohop, packed := dist.PolicyTwoHop.Resolve(g, nil), dist.PolicyTwoHopPacked.Resolve(g, nil)
+	twohop, packed := dist.PolicyTwoHop.ResolveWith(g, nil, 0), dist.PolicyTwoHopPacked.ResolveWith(g, nil, 0)
 	sources := []struct {
 		name string
 		src  func(tgt graph.NodeID) dist.Source

@@ -13,7 +13,7 @@ import (
 )
 
 func distTo(g *graph.Graph, t graph.NodeID) dist.Field {
-	return dist.NewField(g.BFS(t), t)
+	return dist.NewField(g.BFS(t))
 }
 
 func TestGreedyWithoutAugmentationFollowsShortestPath(t *testing.T) {
@@ -61,7 +61,7 @@ func TestGreedyValidatesInput(t *testing.T) {
 		t.Fatal("nil distance source accepted")
 	}
 	// field built for a smaller graph must error, not index out of range
-	if _, err := Greedy(g, inst, 0, 5, dist.NewField(make([]int32, 3), 5), rng, Options{}); err == nil {
+	if _, err := Greedy(g, inst, 0, 5, dist.NewField(make([]int32, 3)), rng, Options{}); err == nil {
 		t.Fatal("short distance field accepted")
 	}
 	// metric of the wrong size must be rejected too
@@ -69,7 +69,7 @@ func TestGreedyValidatesInput(t *testing.T) {
 		t.Fatal("mis-sized metric accepted")
 	}
 	// distance field rooted at the wrong node
-	if _, err := Greedy(g, inst, 0, 5, dist.NewField(g.BFS(6), 6), rng, Options{}); err == nil {
+	if _, err := Greedy(g, inst, 0, 5, dist.NewField(g.BFS(6)), rng, Options{}); err == nil {
 		t.Fatal("mis-rooted distance source accepted")
 	}
 	// unreachable target
@@ -280,7 +280,7 @@ func TestGreedyWithLookaheadValidatesInput(t *testing.T) {
 	if _, err := GreedyWithLookahead(g, inst, 0, 5, nil, rng, Options{}); err == nil {
 		t.Fatal("nil distance source accepted")
 	}
-	if _, err := GreedyWithLookahead(g, inst, 0, 5, dist.NewField(make([]int32, 2), 5), rng, Options{}); err == nil {
+	if _, err := GreedyWithLookahead(g, inst, 0, 5, dist.NewField(make([]int32, 2)), rng, Options{}); err == nil {
 		t.Fatal("short distance field accepted")
 	}
 }

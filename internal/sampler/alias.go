@@ -43,11 +43,8 @@ func NewAlias(weights []float64) (Alias, error) {
 	return a, nil
 }
 
-// K returns the number of outcomes.
-func (a Alias) K() int { return len(a.prob) }
-
-// Draw returns an outcome in [0, K) with probability proportional to the
-// weight it was built with.  O(1), allocation-free.
+// Draw returns an outcome in [0, len(weights)) with probability
+// proportional to the weight it was built with.  O(1), allocation-free.
 func (a Alias) Draw(rng *xrand.RNG) int32 {
 	return Draw(a.prob, a.alias, rng)
 }

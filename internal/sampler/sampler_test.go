@@ -42,15 +42,15 @@ func TestBuildIntoValidatesLengths(t *testing.T) {
 func aliasEmpirical(t *testing.T, a Alias, draws int, seed uint64) []float64 {
 	t.Helper()
 	rng := xrand.New(seed)
-	counts := make([]int, a.K())
+	counts := make([]int, len(a.prob))
 	for i := 0; i < draws; i++ {
 		v := a.Draw(rng)
-		if v < 0 || int(v) >= a.K() {
-			t.Fatalf("draw %d out of range [0,%d)", v, a.K())
+		if v < 0 || int(v) >= len(a.prob) {
+			t.Fatalf("draw %d out of range [0,%d)", v, len(a.prob))
 		}
 		counts[v]++
 	}
-	freq := make([]float64, a.K())
+	freq := make([]float64, len(a.prob))
 	for i, c := range counts {
 		freq[i] = float64(c) / float64(draws)
 	}
@@ -128,8 +128,8 @@ func TestAliasColumnMassIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := float64(a.K())
-	mass := make([]float64, a.K())
+	k := float64(len(a.prob))
+	mass := make([]float64, len(a.prob))
 	for i := range a.prob {
 		mass[i] += a.prob[i] / k
 		if a.prob[i] < 1 {

@@ -240,11 +240,10 @@ func (r *Runner) cellSimConfig(gkey string, cell Cell, fields *dist.FieldCache, 
 		trials = 8
 	}
 	c := sim.Config{
-		Pairs:               pairs,
-		Trials:              trials,
-		Seed:                r.cfg.Seed ^ hash64(gkey),
-		FixedPairs:          cell.FixedPairs,
-		IncludeExtremalPair: true,
+		Pairs:      pairs,
+		Trials:     trials,
+		Seed:       r.cfg.Seed ^ hash64(gkey),
+		FixedPairs: cell.FixedPairs,
 		// A shared source (analytic metric or 2-hop oracle) replaces the
 		// field cache entirely: O(1)-ish memory per distance query and no
 		// per-target BFS.  Results are identical either way (every tier is

@@ -48,6 +48,16 @@ type chaosStats struct {
 	Quarantined   []string `json:"quarantined"`
 }
 
+// parseFaults parses a fault schedule the test knows to be valid.
+func parseFaults(t *testing.T, spec string, seed uint64) *fault.Injector {
+	t.Helper()
+	inj, err := fault.Parse(spec, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inj
+}
+
 func fetchChaosStats(t *testing.T, base string) chaosStats {
 	t.Helper()
 	var st chaosStats
@@ -76,7 +86,7 @@ func randomPairs(n, k int, seed uint64) [][2]int32 {
 	rng := xrand.New(seed)
 	pairs := make([][2]int32, k)
 	for i := range pairs {
-		pairs[i] = [2]int32{rng.Int31n(int32(n)), rng.Int31n(int32(n))}
+		pairs[i] = [2]int32{int32(rng.Intn(n)), int32(rng.Intn(n))}
 	}
 	return pairs
 }
@@ -131,7 +141,7 @@ func captureProbes(t *testing.T, urls []string) [][]byte {
 // (c) zero escaped panics, and (d) byte-identical answers once the fault
 // window closes.
 func TestChaosContractStallAndStorm(t *testing.T) {
-	inj := fault.MustParse("stall:shard=-1,delay=40ms,dur=1200ms;storm:p=0.1,delay=500ms,dur=1200ms", 11)
+	inj := parseFaults(t, "stall:shard=-1,delay=40ms,dur=1200ms;storm:p=0.1,delay=500ms,dur=1200ms", 11)
 	_, _, ts := newTestServer(t, "ratree", 256, dist.PolicyTwoHop, serve.Options{
 		Workers: 2, QueueDepth: 2, RequestTimeout: 300 * time.Millisecond,
 		Landmarks: 8, Faults: inj,
@@ -210,7 +220,7 @@ func TestChaosContractStallAndStorm(t *testing.T) {
 // (the cooldown outlasts the test), and every answer the healthy shard
 // gives meanwhile is byte-identical to the pre-fault baseline.
 func TestPanicQuarantineExact(t *testing.T) {
-	inj := fault.MustParse("panic:shard=0,p=1,dur=800ms", 5)
+	inj := parseFaults(t, "panic:shard=0,p=1,dur=800ms", 5)
 	_, _, ts := newTestServer(t, "ratree", 256, dist.PolicyTwoHop, serve.Options{
 		Workers: 2, BreakerThreshold: 2, BreakerCooldown: 2 * time.Second,
 		Faults: inj,
@@ -252,7 +262,7 @@ func TestPanicQuarantineExact(t *testing.T) {
 // breakers trip, and once the fault window closes the half-open probes
 // close them again — answers are byte-identical to the pre-fault ones.
 func TestPanicQuarantineRecover(t *testing.T) {
-	inj := fault.MustParse("panic:shard=-1,p=1,dur=300ms", 5)
+	inj := parseFaults(t, "panic:shard=-1,p=1,dur=300ms", 5)
 	_, _, ts := newTestServer(t, "ratree", 256, dist.PolicyTwoHop, serve.Options{
 		Workers: 2, QueueDepth: 4, BreakerThreshold: 2, BreakerCooldown: 100 * time.Millisecond,
 		Faults: inj,
@@ -315,6 +325,37 @@ func TestPanicQuarantineRecover(t *testing.T) {
 	}
 }
 
+// TestNewRejectsFaultsOnMissingShards: a stall or panic aimed at a shard
+// the pool does not have would never fire, so New refuses the schedule
+// instead of running a drill that injects nothing.
+func TestNewRejectsFaultsOnMissingShards(t *testing.T) {
+	snap, _, err := core.BuildSnapshot(core.SnapshotOptions{Family: "grid", N: 16, Seed: 7, Oracle: dist.PolicyField})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		faults  string
+		workers int
+		wantErr bool
+	}{
+		{"stall:shard=3,delay=1ms", 2, true},
+		{"panic:shard=2", 2, true},
+		{"stall:shard=1,delay=1ms", 2, false},
+		{"stall:shard=-1,delay=1ms;panic:shard=-1", 2, false},
+		{"latency:delay=1ms;mem", 1, false},
+	} {
+		t.Run(tc.faults, func(t *testing.T) {
+			srv, err := serve.New(snap, serve.Options{Workers: tc.workers, Faults: parseFaults(t, tc.faults, 1)})
+			if err == nil {
+				srv.Close()
+			}
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("New with %d workers: err = %v, want an error: %v", tc.workers, err, tc.wantErr)
+			}
+		})
+	}
+}
+
 // TestQuarantinedSnapshotServesApprox is the load-path half of the ladder:
 // a snapshot whose 2-hop section is corrupt loads tolerantly, starts
 // degraded, and under memory pressure serves landmark upper bounds marked
@@ -342,7 +383,7 @@ func TestQuarantinedSnapshotServesApprox(t *testing.T) {
 		t.Fatalf("Quarantined = %v", snap.Quarantined)
 	}
 
-	inj := fault.MustParse("mem", 3)
+	inj := parseFaults(t, "mem", 3)
 	inj.Activate()
 	srv, err := serve.New(snap, serve.Options{Workers: 2, Landmarks: 8, Faults: inj})
 	if err != nil {
@@ -436,7 +477,7 @@ func TestLandmarksOnlyBeneathFieldCache(t *testing.T) {
 			if err != nil {
 				t.Fatalf("tolerant load: %v", err)
 			}
-			inj := fault.MustParse(fmt.Sprintf("mem;stall:shard=0,delay=%s", stall), 9)
+			inj := parseFaults(t, fmt.Sprintf("mem;stall:shard=0,delay=%s", stall), 9)
 			srv, err := serve.New(snap, serve.Options{
 				Workers: 1, QueueDepth: 1, RequestTimeout: 10 * time.Second, Faults: inj,
 			})
@@ -526,7 +567,7 @@ var landmarkGolden = []struct {
 func TestLandmarkTierGolden(t *testing.T) {
 	for _, tc := range landmarkGolden {
 		t.Run(fmt.Sprintf("%s-%d", tc.family, tc.n), func(t *testing.T) {
-			inj := fault.MustParse("mem", 1)
+			inj := parseFaults(t, "mem", 1)
 			inj.Activate()
 			_, _, ts := newTestServer(t, tc.family, tc.n, dist.PolicyField, serve.Options{Workers: 2, Faults: inj})
 			if st := fetchChaosStats(t, ts.URL); st.Tier != "landmark" {
@@ -599,7 +640,7 @@ func TestSoakChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test: several seconds of chaos traffic")
 	}
-	inj := fault.MustParse("stall:shard=-1,delay=2ms;storm:p=0.05,delay=80ms;panic:shard=-1,p=0.02", 17)
+	inj := parseFaults(t, "stall:shard=-1,delay=2ms;storm:p=0.05,delay=80ms;panic:shard=-1,p=0.02", 17)
 	_, _, ts := newTestServer(t, "ratree", 512, dist.PolicyTwoHop, serve.Options{
 		Workers: 4, QueueDepth: 4, RequestTimeout: 250 * time.Millisecond,
 		BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond,

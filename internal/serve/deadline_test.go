@@ -70,7 +70,7 @@ func TestRequestDeadline(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var inj *fault.Injector
 			if tc.faults != "" {
-				inj = fault.MustParse(tc.faults, 1)
+				inj = parseFaults(t, tc.faults, 1)
 			}
 			_, srv, ts := newTestServer(t, "ratree", 64, dist.PolicyTwoHop, serve.Options{
 				Workers: 1, RequestTimeout: timeout, Faults: inj,
@@ -164,7 +164,7 @@ func TestStalledBodyTimesOut(t *testing.T) {
 // reported race, in a share of runs, not in every one.
 func TestTimedOutBatchKeepsLaterAnswers(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	inj := fault.MustParse("stall:shard=-1,delay=1s", 1)
+	inj := parseFaults(t, "stall:shard=-1,delay=1s", 1)
 	snap, _, ts := newTestServer(t, "ratree", 256, dist.PolicyField, serve.Options{
 		Workers: 2, RequestTimeout: 500 * time.Millisecond, Faults: inj,
 	})

@@ -173,6 +173,9 @@ func New(snap *snapshot.Snapshot, opts Options) (*Server, error) {
 		return nil, fmt.Errorf("serve: snapshot has no graph")
 	}
 	opts.fill()
+	if err := opts.Faults.CheckShards(opts.Workers); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
 	tables := make(map[string][]*augment.Static, len(snap.Schemes))
 	for i := range snap.Schemes {
 		st := &snap.Schemes[i]
@@ -312,5 +315,5 @@ func (s *Server) targetSource(t graph.NodeID) (dist.Source, bool) {
 	if _, approx := s.tier(); approx {
 		return s.landmark, true
 	}
-	return dist.NewField(s.fields.Field(t), t), false
+	return dist.NewField(s.fields.Field(t)), false
 }

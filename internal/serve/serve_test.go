@@ -193,7 +193,7 @@ func TestDistBatchMatchesOracle(t *testing.T) {
 	n := int32(snap.Graph.N())
 	pairs := make([][2]int32, 500)
 	for i := range pairs {
-		pairs[i] = [2]int32{rng.Int31n(n), rng.Int31n(n)}
+		pairs[i] = [2]int32{int32(rng.Intn(int(n))), int32(rng.Intn(int(n)))}
 	}
 	var got struct {
 		Dists []int32 `json:"dists"`
@@ -297,7 +297,7 @@ func TestRouteBatch(t *testing.T) {
 	n := int32(snap.Graph.N())
 	pairs := make([][2]int32, 40)
 	for i := range pairs {
-		pairs[i] = [2]int32{rng.Int31n(n), rng.Int31n(n)}
+		pairs[i] = [2]int32{int32(rng.Intn(int(n))), int32(rng.Intn(int(n)))}
 	}
 	var got struct {
 		Scheme  string `json:"scheme"`

@@ -300,7 +300,7 @@ func runBatch(g *graph.Graph, inst augment.Instance, st *pairState, b int, cfg C
 		if cfg.DistSource != nil {
 			st.src = cfg.DistSource
 		} else {
-			st.src = dist.NewField(fields.Field(st.pair.Target), st.pair.Target)
+			st.src = dist.NewField(fields.Field(st.pair.Target))
 		}
 		st.distST = st.src.Dist(st.pair.Source, st.pair.Target)
 		if st.distST == graph.Unreachable {
@@ -313,15 +313,9 @@ func runBatch(g *graph.Graph, inst augment.Instance, st *pairState, b int, cfg C
 			return
 		}
 	}
-	opts := route.Options{MaxSteps: cfg.MaxSteps, Scratch: scratch}
+	opts := route.Options{Scratch: scratch}
 	for trial := 0; trial < b; trial++ {
-		var res route.Result
-		var err error
-		if cfg.Lookahead {
-			res, err = route.GreedyWithLookahead(g, inst, st.pair.Source, st.pair.Target, st.src, st.rng, opts)
-		} else {
-			res, err = route.Greedy(g, inst, st.pair.Source, st.pair.Target, st.src, st.rng, opts)
-		}
+		res, err := route.Greedy(g, inst, st.pair.Source, st.pair.Target, st.src, st.rng, opts)
 		if err != nil {
 			st.err = err
 			st.done = true

@@ -28,7 +28,9 @@ type Pair struct {
 // Config tunes an estimation run.
 type Config struct {
 	// Pairs is the number of source/target pairs to sample (default 16).
-	// When FixedPairs is non-empty it is ignored.
+	// With two or more, the first is a two-sweep (approximately diametral)
+	// pair, which sharpens the greedy-diameter estimate since the diameter
+	// is a maximum over pairs.  When FixedPairs is non-empty it is ignored.
 	Pairs int
 	// Trials is the number of independent augmentation draws (and routings)
 	// per pair (default 8).  In adaptive mode (TargetCI > 0) it is the size
@@ -36,17 +38,8 @@ type Config struct {
 	Trials int
 	// Seed drives all sampling; runs with equal seeds produce equal results.
 	Seed uint64
-	// MaxSteps caps a single routing walk (default: route's own default).
-	MaxSteps int
 	// FixedPairs, when non-empty, replaces random pair sampling entirely.
 	FixedPairs []Pair
-	// IncludeExtremalPair adds a two-sweep (approximately diametral) pair to
-	// the sampled pairs, which sharpens the greedy-diameter estimate since
-	// the diameter is a maximum over pairs.  Default true when sampling.
-	IncludeExtremalPair bool
-	// Lookahead routes with one hop of neighbour-of-neighbour lookahead
-	// (extension experiment) instead of plain greedy routing.
-	Lookahead bool
 	// DistSource, when non-nil, supplies O(1) point-to-point distances for
 	// greedy routing (an analytic closed-form metric of a structured graph
 	// family, see gen.MetricFor).  It takes precedence over DistFields and
@@ -143,7 +136,7 @@ func selectPairs(g *graph.Graph, cfg Config) ([]Pair, error) {
 	}
 	rng := xrand.New(cfg.Seed ^ 0x5eed5eed5eed5eed)
 	pairs := make([]Pair, 0, cfg.Pairs)
-	if cfg.IncludeExtremalPair && cfg.Pairs >= 2 {
+	if cfg.Pairs >= 2 {
 		s, t, _ := dist.ExtremalPair(g)
 		pairs = append(pairs, Pair{Source: s, Target: t})
 	}

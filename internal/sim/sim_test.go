@@ -47,7 +47,7 @@ func TestEstimateNoAugmentationEqualsDistance(t *testing.T) {
 
 func TestEstimateDeterministicAcrossWorkerCounts(t *testing.T) {
 	g := gen.Grid2D(20, 20)
-	cfg := Config{Pairs: 8, Trials: 4, Seed: 99, IncludeExtremalPair: true}
+	cfg := Config{Pairs: 8, Trials: 4, Seed: 99}
 	e1, err := newTestEngine(t, 1).Estimate(g, augment.NewUniformScheme(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestEstimatePropagatesPrepareError(t *testing.T) {
 func TestExtremalPairIncluded(t *testing.T) {
 	e := newTestEngine(t, 0)
 	g := gen.Path(300)
-	cfg := Config{Pairs: 4, Trials: 1, Seed: 5, IncludeExtremalPair: true}
+	cfg := Config{Pairs: 4, Trials: 1, Seed: 5}
 	est, err := e.Estimate(g, augment.NewNoAugmentation(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestUniformSchemeSqrtNShape(t *testing.T) {
 	// needs far fewer steps than the diameter but far more than polylog.
 	e := newTestEngine(t, 0)
 	g := gen.Cycle(4000)
-	cfg := Config{Pairs: 10, Trials: 4, Seed: 7, IncludeExtremalPair: true}
+	cfg := Config{Pairs: 10, Trials: 4, Seed: 7}
 	est, err := e.Estimate(g, augment.NewUniformScheme(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +170,7 @@ func TestBallSchemeBeatsUniformOnLargePath(t *testing.T) {
 	// The headline Theorem 4 effect, at small scale: on a long path the ball
 	// scheme should need noticeably fewer steps than the uniform scheme.
 	g := gen.Path(8000)
-	cfg := Config{Pairs: 8, Trials: 3, Seed: 11, IncludeExtremalPair: true, DistFields: dist.NewFieldCache(g, 0)}
+	cfg := Config{Pairs: 8, Trials: 3, Seed: 11, DistFields: dist.NewFieldCache(g, 0)}
 	ests := estimateEach(t, newTestEngine(t, 0), g, cfg, augment.NewUniformScheme(), augment.NewBallScheme())
 	uniform, ball := ests[0], ests[1]
 	if ball.GreedyDiameter >= uniform.GreedyDiameter {
@@ -184,7 +184,7 @@ func TestSharedDistFieldsMatchPrivate(t *testing.T) {
 	// A caller-supplied field cache must leave results untouched (fields are
 	// deterministic) while amortising the per-target BFS across schemes.
 	g := gen.Grid2D(15, 15)
-	cfg := Config{Pairs: 6, Trials: 3, Seed: 41, IncludeExtremalPair: true}
+	cfg := Config{Pairs: 6, Trials: 3, Seed: 41}
 	private, err := e.Estimate(g, augment.NewUniformScheme(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestCompareSchemesOrderAndNames(t *testing.T) {
 // rule of examples/barrier and fits the scaling exponent.
 func TestSweepAndFit(t *testing.T) {
 	e := newTestEngine(t, 0)
-	cfg := Config{Pairs: 2, Trials: 1, IncludeExtremalPair: true}
+	cfg := Config{Pairs: 2, Trials: 1}
 	var x, y []float64
 	for i, n := range []int{200, 400, 800, 1600} {
 		cfg.Seed = 17 + uint64(i)*0x9e3779b97f4a7c15
@@ -249,24 +249,6 @@ func TestSweepAndFit(t *testing.T) {
 	}
 }
 
-func TestLookaheadConfigRuns(t *testing.T) {
-	e := newTestEngine(t, 0)
-	g := gen.Grid2D(15, 15)
-	cfg := Config{Pairs: 4, Trials: 2, Seed: 23, Lookahead: true}
-	est, err := e.Estimate(g, augment.NewUniformScheme(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Samples != 8 {
-		t.Fatalf("samples %d", est.Samples)
-	}
-	for _, ps := range est.PairStats {
-		if ps.Failed != 0 {
-			t.Fatal("lookahead routing failed to reach targets")
-		}
-	}
-}
-
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.Pairs != 16 || c.Trials != 8 {
@@ -277,7 +259,7 @@ func TestConfigDefaults(t *testing.T) {
 func TestEngineReuseAcrossEstimations(t *testing.T) {
 	e := NewEngine(2)
 	defer e.Close()
-	cfg := Config{Pairs: 4, Trials: 2, Seed: 9, IncludeExtremalPair: true}
+	cfg := Config{Pairs: 4, Trials: 2, Seed: 9}
 	small, err := e.Estimate(gen.Path(100), augment.NewUniformScheme(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +285,7 @@ func TestEngineConcurrentEstimations(t *testing.T) {
 	// results must match the serial ones exactly.
 	e := NewEngine(3)
 	defer e.Close()
-	cfg := Config{Pairs: 5, Trials: 3, Seed: 77, IncludeExtremalPair: true}
+	cfg := Config{Pairs: 5, Trials: 3, Seed: 77}
 	graphs := []*graph.Graph{gen.Path(300), gen.Cycle(300), gen.Grid2D(17, 17)}
 	want := make([]*Estimate, len(graphs))
 	for i, g := range graphs {
@@ -365,7 +347,7 @@ func TestAdaptiveStopsEarlyOnZeroVariance(t *testing.T) {
 func TestAdaptiveSpendsMoreOnNoisyPairs(t *testing.T) {
 	e := newTestEngine(t, 0)
 	g := gen.Cycle(2000)
-	base := Config{Pairs: 6, Trials: 4, Seed: 3, IncludeExtremalPair: true}
+	base := Config{Pairs: 6, Trials: 4, Seed: 3}
 	fixed, err := e.Estimate(g, augment.NewUniformScheme(), base)
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +373,7 @@ func TestAdaptiveSpendsMoreOnNoisyPairs(t *testing.T) {
 
 func TestAdaptiveDeterministicAcrossWorkerCounts(t *testing.T) {
 	g := gen.Grid2D(20, 20)
-	cfg := Config{Pairs: 6, Trials: 3, Seed: 99, IncludeExtremalPair: true, TargetCI: 0.1, MaxTrials: 48}
+	cfg := Config{Pairs: 6, Trials: 3, Seed: 99, TargetCI: 0.1, MaxTrials: 48}
 	e1, err := newTestEngine(t, 1).Estimate(g, augment.NewBallScheme(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -415,7 +397,7 @@ func TestAdaptiveDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestEngineScratchReuseAcrossManySizes(t *testing.T) {
 	e := NewEngine(1) // one worker so every size shares a single scratch map
 	defer e.Close()
-	cfg := Config{Pairs: 3, Trials: 2, Seed: 5, IncludeExtremalPair: true}
+	cfg := Config{Pairs: 3, Trials: 2, Seed: 5}
 	sizes := []int{50, 64, 80, 100, 128, 150, 180, 200, 230, 260}
 	if len(sizes) <= maxWorkerScratches {
 		t.Fatalf("test needs more sizes (%d) than the scratch cap (%d)", len(sizes), maxWorkerScratches)
@@ -449,7 +431,7 @@ func TestEngineScratchReuseAcrossManySizes(t *testing.T) {
 func TestDistSourceMatchesFieldBacked(t *testing.T) {
 	e := newTestEngine(t, 0)
 	g := gen.Torus2D(16, 16)
-	base := Config{Pairs: 5, Trials: 3, Seed: 21, IncludeExtremalPair: true}
+	base := Config{Pairs: 5, Trials: 3, Seed: 21}
 	fieldBacked, err := e.Estimate(g, augment.NewUniformScheme(), base)
 	if err != nil {
 		t.Fatal(err)
@@ -485,7 +467,7 @@ func TestEstimatePolicyEquivalence(t *testing.T) {
 	for _, g := range graphs {
 		var want *Estimate
 		for _, policy := range []dist.SourcePolicy{dist.PolicyField, dist.PolicyTwoHop, dist.PolicyAuto, dist.PolicyAnalytic} {
-			cfg := Config{Pairs: 6, Trials: 3, Seed: 9, IncludeExtremalPair: true, Policy: policy}
+			cfg := Config{Pairs: 6, Trials: 3, Seed: 9, Policy: policy}
 			est, err := e.Estimate(g, augment.NewUniformScheme(), cfg)
 			if err != nil {
 				t.Fatalf("%v under %q: %v", g, policy, err)

@@ -6,6 +6,7 @@ package snapshot_test
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -50,7 +51,8 @@ func TestRoundTripPackedTwoHop(t *testing.T) {
 	// The packed section is smaller than the legacy raw section the same
 	// labels would need: hub order, CSR index, and a hub rank and a
 	// distance per entry.
-	n, entries := int64(loaded.Graph.N()), loaded.TwoHop.Entries()
+	n := int64(loaded.Graph.N())
+	entries := int64(math.Round(loaded.TwoHop.AvgLabel() * float64(n)))
 	raw := 4*n + 8*(n+1) + 8*entries
 	secs := parseSecs(t, b)
 	i := slices.IndexFunc(secs, func(s rawSec) bool { return s.kind == 6 })

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 )
 
@@ -81,16 +80,6 @@ func (s *Snapshot) Bytes() ([]byte, error) {
 	}
 	binary.LittleEndian.PutUint64(out[16:24], checksum(FormatVersion, out[headerSize:tableEnd]))
 	return out, nil
-}
-
-// WriteTo implements io.WriterTo over Bytes.
-func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
-	b, err := s.Bytes()
-	if err != nil {
-		return 0, err
-	}
-	n, err := w.Write(b)
-	return int64(n), err
 }
 
 // writeChunk is the unit of the temp-file write loop; small enough that a

@@ -60,11 +60,6 @@ func (s Summary) CI95() float64 {
 	return 1.96 * s.Std / math.Sqrt(float64(s.Count))
 }
 
-// String implements fmt.Stringer.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f ±%.3f [%.3f, %.3f]", s.Count, s.Mean, s.CI95(), s.Min, s.Max)
-}
-
 // LinearFit is the result of an ordinary least squares fit y = a + b·x.
 type LinearFit struct {
 	Intercept float64 // a

@@ -38,19 +38,13 @@ func TestSummaryCIShrinksWithSampleSize(t *testing.T) {
 	small := make([]float64, 100)
 	large := make([]float64, 10000)
 	for i := range small {
-		small[i] = rng.NormFloat64()
+		small[i] = normFloat64(rng)
 	}
 	for i := range large {
-		large[i] = rng.NormFloat64()
+		large[i] = normFloat64(rng)
 	}
 	if NewSummary(large).CI95() >= NewSummary(small).CI95() {
 		t.Fatal("CI should shrink with more samples")
-	}
-}
-
-func TestSummaryString(t *testing.T) {
-	if NewSummary([]float64{1, 2}).String() == "" {
-		t.Fatal("empty string")
 	}
 }
 
@@ -87,7 +81,7 @@ func TestLinearFitNoisy(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		xv := float64(i)
 		x = append(x, xv)
-		y = append(y, 4+0.5*xv+rng.NormFloat64())
+		y = append(y, 4+0.5*xv+normFloat64(rng))
 	}
 	fit, err := Linear(x, y)
 	if err != nil {
@@ -151,12 +145,25 @@ func TestSummaryMeanWithinRange(t *testing.T) {
 		n := 1 + int(raw%60)
 		vals := make([]float64, n)
 		for i := range vals {
-			vals[i] = rng.NormFloat64() * 10
+			vals[i] = normFloat64(rng) * 10
 		}
 		s := NewSummary(vals)
 		return s.Mean >= s.Min-1e-9 && s.Mean <= s.Max+1e-9
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// normFloat64 returns a standard normal variate (Box–Muller, polar form),
+// the noise the fitting tests add to their data.
+func normFloat64(r *xrand.RNG) float64 {
+	for {
+		u := 2*r.Float64() - 1
+		v := 2*r.Float64() - 1
+		s := u*u + v*v
+		if s > 0 && s < 1 {
+			return u * math.Sqrt(-2*math.Log(s)/s)
+		}
 	}
 }

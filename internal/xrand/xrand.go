@@ -86,14 +86,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
-// Int31n returns a uniform int32 in [0, n).  It panics if n <= 0.
-func (r *RNG) Int31n(n int32) int32 {
-	if n <= 0 {
-		panic("xrand: Int31n called with non-positive n")
-	}
-	return int32(r.Uint64n(uint64(n)))
-}
-
 // Uint64n returns a uniform uint64 in [0, n).  It panics if n == 0.
 // Lemire-style rejection keeps the result unbiased.
 func (r *RNG) Uint64n(n uint64) uint64 {
@@ -121,34 +113,11 @@ func (r *RNG) Float64() float64 {
 // Bool returns a fair coin flip.
 func (r *RNG) Bool() bool { return r.Uint64()&1 == 1 }
 
-// Perm returns a uniform random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Shuffle permutes the first n elements using the provided swap function.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		swap(i, j)
-	}
-}
-
-// NormFloat64 returns a standard normal variate (Box–Muller, polar form).
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
 	}
 }
 
