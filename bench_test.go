@@ -325,6 +325,37 @@ func BenchmarkContact_ball(b *testing.B) {
 	benchmarkContact(b, &augment.BallScheme{EagerPrepare: true}, meshGraph())
 }
 
+// BenchmarkLazyRowBuild measures one lazy alias-row build (fill plus table)
+// of the ball and harmonic schemes on 4096-node graphs: each iteration
+// first-draws a new row, and a fresh instance is prepared, off the clock,
+// once every row of the last one is built.  ns/op and B/op are per row.
+func BenchmarkLazyRowBuild(b *testing.B) {
+	graphs := []*graph.Graph{meshGraph(), gen.RandomAttachmentTree(4096, xrand.New(1))}
+	for _, scheme := range []augment.Scheme{augment.NewBallScheme(), augment.NewHarmonicScheme(2)} {
+		for _, g := range graphs {
+			b.Run(scheme.Name()+"/"+g.Name(), func(b *testing.B) {
+				n := g.N()
+				rng := xrand.New(1)
+				var inst augment.Instance
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					u := i % n
+					if u == 0 {
+						b.StopTimer()
+						var err error
+						if inst, err = scheme.Prepare(g); err != nil {
+							b.Fatal(err)
+						}
+						b.StartTimer()
+					}
+					sinkNode = inst.Contact(graph.NodeID(u), rng)
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkContact_matrix(b *testing.B) {
 	g := meshGraph()
 	labels, err := augment.NewBlockLabels(g.N(), 512)

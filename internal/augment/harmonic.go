@@ -22,10 +22,13 @@ type HarmonicScheme struct {
 	// Exponent is the decay exponent r in Pr(u→v) ∝ dist(u,v)^-r.
 	Exponent float64
 	// MaxPrecomputeNodes bounds the graph size up to which the instance
-	// keeps per-node alias tables (O(1) draws after a node's first).
-	// Beyond it every draw falls back to bounded-memory per-draw sampling.
-	// Zero means DefaultPrecomputeNodes; negative disables the tables
-	// entirely.
+	// keeps per-node alias tables (O(1) draws after a node's first), each
+	// 6·n to 22·n bytes (see DefaultPrecomputeNodes).  Beyond it every
+	// draw falls back to bounded-memory per-draw sampling.  Zero means
+	// DefaultPrecomputeNodes; negative disables the tables entirely.  A
+	// row codes each node's distance as its class, so Prepare rejects a
+	// ceiling that would put a graph of more than sampler.MaxClasses nodes
+	// on the table path.
 	MaxPrecomputeNodes int
 	// EagerPrepare builds every node's alias table already in Prepare with
 	// a parallel all-nodes BFS pass, instead of lazily on each node's first
@@ -35,11 +38,15 @@ type HarmonicScheme struct {
 }
 
 // DefaultPrecomputeNodes is the default graph-size ceiling for the per-node
-// alias tables of the harmonic and ball schemes.  A table row costs 12·n
-// bytes and is allocated only for a node drawn from, so at this size an
-// instance holds at most ≈200 MiB, when every row is built.  Moving the
-// ceiling moves graphs between the table and fallback paths, which consume
-// the RNG differently, so it would change every seed-fixed report.
+// alias tables of the harmonic and ball schemes.  A table row is allocated
+// only for a node drawn from.  It costs 6·n bytes, plus 16 for each
+// receiver its Vose build pairs down (see sampler.LazyRows): 6.3 to 12.2
+// bytes a node in ball and harmonic rows measured at n = 4096, and up to
+// 22 in a near-uniform row (exponent 0, or a ball on a dense graph).  So
+// at this size an instance holds ≈100–195 MiB when every row is built, and
+// at most ≈350 MiB.  Moving the ceiling moves graphs between the table and
+// fallback paths, which consume the RNG differently, so it would change
+// every seed-fixed report.
 const DefaultPrecomputeNodes = 4096
 
 // NewHarmonicScheme returns the distance-harmonic scheme with exponent r.
@@ -110,6 +117,10 @@ func (s *HarmonicScheme) Prepare(g *graph.Graph) (Instance, error) {
 		}
 	}
 	if n <= precomputeLimit(s.MaxPrecomputeNodes) {
+		if n > sampler.MaxClasses {
+			return nil, fmt.Errorf("augment: harmonic alias rows need one class per distance, %d on %d nodes, but a row codes at most %d; set MaxPrecomputeNodes to at most %d",
+				n, n, sampler.MaxClasses, sampler.MaxClasses)
+		}
 		inst.tables = sampler.NewLazyRows(n, n, inst)
 		if s.EagerPrepare {
 			inst.tables.BuildAll(runtime.GOMAXPROCS(0))
@@ -121,7 +132,9 @@ func (s *HarmonicScheme) Prepare(g *graph.Graph) (Instance, error) {
 // FillRow implements sampler.RowFiller: one BFS from u over the raw CSR
 // writes each reached node's distance as its class code, and the class
 // table is powTable, so the row's weights are dist(u,·)^-r.  u itself and
-// unreachable nodes keep class 0, weight 0.
+// unreachable nodes keep class 0, weight 0.  The rows reference powTable,
+// which never changes, instead of copying it; its n entries are why Prepare
+// bounds n by sampler.MaxClasses.
 func (h *harmonicInstance) FillRow(u int32, cls, queue []int32, _ []float64) []float64 {
 	off, adj := h.g.RawCSR()
 	queue[0] = u

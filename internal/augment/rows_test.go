@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"navaug/internal/dist"
 	"navaug/internal/graph"
@@ -77,14 +78,31 @@ func rowReference(t *testing.T, n int, u graph.NodeID, fill func(graph.NodeID, [
 	return prob, alias
 }
 
-// aliasTable reads a table's (prob, alias) columns.
-func aliasTable(a *sampler.Alias) ([]float64, []int32) {
-	v := reflect.ValueOf(a).Elem()
-	pv, av := v.FieldByName("prob"), v.FieldByName("alias")
-	prob, alias := make([]float64, pv.Len()), make([]int32, av.Len())
+// rowTable builds row u of l, by drawing from it once, and decodes the
+// class-coded row's effective (prob, alias) per column by reflection:
+// the code MaxClasses marks a side column, whose pair sits in the side
+// slice at its alias slot, the code above it an accept-always column, and
+// any other code c a column of prob vals[c]·scale.
+func rowTable(l *sampler.LazyRows, u graph.NodeID) ([]float64, []int32) {
+	l.Draw(u, xrand.New(0))
+	slot := reflect.ValueOf(l).Elem().FieldByName("rows").Index(int(u))
+	// A pointer to the slot without the read-only mark of an unexported
+	// field, so that its Load method can be called.
+	slot = reflect.NewAt(slot.Type(), unsafe.Pointer(slot.UnsafeAddr()))
+	r := slot.MethodByName("Load").Call(nil)[0].Elem()
+	code, av, side := r.FieldByName("code"), r.FieldByName("alias"), r.FieldByName("side")
+	vals, scale := r.FieldByName("vals"), r.FieldByName("scale").Float()
+	prob, alias := make([]float64, code.Len()), make([]int32, code.Len())
 	for i := range prob {
-		prob[i] = pv.Index(i).Float()
-		alias[i] = int32(av.Index(i).Int())
+		switch c := int(code.Index(i).Uint()); c {
+		case sampler.MaxClasses + 1:
+			prob[i], alias[i] = 1, int32(i)
+		case sampler.MaxClasses:
+			s := side.Index(int(av.Index(i).Int()))
+			prob[i], alias[i] = s.FieldByName("prob").Float(), int32(s.FieldByName("alias").Int())
+		default:
+			prob[i], alias[i] = vals.Index(c).Float()*scale, int32(av.Index(i).Int())
+		}
 	}
 	return prob, alias
 }
@@ -151,7 +169,7 @@ func TestClassRowsMatchFloatWeights(t *testing.T) {
 				}
 				for u := graph.NodeID(0); int(u) < n; u++ {
 					wantProb, wantAlias := rowReference(t, n, u, fill)
-					prob, alias := aliasTable(lazyRows(inst).Row(u))
+					prob, alias := rowTable(lazyRows(inst), u)
 					sameTable(t, fmt.Sprintf("row %d", u), prob, alias, wantProb, wantAlias)
 				}
 				b, ok := inst.(*ballInstance)
@@ -208,8 +226,8 @@ func TestConcurrentFirstDrawsMatchSerialBuild(t *testing.T) {
 			close(start)
 			wg.Wait()
 			for u := graph.NodeID(0); int(u) < n; u++ {
-				prob, alias := aliasTable(lazyRows(concurrent).Row(u))
-				wantProb, wantAlias := aliasTable(lazyRows(serial).Row(u))
+				prob, alias := rowTable(lazyRows(concurrent), u)
+				wantProb, wantAlias := rowTable(lazyRows(serial), u)
 				sameTable(t, fmt.Sprintf("row %d", u), prob, alias, wantProb, wantAlias)
 			}
 		})

@@ -9,6 +9,7 @@ import (
 	"navaug/internal/dist"
 	"navaug/internal/graph"
 	"navaug/internal/graph/gen"
+	"navaug/internal/sampler"
 	"navaug/internal/xrand"
 )
 
@@ -242,6 +243,26 @@ func TestHarmonicSchemeExponentZeroIsUniformOverOthers(t *testing.T) {
 func TestHarmonicSchemeRejectsNegativeExponent(t *testing.T) {
 	if _, err := NewHarmonicScheme(-1).Prepare(gen.Path(5)); err == nil {
 		t.Fatal("negative exponent accepted")
+	}
+}
+
+// TestHarmonicTablesFitTheCodeSpace checks the table path's bound on n: a
+// path of sampler.MaxClasses nodes still fits, and its end row, which holds
+// every distance up to the last class, matches the float-weight build bit
+// for bit; one node more is an error at Prepare rather than a panic at the
+// first draw.
+func TestHarmonicTablesFitTheCodeSpace(t *testing.T) {
+	s := &HarmonicScheme{Exponent: 1, MaxPrecomputeNodes: sampler.MaxClasses + 1}
+	inst, err := s.Prepare(gen.Path(sampler.MaxClasses))
+	if err != nil {
+		t.Fatalf("a %d-node path was refused: %v", sampler.MaxClasses, err)
+	}
+	h := inst.(*harmonicInstance)
+	wantProb, wantAlias := rowReference(t, sampler.MaxClasses, 0, func(u graph.NodeID, w []float64) { harmonicWeightsReference(h, u, w) })
+	prob, alias := rowTable(h.tables, 0)
+	sameTable(t, "row 0", prob, alias, wantProb, wantAlias)
+	if _, err := s.Prepare(gen.Path(sampler.MaxClasses + 1)); err == nil {
+		t.Fatalf("a %d-node path was put on the table path", sampler.MaxClasses+1)
 	}
 }
 

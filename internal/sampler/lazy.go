@@ -34,14 +34,40 @@ type RowFiller interface {
 // table in.
 const RowClasses = 64
 
+// MaxClasses is the longest class table a LazyRows row can code: a row
+// keeps one uint16 code per outcome, and the two top codes are reserved.
+const MaxClasses = codeSide
+
+// The reserved codes of a built row.  An accept-always column is drawn
+// whenever it is picked (a Vose leftover finalised to prob 1); a side
+// column's alias slot indexes its (prob, alias) pair in the row's side
+// slice.  Every other column's code is its class c, its prob
+// vals[c]·scale, recomputed by the draw with the same bits the build
+// computed.
+const (
+	codeSide   = math.MaxUint16 - 1
+	codeAccept = math.MaxUint16
+)
+
 // LazyRows is a square family of Walker alias tables — one row of k
 // outcomes per key in [0, rows) — whose rows are built on first draw.
 // It is the memory/compute middle ground the augmentation schemes need:
 // each row's table is allocated and filled on its first build, so both the
-// 12·k bytes and the O(k) fill-and-build cost of a row are only ever paid
-// for rows that are actually drawn from (an untouched row costs one
-// pointer).  First builds run under a striped lock so concurrent first
-// draws stay race-free.
+// bytes and the O(k) fill-and-build cost of a row are only ever paid for
+// rows that are actually drawn from (an untouched row costs one pointer).
+// First builds run under a striped lock so concurrent first draws stay
+// race-free.
+//
+// A row is stored class-coded: a uint16 code and an int32 alias per
+// outcome, plus the class table and its scale, so a column whose
+// acceptance probability is its scaled class weight (every Vose donor)
+// stores no float.  Only receivers whose probability is a residual after
+// pairing keep an exact (prob, alias) pair, 16 bytes, on the side.  A row
+// thus costs 6·k bytes plus 16 per such receiver.  Pairing leaves nearly
+// every receiver (scaled weight >= 1) with a residual, so that is 6.3 to
+// 12.2 bytes an outcome for ball and harmonic (exponents 1 and 2) rows of
+// 4096 outcomes, against 12 for a plain Alias, but up to 22 for a
+// near-uniform row, where almost every outcome is a receiver.
 //
 // Draws are deterministic regardless of build interleaving: building never
 // touches the drawing RNG (a draw consumes RNG values only through Draw
@@ -54,14 +80,34 @@ const RowClasses = 64
 type LazyRows struct {
 	k      int
 	filler RowFiller
-	rows   []atomic.Pointer[Alias] // nil until the row is built
+	rows   []atomic.Pointer[codedRow] // nil until the row is built
 	locks  []sync.Mutex
 	pool   sync.Pool // *rowScratch
 }
 
+// codedRow is one built row.  Column i accepts with probability
+// vals[code[i]]·scale and otherwise yields alias[i], except for the
+// reserved codes: codeAccept always accepts, and codeSide reads its
+// (prob, alias) from side[alias[i]].  The effective (prob, alias) of
+// every column has the bits BuildInto gives the row's weights.
+type codedRow struct {
+	code  []uint16
+	alias []int32
+	side  []sideColumn
+	vals  []float64 // the class table: a copy, or the filler's shared one
+	scale float64
+}
+
+type sideColumn struct {
+	prob  float64
+	alias int32
+}
+
 type rowScratch struct {
 	cls  []int32
-	work []int32 // the filler's queue, then the Vose worklist
+	work []int32   // the filler's queue, then the Vose worklist
+	prob []float64 // the scaled weights and residuals during pairing
+	recv []int32   // the initial receivers
 	vals [RowClasses]float64
 }
 
@@ -80,39 +126,51 @@ func NewLazyRows(rows, k int, filler RowFiller) *LazyRows {
 	l := &LazyRows{
 		k:      k,
 		filler: filler,
-		rows:   make([]atomic.Pointer[Alias], rows),
+		rows:   make([]atomic.Pointer[codedRow], rows),
 		locks:  make([]sync.Mutex, lazyStripes),
 	}
 	l.pool.New = func() any {
-		return &rowScratch{cls: make([]int32, k), work: make([]int32, k)}
+		return &rowScratch{cls: make([]int32, k), work: make([]int32, k), prob: make([]float64, k), recv: make([]int32, k)}
 	}
 	return l
 }
 
 // Draw samples an outcome from the given row, building the row's table on
-// first use.  Amortised O(1); allocation-free once the row exists.
+// first use.  Amortised O(1); allocation-free once the row exists.  Like
+// Alias.Draw it consumes one Uint64n(k) and one Float64 per draw.
 func (l *LazyRows) Draw(row int32, rng *xrand.RNG) int32 {
-	return l.Row(row).Draw(rng)
-}
-
-// Row returns the given row's table, building it on first use.  The table
-// is immutable once built.
-func (l *LazyRows) Row(row int32) *Alias {
 	r := l.rows[row].Load()
 	if r == nil {
 		r = l.build(row)
 	}
-	return r
+	i := int32(rng.Uint64n(uint64(len(r.code))))
+	u := rng.Float64()
+	switch c := r.code[i]; c {
+	case codeAccept:
+		return i
+	case codeSide:
+		s := r.side[r.alias[i]]
+		if u < s.prob {
+			return i
+		}
+		return s.alias
+	default:
+		if u < r.vals[c]*r.scale {
+			return i
+		}
+		return r.alias[i]
+	}
 }
 
-// build allocates, fills and publishes one row under its stripe lock and
+// build fills, codes and publishes one row under its stripe lock and
 // returns it.  The row is immutable once published, so the atomic Store
 // orders its build before every reader's Load.
 //
 // The table is BuildInto's over the weights vals[cls[i]]: the same sum in
 // the same order, the same scaled weights and the same pairing, so every
-// prob and alias entry has the bits BuildInto gives those weights.
-func (l *LazyRows) build(row int32) *Alias {
+// column's effective prob and alias have the bits BuildInto gives those
+// weights.
+func (l *LazyRows) build(row int32) *codedRow {
 	lock := &l.locks[int(row)%lazyStripes]
 	lock.Lock()
 	defer lock.Unlock()
@@ -123,6 +181,16 @@ func (l *LazyRows) build(row int32) *Alias {
 	defer l.pool.Put(sc)
 	clear(sc.cls)
 	vals := l.filler.FillRow(row, sc.cls, sc.work, sc.vals[:])
+	if len(vals) > MaxClasses {
+		panic(fmt.Sprintf("sampler: lazy row %d: class table has %d entries, a row codes at most %d", row, len(vals), MaxClasses))
+	}
+	code, alias := make([]uint16, l.k), make([]int32, l.k)
+	r := &codedRow{code: code, alias: alias, vals: vals}
+	if len(vals) <= RowClasses {
+		// A table this short may live in sc.vals, which the next build
+		// reuses; a longer one cannot, and is shared as the filler's.
+		r.vals = append([]float64(nil), vals...)
+	}
 
 	total := 0.0
 	heaviest, top := int32(-1), 0.0
@@ -136,47 +204,76 @@ func (l *LazyRows) build(row int32) *Alias {
 			heaviest, top = int32(i), w
 		}
 		total += w
+		code[i] = uint16(c)
 	}
-	r := &Alias{prob: make([]float64, l.k), alias: make([]int32, l.k)}
 	if total == 0 {
 		// No admissible outcome: all mass stays on the row itself.  This is
-		// the table of the one-hot weights at row.
-		for i := range r.alias {
-			r.alias[i] = row
+		// the table of the one-hot weights at row; a zero scale makes every
+		// other column's prob 0.
+		for i := range alias {
+			alias[i] = row
 		}
-		r.prob[row] = 1
+		code[row] = codeAccept
 		l.rows[row].Store(r)
 		return r
 	}
 	scale := float64(l.k) / total
+	r.scale = scale
+	prob, work := sc.prob, sc.work
 	smallTop, largeBot := 0, l.k
 	for i, c := range sc.cls {
-		r.prob[i] = vals[c] * scale
-		if r.prob[i] < 1 {
-			sc.work[smallTop] = int32(i)
+		prob[i] = vals[c] * scale
+		if prob[i] < 1 {
+			work[smallTop] = int32(i)
 			smallTop++
 		} else {
 			largeBot--
-			sc.work[largeBot] = int32(i)
+			work[largeBot] = int32(i)
 		}
 	}
-	smallTop, largeBot = pairVose(r.prob, r.alias, sc.work, smallTop, largeBot)
+	recv := sc.recv[:copy(sc.recv, work[largeBot:])]
+	smallTop, largeBot = pairVose(prob, alias, work, smallTop, largeBot)
+	// A leftover of weight 0 keeps its class code and takes the heaviest
+	// outcome as alias; any other accepts always.  The weight-0 prob is
+	// set for the side pass: when k/total overflows to +Inf, a weight-0
+	// column scales to NaN and so starts as a receiver, and BuildInto
+	// finalises its prob to 0.
 	finalise := func(i int32) {
 		if vals[sc.cls[i]] == 0 {
-			r.prob[i] = 0
-			r.alias[i] = heaviest
+			prob[i] = 0
+			alias[i] = heaviest
 			return
 		}
-		r.prob[i] = 1
-		r.alias[i] = i
+		code[i] = codeAccept
+		alias[i] = i
 	}
-	for _, i := range sc.work[largeBot:] {
+	for _, i := range work[largeBot:] {
 		finalise(i)
 	}
 	for smallTop > 0 {
 		smallTop--
-		finalise(sc.work[smallTop])
+		finalise(work[smallTop])
 	}
+	// Every receiver that does not accept always holds a residual of
+	// pairing, or is a weight-0 leftover: its (prob, alias) goes on the
+	// side.
+	sides := 0
+	for _, i := range recv {
+		if code[i] != codeAccept {
+			sides++
+		}
+	}
+	side := make([]sideColumn, sides)
+	j := int32(0)
+	for _, i := range recv {
+		if code[i] != codeAccept {
+			side[j] = sideColumn{prob[i], alias[i]}
+			code[i] = codeSide
+			alias[i] = j
+			j++
+		}
+	}
+	r.side = side
 	l.rows[row].Store(r)
 	return r
 }
