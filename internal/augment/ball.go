@@ -32,7 +32,7 @@ type BallScheme struct {
 	RankUniform bool
 	// MaxPrecomputeNodes bounds the graph size up to which the instance
 	// collapses the scale mixture into one per-node alias table (O(1) draws
-	// after a node's first), each 6·n to 22·n bytes (see
+	// after a node's first), each 6·n to 18·n bytes (see
 	// DefaultPrecomputeNodes).  Beyond it every draw re-enumerates a ball
 	// with a pooled buffer.  Zero means DefaultPrecomputeNodes; negative disables
 	// the tables.  The RankUniform ablation always uses the enumeration

@@ -23,7 +23,7 @@ type HarmonicScheme struct {
 	Exponent float64
 	// MaxPrecomputeNodes bounds the graph size up to which the instance
 	// keeps per-node alias tables (O(1) draws after a node's first), each
-	// 6·n to 22·n bytes (see DefaultPrecomputeNodes).  Beyond it every
+	// 6·n to 18·n bytes (see DefaultPrecomputeNodes).  Beyond it every
 	// draw falls back to bounded-memory per-draw sampling.  Zero means
 	// DefaultPrecomputeNodes; negative disables the tables entirely.  A
 	// row codes each node's distance as its class, so Prepare rejects a
@@ -39,12 +39,12 @@ type HarmonicScheme struct {
 
 // DefaultPrecomputeNodes is the default graph-size ceiling for the per-node
 // alias tables of the harmonic and ball schemes.  A table row is allocated
-// only for a node drawn from.  It costs 6·n bytes, plus 16 for each
-// receiver its Vose build pairs down (see sampler.LazyRows): 6.3 to 12.2
+// only for a node drawn from.  It costs 6·n bytes, plus 12 for each
+// receiver its Vose build pairs down (see sampler.LazyRows): 6.2 to 10.7
 // bytes a node in ball and harmonic rows measured at n = 4096, and up to
-// 22 in a near-uniform row (exponent 0, or a ball on a dense graph).  So
-// at this size an instance holds ≈100–195 MiB when every row is built, and
-// at most ≈350 MiB.  Moving the ceiling moves graphs between the table and
+// 18 in a near-uniform row (exponent 0, or a ball on a dense graph).  So
+// at this size an instance holds ≈100–170 MiB when every row is built, and
+// at most ≈290 MiB.  Moving the ceiling moves graphs between the table and
 // fallback paths, which consume the RNG differently, so it would change
 // every seed-fixed report.
 const DefaultPrecomputeNodes = 4096

@@ -81,7 +81,7 @@ func rowReference(t *testing.T, n int, u graph.NodeID, fill func(graph.NodeID, [
 // rowTable builds row u of l, by drawing from it once, and decodes the
 // class-coded row's effective (prob, alias) per column by reflection:
 // the code MaxClasses marks a side column, whose pair sits in the side
-// slice at its alias slot, the code above it an accept-always column, and
+// slices at its alias slot, the code above it an accept-always column, and
 // any other code c a column of prob vals[c]·scale.
 func rowTable(l *sampler.LazyRows, u graph.NodeID) ([]float64, []int32) {
 	l.Draw(u, xrand.New(0))
@@ -90,7 +90,8 @@ func rowTable(l *sampler.LazyRows, u graph.NodeID) ([]float64, []int32) {
 	// field, so that its Load method can be called.
 	slot = reflect.NewAt(slot.Type(), unsafe.Pointer(slot.UnsafeAddr()))
 	r := slot.MethodByName("Load").Call(nil)[0].Elem()
-	code, av, side := r.FieldByName("code"), r.FieldByName("alias"), r.FieldByName("side")
+	code, av := r.FieldByName("code"), r.FieldByName("alias")
+	sideProb, sideAlias := r.FieldByName("sideProb"), r.FieldByName("sideAlias")
 	vals, scale := r.FieldByName("vals"), r.FieldByName("scale").Float()
 	prob, alias := make([]float64, code.Len()), make([]int32, code.Len())
 	for i := range prob {
@@ -98,8 +99,8 @@ func rowTable(l *sampler.LazyRows, u graph.NodeID) ([]float64, []int32) {
 		case sampler.MaxClasses + 1:
 			prob[i], alias[i] = 1, int32(i)
 		case sampler.MaxClasses:
-			s := side.Index(int(av.Index(i).Int()))
-			prob[i], alias[i] = s.FieldByName("prob").Float(), int32(s.FieldByName("alias").Int())
+			j := int(av.Index(i).Int())
+			prob[i], alias[i] = sideProb.Index(j).Float(), int32(sideAlias.Index(j).Int())
 		default:
 			prob[i], alias[i] = vals.Index(c).Float()*scale, int32(av.Index(i).Int())
 		}

@@ -41,7 +41,7 @@ const MaxClasses = codeSide
 // The reserved codes of a built row.  An accept-always column is drawn
 // whenever it is picked (a Vose leftover finalised to prob 1); a side
 // column's alias slot indexes its (prob, alias) pair in the row's side
-// slice.  Every other column's code is its class c, its prob
+// slices.  Every other column's code is its class c, its prob
 // vals[c]·scale, recomputed by the draw with the same bits the build
 // computed.
 const (
@@ -62,11 +62,11 @@ const (
 // outcome, plus the class table and its scale, so a column whose
 // acceptance probability is its scaled class weight (every Vose donor)
 // stores no float.  Only receivers whose probability is a residual after
-// pairing keep an exact (prob, alias) pair, 16 bytes, on the side.  A row
-// thus costs 6·k bytes plus 16 per such receiver.  Pairing leaves nearly
-// every receiver (scaled weight >= 1) with a residual, so that is 6.3 to
-// 12.2 bytes an outcome for ball and harmonic (exponents 1 and 2) rows of
-// 4096 outcomes, against 12 for a plain Alias, but up to 22 for a
+// pairing keep an exact (prob, alias) pair, 12 bytes, on the side.  A row
+// thus costs 6·k bytes plus 12 per such receiver.  Pairing leaves nearly
+// every receiver (scaled weight >= 1) with a residual, so that is 6.2 to
+// 10.7 bytes an outcome for ball and harmonic (exponents 1 and 2) rows of
+// 4096 outcomes, against 12 for a plain Alias, but up to 18 for a
 // near-uniform row, where almost every outcome is a receiver.
 //
 // Draws are deterministic regardless of build interleaving: building never
@@ -88,19 +88,31 @@ type LazyRows struct {
 // codedRow is one built row.  Column i accepts with probability
 // vals[code[i]]·scale and otherwise yields alias[i], except for the
 // reserved codes: codeAccept always accepts, and codeSide reads its
-// (prob, alias) from side[alias[i]].  The effective (prob, alias) of
-// every column has the bits BuildInto gives the row's weights.
+// (prob, alias) from sideProb and sideAlias at alias[i].  The effective
+// (prob, alias) of every column has the bits BuildInto gives the row's
+// weights.
 type codedRow struct {
-	code  []uint16
-	alias []int32
-	side  []sideColumn
-	vals  []float64 // the class table: a copy, or the filler's shared one
-	scale float64
+	code      []uint16
+	alias     []int32
+	sideProb  []float64
+	sideAlias []int32
+	vals      []float64 // the class table: a copy, or the filler's shared one
+	scale     float64
 }
 
-type sideColumn struct {
-	prob  float64
-	alias int32
+// column returns the effective acceptance probability and alias of column
+// i.  An accept-always column's prob 1 exceeds every Float64 a draw can
+// compare with it.
+func (r *codedRow) column(i int32) (float64, int32) {
+	switch c := r.code[i]; c {
+	case codeAccept:
+		return 1, i
+	case codeSide:
+		j := r.alias[i]
+		return r.sideProb[j], r.sideAlias[j]
+	default:
+		return r.vals[c] * r.scale, r.alias[i]
+	}
 }
 
 type rowScratch struct {
@@ -145,21 +157,11 @@ func (l *LazyRows) Draw(row int32, rng *xrand.RNG) int32 {
 	}
 	i := int32(rng.Uint64n(uint64(len(r.code))))
 	u := rng.Float64()
-	switch c := r.code[i]; c {
-	case codeAccept:
+	p, a := r.column(i)
+	if u < p {
 		return i
-	case codeSide:
-		s := r.side[r.alias[i]]
-		if u < s.prob {
-			return i
-		}
-		return s.alias
-	default:
-		if u < r.vals[c]*r.scale {
-			return i
-		}
-		return r.alias[i]
 	}
+	return a
 }
 
 // build fills, codes and publishes one row under its stripe lock and
@@ -263,17 +265,16 @@ func (l *LazyRows) build(row int32) *codedRow {
 			sides++
 		}
 	}
-	side := make([]sideColumn, sides)
+	r.sideProb, r.sideAlias = make([]float64, sides), make([]int32, sides)
 	j := int32(0)
 	for _, i := range recv {
 		if code[i] != codeAccept {
-			side[j] = sideColumn{prob[i], alias[i]}
+			r.sideProb[j], r.sideAlias[j] = prob[i], alias[i]
 			code[i] = codeSide
 			alias[i] = j
 			j++
 		}
 	}
-	r.side = side
 	l.rows[row].Store(r)
 	return r
 }

@@ -9,20 +9,6 @@ import (
 	"navaug/internal/xrand"
 )
 
-// column returns the effective acceptance probability and alias of column
-// i of a built row.
-func (r *codedRow) column(i int) (float64, int32) {
-	switch c := r.code[i]; c {
-	case codeAccept:
-		return 1, int32(i)
-	case codeSide:
-		s := r.side[r.alias[i]]
-		return s.prob, s.alias
-	default:
-		return r.vals[c] * r.scale, r.alias[i]
-	}
-}
-
 // tableFiller fills every row with the same class codes and table.  With
 // inBuf set it returns the table in the buf it is handed and keeps that
 // buf, so a test can scribble over it after the build.
@@ -62,7 +48,7 @@ func sameAsBuildInto(t *testing.T, r *codedRow, row int32, cls []int32, vals []f
 		t.Fatal(err)
 	}
 	for i := range prob {
-		if p, a := r.column(i); math.Float64bits(p) != math.Float64bits(prob[i]) || a != alias[i] {
+		if p, a := r.column(int32(i)); math.Float64bits(p) != math.Float64bits(prob[i]) || a != alias[i] {
 			t.Fatalf("column %d (code %d): (prob %v, alias %d), BuildInto gives (%v, %d)", i, r.code[i], p, a, prob[i], alias[i])
 		}
 	}
@@ -114,8 +100,8 @@ func TestCodedRowPaths(t *testing.T) {
 			name: "one class: every column accepts always",
 			cls:  []int32{1, 1, 1, 1, 1, 1, 1}, vals: []float64{0, 0.1}, inBuf: true,
 			check: func(t *testing.T, _ *tableFiller, r *codedRow) {
-				if n := codes(r, codeAccept); n != len(r.code) || len(r.side) != 0 {
-					t.Fatalf("%d of %d columns accept always, %d on the side", n, len(r.code), len(r.side))
+				if n := codes(r, codeAccept); n != len(r.code) || len(r.sideProb) != 0 {
+					t.Fatalf("%d of %d columns accept always, %d on the side", n, len(r.code), len(r.sideProb))
 				}
 			},
 		},
@@ -168,7 +154,7 @@ func TestCodedRowPaths(t *testing.T) {
 			name: "table in buf survives the next build",
 			cls:  ballCls, vals: ballLike, inBuf: true,
 			check: func(t *testing.T, f *tableFiller, r *codedRow) {
-				if len(r.side) == 0 || codes(r, codeAccept) == len(r.code) {
+				if len(r.sideProb) == 0 || codes(r, codeAccept) == len(r.code) {
 					t.Fatal("row has no side columns or only accept-always ones")
 				}
 				for i := range f.buf {
