@@ -228,8 +228,10 @@ func BenchmarkTwoHopQuery(b *testing.B) {
 }
 
 // twoHopPinEvery is how many pinned queries share one target: about a
-// route's worth of probes (~650 on the serve-route-hub workload).
-const twoHopPinEvery = 512
+// served route's worth of probes (~124 per /v1/route on the
+// serve-route-hub workload, where greedy routing stops scanning a hop's
+// neighbours at the first one closer to the target).
+const twoHopPinEvery = 128
 
 // BenchmarkTwoHopQuery_pinned is the query greedy routing actually makes:
 // against a target-pinned view (one pass over L_u, the only label

@@ -42,7 +42,10 @@ import (
 //
 // Node v's label is stored as one byte stream of (hub-rank delta, dist)
 // varint pairs, ~2-3 bytes per entry instead of 8 for two int32s.  Probes
-// decode the streams on the fly, one-byte varints inline (twoHopVarint).
+// decode the streams on the fly with no call for the common widths: the
+// merge decodes one-byte varints inline (twoHopVarint), and the pinned
+// probe and its scatter (twohop_pin.go) also decode rank deltas of up to
+// three bytes inline.
 // Labels in the legacy uncompressed layout, as old snapshots store them,
 // are packed at load (TwoHopFromRaw).
 //
@@ -242,11 +245,13 @@ func (t *TwoHop) Dist(u, v graph.NodeID) int32 {
 
 // twoHopVarint decodes the varint at blob[i:], returning its value and
 // the index after it; FromRaw validation guarantees every stream is well
-// formed and in bounds.  It is what the probe loops call: its inline cost
-// (79 under Go 1.24) fits the compiler's budget (80), so the one-byte
-// case — most rank deltas, nearly every distance — runs in the loop with
-// no call, and only longer varints call twoHopUvarint.  Keep it that
-// small; check with go build -gcflags=-m.
+// formed and in bounds.  The merge in Dist calls it for every varint,
+// the pinned probe and scatter for distances (they decode rank deltas of
+// up to three bytes themselves).  Its inline cost (79 under Go 1.24) fits
+// the compiler's budget (80), so the one-byte case — most rank deltas,
+// nearly every distance — runs in the loop with no call, and only longer
+// varints call twoHopUvarint.  Keep it that small: CI fails unless
+// go build -gcflags=-m still reports that it can inline.
 func twoHopVarint(blob []byte, i int64) (x int32, next int64) {
 	x, next = int32(blob[i]), i+1
 	if x >= 0x80 {
@@ -255,8 +260,10 @@ func twoHopVarint(blob []byte, i int64) (x int32, next int64) {
 	return
 }
 
-// twoHopUvarint is twoHopVarint's out-of-line multi-byte path (any length
-// works).  Kept out of line so the probe loops stay small.
+// twoHopUvarint is the out-of-line multi-byte path (any length works) of
+// twoHopVarint and of the pinned loops' inline delta decode, which call it
+// only for rank deltas of four bytes or more.  Kept out of line so the
+// probe loops stay small.
 //
 //go:noinline
 func twoHopUvarint(blob []byte, i int64) (int32, int64) {

@@ -90,6 +90,34 @@ func fuzzDecodeInt16s[T int32 | int64](b []byte) []T {
 	return v
 }
 
+// fuzzWidenLabels re-encodes every (rank delta, dist) pair of the label
+// streams blob[poff[v]:poff[v+1]] with each varint padded to at least
+// deltaBytes and distBytes bytes (overlong LEB128: the same value, with
+// continuation bytes of zero payload), returning the new index and blob.
+func fuzzWidenLabels(poff []int64, blob []byte, deltaBytes, distBytes int) ([]int64, []byte) {
+	widen := func(out []byte, x int32, width int) []byte {
+		start := len(out)
+		out = twoHopAppendUvarint(out, uint32(x))
+		for len(out)-start < width {
+			out[len(out)-1] |= 0x80
+			out = append(out, 0)
+		}
+		return out
+	}
+	wp := make([]int64, len(poff))
+	var wb []byte
+	for v := 0; v+1 < len(poff); v++ {
+		for i := poff[v]; i < poff[v+1]; {
+			var x, d int32
+			x, i = twoHopVarint(blob, i)
+			d, i = twoHopVarint(blob, i)
+			wb = widen(widen(wb, x, deltaBytes), d, distBytes)
+		}
+		wp[v+1] = int64(len(wb))
+	}
+	return wp, wb
+}
+
 // FuzzTwoHopPackedFromRaw mutates the label index and varint blob of a
 // small packed oracle — a 200-node path, whose labels hold 2-byte rank
 // deltas and distances — and checks the load-time validator against
@@ -115,6 +143,18 @@ func FuzzTwoHopPackedFromRaw(f *testing.F) {
 	swapped := append([]int64(nil), poff...)
 	swapped[1], swapped[2] = 1<<14, swapped[1]
 	f.Add(fuzzInt16s(swapped), valid)
+	// Overlong encodings the validator accepts, so that the seed run
+	// alone takes every inline branch of the probe and scatter decode:
+	// two- and three-byte rank deltas, a four-byte one (the out-of-line
+	// path), and two-byte distances.
+	for _, w := range [][2]int{{2, 1}, {3, 1}, {4, 2}} {
+		wp, wb := fuzzWidenLabels(poff, valid, w[0], w[1])
+		offs := fuzzInt16s(wp)
+		if _, err := TwoHopPackedFromRaw(n, order, fuzzDecodeInt16s[int64](offs), wb); err != nil {
+			f.Fatalf("widened %v seed rejected: %v", w, err)
+		}
+		f.Add(offs, wb)
+	}
 
 	f.Fuzz(func(t *testing.T, offs, blob []byte) {
 		poff := fuzzDecodeInt16s[int64](offs)

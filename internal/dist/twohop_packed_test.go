@@ -89,8 +89,8 @@ func TestTwoHopEngineByteIdentity(t *testing.T) {
 // 200 nodes exceeds the 8-bit lane depth cap (126) partway through a
 // traversal, driving the build through the fallback seam.  Labels must
 // match the forced-scalar build exactly.  The 40000-node path is kept for
-// its labels, which carry 1-, 2- and 3-byte rank deltas and distances (no
-// other test reaches 3-byte varints), and for a long scalar-engine build:
+// its labels, which carry 1-, 2- and 3-byte rank deltas and distances (the
+// only 3-byte distances in the tests), and for a long scalar-engine build:
 // its distances must match the path metric.
 func TestTwoHopDepthFallback(t *testing.T) {
 	g := pathGraph(200)
@@ -269,21 +269,28 @@ func TestTwoHopPackedFromRawHostile(t *testing.T) {
 	}
 }
 
+// twoHopVarintWidths counts the varints of a (rank delta, dist) stream
+// by kind and length: widths[0] the rank deltas, widths[1] the distances,
+// each indexed by byte count with 3 standing for three or more.
+func twoHopVarintWidths(stream []byte) (widths [2][4]int) {
+	for i, k := int64(0), 0; i < int64(len(stream)); k++ {
+		_, next := twoHopUvarint(stream, i)
+		widths[k%2][min(next-i, 3)]++
+		i = next
+	}
+	return widths
+}
+
 // checkPackedSlowPaths checks a path oracle whose labels need multi-byte
 // varints on sampled nodes and pairs: Label, unpinned Dist and pinned Dist
-// across re-pins all go through the out-of-line decode for the long
-// varints, and must give the path metric.  It first checks the blob really
+// across re-pins all decode the long varints (the pinned loops inline up
+// to three bytes of rank delta), and must give the path metric.  It first checks the blob really
 // holds 1-, 2- and 3-byte rank deltas and distances, so every slow path
 // runs.
 func checkPackedSlowPaths(t *testing.T, o *TwoHop) {
 	t.Helper()
 	_, _, blob := o.RawPacked()
-	var widths [2][4]int // [delta, dist][bytes]
-	for i, k := int64(0), 0; i < int64(len(blob)); k++ {
-		_, next := twoHopUvarint(blob, i)
-		widths[k%2][min(next-i, 3)]++
-		i = next
-	}
+	widths := twoHopVarintWidths(blob)
 	for k, name := range []string{"rank delta", "distance"} {
 		if w := widths[k]; w[1] == 0 || w[2] == 0 || w[3] == 0 {
 			t.Fatalf("%s varints of 1/2/3+ bytes: %d/%d/%d, want all present", name, w[1], w[2], w[3])

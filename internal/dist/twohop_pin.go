@@ -53,8 +53,17 @@ func (t *TwoHop) scatter(v graph.NodeID, dense []int32, clear bool) {
 	i, end := t.poff[v], t.poff[v+1]
 	h := int32(-1)
 	for i < end {
+		// Rank deltas of up to three bytes decode inline, as in Dist.
 		var x, d int32
-		x, i = twoHopVarint(blob, i)
+		if b := blob[i]; b < 0x80 {
+			x, i = int32(b), i+1
+		} else if b1 := blob[i+1]; b1 < 0x80 {
+			x, i = int32(b&0x7f)|int32(b1)<<7, i+2
+		} else if b2 := blob[i+2]; b2 < 0x80 {
+			x, i = int32(b&0x7f)|int32(b1&0x7f)<<7|int32(b2)<<14, i+3
+		} else {
+			x, i = twoHopUvarint(blob, i)
+		}
 		h += x + 1
 		d, i = twoHopVarint(blob, i)
 		if clear {
@@ -80,8 +89,24 @@ func (p *TwoHopPin) Dist(u, t graph.NodeID) int32 {
 	i, end := o.poff[u], o.poff[u+1]
 	h := int32(-1)
 	for i < end {
+		// A rank delta of up to three bytes (one holds most of them,
+		// three any rank below 2^21) decodes here with no call; only a
+		// longer one calls twoHopUvarint.  Distances are nearly always
+		// one byte, which twoHopVarint decodes inline.  A validated
+		// stream never ends inside a varint, so blob[i+1] and blob[i+2]
+		// are read only while the varint still runs.  A function holding
+		// this decode would be over the inline budget, hence the copy in
+		// scatter.
 		var x, d int32
-		x, i = twoHopVarint(blob, i)
+		if b := blob[i]; b < 0x80 {
+			x, i = int32(b), i+1
+		} else if b1 := blob[i+1]; b1 < 0x80 {
+			x, i = int32(b&0x7f)|int32(b1)<<7, i+2
+		} else if b2 := blob[i+2]; b2 < 0x80 {
+			x, i = int32(b&0x7f)|int32(b1&0x7f)<<7|int32(b2)<<14, i+3
+		} else {
+			x, i = twoHopUvarint(blob, i)
+		}
 		h += x + 1
 		d, i = twoHopVarint(blob, i)
 		best = min(best, d+pin[h])

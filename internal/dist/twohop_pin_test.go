@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"slices"
 	"testing"
 
 	"navaug/internal/graph"
@@ -140,6 +141,130 @@ func TestTwoHopPinAcrossOracles(t *testing.T) {
 		for u := graph.NodeID(0); u < graph.NodeID(o.N()); u++ {
 			if got, want := p.Dist(u, tgt), o.Dist(u, tgt); got != want {
 				t.Fatalf("oracle %d: pinned Dist(%d,%d) = %d, unpinned %d", i, u, tgt, got, want)
+			}
+		}
+	}
+}
+
+// TestTwoHopPinSampledWideDeltas is the pinned differential test on a
+// graph past 2^14 nodes, where a label's rank deltas take one, two and
+// three bytes: the widths the pinned probe and scatter decode inline.
+// At 30,000 nodes some three-byte deltas pass 24,576, so every payload
+// bit of their middle byte is read.
+// All pairs would be too many, so it pins and probes a sample: random
+// nodes, plus the first nodes whose labels hold a three-byte delta and
+// every node whose label holds one of them as a hub.  Pinned, unpinned
+// and Unpack() answers must equal the built oracle's unpinned ones, on
+// the labels as built, as loaded from the legacy raw layout, and with
+// the hub order reversed.  As built, a three-byte delta is a late hub's
+// step to its own entry (u, 0), the last of u's label, which no answer
+// but dist(u, u) reads, so a misdecoded one would go unseen.  Reversing
+// the order keeps every label set but puts that entry first and the
+// three-byte step before the early hubs' entries, which decide answers.
+// Each variant's sample must hold deltas of every inline width, so the
+// case cannot lose its coverage silently.
+func TestTwoHopPinSampledWideDeltas(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		g           *graph.Graph
+		random, far int
+	}{
+		{"powerlaw-30000", powerLawGraph(30000, 2, xrand.New(0x2b1)), 200, 60},
+	} {
+		o := NewTwoHopWith(tc.g, TwoHopOptions{Workers: 2})
+		nodes := wideDeltaSample(o, tc.random, tc.far)
+		for _, v := range []struct {
+			name string
+			o    *TwoHop
+		}{
+			{"packed", o},
+			{"raw", twoHopFromLegacy(t, o)},
+			{"reversed", twoHopReversed(t, o)},
+		} {
+			t.Run(tc.name+"/"+v.name, func(t *testing.T) { checkPinnedSampled(t, o, v.o, nodes) })
+		}
+	}
+}
+
+// twoHopReversed rebuilds o's labels under the reversed hub order: rank
+// r becomes n-1-r, so each label's entries come in the opposite order.
+// Every label set, and so every answer, is o's.
+func twoHopReversed(t *testing.T, o *TwoHop) *TwoHop {
+	t.Helper()
+	order, index, hubs, dists := twoHopLegacyArrays(o)
+	n := int32(o.N())
+	order = slices.Clone(order)
+	slices.Reverse(order)
+	hubs, dists = slices.Clone(hubs), slices.Clone(dists)
+	for v := 0; v < o.N(); v++ {
+		lo, hi := index[v], index[v+1]
+		for i := lo; i < hi; i++ {
+			hubs[i] = n - 1 - hubs[i]
+		}
+		slices.Reverse(hubs[lo:hi])
+		slices.Reverse(dists[lo:hi])
+	}
+	r, err := TwoHopFromRaw(o.N(), order, index, hubs, dists)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// wideDeltaSample returns random nodes of o, then every node whose label
+// holds as a hub one of the first far nodes with a rank delta of three
+// or more bytes in their own labels.
+func wideDeltaSample(o *TwoHop, random, far int) []graph.NodeID {
+	rng := xrand.New(0x51d)
+	var nodes []graph.NodeID
+	for range random {
+		nodes = append(nodes, graph.NodeID(rng.Intn(o.N())))
+	}
+	wide := make(map[graph.NodeID]bool, far)
+	for v := graph.NodeID(0); int(v) < o.N() && len(wide) < far; v++ {
+		if twoHopVarintWidths(o.blob[o.poff[v]:o.poff[v+1]])[0][3] > 0 {
+			wide[v] = true
+		}
+	}
+	for v := graph.NodeID(0); int(v) < o.N(); v++ {
+		hubs, _ := o.Label(v)
+		if slices.ContainsFunc(hubs, func(h graph.NodeID) bool { return wide[h] }) {
+			nodes = append(nodes, v)
+		}
+	}
+	return nodes
+}
+
+// checkPinnedSampled pins each sampled node in turn through one shared
+// view of o and probes it from every sampled node, after checking that
+// the sampled labels hold rank deltas of one, two and three bytes.  Every
+// answer must be ref's unpinned one.
+func checkPinnedSampled(t *testing.T, ref, o *TwoHop, nodes []graph.NodeID) {
+	t.Helper()
+	var widths [4]int
+	for _, v := range nodes {
+		w := twoHopVarintWidths(o.blob[o.poff[v]:o.poff[v+1]])
+		for b := range widths {
+			widths[b] += w[0][b]
+		}
+	}
+	if widths[1] == 0 || widths[2] == 0 || widths[3] == 0 {
+		t.Fatalf("sampled rank deltas of 1/2/3+ bytes: %d/%d/%d, want all present", widths[1], widths[2], widths[3])
+	}
+	raw := o.Unpack()
+	var p TwoHopPin
+	for _, tgt := range nodes {
+		p.Pin(o, tgt)
+		for _, u := range nodes {
+			want := ref.Dist(u, tgt)
+			if got := raw.Dist(u, tgt); got != want {
+				t.Fatalf("Unpack Dist(%d,%d) = %d, want %d", u, tgt, got, want)
+			}
+			if got := o.Dist(u, tgt); got != want {
+				t.Fatalf("unpinned Dist(%d,%d) = %d, want %d", u, tgt, got, want)
+			}
+			if got := p.Dist(u, tgt); got != want {
+				t.Fatalf("pinned Dist(%d,%d) = %d, want %d", u, tgt, got, want)
 			}
 		}
 	}
