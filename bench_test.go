@@ -254,6 +254,45 @@ func BenchmarkTwoHopQuery_pinned(b *testing.B) {
 	}
 }
 
+// twoHopBatchPairs is the batch size of BenchmarkTwoHopDistBatch, that of
+// the serve-dist-tree workload's POST /v1/dist bodies.
+const twoHopBatchPairs = 256
+
+// BenchmarkTwoHopDistBatch measures one exact query in a batch of random
+// pairs on a 2^19-node powerlaw-tree, whose 4 MB label index and ~12 MB
+// label blob are far beyond L2, as the serve-dist-tree workload serves
+// it: a loop of Dist against DistBatch, which stages each group's label
+// reads before it merges.  ns/op is per pair.  (BenchmarkTwoHopQuery's
+// 16k-node oracle fits in cache and cannot show the staging.)
+func BenchmarkTwoHopDistBatch(b *testing.B) {
+	g := gen.PowerLawAttachment(1<<19, 1, xrand.New(1))
+	o := dist.NewTwoHop(g)
+	rng := xrand.New(2)
+	pairs := make([][2]int32, 1<<20)
+	for i := range pairs {
+		pairs[i] = [2]int32{int32(rng.Intn(g.N())), int32(rng.Intn(g.N()))}
+	}
+	out := make([]int32, twoHopBatchPairs)
+	run := func(b *testing.B, batch func(ps [][2]int32)) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += twoHopBatchPairs {
+			at := i & (len(pairs) - 1)
+			batch(pairs[at : at+min(twoHopBatchPairs, b.N-i)])
+		}
+	}
+	b.Run("loop", func(b *testing.B) {
+		run(b, func(ps [][2]int32) {
+			for k, p := range ps {
+				out[k] = o.Dist(p[0], p[1])
+			}
+		})
+	})
+	b.Run("batch", func(b *testing.B) {
+		run(b, func(ps [][2]int32) { o.DistBatch(ps, out) })
+	})
+}
+
 // BenchmarkLandmarkOracleQuery measures a single O(k) bound query against
 // the oracle built above.
 func BenchmarkLandmarkOracleQuery(b *testing.B) {

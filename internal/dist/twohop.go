@@ -43,9 +43,9 @@ import (
 // Node v's label is stored as one byte stream of (hub-rank delta, dist)
 // varint pairs, ~2-3 bytes per entry instead of 8 for two int32s.  Probes
 // decode the streams on the fly with no call for the common widths: the
-// merge decodes one-byte varints inline (twoHopVarint), and the pinned
-// probe and its scatter (twohop_pin.go) also decode rank deltas of up to
-// three bytes inline.
+// merge (twoHopMerge), the pinned probe and its scatter (twohop_pin.go)
+// decode rank deltas of up to three bytes inline, and one-byte distances
+// through the inlined twoHopVarint.
 // Labels in the legacy uncompressed layout, as old snapshots store them,
 // are packed at load (TwoHopFromRaw).
 //
@@ -194,18 +194,77 @@ func (t *TwoHop) N() int { return int(t.n) }
 // Deprecated: labels are always packed.
 func (t *TwoHop) Packed() bool { return true }
 
-// Dist implements Source with one merged scan over the two label streams,
-// decoding (hub delta, dist) varints on the fly.  Each round advances the
-// stream(s) whose current hub is the smaller (both on a match); the scan
-// ends when a stream it must advance is exhausted.  Pairs with no common
-// hub are in different components and yield graph.Unreachable.
+// Dist implements Source with one merged scan over the two label streams
+// (twoHopMerge).  Pairs with no common hub are in different components and
+// yield graph.Unreachable.
 func (t *TwoHop) Dist(u, v graph.NodeID) int32 {
 	if u == v {
 		return 0
 	}
-	i, iEnd := t.poff[u], t.poff[u+1]
-	j, jEnd := t.poff[v], t.poff[v+1]
-	blob := t.blob
+	return twoHopMerge(t.blob, t.poff[u], t.poff[u+1], t.poff[v], t.poff[v+1])
+}
+
+// twoHopGroup is how many pairs DistBatch stages at once: enough for the
+// group's label reads to overlap, few enough that its touched lines are
+// still in cache when the merges run.  On the 2^19-node powerlaw-tree
+// (BenchmarkTwoHopDistBatch), groups of 4 and of 256 measured within
+// noise of 32.
+const twoHopGroup = 32
+
+// DistBatch sets out[k] = Dist(pairs[k][0], pairs[k][1]) for every pair;
+// out must be at least as long as pairs.  Each probe's reads (two label
+// offsets, then two label streams at random places in the index and the
+// blob) depend on each other, so a loop of Dist waits out one cache miss
+// after another.  DistBatch works through the batch in groups of
+// twoHopGroup pairs: it loads every pair's four offsets, then touches the
+// first and last byte of each label stream, so the group's misses are in
+// flight together, and only then runs the merges (group prefetching:
+// Chen, Ailamaki, Gibbons and Mowry, ICDE 2004).
+func (t *TwoHop) DistBatch(pairs [][2]int32, out []int32) {
+	out = out[:len(pairs)]
+	poff, blob := t.poff, t.blob
+	var off [twoHopGroup][4]int64
+	for len(pairs) > 0 {
+		g := min(len(pairs), twoHopGroup)
+		for k, p := range pairs[:g] {
+			off[k] = [4]int64{poff[p[0]], poff[p[0]+1], poff[p[1]], poff[p[1]+1]}
+		}
+		// out[k] holds a throwaway sum of the touched bytes until the
+		// merge below writes the answer; storing it keeps the compiler
+		// from dropping the loads.
+		for k := range g {
+			o := &off[k]
+			var s int32
+			if o[0] < o[1] {
+				s = int32(blob[o[0]]) + int32(blob[o[1]-1])
+			}
+			if o[2] < o[3] {
+				s += int32(blob[o[2]]) + int32(blob[o[3]-1])
+			}
+			out[k] = s
+		}
+		for k, p := range pairs[:g] {
+			if p[0] == p[1] {
+				out[k] = 0
+				continue
+			}
+			o := &off[k]
+			out[k] = twoHopMerge(blob, o[0], o[1], o[2], o[3])
+		}
+		pairs, out = pairs[g:], out[g:]
+	}
+}
+
+// twoHopMerge is the 2-hop query over the label streams blob[i:iEnd] and
+// blob[j:jEnd], decoding (hub delta, dist) varints on the fly: the minimum
+// of du+dv over the hubs both hold, or graph.Unreachable when they share
+// none.  Each round advances the stream(s) whose current hub is the
+// smaller (both on a match); the scan ends when a stream it must advance
+// is exhausted.  Rank deltas of up to three bytes decode inline, as in the
+// pinned probe (twohop_pin.go); on the powerlaw-tree's labels two- and
+// three-byte deltas are over 40% of all.  Distances go through
+// twoHopVarint.
+func twoHopMerge(blob []byte, i, iEnd, j, jEnd int64) int32 {
 	best := twoHopInf
 	hu, hv := int32(-1), int32(-1)
 	var du, dv, x int32
@@ -215,7 +274,15 @@ func (t *TwoHop) Dist(u, v graph.NodeID) int32 {
 			if i >= iEnd {
 				break
 			}
-			x, i = twoHopVarint(blob, i)
+			if b := blob[i]; b < 0x80 {
+				x, i = int32(b), i+1
+			} else if b1 := blob[i+1]; b1 < 0x80 {
+				x, i = int32(b&0x7f)|int32(b1)<<7, i+2
+			} else if b2 := blob[i+2]; b2 < 0x80 {
+				x, i = int32(b&0x7f)|int32(b1&0x7f)<<7|int32(b2)<<14, i+3
+			} else {
+				x, i = twoHopUvarint(blob, i)
+			}
 			hu += x + 1
 			du, i = twoHopVarint(blob, i)
 		}
@@ -223,7 +290,15 @@ func (t *TwoHop) Dist(u, v graph.NodeID) int32 {
 			if j >= jEnd {
 				break
 			}
-			x, j = twoHopVarint(blob, j)
+			if b := blob[j]; b < 0x80 {
+				x, j = int32(b), j+1
+			} else if b1 := blob[j+1]; b1 < 0x80 {
+				x, j = int32(b&0x7f)|int32(b1)<<7, j+2
+			} else if b2 := blob[j+2]; b2 < 0x80 {
+				x, j = int32(b&0x7f)|int32(b1&0x7f)<<7|int32(b2)<<14, j+3
+			} else {
+				x, j = twoHopUvarint(blob, j)
+			}
 			hv += x + 1
 			dv, j = twoHopVarint(blob, j)
 		}
@@ -245,13 +320,13 @@ func (t *TwoHop) Dist(u, v graph.NodeID) int32 {
 
 // twoHopVarint decodes the varint at blob[i:], returning its value and
 // the index after it; FromRaw validation guarantees every stream is well
-// formed and in bounds.  The merge in Dist calls it for every varint,
-// the pinned probe and scatter for distances (they decode rank deltas of
-// up to three bytes themselves).  Its inline cost (79 under Go 1.24) fits
-// the compiler's budget (80), so the one-byte case — most rank deltas,
-// nearly every distance — runs in the loop with no call, and only longer
-// varints call twoHopUvarint.  Keep it that small: CI fails unless
-// go build -gcflags=-m still reports that it can inline.
+// formed and in bounds.  The probe loops (twoHopMerge, the pinned probe
+// and scatter) call it for distances, and decode rank deltas of up to
+// three bytes themselves; the cold loops call it for both.  Its inline
+// cost (79 under Go 1.24) fits the compiler's budget (80), so the
+// one-byte case — nearly every distance — runs in the loop with no call,
+// and only longer varints call twoHopUvarint.  Keep it that small: CI
+// fails unless go build -gcflags=-m still reports that it can inline.
 func twoHopVarint(blob []byte, i int64) (x int32, next int64) {
 	x, next = int32(blob[i]), i+1
 	if x >= 0x80 {
@@ -261,7 +336,7 @@ func twoHopVarint(blob []byte, i int64) (x int32, next int64) {
 }
 
 // twoHopUvarint is the out-of-line multi-byte path (any length works) of
-// twoHopVarint and of the pinned loops' inline delta decode, which call it
+// twoHopVarint and of the probe loops' inline delta decode, which call it
 // only for rank deltas of four bytes or more.  Kept out of line so the
 // probe loops stay small.
 //

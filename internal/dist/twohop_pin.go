@@ -95,8 +95,8 @@ func (p *TwoHopPin) Dist(u, t graph.NodeID) int32 {
 		// one byte, which twoHopVarint decodes inline.  A validated
 		// stream never ends inside a varint, so blob[i+1] and blob[i+2]
 		// are read only while the varint still runs.  A function holding
-		// this decode would be over the inline budget, hence the copy in
-		// scatter.
+		// this decode would be over the inline budget, hence the copies in
+		// scatter and twoHopMerge.
 		var x, d int32
 		if b := blob[i]; b < 0x80 {
 			x, i = int32(b), i+1

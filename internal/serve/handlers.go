@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"navaug/internal/augment"
+	"navaug/internal/dist"
 	"navaug/internal/graph"
 	"navaug/internal/route"
 )
@@ -177,6 +178,11 @@ func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 		// every dist is a landmark upper bound, not an exact distance.
 		var approx bool
 		err := s.pool.TryDo(r.Context(), func(*Shard) {
+			if th, ok := s.src.(*dist.TwoHop); ok {
+				// Staged: the batch's label reads overlap.
+				th.DistBatch(pairs, dists)
+				return
+			}
 			for i, p := range pairs {
 				var a bool
 				dists[i], a = s.distance(p[0], p[1])

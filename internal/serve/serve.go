@@ -29,7 +29,11 @@
 // from the snapshot's O(1) tier — the analytic metric or the packed 2-hop
 // labels — and fall back down the degradation ladder (BFS field cache,
 // then approximate landmark bounds) when that tier is missing or
-// quarantined and fields are unaffordable; see degrade.go.  Landmarks
+// quarantined and fields are unaffordable; see degrade.go.  A dist batch
+// is one pool task; over 2-hop labels it is one dist.TwoHop.DistBatch
+// call, which loads a group of pairs' label offsets and touches their
+// label streams before it merges any, so the group's cache misses
+// overlap.  The other tiers answer a batch pair by pair.  Landmarks
 // exist only beneath the field cache: a snapshot with an exact tier never
 // builds them, so set-up is the snapshot read and little else.  That read
 // (snapshot.ReadBytes) keeps every core busy: sections are checked

@@ -212,6 +212,77 @@ func TestDistBatchMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestDistBatchMatchesSingleGets serves 2-hop labels of a graph with two
+// components and posts one batch holding self pairs, cross-component
+// pairs and more pairs than one staging group of dist.TwoHop.DistBatch:
+// each pair's GET body must be byte for byte the one its batch answer
+// gives, and every answer the BFS distance.
+func TestDistBatchMatchesSingleGets(t *testing.T) {
+	const n = 100
+	rng := xrand.New(23)
+	b := graph.NewBuilder(n)
+	for v := 1; v < n; v++ {
+		if v != n/2 {
+			b.AddEdge(graph.NodeID(v), graph.NodeID(v/(n/2)*(n/2)+rng.Intn(v%(n/2))))
+		}
+	}
+	g := b.Build()
+	raw, err := (&snapshot.Snapshot{
+		Meta:   snapshot.Meta{Family: "two-trees", N: n, M: g.M(), Seed: 23},
+		Graph:  g,
+		TwoHop: dist.NewTwoHop(g),
+	}).Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.ReadBytes(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.TwoHop == nil {
+		t.Fatal("snapshot read back without its 2-hop labels")
+	}
+	srv, err := serve.New(snap, serve.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+	pairs := randomPairs(n, 90, 24)
+	for k := 0; k < len(pairs); k += 11 {
+		pairs[k][1] = pairs[k][0]
+	}
+	pairs = append(pairs, [2]int32{0, n - 1}, [2]int32{n / 2, n/2 - 1})
+	payload, err := json.Marshal(map[string]any{"pairs": pairs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, body := postBody(t, ts.URL+"/v1/dist", payload)
+	var batch struct {
+		Dists []int32 `json:"dists"`
+	}
+	if err := json.Unmarshal(body, &batch); code != http.StatusOK || err != nil || len(batch.Dists) != len(pairs) {
+		t.Fatalf("batch: status %d, err %v: %s", code, err, body)
+	}
+	exact := bfsDist(g)
+	for k, p := range pairs {
+		d := batch.Dists[k]
+		if want := exact(p[0], p[1]); d != want {
+			t.Fatalf("pair %d (%d,%d): batch dist %d, BFS %d", k, p[0], p[1], d, want)
+		}
+		want := fmt.Sprintf("{\"dist\":%d,\"u\":%d,\"v\":%d}\n", d, p[0], p[1])
+		if code, one := getBody(t, fmt.Sprintf("%s/v1/dist?u=%d&v=%d", ts.URL, p[0], p[1])); code != http.StatusOK || string(one) != want {
+			t.Fatalf("pair %d: GET status %d body %q, batch gives %q", k, code, one, want)
+		}
+	}
+	if last := batch.Dists[len(pairs)-2:]; last[0] != graph.Unreachable || last[1] != graph.Unreachable {
+		t.Fatalf("cross-component dists %v, want both %d", last, graph.Unreachable)
+	}
+}
+
 // TestFieldFallback serves a snapshot with no O(1) tier: answers must
 // still be exact through the BFS field cache.
 func TestFieldFallback(t *testing.T) {
@@ -516,8 +587,10 @@ func TestParallelClients(t *testing.T) {
 					}
 					resp.Body.Close()
 				case 3:
-					// Batches share pooled body and answer buffers.
+					// Batches share pooled body and answer buffers; each
+					// holds a self pair.
 					pairs := randomPairs(n, 1+rng.Intn(64), uint64(worker*1000+i))
+					pairs[len(pairs)/2][1] = pairs[len(pairs)/2][0]
 					payload, _ := json.Marshal(map[string]any{"pairs": pairs})
 					resp, err := http.Post(ts.URL+"/v1/dist", "application/json", bytes.NewReader(payload))
 					if err != nil {
